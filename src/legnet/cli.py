@@ -43,7 +43,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="output directory (default out)")
     p.add_argument("--seed", type=int, help="master RNG seed (default 0)")
     p.add_argument("--threads", type=int,
-                   help="worker threads for path-based centrality")
+                   help="accepted and ignored (kept for old scripts)")
 
 
 def build_parser() -> argparse.ArgumentParser:

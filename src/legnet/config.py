@@ -37,7 +37,7 @@ class RunConfig:
     sbm_init: str = "spectral"
     score_against: list[str] = field(default_factory=lambda: ["party", "chamber"])
     seed: int = 0
-    threads: int = 1
+    threads: int | None = None  # accepted for old configs; ignored
     stages: list[str] = field(default_factory=lambda: list(STAGES))
     weighted_spectral: bool = False
     standardize: bool = False
@@ -48,7 +48,8 @@ class RunConfig:
             raise ConfigError(f"seed must be an integer, got {self.seed!r}")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
-        if not isinstance(self.threads, int) or self.threads < 1:
+        if self.threads is not None and (not isinstance(self.threads, int)
+                                         or self.threads < 1):
             raise ConfigError(f"threads must be a positive integer, got {self.threads!r}")
         if self.edge_format not in ("csv", "upstream-json"):
             raise ConfigError(f"unknown edge format {self.edge_format!r}")
@@ -126,7 +127,7 @@ def config_from_dict(raw: Mapping[str, Any]) -> RunConfig:
         sbm_init=sbm_block.get("init", "spectral"),
         score_against=list(raw.get("score_against", ["party", "chamber"])),
         seed=raw.get("seed", 0),
-        threads=raw.get("threads", 1),
+        threads=raw.get("threads"),
         out_dir=raw.get("out", "out"),
         stages=list(raw.get("stages", list(STAGES))),
         weighted_spectral=bool(raw.get("weighted_spectral", False)),

@@ -127,7 +127,9 @@ def _newton(objective, k: int, tol: float, max_iter: int,
     """Maximize a concave objective with separation pinning.
 
     objective(theta) -> (ll, grad, fisher). Returns (theta, frozen,
-    fisher, ll, converged, iterations).
+    fisher, ll, converged, iterations). Also converged once a step is
+    applied whose Newton decrement is within rounding of ll, since on
+    large dyad sums the gradient's rounding floor can sit above `tol`.
     """
     theta = np.zeros(k)
     frozen = np.zeros(k, dtype=bool)
@@ -146,10 +148,12 @@ def _newton(objective, k: int, tol: float, max_iter: int,
             converged = True
             break
         sub = fisher[np.ix_(free, free)]
+        ascent = grad[free]
         try:
-            step = np.linalg.solve(sub, grad[free])
+            step = np.linalg.solve(sub, ascent)
         except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(sub, grad[free], rcond=None)[0]
+            step = np.linalg.lstsq(sub, ascent, rcond=None)[0]
+        decrement = 0.5 * step @ ascent
         # step halving keeps the ascent monotone on flat/ill-scaled spots
         for _ in range(40):
             trial = theta.copy()
@@ -157,13 +161,17 @@ def _newton(objective, k: int, tol: float, max_iter: int,
             over = (np.abs(trial) > SEPARATION_BOUND) & free
             trial[over] = np.sign(trial[over]) * SEPARATION_BOUND
             new_ll, new_grad, new_fisher = objective(trial)
-            if new_ll >= ll - 1e-12 or np.abs(step).max() < 1e-12:
+            ascended = new_ll >= ll - 1e-12
+            if ascended or np.abs(step).max() < 1e-12:
                 theta, ll, grad, fisher = trial, new_ll, new_grad, new_fisher
                 frozen |= over
                 break
             step *= 0.5
         else:
             raise EstimationError("line search failed to make progress")
+        if ascended and decrement <= 16.0 * np.finfo(float).eps * abs(ll):
+            converged = True
+            break
     else:
         raise EstimationError(f"no convergence after {max_iter} iterations "
                               f"(gradient norm {np.abs(grad[~frozen]).max():.3g})")

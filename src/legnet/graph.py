@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from .errors import DataError
 
@@ -163,10 +164,14 @@ class Graph:
     def out_strengths(self) -> np.ndarray:
         return self._out_w.copy()
 
-    def adjacency(self, weighted: bool = False) -> np.ndarray:
-        """Dense adjacency matrix; entry [i, j] covers the edge i->j."""
+    def adjacency(self, weighted: bool = False,
+                  sparse: bool = False) -> np.ndarray | csr_array:
+        """Adjacency matrix, CSR if `sparse`; entry [i, j] covers the edge i->j."""
+        values = self._w if weighted else np.ones(self.edge_count)
+        if sparse:
+            return csr_array((values, (self._src, self._dst)), shape=(self.n, self.n))
         a = np.zeros((self.n, self.n))
-        a[self._src, self._dst] = self._w if weighted else 1.0
+        a[self._src, self._dst] = values
         return a
 
     def undirected_neighbors(self, i: int) -> np.ndarray:

@@ -13,6 +13,8 @@ import hashlib
 import io as _io
 import json
 import math
+import warnings
+from collections import Counter
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -133,8 +135,7 @@ class Pipeline:
     def centrality(self) -> CentralityReport:
         if self._centrality is None:
             self._centrality = centrality_report(
-                self.graph, threads=self.config.threads,
-                weighted=self.config.weighted_spectral)
+                self.graph, weighted=self.config.weighted_spectral)
         return self._centrality
 
     @property
@@ -182,6 +183,8 @@ class Pipeline:
             wanted.add("topology")
             self.notice("topology stage forced: requested models use "
                         "centrality covariates")
+        if self.config.threads is not None:
+            self.notice("threads setting ignored: centralities are single-threaded")
         selected = [s for s in STAGES if s in wanted]
         self._selected = selected
         for stage in selected:
@@ -370,10 +373,14 @@ class Pipeline:
 
     def _stage_sbm(self) -> None:
         lo, hi = self.config.q_range
-        best, curve = select_q(self.graph, range(lo, hi + 1),
-                               restarts=self.config.sbm_restarts,
-                               seed=self.config.seed,
-                               init=self.config.sbm_init)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            best, curve = select_q(self.graph, range(lo, hi + 1),
+                                   restarts=self.config.sbm_restarts,
+                                   seed=self.config.seed,
+                                   init=self.config.sbm_init)
+        for message, count in sorted(Counter(str(w.message) for w in caught).items()):
+            self.notice(f"sbm: {message} ({count}x)")
         self._sbm, self._sbm_curve = best, curve
         self._write_csv("sbm_icl_curve.csv", ["q", "icl"],
                         [[q, value] for q, value in curve])
@@ -387,6 +394,7 @@ class Pipeline:
             "converged": best.converged,
             "iterations": best.iterations,
             "collapsed": best.collapsed,
+            "runs": best.meta["runs"],
         })
         graph = self.graph
         self._write_csv("communities.csv", ["node_id", "community"],

@@ -12,6 +12,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 from scipy.cluster.vq import kmeans2
 from scipy.special import xlogy
 
@@ -39,41 +40,54 @@ class SbmFit:
     meta: dict = field(default_factory=dict)
 
 
-def _as_binary(adjacency) -> np.ndarray:
+class _Binary:
+    """Validated binary adjacency in CSR form, with its transpose."""
+
+    def __init__(self, y: sparse.csr_array) -> None:
+        self.y, self.yt, self.n = y, y.T.tocsr(), y.shape[0]
+
+
+def _as_binary(adjacency) -> _Binary:
+    if isinstance(adjacency, _Binary):
+        return adjacency
     if isinstance(adjacency, Graph):
-        y = adjacency.adjacency(weighted=False)
-    else:
-        y = np.asarray(adjacency, dtype=np.float64)
+        return _Binary(adjacency.adjacency(sparse=True))
+    y = np.asarray(adjacency, dtype=np.float64)
     if y.ndim != 2 or y.shape[0] != y.shape[1]:
         raise DataError("adjacency must be square")
     if np.any((y != 0.0) & (y != 1.0)):
         raise DataError("adjacency must be binary")
     if np.any(np.diag(y) != 0.0):
         raise DataError("adjacency diagonal must be zero")
-    return y
+    return _Binary(sparse.csr_array(y))
 
 
-def _elbo(y: np.ndarray, yc: np.ndarray, tau: np.ndarray,
-          alpha: np.ndarray, pi: np.ndarray) -> float:
+def _counts(y: sparse.csr_array, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(expected edges, expected ordered pairs) per block pair."""
     s = tau.sum(axis=0)
-    n_qr = tau.T @ y @ tau
-    s_qr = np.outer(s, s) - tau.T @ tau
+    return tau.T @ (y @ tau), np.outer(s, s) - tau.T @ tau
+
+
+def _elbo(tau: np.ndarray, alpha: np.ndarray, pi: np.ndarray,
+          counts: tuple[np.ndarray, np.ndarray]) -> float:
+    n_qr, s_qr = counts
     ll = xlogy(n_qr, pi).sum() + xlogy(s_qr - n_qr, 1.0 - pi).sum()
     mix = xlogy(tau, alpha[None, :]).sum()
     ent = -xlogy(tau, tau).sum()
     return float(ll + mix + ent)
 
 
-def _field(y: np.ndarray, yc: np.ndarray, tau: np.ndarray,
+def _field(y: sparse.csr_array, yt: sparse.csr_array, tau: np.ndarray,
            alpha: np.ndarray, pi: np.ndarray) -> np.ndarray:
-    """Per-(node, class) unnormalized log-responsibility."""
-    l1 = np.log(np.clip(pi, _LOG_CLIP, None))
+    """Per-(node, class) unnormalized log-responsibility.
+
+    The non-edges enter through (1 - I - y) @ X = X.sum(0) - X - y @ X,
+    so only the edges are touched: O(|E| Q + n Q^2).
+    """
     l0 = np.log(np.clip(1.0 - pi, _LOG_CLIP, None))
-    t1t = tau @ l1.T
-    t0t = tau @ l0.T
-    t1 = tau @ l1
-    t0 = tau @ l0
-    f = (y @ t1t + yc @ t0t + y.T @ t1 + yc.T @ t0)
+    d = np.log(np.clip(pi, _LOG_CLIP, None)) - l0
+    c0 = tau @ (l0.T + l0)
+    f = y @ (tau @ d.T) + yt @ (tau @ d) + (c0.sum(axis=0) - c0)
     return f + np.log(np.clip(alpha, _LOG_CLIP, None))[None, :]
 
 
@@ -84,47 +98,52 @@ def _softmax_rows(f: np.ndarray) -> np.ndarray:
     return t
 
 
-def _estep(y: np.ndarray, yc: np.ndarray, tau: np.ndarray,
-           alpha: np.ndarray, pi: np.ndarray) -> np.ndarray:
-    """One responsibility pass that never lowers the bound.
+def _estep(y: sparse.csr_array, yt: sparse.csr_array, tau: np.ndarray,
+           alpha: np.ndarray, pi: np.ndarray, before: float
+           ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], bool]:
+    """One responsibility pass that never lowers the bound `before`.
 
     The vectorized simultaneous update is attempted first; if it would
     decrease the ELBO, the pass is redone sequentially (true coordinate
-    ascent, monotone by construction).
+    ascent, monotone by construction). Returns the responsibilities,
+    their block counts, and whether the sequential pass ran.
     """
-    before = _elbo(y, yc, tau, alpha, pi)
-    candidate = _softmax_rows(_field(y, yc, tau, alpha, pi))
-    if _elbo(y, yc, candidate, alpha, pi) >= before - 1e-10:
-        return candidate
+    candidate = _softmax_rows(_field(y, yt, tau, alpha, pi))
+    counts = _counts(y, candidate)
+    if _elbo(candidate, alpha, pi, counts) >= before - 1e-10:
+        return candidate, counts, False
     tau = tau.copy()
-    l1 = np.log(np.clip(pi, _LOG_CLIP, None))
     l0 = np.log(np.clip(1.0 - pi, _LOG_CLIP, None))
+    d = np.log(np.clip(pi, _LOG_CLIP, None)) - l0
     log_alpha = np.log(np.clip(alpha, _LOG_CLIP, None))
     # cached per-node projections, refreshed row-by-row as tau changes
-    t1t, t0t, t1, t0 = tau @ l1.T, tau @ l0.T, tau @ l1, tau @ l0
+    out_t, in_t, none_t = tau @ d.T, tau @ d, tau @ (l0.T + l0)
+    none_sum = none_t.sum(axis=0)
     for i in range(y.shape[0]):
-        f = y[i] @ t1t + yc[i] @ t0t + y[:, i] @ t1 + yc[:, i] @ t0 + log_alpha
-        z = f - f.max()
-        t = np.exp(z)
+        out = y.indices[y.indptr[i]:y.indptr[i + 1]]
+        inn = yt.indices[yt.indptr[i]:yt.indptr[i + 1]]
+        f = (out_t[out].sum(axis=0) + in_t[inn].sum(axis=0)
+             + (none_sum - none_t[i]) + log_alpha)
+        t = np.exp(f - f.max())
         tau[i] = t / t.sum()
-        t1t[i], t0t[i] = tau[i] @ l1.T, tau[i] @ l0.T
-        t1[i], t0[i] = tau[i] @ l1, tau[i] @ l0
-    return tau
+        out_t[i], in_t[i] = tau[i] @ d.T, tau[i] @ d
+        none_sum -= none_t[i]
+        none_t[i] = tau[i] @ (l0.T + l0)
+        none_sum += none_t[i]
+    return tau, _counts(y, tau), True
 
 
-def _mstep(y: np.ndarray, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    n = y.shape[0]
-    s = tau.sum(axis=0)
-    alpha = s / n
-    n_qr = tau.T @ y @ tau
-    s_qr = np.outer(s, s) - tau.T @ tau
+def _mstep(tau: np.ndarray, counts: tuple[np.ndarray, np.ndarray]
+           ) -> tuple[np.ndarray, np.ndarray]:
+    n_qr, s_qr = counts
+    alpha = tau.sum(axis=0) / tau.shape[0]
     pi = np.divide(n_qr, s_qr, out=np.zeros_like(n_qr), where=s_qr > 0)
     # saturated rates make the bound -inf through xlogy(eps, 0); keep interior
     return alpha, np.clip(pi, _LOG_CLIP, 1.0 - _LOG_CLIP)
 
 
-def _init_tau(y: np.ndarray, q: int, mode: str, rng: np.random.Generator) -> np.ndarray:
-    n = y.shape[0]
+def _init_tau(b: _Binary, q: int, mode: str, rng: np.random.Generator) -> np.ndarray:
+    n = b.n
     if q == 1:
         return np.ones((n, 1))
     if mode == "random":
@@ -135,8 +154,8 @@ def _init_tau(y: np.ndarray, q: int, mode: str, rng: np.random.Generator) -> np.
         # spectral: k-means on the leading left+right singular directions,
         # scaled by singular value so noise directions don't swamp signal
         try:
-            centered = y - y.mean()
-            u, s, vt = np.linalg.svd(centered, full_matrices=False)
+            dense = b.y.toarray()
+            u, s, vt = np.linalg.svd(dense - dense.mean(), full_matrices=False)
             emb = np.hstack([u[:, :q] * s[:q], vt[:q, :].T * s[:q]])
             _, labels = kmeans2(emb, q, minit="++",
                                 seed=np.random.default_rng(rng.integers(2**32)))
@@ -149,15 +168,15 @@ def _init_tau(y: np.ndarray, q: int, mode: str, rng: np.random.Generator) -> np.
 
 def classification_icl(adjacency, labels) -> float:
     """ICL at a hard partition, plug-in block rates, directed Bernoulli."""
-    y = _as_binary(adjacency)
-    n = y.shape[0]
+    b = _as_binary(adjacency)
+    n = b.n
     labels = np.asarray(labels)
     _, code = np.unique(labels, return_inverse=True)
     q = int(code.max()) + 1
     z = np.zeros((n, q))
     z[np.arange(n), code] = 1.0
     counts = z.sum(axis=0)
-    m_qr = z.T @ y @ z
+    m_qr = z.T @ (b.y @ z)
     d_qr = np.outer(counts, counts) - np.diag(counts)
     pi_hat = np.divide(m_qr, d_qr, out=np.zeros_like(m_qr), where=d_qr > 0)
     ll = xlogy(m_qr, pi_hat).sum() + xlogy(d_qr - m_qr, 1.0 - pi_hat).sum()
@@ -168,40 +187,38 @@ def classification_icl(adjacency, labels) -> float:
 
 def _renumber_by_size(tau: np.ndarray, alpha: np.ndarray,
                       pi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    labels = tau.argmax(axis=1)
-    counts = np.bincount(labels, minlength=tau.shape[1])
+    counts = np.bincount(tau.argmax(axis=1), minlength=tau.shape[1])
     order = np.argsort(-counts, kind="stable")
     tau = tau[:, order]
-    alpha = alpha[order]
-    pi = pi[np.ix_(order, order)]
-    labels = tau.argmax(axis=1)
-    return tau, alpha, pi, labels
+    return tau, alpha[order], pi[np.ix_(order, order)], tau.argmax(axis=1)
 
 
-def _single_run(y: np.ndarray, yc: np.ndarray, q: int, mode: str,
-                rng: np.random.Generator, max_iter: int, tol: float
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[float], bool, int, bool]:
-    tau = _init_tau(y, q, mode, rng)
-    alpha, pi = _mstep(y, tau)
-    trace = [_elbo(y, yc, tau, alpha, pi)]
-    converged = False
-    collapsed = False
-    it = 0
+def _single_run(b: _Binary, q: int, mode: str, rng: np.random.Generator,
+                max_iter: int, tol: float) -> tuple:
+    """One EM run: (tau, alpha, pi, bound trace, convergence facts)."""
+    tau = _init_tau(b, q, mode, rng)
+    counts = _counts(b.y, tau)
+    alpha, pi = _mstep(tau, counts)
+    trace = [_elbo(tau, alpha, pi, counts)]
+    facts = {"iterations": 0, "converged": False, "collapsed": False,
+             "sequential_esteps": 0}
     for it in range(1, max_iter + 1):
-        tau = _estep(y, yc, tau, alpha, pi)
-        weight = tau.sum(axis=0)
-        dead = weight < _COLLAPSE_TOL
+        facts["iterations"] = it
+        tau, counts, sequential = _estep(b.y, b.yt, tau, alpha, pi, trace[-1])
+        facts["sequential_esteps"] += sequential
+        dead = tau.sum(axis=0) < _COLLAPSE_TOL
         if dead.any() and (~dead).sum() >= 1:
             warnings.warn(f"pruned {int(dead.sum())} empty class(es) at Q={tau.shape[1]}")
             tau = tau[:, ~dead]
             tau /= tau.sum(axis=1, keepdims=True)
-            collapsed = True
-        alpha, pi = _mstep(y, tau)
-        trace.append(_elbo(y, yc, tau, alpha, pi))
+            counts = _counts(b.y, tau)
+            facts["collapsed"] = True
+        alpha, pi = _mstep(tau, counts)
+        trace.append(_elbo(tau, alpha, pi, counts))
         if trace[-1] - trace[-2] < tol and trace[-1] >= trace[-2] - 1e-7:
-            converged = True
+            facts["converged"] = True
             break
-    return tau, alpha, pi, trace, converged, it, collapsed
+    return tau, alpha, pi, trace, facts
 
 
 def fit_q(adjacency, q: int, init: str = "spectral", restarts: int = 1,
@@ -212,35 +229,29 @@ def fit_q(adjacency, q: int, init: str = "spectral", restarts: int = 1,
     random responsibilities. Classes whose total responsibility
     collapses are pruned with a warning, so the returned fit can have
     fewer classes than requested. Deterministic for a fixed seed.
+    `meta["runs"]` lists each restart's iterations, convergence,
+    collapse and count of sequential-fallback E-steps.
     """
-    y = _as_binary(adjacency)
-    n = y.shape[0]
-    if not (1 <= q <= n):
-        raise DataError(f"Q={q} outside [1, {n}]")
+    b = _as_binary(adjacency)
+    if not (1 <= q <= b.n):
+        raise DataError(f"Q={q} outside [1, {b.n}]")
     if init not in ("spectral", "random"):
         raise DataError(f"unknown init {init!r}")
     if restarts < 1:
         raise DataError("restarts must be >= 1")
-    yc = 1.0 - y
-    np.fill_diagonal(yc, 0.0)
 
-    best = None
-    for r in range(restarts):
-        rng = np.random.default_rng((seed * 1_000_003 + r) % 2**63)
-        mode = init if r == 0 else "random"
-        tau, alpha, pi, trace, converged, iters, collapsed = _single_run(
-            y, yc, q, mode, rng, max_iter, tol)
-        if best is None or trace[-1] > best[3][-1]:
-            best = (tau, alpha, pi, trace, converged, iters, collapsed)
-
-    tau, alpha, pi, trace, converged, iters, collapsed = best
+    runs = [_single_run(b, q, init if r == 0 else "random",
+                        np.random.default_rng((seed * 1_000_003 + r) % 2**63),
+                        max_iter, tol) for r in range(restarts)]
+    tau, alpha, pi, trace, facts = max(runs, key=lambda run: run[3][-1])
     tau, alpha, pi, labels = _renumber_by_size(tau, alpha, pi)
-    icl_value = classification_icl(y, labels)
     return SbmFit(
         q=tau.shape[1], tau=tau, alpha=alpha, pi=pi, labels=labels,
-        icl=icl_value, elbo=trace[-1], elbo_trace=tuple(trace),
-        converged=converged, iterations=iters, requested_q=q,
-        collapsed=collapsed, meta={"init": init, "restarts": restarts, "seed": seed},
+        icl=classification_icl(b, labels), elbo=trace[-1], elbo_trace=tuple(trace),
+        converged=facts["converged"], iterations=facts["iterations"], requested_q=q,
+        collapsed=facts["collapsed"],
+        meta={"init": init, "restarts": restarts, "seed": seed,
+              "runs": [run[4] for run in runs]},
     )
 
 
@@ -251,15 +262,9 @@ def select_q(adjacency, q_range, restarts: int = 1, seed: int = 0,
     qs = list(q_range)
     if not qs:
         raise DataError("empty Q range")
-    best_fit = None
-    curve: list[tuple[int, float]] = []
-    for q in qs:
-        fit = fit_q(adjacency, q, init=init, restarts=restarts,
-                    seed=seed + 7919 * q, max_iter=max_iter, tol=tol)
-        curve.append((q, fit.icl))
-        if best_fit is None or fit.icl > best_fit.icl:
-            best_fit = fit
-    return best_fit, curve
+    fits = [fit_q(adjacency, q, init=init, restarts=restarts, seed=seed + 7919 * q,
+                  max_iter=max_iter, tol=tol) for q in qs]
+    return max(fits, key=lambda fit: fit.icl), [(fit.requested_q, fit.icl) for fit in fits]
 
 
 def interaction_matrix(fit: SbmFit, attrs=None) -> tuple[np.ndarray, list[dict]]:

@@ -10,11 +10,11 @@ exists in either direction.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.sparse.csgraph import shortest_path
 
 from .errors import DataError, EstimationError
 from .graph import Graph
@@ -74,25 +74,7 @@ def degree_strength(graph: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # -- geodesic centralities ----------------------------------------------------
 
 
-def _bfs_distances(neighbors: Sequence[np.ndarray], source: int, n: int) -> np.ndarray:
-    dist = np.full(n, -1, dtype=np.int64)
-    dist[source] = 0
-    frontier = [source]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for v in frontier:
-            for u in neighbors[v]:
-                u = int(u)
-                if dist[u] < 0:
-                    dist[u] = d
-                    nxt.append(u)
-        frontier = nxt
-    return dist
-
-
-def closeness(graph: Graph, mode: str = "out", threads: int = 1) -> np.ndarray:
+def closeness(graph: Graph, mode: str = "out") -> np.ndarray:
     """Reachable-set closeness under unweighted directed geodesics.
 
     For node i with nonempty reachable set R_i (i excluded),
@@ -105,68 +87,59 @@ def closeness(graph: Graph, mode: str = "out", threads: int = 1) -> np.ndarray:
     if mode not in ("out", "in"):
         raise DataError(f"unknown closeness mode {mode!r}")
     n = graph.n
-    neighbors = [graph.out_neighbors(i) if mode == "out" else graph.in_neighbors(i)
-                 for i in range(n)]
-
-    def one(i: int) -> float:
-        dist = _bfs_distances(neighbors, i, n)
-        reached = dist > 0
-        if not reached.any():
-            return np.nan
-        return float(reached.sum() / dist[reached].sum())
-
-    return np.asarray(_map_sources(one, n, threads))
+    a = graph.adjacency(sparse=True)
+    scores = np.empty(n)
+    for lo in range(0, n, _BLOCK):
+        dist = shortest_path(a if mode == "out" else a.T, unweighted=True,
+                             indices=np.arange(lo, min(lo + _BLOCK, n)))
+        dist[np.isinf(dist)] = 0.0  # unreachable nodes add nothing
+        with np.errstate(invalid="ignore"):  # 0 / 0: nothing reached, NaN
+            scores[lo:lo + dist.shape[0]] = (dist > 0).sum(axis=1) / dist.sum(axis=1)
+    return scores
 
 
-def betweenness(graph: Graph, threads: int = 1) -> np.ndarray:
-    """Brandes betweenness over directed geodesics, divided by (n-1)(n-2)."""
+# sources per block of closeness and betweenness; bounds their
+# block x n work arrays
+_BLOCK = 64
+
+
+def betweenness(graph: Graph) -> np.ndarray:
+    """Brandes betweenness over directed geodesics, divided by (n-1)(n-2).
+
+    Level-synchronous: a block of b sources (one column each) advances
+    one BFS level per sparse product, counting shortest paths forward
+    and summing dependencies backward, at O(b * (|E| + n)) per level.
+    With D the deepest level reached from a block, the total is
+    O(D * n * (|E| + n)).
+    """
     n = graph.n
     if n < 3:
         raise DataError("betweenness needs at least 3 nodes")
-    neighbors = [graph.out_neighbors(i) for i in range(n)]
-
-    def one(s: int) -> np.ndarray:
-        sigma = np.zeros(n)
-        sigma[s] = 1.0
-        dist = np.full(n, -1, dtype=np.int64)
-        dist[s] = 0
-        preds: list[list[int]] = [[] for _ in range(n)]
-        order: list[int] = []
-        frontier = [s]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                order.append(v)
-                for u in neighbors[v]:
-                    u = int(u)
-                    if dist[u] < 0:
-                        dist[u] = dist[v] + 1
-                        nxt.append(u)
-                    if dist[u] == dist[v] + 1:
-                        sigma[u] += sigma[v]
-                        preds[u].append(v)
-            frontier = nxt
-        delta = np.zeros(n)
-        contrib = np.zeros(n)
-        for w in reversed(order):
-            for v in preds[w]:
-                delta[v] += sigma[v] / sigma[w] * (1.0 + delta[w])
-            if w != s:
-                contrib[w] = delta[w]
-        return contrib
-
-    parts = _map_sources(one, n, threads)
+    a = graph.adjacency(sparse=True)
     total = np.zeros(n)
-    for part in parts:
-        total += part
+    for lo in range(0, n, _BLOCK):
+        sources = np.arange(lo, min(lo + _BLOCK, n))
+        sigma = np.zeros((n, sources.shape[0]))
+        sigma[sources, sources - lo] = 1.0
+        dist = np.where(sigma > 0, 0, -1)
+        frontier, depth = sigma.copy(), 0
+        while frontier.any():
+            # shortest-path counts into each node first reached at depth + 1
+            paths = a.T @ frontier
+            fresh = (paths > 0) & (dist < 0)
+            depth += 1
+            dist[fresh] = depth
+            frontier = np.where(fresh, paths, 0.0)
+            sigma += frontier
+        delta = np.zeros_like(sigma)
+        for d in range(depth - 1, 1, -1):
+            # each level-d node w hands (1 + delta_w) / sigma_w back to its
+            # predecessors on level d - 1, scaled there by their own sigma
+            share = np.where(dist == d, (1.0 + delta) / np.maximum(sigma, 1.0), 0.0)
+            on_level = dist == d - 1
+            delta[on_level] += sigma[on_level] * (a @ share)[on_level]
+        total += delta.sum(axis=1)
     return total / ((n - 1) * (n - 2))
-
-
-def _map_sources(fn, n: int, threads: int) -> list:
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, range(n)))
-    return [fn(s) for s in range(n)]
 
 
 # -- spectral centralities ----------------------------------------------------
@@ -369,16 +342,15 @@ def assortativity_scalar(graph: Graph,
 # -- report builders ----------------------------------------------------------
 
 
-def centrality_report(graph: Graph, threads: int = 1,
-                      weighted: bool = False) -> CentralityReport:
+def centrality_report(graph: Graph, weighted: bool = False) -> CentralityReport:
     in_deg, out_deg, out_str = degree_strength(graph)
     hub, auth = hits(graph, weighted=weighted)
     return CentralityReport(
         in_degree=in_deg,
         out_degree=out_deg,
         out_strength=out_str,
-        closeness=closeness(graph, "out", threads=threads),
-        betweenness=betweenness(graph, threads=threads),
+        closeness=closeness(graph, "out"),
+        betweenness=betweenness(graph),
         eigen=eigen_centrality(graph, weighted=weighted),
         hub=hub,
         authority=auth,

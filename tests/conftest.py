@@ -78,7 +78,7 @@ def congress_attrs(dataset, congress_graph):
 
 @pytest.fixture(scope="session")
 def congress_centrality(congress_graph):
-    return legnet.centrality_report(congress_graph, threads=4)
+    return legnet.centrality_report(congress_graph)
 
 
 # -- synthetic graphs -----------------------------------------------------------

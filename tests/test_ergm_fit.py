@@ -7,7 +7,7 @@ import pytest
 from scipy.stats import chi2, norm
 
 import legnet
-from legnet import DataError, Graph
+from legnet import DataError, EstimationError, Graph
 from legnet.ergm import (AbsDiff, Edges, ErgmSpec, Mutual, NodeCovariate,
                          NodeMatch, expected_statistics, fit_exact_dyad,
                          fit_mple, likelihood_ratio_test, report_effects)
@@ -208,3 +208,40 @@ def test_likelihood_ratio_test_rejects_mismatches():
     same_k = fit_exact_dyad(g1, ErgmSpec([Edges()]))
     with pytest.raises(DataError):
         likelihood_ratio_test(same_k, null)
+
+
+def test_published_census_converges_to_p1_closed_form():
+    # the published chamber's dyad census: 475 members, 13,300 ties,
+    # 3,059 mutual dyads. On 112,575 dyads the gradient's rounding floor
+    # sits above 1e-8, so convergence rests on the Newton decrement.
+    n, mutual, asym = 475, 3059, 7182
+    rng = np.random.default_rng(0)
+    i, j = np.triu_indices(n, k=1)
+    pick = rng.permutation(i.shape[0])[:mutual + asym]
+    i, j = i[pick], j[pick]
+    flip = rng.random(asym) < 0.5
+    src = np.concatenate([i[:mutual], j[:mutual], np.where(flip, j[mutual:], i[mutual:])])
+    dst = np.concatenate([j[:mutual], i[:mutual], np.where(flip, i[mutual:], j[mutual:])])
+    g = Graph(zip(src.tolist(), dst.tolist(), [1.0] * src.shape[0]), nodes=range(n))
+    fit = fit_exact_dyad(g, ErgmSpec([Edges(), Mutual()]))
+
+    dyads = n * (n - 1) // 2
+    null = dyads - mutual - asym
+    theta = [math.log(asym / (2 * null)), math.log(4 * mutual * null / asym**2)]
+    ll = (mutual * math.log(mutual / dyads) + asym * math.log(asym / (2 * dyads))
+          + null * math.log(null / dyads))
+    assert fit.converged
+    assert np.allclose(fit.theta, theta, rtol=1e-8, atol=0.0)
+    assert fit.log_likelihood == pytest.approx(ll, rel=1e-14)
+
+
+def test_stalled_line_search_is_not_convergence():
+    # the reported gradient points uphill but the objective falls along
+    # it, so halving ends in forced tiny steps that lower ll each time
+    from legnet.ergm.fit import _newton
+
+    def objective(theta):
+        return -5e4 - 1e3 * theta[0], np.array([1e-2]), np.eye(1)
+
+    with pytest.raises(EstimationError, match="no convergence"):
+        _newton(objective, 1, tol=1e-8, max_iter=20)

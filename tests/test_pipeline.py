@@ -244,3 +244,34 @@ def test_sbm_artifact_coherence(toy_run):
     assert len(members) - 1 == 30
     labels = {int(r.split(",")[1]) for r in members[1:]}
     assert min(labels) == 1
+
+
+def test_sbm_prune_warnings_become_counted_notices(tmp_path, monkeypatch):
+    import warnings
+
+    import legnet.pipeline as pipeline_module
+    real_select_q = pipeline_module.select_q
+
+    def pruning_select_q(*args, **kwargs):
+        warnings.warn("pruned 1 empty class(es) at Q=3")
+        warnings.warn("pruned 1 empty class(es) at Q=3")
+        warnings.warn("pruned 2 empty class(es) at Q=4")
+        return real_select_q(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline_module, "select_q", pruning_select_q)
+    src = tmp_path / "src"
+    src.mkdir()
+    epath, _ = write_toy(src)
+    config = config_from_dict({
+        "edges": str(epath), "out": str(tmp_path / "out"), "seed": 1,
+        "threads": 4, "stages": ["sbm"], "sbm": {"q_range": [1, 2], "restarts": 1},
+    })
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        manifest = legnet.run(config)
+    assert "sbm: pruned 1 empty class(es) at Q=3 (2x)" in manifest["notices"]
+    assert "sbm: pruned 2 empty class(es) at Q=4 (1x)" in manifest["notices"]
+    assert any("threads" in n and "ignored" in n for n in manifest["notices"])
+    fit = json.loads((tmp_path / "out" / "sbm_fit.json").read_text())
+    assert [sorted(run) for run in fit["runs"]] == [
+        ["collapsed", "converged", "iterations", "sequential_esteps"]]

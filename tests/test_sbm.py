@@ -191,3 +191,145 @@ def test_community_summary_rows():
     for row in rows:
         assert 0.0 <= row["share"] <= 1.0
         assert row["party_share"] >= 0.5
+
+
+# -- dense reference: the complement-matrix formulation of the same EM ---------
+
+
+def _dense_elbo(y, tau, alpha, pi):
+    s = tau.sum(axis=0)
+    n_qr = tau.T @ y @ tau
+    s_qr = np.outer(s, s) - tau.T @ tau
+    ll = xlogy(n_qr, pi).sum() + xlogy(s_qr - n_qr, 1.0 - pi).sum()
+    return float(ll + xlogy(tau, alpha[None, :]).sum() - xlogy(tau, tau).sum())
+
+
+def _dense_logs(pi, alpha):
+    return (np.log(np.clip(pi, 1e-12, None)), np.log(np.clip(1.0 - pi, 1e-12, None)),
+            np.log(np.clip(alpha, 1e-12, None)))
+
+
+def _complement(y):
+    yc = 1.0 - y
+    np.fill_diagonal(yc, 0.0)
+    return yc
+
+
+def _dense_field(y, tau, alpha, pi):
+    yc = _complement(y)
+    l1, l0, log_alpha = _dense_logs(pi, alpha)
+    f = y @ (tau @ l1.T) + yc @ (tau @ l0.T) + y.T @ (tau @ l1) + yc.T @ (tau @ l0)
+    return f + log_alpha[None, :]
+
+
+def _dense_sequential(y, tau, alpha, pi):
+    yc = _complement(y)
+    tau = tau.copy()
+    l1, l0, log_alpha = _dense_logs(pi, alpha)
+    for i in range(y.shape[0]):
+        f = (y[i] @ (tau @ l1.T) + yc[i] @ (tau @ l0.T) + y[:, i] @ (tau @ l1)
+             + yc[:, i] @ (tau @ l0) + log_alpha)
+        t = np.exp(f - f.max())
+        tau[i] = t / t.sum()
+    return tau
+
+
+def _dense_mstep(y, tau):
+    s = tau.sum(axis=0)
+    n_qr = tau.T @ y @ tau
+    s_qr = np.outer(s, s) - tau.T @ tau
+    pi = np.divide(n_qr, s_qr, out=np.zeros_like(n_qr), where=s_qr > 0)
+    return s / y.shape[0], np.clip(pi, 1e-12, 1.0 - 1e-12)
+
+
+def _dense_fit_q(y, q, restarts, seed, max_iter=500, tol=1e-6):
+    from legnet.sbm import _as_binary, _init_tau, _renumber_by_size, _softmax_rows
+    best = None
+    for r in range(restarts):
+        rng = np.random.default_rng((seed * 1_000_003 + r) % 2**63)
+        tau = _init_tau(_as_binary(y), q, "spectral" if r == 0 else "random", rng)
+        alpha, pi = _dense_mstep(y, tau)
+        trace = [_dense_elbo(y, tau, alpha, pi)]
+        for _ in range(max_iter):
+            before = _dense_elbo(y, tau, alpha, pi)
+            candidate = _softmax_rows(_dense_field(y, tau, alpha, pi))
+            if _dense_elbo(y, candidate, alpha, pi) >= before - 1e-10:
+                tau = candidate
+            else:
+                tau = _dense_sequential(y, tau, alpha, pi)
+            dead = tau.sum(axis=0) < 1e-8
+            if dead.any():
+                tau = tau[:, ~dead]
+                tau /= tau.sum(axis=1, keepdims=True)
+            alpha, pi = _dense_mstep(y, tau)
+            trace.append(_dense_elbo(y, tau, alpha, pi))
+            if trace[-1] - trace[-2] < tol and trace[-1] >= trace[-2] - 1e-7:
+                break
+        if best is None or trace[-1] > best[3][-1]:
+            best = (tau, alpha, pi, trace)
+    tau, _, _, _ = best
+    _, _, _, labels = _renumber_by_size(tau, best[1], best[2])
+    return tau.shape[1], labels, classification_icl(y, labels)
+
+
+def _random_state(n=60, q=4, seed=21):
+    rng = np.random.default_rng(seed)
+    y = (rng.random((n, n)) < 0.12).astype(np.float64)
+    np.fill_diagonal(y, 0.0)
+    tau = rng.dirichlet(np.full(q, 0.7), size=n)
+    alpha = rng.dirichlet(np.ones(q))
+    pi = rng.uniform(0.02, 0.6, size=(q, q))
+    return y, tau, alpha, pi
+
+
+def test_sparse_field_and_bound_match_dense_formulas():
+    from legnet.sbm import _as_binary, _counts, _elbo, _field
+    for seed in range(4):
+        y, tau, alpha, pi = _random_state(seed=30 + seed)
+        b = _as_binary(y)
+        assert np.allclose(_field(b.y, b.yt, tau, alpha, pi), _dense_field(y, tau, alpha, pi),
+                           rtol=1e-12, atol=1e-12)
+        dense = _dense_elbo(y, tau, alpha, pi)
+        assert _elbo(tau, alpha, pi, _counts(b.y, tau)) == pytest.approx(dense, rel=1e-12)
+
+
+def test_sequential_fallback_is_monotone_and_matches_dense_pass():
+    from legnet.sbm import _as_binary, _counts, _elbo, _estep
+    y, tau, alpha, pi = _random_state(seed=44)
+    b = _as_binary(y)
+    before = _elbo(tau, alpha, pi, _counts(b.y, tau))
+    # an unreachable bound rejects the simultaneous update
+    new, counts, sequential = _estep(b.y, b.yt, tau, alpha, pi, math.inf)
+    assert sequential
+    assert _elbo(new, alpha, pi, counts) >= before
+    assert np.allclose(new, _dense_sequential(y, tau, alpha, pi), rtol=1e-12, atol=1e-14)
+
+
+def test_select_q_matches_dense_reference():
+    y, _ = planted(30, 5, 0.3, 0.04, seed=17)
+    y = y.astype(np.float64)
+    best, curve = select_q(y, range(1, 8), restarts=2, seed=3)
+    ref_curve = []
+    ref_best = None
+    for q in range(1, 8):
+        fitted_q, labels, icl = _dense_fit_q(y, q, restarts=2, seed=3 + 7919 * q)
+        ref_curve.append((q, icl))
+        if ref_best is None or icl > ref_best[2]:
+            ref_best = (fitted_q, labels, icl)
+    assert [q for q, _ in curve] == [q for q, _ in ref_curve]
+    assert np.allclose([v for _, v in curve], [v for _, v in ref_curve], rtol=1e-9, atol=0.0)
+    assert best.q == ref_best[0]
+    assert np.array_equal(best.labels, ref_best[1])
+
+
+def test_restart_facts_are_recorded():
+    y, _ = planted(15, 2, 0.5, 0.02, seed=6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        fit = fit_q(y, 5, seed=0, restarts=3)
+    runs = fit.meta["runs"]
+    assert len(runs) == 3
+    assert set(runs[0]) == {"iterations", "converged", "collapsed", "sequential_esteps"}
+    assert {"iterations": fit.iterations, "converged": fit.converged,
+            "collapsed": fit.collapsed} in [
+        {k: r[k] for k in ("iterations", "converged", "collapsed")} for r in runs]

@@ -66,11 +66,51 @@ def test_betweenness_needs_three_nodes():
         legnet.betweenness(Graph([("a", "b", 0.5)]))
 
 
-def test_path_scores_thread_invariant():
-    g = random_digraph(20, p=0.15, seed=8)
-    assert np.allclose(legnet.closeness(g), legnet.closeness(g, threads=3),
-                       equal_nan=True)
-    assert np.allclose(legnet.betweenness(g), legnet.betweenness(g, threads=3))
+def test_path_scores_block_size_invariant(monkeypatch):
+    from legnet import topology
+    g = random_digraph(40, p=0.08, seed=8)
+    whole = legnet.betweenness(g), legnet.closeness(g, "out"), legnet.closeness(g, "in")
+    for block in (1, 7, 39, 40):
+        monkeypatch.setattr(topology, "_BLOCK", block)
+        assert np.allclose(legnet.betweenness(g), whole[0], rtol=1e-12, atol=0.0)
+        assert np.array_equal(legnet.closeness(g, "out"), whole[1], equal_nan=True)
+        assert np.array_equal(legnet.closeness(g, "in"), whole[2], equal_nan=True)
+
+
+def test_path_scores_match_networkx():
+    nx = pytest.importorskip("networkx")
+    n = 220
+    rng = np.random.default_rng(31)
+    y = (rng.random((n, n)) < 0.025) & ~np.eye(n, dtype=bool)
+    sink, source, a, b = 0, 1, 2, 3
+    y[sink, :] = False
+    y[:, source] = False
+    # a -> b is a pair cut off from everything else
+    y[[a, b], :] = False
+    y[:, [a, b]] = False
+    y[a, b] = True
+    assert y[:, sink].any() and y[source, :].any()
+    g = graph_from_matrix(y)
+    d = nx.DiGraph()
+    d.add_nodes_from(range(n))
+    d.add_edges_from(zip(*np.nonzero(y)))
+
+    def nx_closeness(graph):
+        # networkx scores distances *to* a node and gives 0 to nodes with
+        # nothing reachable; legnet gives NaN there
+        close = nx.closeness_centrality(graph, wf_improved=False)
+        return np.asarray([close[i] or np.nan for i in range(n)])
+
+    out_close = legnet.closeness(g, mode="out")
+    in_close = legnet.closeness(g, mode="in")
+    assert np.allclose(out_close, nx_closeness(d.reverse(copy=True)),
+                       rtol=1e-9, atol=0.0, equal_nan=True)
+    assert np.allclose(in_close, nx_closeness(d), rtol=1e-9, atol=0.0, equal_nan=True)
+    assert np.isnan(out_close[[sink, b]]).all() and np.isnan(in_close[[source, a]]).all()
+    assert out_close[a] == 1.0 and in_close[b] == 1.0
+    between = nx.betweenness_centrality(d, normalized=True)
+    assert np.allclose(legnet.betweenness(g), [between[i] for i in range(n)],
+                       rtol=1e-9, atol=1e-15)
 
 
 def test_eigen_matches_dense_eigensolver():
