@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -11,8 +11,8 @@ import numpy as np
 
 from .attributes import AttributeTable
 from .errors import ConfigError, DataError
-from .ergm import (AbsDiff, Edges, ErgmSpec, ErgmTerm, Mutual, NodeCovariate,
-                   NodeMatch)
+from .ergm import (AbsDiff, Edges, ErgmSpec, ErgmTerm, McmleControl, Mutual,
+                   NodeCovariate, NodeMatch)
 from .graph import Graph
 from .topology import CentralityReport
 
@@ -76,6 +76,24 @@ class RunConfig:
                                   f"got {type(model).__name__}")
         if not self.edges:
             raise ConfigError("edge list path is required")
+        _validate_mcmc(self.mcmc)
+
+
+def _validate_mcmc(mcmc: Any) -> None:
+    """Check the `mcmc` block's keys and value types; McmleControl checks ranges."""
+    if not isinstance(mcmc, Mapping):
+        raise ConfigError("'mcmc' must be an object")
+    defaults = {f.name: f.default for f in fields(McmleControl)}
+    for key, value in mcmc.items():
+        if str(key).startswith("bridge"):
+            raise ConfigError(f"mcmc key {key!r} was removed: the MCMLE log-likelihood "
+                              f"is the exact dyad sum, with no bridge sampling")
+        if key not in defaults:
+            raise ConfigError(f"unknown mcmc key {key!r}; valid keys are {sorted(defaults)}")
+        kind = type(defaults[key])  # int or float; an int is a valid float
+        if isinstance(value, bool) or not isinstance(value, (kind, int)):
+            raise ConfigError(f"mcmc {key} must be of type {kind.__name__}, got {value!r}")
+    McmleControl(**mcmc)
 
 
 _CONFIG_KEYS = {
@@ -121,7 +139,7 @@ def config_from_dict(raw: Mapping[str, Any]) -> RunConfig:
         party_reassignment=dict(raw.get("party_reassignment") or {}),
         models=list(raw.get("models", list(BUILTIN_MODELS))),
         ergm_estimator=raw.get("ergm_estimator", "exact-dyad"),
-        mcmc=dict(raw.get("mcmc") or {}),
+        mcmc=raw.get("mcmc") or {},
         q_range=(int(q_range[0]), int(q_range[1])),
         sbm_restarts=sbm_block.get("restarts", 10),
         sbm_init=sbm_block.get("init", "spectral"),

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
-from scipy.special import expit, logsumexp
+from scipy.special import expit
 from scipy.stats import norm
 
 from ..errors import DataError, EstimationError
@@ -69,28 +69,37 @@ def graph_digest(graph: Graph) -> str:
     return h.hexdigest()
 
 
+def _dyad_moments(design: DyadDesign, theta: np.ndarray
+                  ) -> tuple[float, np.ndarray, np.ndarray]:
+    """(log normalizing constant, E_theta[g(Y)], Cov_theta[g(Y)]).
+
+    Per dyad g = y1 t1 + y2 t2 + y1 y2 m: its covariance is that of
+    (y1, y2, y1 y2) mapped through [t1, t2, m]. Complements such as
+    1 - P(y1) are summed from the other states, exact near certainty.
+    """
+    w = design.state_log_weights(theta)
+    top = w.max(axis=1, keepdims=True)
+    e = np.exp(w - top)
+    total = e.sum(axis=1, keepdims=True)
+    log_kappa = float((top + np.log(total)).sum())
+    p00, p10, p01, p11 = (e / total).T
+    t1, t2, m = design.t1, design.t2, design.mvec
+    q1, q2 = p10 + p11, p01 + p11          # P(y1), P(y2)
+    r1, r2 = p00 + p01, p00 + p10          # 1 - P(y1), 1 - P(y2)
+    mean = q1 @ t1 + q2 @ t2 + p11.sum() * m
+    cross = t1.T @ ((p00 * p11 - p10 * p01)[:, None] * t2)
+    side = t1.T @ (p11 * r1) + t2.T @ (p11 * r2)
+    cov = (t1.T @ ((q1 * r1)[:, None] * t1) + t2.T @ ((q2 * r2)[:, None] * t2)
+           + cross + cross.T + np.outer(m, side) + np.outer(side, m)
+           + float(p11 @ (r1 + p10)) * np.outer(m, m))
+    return log_kappa, mean, cov
+
+
 def _dyad_loglik(design: DyadDesign, theta: np.ndarray,
                  g_obs: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """(log-likelihood, gradient, observed Fisher information)."""
-    t1, t2, mvec = design.t1, design.t2, design.mvec
-    a10 = t1 @ theta
-    a01 = t2 @ theta
-    a11 = a10 + a01 + float(mvec @ theta)
-    stacked = np.stack([np.zeros_like(a10), a10, a01, a11])
-    z = logsumexp(stacked, axis=0)
-    ll = float(theta @ g_obs - z.sum())
-
-    p10 = np.exp(a10 - z)
-    p01 = np.exp(a01 - z)
-    p11 = np.exp(a11 - z)
-    s11 = t1 + t2 + mvec[None, :]
-    mu = p10[:, None] * t1 + p01[:, None] * t2 + p11[:, None] * s11
-    grad = g_obs - mu.sum(axis=0)
-    second = (t1.T @ (p10[:, None] * t1)
-              + t2.T @ (p01[:, None] * t2)
-              + s11.T @ (p11[:, None] * s11))
-    fisher = second - mu.T @ mu
-    return ll, grad, fisher
+    log_kappa, mean, cov = _dyad_moments(design, theta)
+    return float(theta @ g_obs - log_kappa), g_obs - mean, cov
 
 
 def _logistic_loglik(x: np.ndarray, y: np.ndarray,
@@ -266,18 +275,7 @@ def fit_mple(graph: Graph, spec: ErgmSpec,
 
 def expected_statistics(graph: Graph, spec: ErgmSpec, theta: np.ndarray) -> np.ndarray:
     """E_theta[g(Y)] via the exact per-dyad state distribution."""
-    design = DyadDesign.from_graph(graph, spec)
-    t1, t2, mvec = design.t1, design.t2, design.mvec
-    theta = np.asarray(theta, dtype=np.float64)
-    a10 = t1 @ theta
-    a01 = t2 @ theta
-    a11 = a10 + a01 + float(mvec @ theta)
-    z = logsumexp(np.stack([np.zeros_like(a10), a10, a01, a11]), axis=0)
-    p10 = np.exp(a10 - z)
-    p01 = np.exp(a01 - z)
-    p11 = np.exp(a11 - z)
-    s11 = t1 + t2 + mvec[None, :]
-    return (p10[:, None] * t1 + p01[:, None] * t2 + p11[:, None] * s11).sum(axis=0)
+    return _dyad_moments(DyadDesign.from_graph(graph, spec), theta)[1]
 
 
 def report_effects(fit: ErgmFit) -> list[dict]:

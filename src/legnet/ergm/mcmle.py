@@ -5,9 +5,8 @@ networks at the current theta and maximizes the importance-sampled
 log-likelihood ratio, guarded by the effective sample size of the
 importance weights. Convergence is declared when every simulated mean
 statistic sits within `ee_tol` simulated standard deviations of its
-observed value. The log-likelihood for AIC/BIC comes from bridge
-sampling along the straight path from the null model, whose
-normalizing constant is known in closed form.
+observed value. The log-likelihood for AIC/BIC is exact: every term
+is dyad-local, so at theta-hat it is the closed-form p1 sum over dyads.
 """
 
 from __future__ import annotations
@@ -15,12 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from ..errors import ConfigError, EstimationError
 from ..graph import Graph
 from .diagnostics import ess
-from .fit import ErgmFit, _finalize, fit_mple, graph_digest
+from .fit import ErgmFit, _dyad_loglik, _finalize, fit_mple, graph_digest
 from .sampler import SimControl, sample_states
 from .terms import DyadDesign, ErgmSpec
 
@@ -35,19 +33,16 @@ class McmleControl:
     seed: int = 0
     step_max: float = 1.0
     min_ess_frac: float = 0.05
-    bridges: int = 12
-    bridge_sample_size: int = 128
-    bridge_burnin: int = 100
 
     def __post_init__(self) -> None:
-        if (self.burnin < 0 or self.interval < 1 or self.sample_size < 2
-                or self.max_phases < 1 or self.ee_tol <= 0
-                or self.bridges < 1 or self.bridge_sample_size < 2):
-            raise ConfigError("invalid Monte-Carlo control values")
+        if not (self.burnin >= 0 and self.interval >= 1 and self.sample_size >= 2
+                and self.max_phases >= 1 and self.ee_tol > 0 and self.seed >= 0
+                and self.step_max > 0 and 0 <= self.min_ess_frac <= 1):
+            raise ConfigError(f"invalid Monte-Carlo control values in {self}")
 
 
 def _phase_seed(seed: int, stream: int) -> int:
-    # distinct deterministic streams per phase/bridge
+    # distinct deterministic streams per phase
     return (seed * 1_000_003 + stream) % (2**63)
 
 
@@ -79,30 +74,6 @@ def _weighted_update(g_obs: np.ndarray, sample: np.ndarray, theta: np.ndarray,
         if biggest < 1e-10:
             break
     return eta
-
-
-def _bridge_log_likelihood(design: DyadDesign, theta: np.ndarray,
-                           g_obs: np.ndarray, control: McmleControl) -> float:
-    """l(theta) by path sampling from the null model.
-
-    log kappa(0) = n(n-1) log 2 exactly (every ordered pair free), and
-    each path segment contributes log E_t[exp(delta' g)] estimated from
-    draws at the segment start.
-    """
-    log_ratio = 0.0
-    for b in range(control.bridges):
-        t_lo = theta * (b / control.bridges)
-        t_hi = theta * ((b + 1) / control.bridges)
-        sim = sample_states(
-            design, t_lo,
-            SimControl(control.bridge_burnin, control.interval,
-                       control.bridge_sample_size,
-                       seed=_phase_seed(control.seed, 10_000 + b)),
-            init="observed")
-        lw = sim.stats @ (t_hi - t_lo)
-        log_ratio += float(logsumexp(lw) - np.log(lw.shape[0]))
-    log_kappa = design.n_ordered_pairs * np.log(2.0) + log_ratio
-    return float(theta @ g_obs - log_kappa)
 
 
 def fit_mcmle(graph: Graph, spec: ErgmSpec,
@@ -172,7 +143,7 @@ def fit_mcmle(graph: Graph, spec: ErgmSpec,
     mc_se = np.zeros(spec.k)
     mc_se[free] = np.sqrt(np.clip(np.diag(mc_cov), 0.0, None))
 
-    ll = _bridge_log_likelihood(design, theta, g_obs, control)
+    ll = _dyad_loglik(design, theta, g_obs)[0]
     diagnostics = {
         "trace": sample,
         "acceptance_rate": acceptance,

@@ -1,12 +1,11 @@
-"""Metropolis-Hastings tie-toggle sampler.
+"""Metropolis-Hastings tie-toggle sampler, drawn through its k-step kernel.
 
-One sweep proposes a single-tie toggle in every dyad, choosing the
-direction uniformly, and accepts each with probability
-min(1, exp(+/- theta' delta)). Because every term is dyad-local, a
-proposal's acceptance ratio depends only on that dyad's own state, so
-evaluating all proposals against the pre-sweep state is exactly the
-sequential composition of single-toggle MH kernels. Burn-in and
-interval controls are counted in sweeps.
+One sweep proposes to toggle one tie of every dyad, direction by a fair
+coin, and accepts with probability min(1, exp(+/- theta' delta)). The
+terms are dyad-local, so each dyad is its own 4-state chain with a
+closed-form one-sweep transition matrix P. Burn-in and interval (in
+sweeps) become powers of P by repeated squaring, once per call, and each
+thinned state is one categorical draw per dyad: the sweep chain's law.
 """
 
 from __future__ import annotations
@@ -53,13 +52,20 @@ class SimResult:
         return Graph(edges, nodes=ids)
 
 
+# _NEIGHBOURS[s, t]: one toggle moves dyad state s = y1 + 2 y2 to t.
+_NEIGHBOURS = np.array([[s ^ t in (1, 2) for t in range(4)] for s in range(4)])
+_BLOCK = 16384  # dyads per block: keeps the (block, 4, 4) kernels to a few MB
+
+
 def sample_states(design: DyadDesign, theta: np.ndarray, control: SimControl,
                   init: str = "observed",
                   keep_states: bool = False) -> SimResult:
-    """Run the toggle chain and record thinned statistic vectors.
+    """Draw the chain's thinned states and record their statistic vectors.
 
     init "observed" starts from the design's stored tie state,
     "empty" from the empty graph, "random" from fair-coin ties.
+    acceptance_rate is exact: the mean over draws and dyads of the
+    probability 1 - P[s, s] that a sweep's proposal is accepted at s.
     """
     theta = np.asarray(theta, dtype=np.float64)
     if theta.shape != (design.k,):
@@ -69,7 +75,7 @@ def sample_states(design: DyadDesign, theta: np.ndarray, control: SimControl,
     rng = np.random.default_rng(control.seed)
     d = design.n_dyads
     if init == "observed":
-        y1, y2 = design.y1.copy(), design.y2.copy()
+        y1, y2 = design.y1, design.y2
     elif init == "empty":
         y1, y2 = np.zeros(d, dtype=bool), np.zeros(d, dtype=bool)
     elif init == "random":
@@ -78,43 +84,39 @@ def sample_states(design: DyadDesign, theta: np.ndarray, control: SimControl,
     else:
         raise ConfigError(f"unknown init {init!r}")
 
-    a1 = design.t1 @ theta
-    a2 = design.t2 @ theta
-    tm = float(design.mvec @ theta)
-    accepted = 0
-    proposals = 0
-
-    def sweep() -> None:
-        nonlocal accepted, proposals
-        pick1 = rng.random(d) < 0.5
-        logu = np.log(rng.random(d))
-        gain1 = a1 + np.where(y2, tm, 0.0)
-        gain2 = a2 + np.where(y1, tm, 0.0)
-        delta = np.where(pick1,
-                         np.where(y1, -gain1, gain1),
-                         np.where(y2, -gain2, gain2))
-        accept = logu < delta
-        flip1 = accept & pick1
-        flip2 = accept & ~pick1
-        y1[flip1] = ~y1[flip1]
-        y2[flip2] = ~y2[flip2]
-        accepted += int(accept.sum())
-        proposals += d
-
-    for _ in range(control.burnin):
-        sweep()
-    stats = np.empty((control.sample_size, design.k))
-    states: list[tuple[np.ndarray, np.ndarray]] = []
-    for s in range(control.sample_size):
-        if s > 0:
-            for _ in range(control.interval):
-                sweep()
-        stats[s] = design.statistics(y1, y2)
-        if keep_states:
-            states.append((y1.copy(), y2.copy()))
-    rate = accepted / proposals if proposals else 0.0
-    return SimResult(labels=design.spec.labels, stats=stats,
-                     states=states, acceptance_rate=rate)
+    start = y1 + 2 * y2
+    log_weights = design.state_log_weights(theta)
+    stats = np.zeros((control.sample_size, design.k))
+    codes = np.empty((control.sample_size, d), dtype=np.int8) if keep_states else None
+    accepted = 0.0
+    for lo in range(0, d, _BLOCK):
+        block = slice(lo, min(lo + _BLOCK, d))
+        w = log_weights[block]
+        # P[s, t] = 1/2 min(1, exp(w_t - w_s)) for the neighbours t of s
+        p = 0.5 * np.exp(np.minimum(w[:, None, :] - w[:, :, None], 0.0)) * _NEIGHBOURS
+        accept = p.sum(axis=2)  # 1 - P[s, s]
+        p[:, np.arange(4), np.arange(4)] = 1.0 - accept
+        rows = 4 * np.arange(p.shape[0])
+        # column 4 * dyad + state holds that row's cumulative law
+        burn, step = (np.ascontiguousarray(
+            np.linalg.matrix_power(p, k).cumsum(axis=2).reshape(-1, 4).T)
+            for k in (control.burnin, control.interval))
+        t1, t2 = design.t1[block], design.t2[block]
+        at = rows + start[block]
+        for i in range(control.sample_size):
+            cum = (burn if i == 0 else step).take(at, axis=1)
+            u = rng.random(rows.shape[0]) * cum[3]
+            state = (u >= cum[:3]).sum(axis=0, dtype=np.int8)
+            at = rows + state
+            accepted += accept.take(at).sum()
+            stats[i] += ((state & 1) @ t1 + (state >> 1) @ t2
+                         + np.count_nonzero(state == 3) * design.mvec)
+            if keep_states:
+                codes[i, block] = state
+    states = [((c & 1).astype(bool), (c >> 1).astype(bool))
+              for c in codes] if keep_states else []
+    return SimResult(labels=design.spec.labels, stats=stats, states=states,
+                     acceptance_rate=accepted / (control.sample_size * d))
 
 
 def simulate(spec: ErgmSpec, theta: np.ndarray, graph_size: int | None = None,

@@ -209,6 +209,16 @@ class DyadDesign:
         j = np.asarray(j, dtype=np.int64)
         return i * (2 * self.n - i - 1) // 2 + (j - i - 1)
 
+    def state_log_weights(self, theta: np.ndarray) -> np.ndarray:
+        """(D, 4) log-weights theta' g of each dyad's states s = y1 + 2 y2.
+
+        The model is the product over dyads of the categoricals these
+        weights define; the likelihood and the sampler both use them.
+        """
+        a1, a2 = self.t1 @ theta, self.t2 @ theta
+        return np.column_stack([np.zeros_like(a1), a1, a2,
+                                a1 + a2 + float(self.mvec @ theta)])
+
     def statistics(self, y1: np.ndarray | None = None,
                    y2: np.ndarray | None = None) -> np.ndarray:
         """g(y) for the given tie state (defaults to the observed one)."""

@@ -116,7 +116,7 @@ class Pipeline:
     @property
     def graph(self) -> Graph:
         if self._graph is None:
-            self._graph = load_edge_list(self.config.edges,
+            self._graph = load_edge_list(Path(self.config.edges),
                                          format=self.config.edge_format,
                                          json_fields=self.config.json_fields)
         return self._graph
@@ -126,7 +126,7 @@ class Pipeline:
         if not self._attrs_loaded:
             self._attrs_loaded = True
             if self.config.attrs:
-                self._attrs = load_attributes(self.config.attrs, self.graph)
+                self._attrs = load_attributes(Path(self.config.attrs), self.graph)
             else:
                 self._attrs = None
         return self._attrs
@@ -302,9 +302,8 @@ class Pipeline:
             return fit_exact_dyad(self.graph, spec)
         if method == "mple":
             return fit_mple(self.graph, spec)
-        mcmc = dict(self.config.mcmc)
-        mcmc.setdefault("seed", self.config.seed)
-        return fit_mcmle(self.graph, spec, McmleControl(**mcmc))
+        control = McmleControl(**{"seed": self.config.seed, **self.config.mcmc})
+        return fit_mcmle(self.graph, spec, control)
 
     def _stage_ergm(self) -> None:
         coef_rows = []

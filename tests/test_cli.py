@@ -91,6 +91,32 @@ def test_degenerate_fit_exits_4(tmp_path, capsys):
     assert "estimation error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mcmc, message", [
+    ({"bogus": 1}, "unknown mcmc key 'bogus'"),
+    ({"bridges": 12}, "no bridge sampling"),
+    ({"burnin": "a"}, "burnin must be of type int"),
+    ({"interval": 0}, "interval=0"),
+])
+def test_bad_mcmc_block_is_config_error(toy, capsys, mcmc, message):
+    epath, _, out = toy
+    cfg = out.parent / "run.json"
+    cfg.write_text(json.dumps({"mcmc": mcmc}))
+    code = main(["ergm", "--config", str(cfg), "--edges", str(epath),
+                 "--out", str(out), "--models", "model2", "--estimator", "mcmle"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and len(err.splitlines()) == 1
+    assert message in err
+
+
+def test_edge_file_name_like_json_is_read_as_a_file(toy, monkeypatch):
+    epath, _, out = toy
+    odd = epath.parent / "[2024] edges.csv"
+    odd.write_bytes(epath.read_bytes())
+    monkeypatch.chdir(odd.parent)
+    assert main(["ingest", "--edges", odd.name, "--out", str(out)]) == 0
+
+
 def test_config_file_with_flag_overrides(toy, capsys):
     epath, apath, out = toy
     cfg = out.parent / "run.json"

@@ -82,6 +82,10 @@ def test_unknown_keys_rejected():
     {"edges": "e.csv", "stages": ["topology", "plot"]},
     {"edges": "e.csv", "models": ["model9"]},
     {"edges": "e.csv", "models": [42]},
+    {"edges": "e.csv", "mcmc": [1]},
+    {"edges": "e.csv", "mcmc": {"sample_size": True}},
+    {"edges": "e.csv", "mcmc": {"ee_tol": float("nan")}},
+    {"edges": "e.csv", "mcmc": {"bridge_burnin": 100}},
 ])
 def test_invalid_configs_raise(raw):
     with pytest.raises(ConfigError):

@@ -99,15 +99,26 @@ def test_posterior_and_rate_matrices_are_proper():
     assert fit.tau.shape == (20, 2) and fit.pi.shape == (2, 2)
 
 
-def test_collapse_consistency_and_warning():
-    y, _ = planted(15, 2, 0.5, 0.02, seed=6)
+def test_collapse_consistency_and_warning(monkeypatch):
+    y, truth = planted(15, 2, 0.5, 0.02, seed=6)
+
+    def init_leaving_class_empty(b, q, mode, rng):
+        # the planted labels on the first two of q classes; the rest get no mass
+        tau = np.zeros((b.n, q))
+        tau[np.arange(b.n), truth] = 1.0
+        return tau
+
+    monkeypatch.setattr(legnet.sbm, "_init_tau", init_leaving_class_empty)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        fit = fit_q(y, 6, seed=0, restarts=2)
-    assert fit.requested_q == 6
-    assert fit.collapsed == (fit.q < 6)
-    if fit.collapsed:
-        assert any("collapsed" in str(w.message) for w in caught)
+        fit = fit_q(y, 4, seed=0, restarts=2)
+    assert fit.requested_q == 4
+    assert fit.collapsed
+    assert fit.q < fit.requested_q
+    assert fit.q == 2
+    assert all(run["collapsed"] for run in fit.meta["runs"])
+    assert sum("pruned 2 empty class(es) at Q=4" in str(w.message) for w in caught) == 2
+    assert adjusted_rand(fit.labels.tolist(), truth.tolist()) == 1.0
 
 
 def test_restarts_cannot_hurt_the_bound():
