@@ -9,13 +9,11 @@ problem.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from pathlib import Path
 
 from . import __version__
 from .config import (BUILTIN_MODELS, ESTIMATORS, STAGES, config_from_dict,
-                     parse_q_range)
+                     parse_q_range, read_config)
 from .errors import ConfigError, DataError, EstimationError
 from .pipeline import Pipeline
 
@@ -85,18 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _raw_config(path: str) -> dict:
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from None
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
-    return raw
-
-
 def _parse_json_fields(text: str) -> dict:
     fields = {}
     for part in text.split(","):
@@ -108,7 +94,7 @@ def _parse_json_fields(text: str) -> dict:
 
 
 def _build_config(args: argparse.Namespace):
-    raw = _raw_config(args.config) if args.config else {}
+    raw = read_config(args.config) if args.config else {}
     for key, value in (("edges", args.edges), ("attrs", args.attrs),
                        ("format", args.edge_format), ("out", args.out),
                        ("seed", args.seed), ("threads", args.threads)):

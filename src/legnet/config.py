@@ -76,6 +76,12 @@ class RunConfig:
                                   f"got {type(model).__name__}")
         if not self.edges:
             raise ConfigError("edge list path is required")
+        for name in ("json_fields", "party_reassignment"):
+            value = getattr(self, name)
+            if not (isinstance(value, Mapping) and all(
+                    isinstance(k, str) and isinstance(v, str) for k, v in value.items())):
+                raise ConfigError(f"'{name}' must be an object of string keys and "
+                                  f"string values, got {value!r}")
         _validate_mcmc(self.mcmc)
 
 
@@ -103,15 +109,22 @@ _CONFIG_KEYS = {
 }
 
 
-def load_config(path: str | Path) -> RunConfig:
-    """Parse and validate a JSON run configuration."""
+def read_config(path: str | Path) -> dict[str, Any]:
+    """The JSON object in a run configuration file, not yet validated."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
-    return config_from_dict(raw)
+    if not isinstance(raw, dict):
+        raise ConfigError("config root must be a JSON object")
+    return raw
+
+
+def load_config(path: str | Path) -> RunConfig:
+    """Parse and validate a JSON run configuration."""
+    return config_from_dict(read_config(path))
 
 
 def config_from_dict(raw: Mapping[str, Any]) -> RunConfig:
@@ -135,8 +148,8 @@ def config_from_dict(raw: Mapping[str, Any]) -> RunConfig:
         edges=raw.get("edges", ""),
         attrs=raw.get("attrs"),
         edge_format=raw.get("format", "csv"),
-        json_fields=dict(raw.get("json_fields") or {}),
-        party_reassignment=dict(raw.get("party_reassignment") or {}),
+        json_fields=raw.get("json_fields") or {},
+        party_reassignment=raw.get("party_reassignment") or {},
         models=list(raw.get("models", list(BUILTIN_MODELS))),
         ergm_estimator=raw.get("ergm_estimator", "exact-dyad"),
         mcmc=raw.get("mcmc") or {},
@@ -302,11 +315,7 @@ def spec_from_terms(terms: Sequence[Mapping[str, Any]], attrs, centrality,
         elif kind == "covariate":
             name = entry.get("attribute", "")
             role = entry.get("role") or _CENTRALITY_ROLES.get(name, "sum")
-            values = _resolve_values(name, attrs, centrality)
-            if standardize:
-                sd = values.std()
-                values = (values - values.mean()) / sd if sd > 0 else values
-            built.append(NodeCovariate(name, tuple(values), role))
+            built.append(_covariate(name, role, attrs, centrality, standardize))
         elif kind == "match":
             name = entry.get("attribute", "")
             if attrs is None:

@@ -5,8 +5,9 @@ networks at the current theta and maximizes the importance-sampled
 log-likelihood ratio, guarded by the effective sample size of the
 importance weights. Convergence is declared when every simulated mean
 statistic sits within `ee_tol` simulated standard deviations of its
-observed value. The log-likelihood for AIC/BIC is exact: every term
-is dyad-local, so at theta-hat it is the closed-form p1 sum over dyads.
+observed value. The log-likelihood for AIC/BIC and the Fisher
+information behind the standard errors are exact: every term is
+dyad-local, so at theta-hat both are closed-form sums over dyads.
 """
 
 from __future__ import annotations
@@ -125,25 +126,21 @@ def fit_mcmle(graph: Graph, spec: ErgmSpec,
             f"estimating equations not met after {control.max_phases} phases "
             f"(discrepancy history {np.array2string(np.asarray(ee_history), precision=3)})")
 
-    # Fisher information at theta-hat from the final simulated sample.
-    centered = sample - sample.mean(axis=0)
-    fisher_free = (centered[:, free].T @ centered[:, free]) / (sample.shape[0] - 1)
-    fisher = np.zeros((spec.k, spec.k))
-    fisher[np.ix_(free, free)] = fisher_free
+    # The exact log-likelihood and Fisher information Cov[g(Y)] at theta-hat.
+    ll, _, fisher = _dyad_loglik(design, theta, g_obs)
 
     # Monte-Carlo error of theta-hat: delta method with per-term ESS.
     ess_vec = np.array([ess(sample[:, k]) for k in range(spec.k)])
+    fisher_free = fisher[np.ix_(free, free)]
     try:
         finv = np.linalg.inv(fisher_free)
     except np.linalg.LinAlgError:
         finv = np.linalg.pinv(fisher_free)
-    var_free = sample.var(axis=0, ddof=1)[free]
     ess_free = np.where(np.isfinite(ess_vec[free]), ess_vec[free], sample.shape[0])
-    mc_cov = finv @ np.diag(var_free / ess_free) @ finv
+    mc_cov = finv @ np.diag(np.diag(fisher_free) / ess_free) @ finv
     mc_se = np.zeros(spec.k)
     mc_se[free] = np.sqrt(np.clip(np.diag(mc_cov), 0.0, None))
 
-    ll = _dyad_loglik(design, theta, g_obs)[0]
     diagnostics = {
         "trace": sample,
         "acceptance_rate": acceptance,

@@ -5,6 +5,11 @@ stream (source before target within a record); an optional explicit
 node list may pre-register ids, which is how isolated nodes enter.
 Edge weights must lie in (0, 1]; self-loops and duplicate directed
 edges are rejected. Instances are immutable once built.
+
+Edges are kept in storage order (the order that round-trips) and as
+three CSR adjacencies with sorted indices: out (weighted), in and
+undirected. Neighbors are row slices, degrees are row-pointer
+differences, and components come from `scipy.sparse.csgraph`.
 """
 
 from __future__ import annotations
@@ -14,10 +19,23 @@ from typing import Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy.sparse import csr_array
+from scipy.sparse.csgraph import connected_components
 
 from .errors import DataError
 
 NodeId = Hashable
+
+
+def _rows(a: csr_array, i: int) -> np.ndarray:
+    return a.indices[a.indptr[i]:a.indptr[i + 1]]
+
+
+def _grouped(labels: np.ndarray) -> list[list[int]]:
+    """Node sets per component label, ordered by their smallest member."""
+    comps: dict[int, list[int]] = {}
+    for v, label in enumerate(labels.tolist()):
+        comps.setdefault(label, []).append(v)
+    return list(comps.values())
 
 
 class Graph:
@@ -33,68 +51,54 @@ class Graph:
         also appear in `edges` keep the index assigned here.
     """
 
-    __slots__ = ("_ids", "_index", "_src", "_dst", "_w", "_pos",
-                 "_out", "_in", "_out_w")
+    __slots__ = ("_ids", "_index", "_src", "_dst", "_w", "_out", "_in", "_und")
 
     def __init__(self,
                  edges: Iterable[tuple[NodeId, NodeId, float]],
                  nodes: Sequence[NodeId] | None = None) -> None:
-        ids: list[NodeId] = []
-        index: dict[NodeId, int] = {}
-
-        def intern(node: NodeId) -> int:
-            i = index.get(node)
-            if i is None:
-                i = len(ids)
-                index[node] = i
-                ids.append(node)
-            return i
-
+        index: dict[NodeId, int] = {}  # id -> index, in order of first appearance
         if nodes is not None:
             for node in nodes:
                 if node in index:
                     raise DataError(f"duplicate node id {node!r} in node list")
-                intern(node)
+                index[node] = len(index)
 
         src: list[int] = []
         dst: list[int] = []
         wts: list[float] = []
-        pos: dict[tuple[int, int], int] = {}
+        seen: set[tuple[int, int]] = set()
         for rec_no, (s, t, w) in enumerate(edges, start=1):
-            i, j = intern(s), intern(t)
+            i = index.setdefault(s, len(index))
+            j = index.setdefault(t, len(index))
             if i == j:
                 raise DataError(f"self-loop on node {s!r} (edge record {rec_no})")
             w = float(w)
             if not (0.0 < w <= 1.0):
                 raise DataError(
                     f"edge weight {w!r} outside (0, 1] on {s!r}->{t!r} (edge record {rec_no})")
-            if (i, j) in pos:
+            if (i, j) in seen:
                 raise DataError(f"duplicate edge {s!r}->{t!r} (edge record {rec_no})")
-            pos[(i, j)] = len(src)
+            seen.add((i, j))
             src.append(i)
             dst.append(j)
             wts.append(w)
 
-        self._ids: tuple[NodeId, ...] = tuple(ids)
+        n = len(index)
+        self._ids: tuple[NodeId, ...] = tuple(index)
         self._index = index
         self._src = np.asarray(src, dtype=np.int64)
         self._dst = np.asarray(dst, dtype=np.int64)
         self._w = np.asarray(wts, dtype=np.float64)
-        self._pos = pos
-
-        n = len(ids)
-        out_lists: list[list[int]] = [[] for _ in range(n)]
-        in_lists: list[list[int]] = [[] for _ in range(n)]
-        for i, j in zip(src, dst):
-            out_lists[i].append(j)
-            in_lists[j].append(i)
-        # Neighbor arrays are sorted so traversals are order-independent
-        # of the input file; edge storage order is what round-trips.
-        self._out = tuple(np.asarray(sorted(a), dtype=np.int64) for a in out_lists)
-        self._in = tuple(np.asarray(sorted(a), dtype=np.int64) for a in in_lists)
-        out_w = np.zeros(n)
-        np.add.at(out_w, self._src, self._w)
-        self._out_w = out_w
+        # scipy builds all three in canonical form: sorted, no duplicates
+        self._out = csr_array((self._w, (self._src, self._dst)), shape=(n, n))
+        self._in = self._out.T.tocsr()
+        # only its pattern is read; weights are positive, so no entry cancels
+        self._und = self._out + self._out.T
+        # read-only, because edge_arrays and the neighbor methods return views
+        for arr in (self._src, self._dst, self._w, *(
+                a for m in (self._out, self._in, self._und)
+                for a in (m.data, m.indices, m.indptr))):
+            arr.flags.writeable = False
 
     # -- size and identity -------------------------------------------------
 
@@ -124,14 +128,22 @@ class Graph:
 
     # -- edges --------------------------------------------------------------
 
+    def _slot(self, i: int, j: int) -> int:
+        """Position of edge i->j in the out-CSR arrays, or -1."""
+        if not (0 <= i < self.n):
+            return -1
+        lo, hi = self._out.indptr[i], self._out.indptr[i + 1]
+        k = lo + int(np.searchsorted(self._out.indices[lo:hi], j))
+        return k if k < hi and self._out.indices[k] == j else -1
+
     def has_edge(self, i: int, j: int) -> bool:
-        return (i, j) in self._pos
+        return self._slot(i, j) >= 0
 
     def weight(self, i: int, j: int) -> float:
-        p = self._pos.get((i, j))
-        if p is None:
+        k = self._slot(i, j)
+        if k < 0:
             raise DataError(f"no edge {self._ids[i]!r}->{self._ids[j]!r}")
-        return float(self._w[p])
+        return float(self._out.data[k])
 
     def edges(self) -> Iterator[tuple[int, int, float]]:
         """Yield (source_index, target_index, weight) in storage order."""
@@ -150,34 +162,39 @@ class Graph:
     # -- neighborhoods -------------------------------------------------------
 
     def out_neighbors(self, i: int) -> np.ndarray:
-        return self._out[i]
+        """Targets of i's out-edges, ascending (a read-only view)."""
+        return _rows(self._out, i)
 
     def in_neighbors(self, i: int) -> np.ndarray:
-        return self._in[i]
+        """Sources of i's in-edges, ascending (a read-only view)."""
+        return _rows(self._in, i)
+
+    def undirected_neighbors(self, i: int) -> np.ndarray:
+        """Neighbors of i ignoring direction, each listed once, ascending."""
+        return _rows(self._und, i)
 
     def out_degrees(self) -> np.ndarray:
-        return np.asarray([a.shape[0] for a in self._out], dtype=np.int64)
+        return np.diff(self._out.indptr)
 
     def in_degrees(self) -> np.ndarray:
-        return np.asarray([a.shape[0] for a in self._in], dtype=np.int64)
+        return np.diff(self._in.indptr)
 
     def out_strengths(self) -> np.ndarray:
-        return self._out_w.copy()
+        # summed in edge storage order: CSR row order would change the
+        # last bits, and model covariates are built from these values
+        return np.bincount(self._src, weights=self._w, minlength=self.n)
 
     def adjacency(self, weighted: bool = False,
                   sparse: bool = False) -> np.ndarray | csr_array:
         """Adjacency matrix, CSR if `sparse`; entry [i, j] covers the edge i->j."""
-        values = self._w if weighted else np.ones(self.edge_count)
         if sparse:
-            return csr_array((values, (self._src, self._dst)), shape=(self.n, self.n))
+            a = self._out.copy()
+            if not weighted:
+                a.data[:] = 1.0
+            return a
         a = np.zeros((self.n, self.n))
-        a[self._src, self._dst] = values
+        a[self._src, self._dst] = self._w if weighted else 1.0
         return a
-
-    def undirected_neighbors(self, i: int) -> np.ndarray:
-        """Neighbors of i ignoring direction, each listed once."""
-        both = np.concatenate([self._out[i], self._in[i]])
-        return np.unique(both)
 
     # -- components ----------------------------------------------------------
 
@@ -187,123 +204,56 @@ class Graph:
         Components are ordered by their smallest member; members are
         sorted ascending.
         """
-        seen = np.zeros(self.n, dtype=bool)
-        comps: list[list[int]] = []
-        for start in range(self.n):
-            if seen[start]:
-                continue
-            stack = [start]
-            seen[start] = True
-            comp = []
-            while stack:
-                v = stack.pop()
-                comp.append(v)
-                for u in self.undirected_neighbors(v):
-                    if not seen[u]:
-                        seen[u] = True
-                        stack.append(int(u))
-            comps.append(sorted(comp))
-        return comps
+        return _grouped(connected_components(self._und, directed=False)[1])
 
     def strong_components(self) -> list[list[int]]:
-        """Strongly connected components (iterative Tarjan).
+        """Strongly connected components.
 
         Same ordering conventions as `weak_components`.
         """
-        n = self.n
-        UNSEEN = -1
-        disc = np.full(n, UNSEEN, dtype=np.int64)
-        low = np.zeros(n, dtype=np.int64)
-        on_stack = np.zeros(n, dtype=bool)
-        stack: list[int] = []
-        comps: list[list[int]] = []
-        counter = 0
-
-        for root in range(n):
-            if disc[root] != UNSEEN:
-                continue
-            work: list[tuple[int, int]] = [(root, 0)]
-            while work:
-                v, child_i = work[-1]
-                if child_i == 0:
-                    disc[v] = low[v] = counter
-                    counter += 1
-                    stack.append(v)
-                    on_stack[v] = True
-                advanced = False
-                out = self._out[v]
-                while child_i < out.shape[0]:
-                    u = int(out[child_i])
-                    child_i += 1
-                    if disc[u] == UNSEEN:
-                        work[-1] = (v, child_i)
-                        work.append((u, 0))
-                        advanced = True
-                        break
-                    if on_stack[u]:
-                        low[v] = min(low[v], disc[u])
-                if advanced:
-                    continue
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[v])
-                if low[v] == disc[v]:
-                    comp = []
-                    while True:
-                        u = stack.pop()
-                        on_stack[u] = False
-                        comp.append(u)
-                        if u == v:
-                            break
-                    comps.append(sorted(comp))
-        comps.sort(key=lambda c: c[0])
-        return comps
+        return _grouped(connected_components(self._out, directed=True,
+                                             connection="strong")[1])
 
     def articulation_points(self) -> list[int]:
-        """Cut vertices of the undirected projection, sorted ascending."""
-        n = self.n
-        UNSEEN = -1
-        disc = np.full(n, UNSEEN, dtype=np.int64)
-        low = np.zeros(n, dtype=np.int64)
-        cut = np.zeros(n, dtype=bool)
-        counter = 0
+        """Cut vertices of the undirected projection, sorted ascending.
 
+        Iterative Hopcroft-Tarjan DFS over the rows of the undirected
+        CSR; `scipy.sparse.csgraph` has no cut-vertex routine.
+        """
+        indptr = self._und.indptr.tolist()
+        nbrs = self._und.indices.tolist()
+        n = self.n
+        disc = [-1] * n
+        low = [0] * n
+        cut = [False] * n
+        counter = 0
         for root in range(n):
-            if disc[root] != UNSEEN:
+            if disc[root] >= 0:
                 continue
+            disc[root] = low[root] = counter
+            counter += 1
             root_children = 0
-            work: list[tuple[int, int, int]] = [(root, UNSEEN, 0)]
+            # (vertex, DFS parent, position of its next neighbor in nbrs)
+            work = [(root, -1, indptr[root])]
             while work:
-                v, parent, child_i = work[-1]
-                if child_i == 0:
-                    disc[v] = low[v] = counter
-                    counter += 1
-                nbrs = self.undirected_neighbors(v)
-                advanced = False
-                while child_i < nbrs.shape[0]:
-                    u = int(nbrs[child_i])
-                    child_i += 1
-                    if disc[u] == UNSEEN:
+                v, parent, k = work.pop()
+                if k < indptr[v + 1]:
+                    work.append((v, parent, k + 1))
+                    u = nbrs[k]
+                    if disc[u] < 0:
+                        disc[u] = low[u] = counter
+                        counter += 1
                         if v == root:
                             root_children += 1
-                        work[-1] = (v, parent, child_i)
-                        work.append((u, v, 0))
-                        advanced = True
-                        break
-                    if u != parent:
+                        work.append((u, v, indptr[u]))
+                    elif u != parent:
                         low[v] = min(low[v], disc[u])
-                if advanced:
-                    continue
-                work.pop()
-                if work:
-                    p = work[-1][0]
-                    low[p] = min(low[p], low[v])
-                    if p != root and low[v] >= disc[p]:
-                        cut[p] = True
-            if root_children >= 2:
-                cut[root] = True
-        return [int(v) for v in np.flatnonzero(cut)]
+                elif parent >= 0:  # v is finished: pass its low link up
+                    low[parent] = min(low[parent], low[v])
+                    if parent != root and low[v] >= disc[parent]:
+                        cut[parent] = True
+            cut[root] = root_children >= 2
+        return [v for v in range(n) if cut[v]]
 
     # -- derived graphs --------------------------------------------------------
 

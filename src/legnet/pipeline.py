@@ -15,6 +15,7 @@ import json
 import math
 import warnings
 from collections import Counter
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -27,11 +28,11 @@ from .config import (RunConfig, STAGES, build_model, model_needs_attrs,
 from .errors import DataError
 from .ergm import (ErgmFit, McmleControl, fit_exact_dyad, fit_mcmle, fit_mple,
                    likelihood_ratio_test, mcmc_diagnostics, report_effects)
-from .graph import Graph, components
-from .io import dot_dump, graphml_dump, load_attributes, load_edge_list, save_edge_list
+from .graph import ComponentReport, Graph, components
+from .io import dot_dump, graphml_dump, load_attributes, load_edge_list
 from .partition import adjusted_rand, nmi, rand_index
 from .sbm import SbmFit, community_summary, interaction_matrix, select_q
-from .topology import (CentralityReport, assortativity_report,
+from .topology import (CentralityReport, ConnectivityReport, assortativity_report,
                        centrality_report, connectivity_report, density)
 
 
@@ -101,49 +102,42 @@ class Pipeline:
         self.out = Path(config.out_dir)
         self.notices: list[str] = []
         self._digests: dict[str, str] = {}
-        self._graph: Graph | None = None
-        self._attrs: AttributeTable | None = None
-        self._attrs_loaded = False
-        self._centrality: CentralityReport | None = None
-        self._connectivity = None
         self._sbm: SbmFit | None = None
-        self._sbm_curve: list[tuple[int, float]] | None = None
         self._fits: list[tuple[str, ErgmFit]] = []
         self._selected: list[str] = [s for s in STAGES if s in config.stages]
 
-    # -- shared lazy inputs ------------------------------------------------
+    # -- shared lazy inputs, each computed on first use ----------------------
 
-    @property
+    @cached_property
     def graph(self) -> Graph:
-        if self._graph is None:
-            self._graph = load_edge_list(Path(self.config.edges),
-                                         format=self.config.edge_format,
-                                         json_fields=self.config.json_fields)
-        return self._graph
+        return load_edge_list(Path(self.config.edges), format=self.config.edge_format,
+                              json_fields=self.config.json_fields)
 
-    @property
+    @cached_property
     def attrs(self) -> AttributeTable | None:
-        if not self._attrs_loaded:
-            self._attrs_loaded = True
-            if self.config.attrs:
-                self._attrs = load_attributes(Path(self.config.attrs), self.graph)
-            else:
-                self._attrs = None
-        return self._attrs
+        if not self.config.attrs:
+            return None
+        return load_attributes(Path(self.config.attrs), self.graph)
 
-    @property
+    @cached_property
     def centrality(self) -> CentralityReport:
-        if self._centrality is None:
-            self._centrality = centrality_report(
-                self.graph, weighted=self.config.weighted_spectral)
-        return self._centrality
+        return centrality_report(self.graph, weighted=self.config.weighted_spectral)
 
-    @property
-    def connectivity(self):
-        if self._connectivity is None:
-            self._connectivity = connectivity_report(
-                self.graph, min_clique_size=self.config.min_clique_size)
-        return self._connectivity
+    @cached_property
+    def connectivity(self) -> ConnectivityReport:
+        return connectivity_report(self.graph, min_clique_size=self.config.min_clique_size)
+
+    @cached_property
+    def census(self) -> ComponentReport:
+        return components(self.graph)
+
+    @cached_property
+    def assortativity(self) -> list[tuple[str, str, float | None]]:
+        return assortativity_report(self.graph, self.attrs, self.centrality)
+
+    def _computed(self, name: str) -> Any:
+        """The lazy input `name` if some stage already computed it, else None."""
+        return self.__dict__.get(name)
 
     def notice(self, text: str) -> None:
         self.notices.append(text)
@@ -211,7 +205,7 @@ class Pipeline:
 
     def _stage_ingest(self) -> None:
         graph = self.graph
-        report = components(graph)
+        report = self.census
         summary = {
             "nodes": graph.n,
             "edges": graph.edge_count,
@@ -272,12 +266,12 @@ class Pipeline:
         if self.attrs is None:
             self.notice("assortativity: attribute rows skipped (no attribute file); "
                         "structural rows only")
-        rows = [(name, kind, coeff) for name, kind, coeff in
-                assortativity_report(self.graph, self.attrs, self.centrality)]
-        self._write_csv("assortativity.csv", ["variable", "kind", "coefficient"], rows)
+        self._write_csv("assortativity.csv", ["variable", "kind", "coefficient"],
+                        self.assortativity)
 
     def _resolve_model(self, entry: Any, index: int):
-        cent = self.centrality if model_needs_centrality(entry) else self._centrality
+        cent = (self.centrality if model_needs_centrality(entry)
+                else self._computed("centrality"))
         if isinstance(entry, str):
             name = entry
             if model_needs_attrs(name) and self.attrs is None:
@@ -380,7 +374,7 @@ class Pipeline:
                                    init=self.config.sbm_init)
         for message, count in sorted(Counter(str(w.message) for w in caught).items()):
             self.notice(f"sbm: {message} ({count}x)")
-        self._sbm, self._sbm_curve = best, curve
+        self._sbm = best
         self._write_csv("sbm_icl_curve.csv", ["q", "icl"],
                         [[q, value] for q, value in curve])
         self._write_json("sbm_fit.json", {
@@ -405,13 +399,11 @@ class Pipeline:
                         [[str(r + 1)] + [pi[r, c] for c in range(best.q)]
                          for r in range(best.q)])
         self._write_json("community_annotations.json", notes)
-        summary = community_summary(best, self.attrs, self._centrality)
+        summary = community_summary(best, self.attrs, self._computed("centrality"))
         if summary:
             header = list(summary[0].keys())
             self._write_csv("community_summary.csv", header,
-                            [[row.get(column) if isinstance(row.get(column), str)
-                              else row.get(column) for column in header]
-                             for row in summary])
+                            [[row.get(column) for column in header] for row in summary])
 
     def _stage_score(self) -> None:
         if self.attrs is None:
@@ -452,7 +444,7 @@ class Pipeline:
     def _summary_markdown(self) -> str:
         graph = self.graph
         lines = ["# Network analysis summary", ""]
-        report = components(graph)
+        report = self.census
         lines += [
             f"Nodes: {graph.n}; directed edges: {graph.edge_count}; "
             f"density: {fmt(density(graph))}.",
@@ -461,16 +453,16 @@ class Pipeline:
             f"articulation points: {len(report.articulation_points)}.",
             "",
         ]
-        if self._centrality is not None:
-            cent = self._centrality
+        cent = self._computed("centrality")
+        if cent is not None:
             lines += self._top_table(cent.in_degree.astype(float), "in-degree")
             lines += self._top_table(cent.out_degree.astype(float), "out-degree")
             lines += self._top_table(cent.betweenness, "betweenness")
             lines += self._top_table(cent.eigen, "eigenvector score")
             lines += self._top_table(cent.hub, "hub score")
             lines += self._top_table(cent.authority, "authority score")
-        if self._connectivity is not None:
-            conn = self._connectivity
+        conn = self._computed("connectivity")
+        if conn is not None:
             lines += [
                 "## Cohesion", "",
                 f"Reciprocity {fmt(conn.reciprocity)}; "
@@ -484,9 +476,7 @@ class Pipeline:
         if "assort" in self.config.stages:
             lines += ["## Assortativity", "",
                       "| variable | kind | coefficient |", "| --- | --- | --- |"]
-            for name, kind, coeff in assortativity_report(
-                    graph, self.attrs,
-                    self._centrality if self._centrality is not None else None):
+            for name, kind, coeff in self.assortativity:
                 value = fmt(coeff) if coeff is not None else "undefined"
                 lines.append(f"| {name} | {kind} | {value} |")
             lines.append("")

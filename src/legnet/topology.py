@@ -218,8 +218,8 @@ def reciprocity(graph: Graph) -> float:
     """Fraction of directed edges whose reverse edge also exists."""
     if graph.edge_count == 0:
         raise DataError("reciprocity needs at least one edge")
-    mutual = sum(1 for i, j, _ in graph.edges() if graph.has_edge(j, i))
-    return mutual / graph.edge_count
+    a = graph.adjacency(sparse=True)
+    return float(a.multiply(a.T).sum() / graph.edge_count)
 
 
 # -- triads and clustering ----------------------------------------------------

@@ -109,6 +109,18 @@ def test_bad_mcmc_block_is_config_error(toy, capsys, mcmc, message):
     assert message in err
 
 
+@pytest.mark.parametrize("block", [{"json_fields": [1]}, {"party_reassignment": "ab"}])
+def test_malformed_string_map_is_config_error(toy, capsys, block):
+    epath, _, out = toy
+    cfg = out.parent / "run.json"
+    cfg.write_text(json.dumps(block))
+    code = main(["ingest", "--config", str(cfg), "--edges", str(epath), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and len(err.splitlines()) == 1
+    assert "string keys and string values" in err
+
+
 def test_edge_file_name_like_json_is_read_as_a_file(toy, monkeypatch):
     epath, _, out = toy
     odd = epath.parent / "[2024] edges.csv"

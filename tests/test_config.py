@@ -86,6 +86,10 @@ def test_unknown_keys_rejected():
     {"edges": "e.csv", "mcmc": {"sample_size": True}},
     {"edges": "e.csv", "mcmc": {"ee_tol": float("nan")}},
     {"edges": "e.csv", "mcmc": {"bridge_burnin": 100}},
+    {"edges": "e.csv", "json_fields": [1]},
+    {"edges": "e.csv", "json_fields": {"nodes": 3}},
+    {"edges": "e.csv", "party_reassignment": "ab"},
+    {"edges": "e.csv", "party_reassignment": {"alice": None}},
 ])
 def test_invalid_configs_raise(raw):
     with pytest.raises(ConfigError):
@@ -198,6 +202,15 @@ def test_standardize_centers_covariates(toy):
             vals = np.asarray(term.values)
             assert vals.mean() == pytest.approx(0.0, abs=1e-12)
             assert vals.std() == pytest.approx(1.0)
+
+
+def test_standardize_centers_a_constant_custom_covariate():
+    import legnet
+    cycle = legnet.Graph([("a", "b", 0.5), ("b", "c", 0.5), ("c", "a", 0.5)])
+    cent = legnet.centrality_report(cycle)  # every out-degree is 1
+    spec = spec_from_terms([{"term": "covariate", "attribute": "out_degree"}],
+                           None, cent, standardize=True)
+    assert spec.terms[0].values == (0.0, 0.0, 0.0)
 
 
 def test_model_requirement_predicates():

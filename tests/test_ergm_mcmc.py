@@ -132,6 +132,18 @@ def test_mcmle_lands_within_monte_carlo_error_of_the_exact_mle():
     assert fit.log_likelihood <= exact.log_likelihood
 
 
+def test_mcmle_standard_errors_use_the_exact_fisher_information():
+    from legnet.ergm.fit import _dyad_moments
+
+    g = random_digraph(16, p=0.22, seed=9, mutual_boost=0.5)
+    spec = ErgmSpec([Edges(), Mutual()])
+    fit = fit_mcmle(g, spec, McmleControl(seed=4, sample_size=200,
+                                          burnin=100, interval=5))
+    cov = _dyad_moments(DyadDesign.from_graph(g, spec), fit.theta_pinned)[2]
+    expected = np.sqrt(np.diag(np.linalg.inv(cov)))
+    assert np.allclose(fit.std_err, expected, rtol=1e-12, atol=0.0)
+
+
 def test_simulated_means_match_expected_statistics():
     g = random_digraph(12, p=0.3, seed=41, mutual_boost=0.4)
     party = tuple("DR"[i % 2] for i in range(12))

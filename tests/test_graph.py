@@ -6,7 +6,7 @@ import pytest
 import legnet
 from legnet import DataError, Graph, components
 
-from conftest import matrix_of, oracle_distances, random_digraph
+from conftest import graph_from_matrix, matrix_of, oracle_distances, random_digraph
 
 
 def small():
@@ -170,3 +170,70 @@ def test_graph_is_immutable():
     g = small()
     with pytest.raises(AttributeError):
         g.n = 10
+    # neighbor rows and edge arrays are views of the graph's own storage
+    with pytest.raises(ValueError):
+        g.out_neighbors(0)[0] = 2
+    with pytest.raises(ValueError):
+        g.edge_arrays()[2][0] = 1.0
+
+
+def test_empty_graph():
+    g = Graph([])
+    assert (g.n, g.edge_count) == (0, 0)
+    assert g.weak_components() == [] and g.strong_components() == []
+    assert g.articulation_points() == []
+    assert g.out_degrees().shape == g.in_degrees().shape == g.out_strengths().shape == (0,)
+    assert g.adjacency(sparse=True).shape == g.adjacency().shape == (0, 0)
+    rep = components(g)
+    assert rep.weak_sizes == rep.strong_sizes == rep.articulation_points == ()
+
+
+def test_isolated_nodes():
+    g = Graph([("a", "b", 0.5)], nodes=["z", "a", "b", "y"])
+    z, y = g.index_of("z"), g.index_of("y")
+    assert list(g.out_degrees()) == [0, 1, 0, 0]
+    assert list(g.in_degrees()) == [0, 0, 1, 0]
+    assert list(g.out_strengths()) == [0.0, 0.5, 0.0, 0.0]
+    for v in (z, y):
+        assert g.out_neighbors(v).size == g.in_neighbors(v).size == 0
+        assert g.undirected_neighbors(v).size == 0
+    assert g.weak_components() == [[0], [1, 2], [3]]
+    assert g.strong_components() == [[0], [1], [2], [3]]
+    assert g.articulation_points() == []
+    assert not g.has_edge(z, y) and not g.has_edge(-1, 0) and not g.has_edge(4, 0)
+    assert components(g).weak_sizes == (2, 1, 1)
+
+
+def test_census_against_networkx():
+    nx = pytest.importorskip("networkx")
+    n = 300
+    rng = np.random.default_rng(5)
+    y = (rng.random((n, n)) < 1.5 / n) & ~np.eye(n, dtype=bool)
+    y[:10, :] = y[:, :10] = False    # 0-9 isolated
+    y[:, 10:20] = False              # 10-19 source-only
+    y[10:20, 100] = True
+    y[20:30, :] = False              # 20-29 sinks
+    y[200, 20:30] = True
+    g = graph_from_matrix(y, ids=list(range(n)), rng=rng)
+    src, dst, w = g.edge_arrays()
+    d = nx.DiGraph()
+    d.add_nodes_from(range(n))
+    d.add_weighted_edges_from(zip(src.tolist(), dst.tolist(), w.tolist()))
+
+    def ordered(comps):
+        return sorted(sorted(c) for c in comps)
+
+    assert g.weak_components() == ordered(nx.weakly_connected_components(d))
+    assert g.strong_components() == ordered(nx.strongly_connected_components(d))
+    assert g.articulation_points() == sorted(nx.articulation_points(d.to_undirected()))
+    assert legnet.reciprocity(g) == pytest.approx(nx.overall_reciprocity(d), rel=1e-12)
+    assert g.out_degrees().tolist() == [d.out_degree(v) for v in range(n)]
+    assert g.in_degrees().tolist() == [d.in_degree(v) for v in range(n)]
+    np.testing.assert_allclose(g.out_strengths(),
+                               [d.out_degree(v, weight="weight") for v in range(n)],
+                               rtol=1e-12)
+    # the graph has every kind of node the census must handle
+    outd, ind = g.out_degrees(), g.in_degrees()
+    assert np.any((outd == 0) & (ind == 0))
+    assert np.any((outd > 0) & (ind == 0)) and np.any((outd == 0) & (ind > 0))
+    assert len(g.weak_components()) > 10 and g.articulation_points()
