@@ -137,13 +137,19 @@ def _edges_from_upstream_json(text: str,
     return Graph(edges, nodes=ids)
 
 
+def edge_csv_dump(graph: Graph) -> str:
+    """The canonical edge CSV, with ``\\n`` line ends; weights round-trip exactly."""
+    buf = _io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["source", "target", "weight"])
+    for s, t, w in graph.edge_records():
+        writer.writerow([s, t, repr(w)])
+    return buf.getvalue()
+
+
 def save_edge_list(graph: Graph, path: str | Path) -> None:
     """Write the canonical edge CSV; weights round-trip exactly."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["source", "target", "weight"])
-        for s, t, w in graph.edge_records():
-            writer.writerow([s, t, repr(w)])
+    Path(path).write_text(edge_csv_dump(graph), encoding="utf-8", newline="")
 
 
 def load_attributes(source: str | Path | bytes | IO, graph: Graph) -> AttributeTable:

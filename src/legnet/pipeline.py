@@ -29,7 +29,7 @@ from .errors import DataError
 from .ergm import (ErgmFit, McmleControl, fit_exact_dyad, fit_mcmle, fit_mple,
                    likelihood_ratio_test, mcmc_diagnostics, report_effects)
 from .graph import ComponentReport, Graph, components
-from .io import dot_dump, graphml_dump, load_attributes, load_edge_list
+from .io import dot_dump, edge_csv_dump, graphml_dump, load_attributes, load_edge_list
 from .partition import adjusted_rand, nmi, rand_index
 from .sbm import SbmFit, community_summary, interaction_matrix, select_q
 from .topology import (CentralityReport, ConnectivityReport, assortativity_report,
@@ -217,12 +217,7 @@ class Pipeline:
             "is_strongly_connected": report.is_strongly_connected,
         }
         self._write_json("graph_summary.json", summary)
-        buf = _io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["source", "target", "weight"])
-        for s, t, w in graph.edge_records():
-            writer.writerow([s, t, repr(w)])
-        self._write_text("edges.csv", buf.getvalue())
+        self._write_text("edges.csv", edge_csv_dump(graph))
         self._write_text("graph.graphml", graphml_dump(graph, self.attrs))
         self._write_text("graph.dot", dot_dump(graph, self.attrs))
 

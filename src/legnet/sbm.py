@@ -4,6 +4,13 @@ Self-pairs are excluded everywhere: the diagonal of the adjacency
 carries no information. Model selection uses the integrated
 classification likelihood evaluated at the hard assignment with
 hard-count plug-in parameters.
+
+Each responsibility matrix tau is turned once into every product that
+the bound, the field and the M-step read (`_Moments`): one sparse
+product with the stacked CSR [y; yT], the class sizes, the block
+counts and the entropy. An EM iteration therefore makes one sparse
+product. The spectral initializer takes the top-Q eigenpairs of the
+centred Gram matrix, which are the part of the SVD it embeds.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
+from scipy import linalg, sparse
 from scipy.cluster.vq import kmeans2
 from scipy.special import xlogy
 
@@ -41,10 +48,12 @@ class SbmFit:
 
 
 class _Binary:
-    """Validated binary adjacency in CSR form, with its transpose."""
+    """Validated binary adjacency in CSR form, with its transpose and
+    both stacked as [y; yT], so that one product gives y @ X and yT @ X."""
 
     def __init__(self, y: sparse.csr_array) -> None:
         self.y, self.yt, self.n = y, y.T.tocsr(), y.shape[0]
+        self.stacked = sparse.vstack([self.y, self.yt], format="csr")
 
 
 def _as_binary(adjacency) -> _Binary:
@@ -62,33 +71,48 @@ def _as_binary(adjacency) -> _Binary:
     return _Binary(sparse.csr_array(y))
 
 
-def _counts(y: sparse.csr_array, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(expected edges, expected ordered pairs) per block pair."""
+@dataclass(frozen=True)
+class _Moments:
+    """What the bound, the field and the M-step read of one tau."""
+
+    tau: np.ndarray
+    out: np.ndarray       # y @ tau
+    inn: np.ndarray       # yT @ tau
+    sizes: np.ndarray     # tau.sum(0)
+    edges: np.ndarray     # expected edges per block pair, tauT y tau
+    pairs: np.ndarray     # expected ordered pairs, s sT - tauT tau
+    entropy: float        # -sum tau log tau
+
+
+def _moments(b: _Binary, tau: np.ndarray) -> _Moments:
+    flow = b.stacked @ tau
+    out, inn = flow[:b.n], flow[b.n:]
     s = tau.sum(axis=0)
-    return tau.T @ (y @ tau), np.outer(s, s) - tau.T @ tau
+    return _Moments(tau, out, inn, s, tau.T @ out, np.outer(s, s) - tau.T @ tau,
+                    float(-xlogy(tau, tau).sum()))
 
 
-def _elbo(tau: np.ndarray, alpha: np.ndarray, pi: np.ndarray,
-          counts: tuple[np.ndarray, np.ndarray]) -> float:
-    n_qr, s_qr = counts
-    ll = xlogy(n_qr, pi).sum() + xlogy(s_qr - n_qr, 1.0 - pi).sum()
-    mix = xlogy(tau, alpha[None, :]).sum()
-    ent = -xlogy(tau, tau).sum()
-    return float(ll + mix + ent)
+def _elbo(m: _Moments, alpha: np.ndarray, pi: np.ndarray) -> float:
+    ll = xlogy(m.edges, pi).sum() + xlogy(m.pairs - m.edges, 1.0 - pi).sum()
+    return float(ll + xlogy(m.sizes, alpha).sum() + m.entropy)
 
 
-def _field(y: sparse.csr_array, yt: sparse.csr_array, tau: np.ndarray,
-           alpha: np.ndarray, pi: np.ndarray) -> np.ndarray:
+def _logs(alpha: np.ndarray, pi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(log(1 - pi), log(pi) - log(1 - pi), log(alpha)), clipped away from -inf."""
+    l0 = np.log(np.clip(1.0 - pi, _LOG_CLIP, None))
+    return l0, np.log(np.clip(pi, _LOG_CLIP, None)) - l0, np.log(np.clip(alpha, _LOG_CLIP, None))
+
+
+def _field(m: _Moments, alpha: np.ndarray, pi: np.ndarray) -> np.ndarray:
     """Per-(node, class) unnormalized log-responsibility.
 
     The non-edges enter through (1 - I - y) @ X = X.sum(0) - X - y @ X,
     so only the edges are touched: O(|E| Q + n Q^2).
     """
-    l0 = np.log(np.clip(1.0 - pi, _LOG_CLIP, None))
-    d = np.log(np.clip(pi, _LOG_CLIP, None)) - l0
-    c0 = tau @ (l0.T + l0)
-    f = y @ (tau @ d.T) + yt @ (tau @ d) + (c0.sum(axis=0) - c0)
-    return f + np.log(np.clip(alpha, _LOG_CLIP, None))[None, :]
+    l0, d, log_alpha = _logs(alpha, pi)
+    c0 = m.tau @ (l0.T + l0)
+    f = m.out @ d.T + m.inn @ d + (c0.sum(axis=0) - c0)
+    return f + log_alpha[None, :]
 
 
 def _softmax_rows(f: np.ndarray) -> np.ndarray:
@@ -98,28 +122,25 @@ def _softmax_rows(f: np.ndarray) -> np.ndarray:
     return t
 
 
-def _estep(y: sparse.csr_array, yt: sparse.csr_array, tau: np.ndarray,
-           alpha: np.ndarray, pi: np.ndarray, before: float
-           ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], bool]:
+def _estep(b: _Binary, m: _Moments, alpha: np.ndarray, pi: np.ndarray,
+           before: float) -> tuple[_Moments, bool]:
     """One responsibility pass that never lowers the bound `before`.
 
     The vectorized simultaneous update is attempted first; if it would
     decrease the ELBO, the pass is redone sequentially (true coordinate
-    ascent, monotone by construction). Returns the responsibilities,
-    their block counts, and whether the sequential pass ran.
+    ascent, monotone by construction). Returns the moments of the new
+    responsibilities and whether the sequential pass ran.
     """
-    candidate = _softmax_rows(_field(y, yt, tau, alpha, pi))
-    counts = _counts(y, candidate)
-    if _elbo(candidate, alpha, pi, counts) >= before - 1e-10:
-        return candidate, counts, False
-    tau = tau.copy()
-    l0 = np.log(np.clip(1.0 - pi, _LOG_CLIP, None))
-    d = np.log(np.clip(pi, _LOG_CLIP, None)) - l0
-    log_alpha = np.log(np.clip(alpha, _LOG_CLIP, None))
+    candidate = _moments(b, _softmax_rows(_field(m, alpha, pi)))
+    if _elbo(candidate, alpha, pi) >= before - 1e-10:
+        return candidate, False
+    tau = m.tau.copy()
+    l0, d, log_alpha = _logs(alpha, pi)
+    y, yt = b.y, b.yt
     # cached per-node projections, refreshed row-by-row as tau changes
     out_t, in_t, none_t = tau @ d.T, tau @ d, tau @ (l0.T + l0)
     none_sum = none_t.sum(axis=0)
-    for i in range(y.shape[0]):
+    for i in range(b.n):
         out = y.indices[y.indptr[i]:y.indptr[i + 1]]
         inn = yt.indices[yt.indptr[i]:yt.indptr[i + 1]]
         f = (out_t[out].sum(axis=0) + in_t[inn].sum(axis=0)
@@ -130,14 +151,12 @@ def _estep(y: sparse.csr_array, yt: sparse.csr_array, tau: np.ndarray,
         none_sum -= none_t[i]
         none_t[i] = tau[i] @ (l0.T + l0)
         none_sum += none_t[i]
-    return tau, _counts(y, tau), True
+    return _moments(b, tau), True
 
 
-def _mstep(tau: np.ndarray, counts: tuple[np.ndarray, np.ndarray]
-           ) -> tuple[np.ndarray, np.ndarray]:
-    n_qr, s_qr = counts
-    alpha = tau.sum(axis=0) / tau.shape[0]
-    pi = np.divide(n_qr, s_qr, out=np.zeros_like(n_qr), where=s_qr > 0)
+def _mstep(m: _Moments) -> tuple[np.ndarray, np.ndarray]:
+    alpha = m.sizes / m.tau.shape[0]
+    pi = np.divide(m.edges, m.pairs, out=np.zeros_like(m.edges), where=m.pairs > 0)
     # saturated rates make the bound -inf through xlogy(eps, 0); keep interior
     return alpha, np.clip(pi, _LOG_CLIP, 1.0 - _LOG_CLIP)
 
@@ -152,11 +171,17 @@ def _init_tau(b: _Binary, q: int, mode: str, rng: np.random.Generator) -> np.nda
         labels = rng.integers(q, size=n)
     else:
         # spectral: k-means on the leading left+right singular directions,
-        # scaled by singular value so noise directions don't swamp signal
+        # scaled by singular value so noise directions don't swamp signal.
+        # With a = U S V^T, the top-q eigenpairs of a a^T are (s^2, u), and
+        # a^T u = s v, so the embedding needs no full SVD. Rounding can
+        # leave an eigenvalue of the PSD Gram matrix just below zero.
         try:
             dense = b.y.toarray()
-            u, s, vt = np.linalg.svd(dense - dense.mean(), full_matrices=False)
-            emb = np.hstack([u[:, :q] * s[:q], vt[:q, :].T * s[:q]])
+            a = dense - dense.mean()
+            w, u = linalg.eigh(a @ a.T, subset_by_index=[n - q, n - 1])
+            u = u[:, ::-1]
+            s = np.sqrt(np.clip(w[::-1], 0.0, None))
+            emb = np.hstack([u * s, a.T @ u])
             _, labels = kmeans2(emb, q, minit="++",
                                 seed=np.random.default_rng(rng.integers(2**32)))
         except Exception:
@@ -196,29 +221,28 @@ def _renumber_by_size(tau: np.ndarray, alpha: np.ndarray,
 def _single_run(b: _Binary, q: int, mode: str, rng: np.random.Generator,
                 max_iter: int, tol: float) -> tuple:
     """One EM run: (tau, alpha, pi, bound trace, convergence facts)."""
-    tau = _init_tau(b, q, mode, rng)
-    counts = _counts(b.y, tau)
-    alpha, pi = _mstep(tau, counts)
-    trace = [_elbo(tau, alpha, pi, counts)]
+    m = _moments(b, _init_tau(b, q, mode, rng))
+    alpha, pi = _mstep(m)
+    trace = [_elbo(m, alpha, pi)]
     facts = {"iterations": 0, "converged": False, "collapsed": False,
              "sequential_esteps": 0}
     for it in range(1, max_iter + 1):
         facts["iterations"] = it
-        tau, counts, sequential = _estep(b.y, b.yt, tau, alpha, pi, trace[-1])
+        m, sequential = _estep(b, m, alpha, pi, trace[-1])
         facts["sequential_esteps"] += sequential
-        dead = tau.sum(axis=0) < _COLLAPSE_TOL
+        dead = m.sizes < _COLLAPSE_TOL
         if dead.any() and (~dead).sum() >= 1:
-            warnings.warn(f"pruned {int(dead.sum())} empty class(es) at Q={tau.shape[1]}")
-            tau = tau[:, ~dead]
+            warnings.warn(f"pruned {int(dead.sum())} empty class(es) at Q={m.tau.shape[1]}")
+            tau = m.tau[:, ~dead]
             tau /= tau.sum(axis=1, keepdims=True)
-            counts = _counts(b.y, tau)
+            m = _moments(b, tau)
             facts["collapsed"] = True
-        alpha, pi = _mstep(tau, counts)
-        trace.append(_elbo(tau, alpha, pi, counts))
+        alpha, pi = _mstep(m)
+        trace.append(_elbo(m, alpha, pi))
         if trace[-1] - trace[-2] < tol and trace[-1] >= trace[-2] - 1e-7:
             facts["converged"] = True
             break
-    return tau, alpha, pi, trace, facts
+    return m.tau, alpha, pi, trace, facts
 
 
 def fit_q(adjacency, q: int, init: str = "spectral", restarts: int = 1,

@@ -99,6 +99,14 @@ def test_manifest_digests_match_files(toy_run):
     assert disk == manifest
 
 
+def test_save_edge_list_writes_the_report_edges_csv(toy_run, tmp_path):
+    epath, _, out, _ = toy_run
+    saved = tmp_path / "saved.csv"
+    legnet.save_edge_list(legnet.load_edge_list(epath), saved)
+    assert saved.read_bytes() == (out / "edges.csv").read_bytes()
+    assert b"\r" not in saved.read_bytes()
+
+
 def test_rerun_is_byte_identical(toy_run, tmp_path):
     epath, apath, out, manifest = toy_run
     out2 = tmp_path / "again"

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.cluster.vq import kmeans2
 from scipy.special import xlogy
 
 import legnet
@@ -294,26 +295,96 @@ def _random_state(n=60, q=4, seed=21):
 
 
 def test_sparse_field_and_bound_match_dense_formulas():
-    from legnet.sbm import _as_binary, _counts, _elbo, _field
+    from legnet.sbm import _as_binary, _elbo, _field, _moments
     for seed in range(4):
         y, tau, alpha, pi = _random_state(seed=30 + seed)
-        b = _as_binary(y)
-        assert np.allclose(_field(b.y, b.yt, tau, alpha, pi), _dense_field(y, tau, alpha, pi),
+        m = _moments(_as_binary(y), tau)
+        assert np.allclose(_field(m, alpha, pi), _dense_field(y, tau, alpha, pi),
                            rtol=1e-12, atol=1e-12)
         dense = _dense_elbo(y, tau, alpha, pi)
-        assert _elbo(tau, alpha, pi, _counts(b.y, tau)) == pytest.approx(dense, rel=1e-12)
+        assert _elbo(m, alpha, pi) == pytest.approx(dense, rel=1e-12)
 
 
 def test_sequential_fallback_is_monotone_and_matches_dense_pass():
-    from legnet.sbm import _as_binary, _counts, _elbo, _estep
+    from legnet.sbm import _as_binary, _elbo, _estep, _moments
     y, tau, alpha, pi = _random_state(seed=44)
     b = _as_binary(y)
-    before = _elbo(tau, alpha, pi, _counts(b.y, tau))
+    m = _moments(b, tau)
+    before = _elbo(m, alpha, pi)
     # an unreachable bound rejects the simultaneous update
-    new, counts, sequential = _estep(b.y, b.yt, tau, alpha, pi, math.inf)
+    new, sequential = _estep(b, m, alpha, pi, math.inf)
     assert sequential
-    assert _elbo(new, alpha, pi, counts) >= before
-    assert np.allclose(new, _dense_sequential(y, tau, alpha, pi), rtol=1e-12, atol=1e-14)
+    assert _elbo(new, alpha, pi) >= before
+    assert np.allclose(new.tau, _dense_sequential(y, tau, alpha, pi), rtol=1e-12, atol=1e-14)
+
+
+def _assert_moments_are_fresh(y, m):
+    """Every cached product of `m` equals its recomputation from m.tau."""
+    tau = m.tau
+    s = tau.sum(axis=0)
+    fresh = {"out": y @ tau, "inn": y.T @ tau, "sizes": s, "edges": tau.T @ y @ tau,
+             "pairs": np.outer(s, s) - tau.T @ tau, "entropy": -xlogy(tau, tau).sum()}
+    for name, want in fresh.items():
+        np.testing.assert_allclose(getattr(m, name), want, rtol=1e-12, atol=0.0, err_msg=name)
+
+
+def test_cached_moments_match_a_fresh_recomputation(monkeypatch):
+    from legnet.sbm import _as_binary, _estep, _moments
+    y, tau, alpha, pi = _random_state(seed=44)
+    b = _as_binary(y)
+    new, sequential = _estep(b, _moments(b, tau), alpha, pi, math.inf)
+    assert sequential
+    _assert_moments_are_fresh(y, new)
+
+    # after pruning: record every state the M-step reads during a collapsing fit
+    y, truth = planted(15, 2, 0.5, 0.02, seed=6)
+    y = y.astype(np.float64)
+
+    def init_leaving_class_empty(b, q, mode, rng):
+        tau = np.zeros((b.n, q))
+        tau[np.arange(b.n), truth] = 1.0
+        return tau
+
+    seen = []
+    mstep = legnet.sbm._mstep
+
+    def recording_mstep(m):
+        seen.append(m)
+        return mstep(m)
+
+    monkeypatch.setattr(legnet.sbm, "_init_tau", init_leaving_class_empty)
+    monkeypatch.setattr(legnet.sbm, "_mstep", recording_mstep)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        fit = fit_q(y, 4, seed=0, restarts=1)
+    assert fit.collapsed and len(seen) >= 2
+    assert [m.tau.shape[1] for m in seen] == [4] + [2] * (len(seen) - 1)
+    for m in seen:
+        _assert_moments_are_fresh(y, m)
+
+
+def _svd_init_labels(y, q, rng):
+    """Reference spectral start: k-means on the full SVD's leading directions."""
+    a = y - y.mean()
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    emb = np.hstack([u[:, :q] * s[:q], vt[:q, :].T * s[:q]])
+    _, labels = kmeans2(emb, q, minit="++", seed=np.random.default_rng(rng.integers(2**32)))
+    return labels
+
+
+def test_spectral_init_matches_the_full_svd_embedding():
+    from legnet.sbm import _as_binary, _init_tau
+    rng = np.random.default_rng(29)
+    dense = (rng.random((300, 300)) < 0.5).astype(np.float64)
+    np.fill_diagonal(dense, 0.0)
+    for y in (planted(30, 5, 0.3, 0.04, seed=17)[0].astype(np.float64), dense):
+        b = _as_binary(y)
+        for q in range(2, 21):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                tau = _init_tau(b, q, "spectral", np.random.default_rng(q))
+                labels = _svd_init_labels(y, q, np.random.default_rng(q))
+            assert np.array_equal(tau.argmax(axis=1), labels), q
 
 
 def test_select_q_matches_dense_reference():
