@@ -18,8 +18,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
-from scipy.special import expit
-from scipy.stats import norm
+from scipy.special import chdtrc, expit, ndtr
 
 from ..errors import DataError, EstimationError
 from ..graph import Graph
@@ -204,7 +203,7 @@ def _finalize(theta: np.ndarray, frozen: np.ndarray, fisher: np.ndarray,
     p_values = np.zeros(k)
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(std_err > 0, theta / std_err, np.inf)
-    p_values[free] = 2.0 * norm.sf(np.abs(z[free]))
+    p_values[free] = 2.0 * ndtr(-np.abs(z[free]))
     reported = theta.copy()
     reported[frozen] = np.sign(theta[frozen]) * np.inf
     aic = -2.0 * ll + 2.0 * k
@@ -298,13 +297,14 @@ def report_effects(fit: ErgmFit) -> list[dict]:
 
 
 def likelihood_ratio_test(fit: ErgmFit, null_fit: ErgmFit) -> tuple[float, int, float]:
-    """(statistic, df, p) of the LRT of `fit` against a nested null."""
-    from scipy.stats import chi2
+    """(statistic, df, p) of the LRT of `fit` against a nested null.
 
+    A statistic below 0 (the null fit scored higher) has p = 1.
+    """
     if fit.graph_digest != null_fit.graph_digest:
         raise DataError("fits come from different graphs")
     df = fit.k - null_fit.k
     if df <= 0:
         raise DataError("null model must have fewer terms")
     stat = 2.0 * (fit.log_likelihood - null_fit.log_likelihood)
-    return float(stat), int(df), float(chi2.sf(stat, df))
+    return float(stat), int(df), float(chdtrc(df, max(stat, 0.0)))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io as _io
 import json
+import os
 import warnings
 from pathlib import Path
 from typing import Any, IO, Mapping
@@ -36,8 +37,9 @@ def _as_text(source: str | Path | bytes | IO) -> str:
         return source.decode("utf-8")
     if isinstance(source, str):
         # Literal document content, not a path: blank, multi-line, or a
-        # one-line JSON value. Paths contain none of those.
-        if not source.strip() or "\n" in source or source.lstrip()[0] in "{[":
+        # one-line JSON value that names no file ("[2024] edges.csv" may).
+        if not source.strip() or "\n" in source or (
+                source.lstrip()[0] in "{[" and not os.path.isfile(source)):
             return source
         return _as_text(Path(source))
     data = source.read()

@@ -21,7 +21,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from . import __version__
+from . import __version__, topology
 from .attributes import AttributeTable, subgraph_by_level
 from .config import (RunConfig, STAGES, build_model, model_needs_attrs,
                      model_needs_centrality, spec_from_terms)
@@ -32,8 +32,9 @@ from .graph import ComponentReport, Graph, components
 from .io import dot_dump, edge_csv_dump, graphml_dump, load_attributes, load_edge_list
 from .partition import adjusted_rand, nmi, rand_index
 from .sbm import SbmFit, community_summary, interaction_matrix, select_q
-from .topology import (CentralityReport, ConnectivityReport, assortativity_report,
-                       centrality_report, connectivity_report, density)
+from .topology import (CentralityReport, ConnectivityReport, TriadReport,
+                       _centrality_report, _connectivity_report,
+                       assortativity_report, density)
 
 
 def fmt(x: Any) -> str:
@@ -120,12 +121,18 @@ class Pipeline:
         return load_attributes(Path(self.config.attrs), self.graph)
 
     @cached_property
+    def triads(self) -> TriadReport:
+        # called through the module, so that a wrapper installed on
+        # topology.triad_closure sees the one call of the run
+        return topology.triad_closure(self.graph)
+
+    @cached_property
     def centrality(self) -> CentralityReport:
-        return centrality_report(self.graph, weighted=self.config.weighted_spectral)
+        return _centrality_report(self.graph, self.config.weighted_spectral, self.triads)
 
     @cached_property
     def connectivity(self) -> ConnectivityReport:
-        return connectivity_report(self.graph, min_clique_size=self.config.min_clique_size)
+        return _connectivity_report(self.graph, self.config.min_clique_size, self.triads)
 
     @cached_property
     def census(self) -> ComponentReport:

@@ -343,6 +343,25 @@ def assortativity_scalar(graph: Graph,
 
 
 def centrality_report(graph: Graph, weighted: bool = False) -> CentralityReport:
+    return _centrality_report(graph, weighted, triad_closure(graph))
+
+
+def connectivity_report(graph: Graph,
+                        min_clique_size: int | None = None) -> ConnectivityReport:
+    """Graph-level cohesion summary.
+
+    With min_clique_size=None only the maximum-size cliques are listed;
+    otherwise every maximal clique at or above the threshold is kept.
+    """
+    return _connectivity_report(graph, min_clique_size, triad_closure(graph))
+
+
+# The builders proper take the triad_closure(graph) result, so that a
+# caller making both reports computes it once.
+
+
+def _centrality_report(graph: Graph, weighted: bool,
+                       triads: TriadReport) -> CentralityReport:
     in_deg, out_deg, out_str = degree_strength(graph)
     hub, auth = hits(graph, weighted=weighted)
     return CentralityReport(
@@ -354,18 +373,12 @@ def centrality_report(graph: Graph, weighted: bool = False) -> CentralityReport:
         eigen=eigen_centrality(graph, weighted=weighted),
         hub=hub,
         authority=auth,
-        local_clustering=triad_closure(graph).local_clustering,
+        local_clustering=triads.local_clustering,
     )
 
 
-def connectivity_report(graph: Graph,
-                        min_clique_size: int | None = None) -> ConnectivityReport:
-    """Graph-level cohesion summary.
-
-    With min_clique_size=None only the maximum-size cliques are listed;
-    otherwise every maximal clique at or above the threshold is kept.
-    """
-    triads = triad_closure(graph)
+def _connectivity_report(graph: Graph, min_clique_size: int | None,
+                         triads: TriadReport) -> ConnectivityReport:
     cliques = maximal_cliques(graph, min_size=min_clique_size or 1)
     max_size = max((len(c) for c in cliques), default=0)
     if min_clique_size is None:

@@ -1,9 +1,14 @@
 """Command-line driver: exit codes, overlays, artifact routing."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import legnet
 from legnet import __version__
 from legnet.cli import main
 
@@ -190,6 +195,28 @@ def test_report_runs_everything(toy):
     assert manifest["seed"] == 7
     assert manifest["stages"] == ["ingest", "topology", "assort", "ergm",
                                   "sbm", "score", "report"]
+
+
+def test_report_never_loads_scipy_stats(toy):
+    # A fresh process, because the test session itself imports scipy.stats.
+    # model1,model2 makes the run reach the likelihood-ratio test.
+    epath, apath, out = toy
+    argv = ["report", "--edges", str(epath), "--attrs", str(apath),
+            "--out", str(out), "--models", "model1,model2",
+            "--q-range", "1:3", "--restarts", "2", "--seed", "7"]
+    script = ("import json, sys\n"
+              "import legnet.cli\n"
+              "after_import = 'scipy.stats' in sys.modules\n"
+              f"code = legnet.cli.main({argv!r})\n"
+              "print(json.dumps([after_import, code, 'scipy.stats' in sys.modules]))\n")
+    src = str(Path(legnet.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path},
+                          timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == [False, 0, False]
+    assert (out / "ergm_lrt_vs_edges.csv").exists()
 
 
 def test_json_fields_flag_round_trip(tmp_path):

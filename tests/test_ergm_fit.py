@@ -1,5 +1,6 @@
 """Model fitting against closed forms and a full-enumeration oracle."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -126,7 +127,7 @@ def test_standard_errors_match_numerical_fisher():
     se = np.sqrt(np.diag(np.linalg.inv(fisher)))
     assert np.allclose(fit.std_err, se, rtol=1e-4)
     z = np.asarray(fit.theta) / np.asarray(fit.std_err)
-    assert np.allclose(fit.p_values, 2 * norm.sf(np.abs(z)), rtol=1e-10)
+    assert np.array_equal(fit.p_values, 2 * norm.sf(np.abs(z)))
 
 
 def test_information_criteria_arithmetic():
@@ -195,7 +196,11 @@ def test_likelihood_ratio_test_against_chi2():
     stat, df, p = likelihood_ratio_test(full, null)
     assert stat == pytest.approx(2 * (full.log_likelihood - null.log_likelihood))
     assert df == 1
-    assert p == pytest.approx(chi2.sf(stat, 1))
+    assert p == chi2.sf(stat, 1)
+    # a null that scores higher (a fit stopped short) gives a negative statistic
+    worse = dataclasses.replace(full, log_likelihood=null.log_likelihood - 1.0)
+    stat, _, p = likelihood_ratio_test(worse, null)
+    assert stat < 0 and p == chi2.sf(stat, 1) == 1.0
 
 
 def test_likelihood_ratio_test_rejects_mismatches():

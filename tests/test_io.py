@@ -34,6 +34,17 @@ def test_missing_file_is_a_data_error(tmp_path):
         legnet.load_edge_list(str(tmp_path / "nope.csv"))
 
 
+def test_bracketed_file_name_is_read_as_a_path(tmp_path, monkeypatch):
+    (tmp_path / "[2024] edges.csv").write_text(CSV_DOC)
+    (tmp_path / "{house} edges.csv").write_text(CSV_DOC)
+    monkeypatch.chdir(tmp_path)
+    for name in ("[2024] edges.csv", "{house} edges.csv"):
+        assert legnet.load_edge_list(name).edge_count == 3
+    # a one-line JSON document that names no file is still document text
+    doc = json.dumps(UPSTREAM)
+    assert legnet.load_edge_list(doc, format="upstream-json").edge_count == 3
+
+
 def test_csv_header_must_name_columns():
     with pytest.raises(DataError, match="source"):
         legnet.load_edge_list("from,to,weight\na,b,0.5\n")
@@ -147,6 +158,13 @@ def test_attribute_loading():
     assert attrs.categorical("party") == ("Blue", "Gold", "Blue")
     assert attrs.numeric("age").tolist() == [55.0, 47.0, 61.0]
     assert attrs.has("chamber") and not attrs.has("religion")
+
+
+def test_attributes_from_bracketed_file_name(tmp_path, monkeypatch):
+    (tmp_path / "[2024] attrs.csv").write_text(ATTR_DOC)
+    monkeypatch.chdir(tmp_path)
+    attrs = legnet.load_attributes("[2024] attrs.csv", graph_abc())
+    assert attrs.categorical("party") == ("Blue", "Gold", "Blue")
 
 
 def test_attribute_rows_align_to_graph_regardless_of_order():

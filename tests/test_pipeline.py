@@ -283,3 +283,25 @@ def test_sbm_prune_warnings_become_counted_notices(tmp_path, monkeypatch):
     fit = json.loads((tmp_path / "out" / "sbm_fit.json").read_text())
     assert [sorted(run) for run in fit["runs"]] == [
         ["collapsed", "converged", "iterations", "sequential_esteps"]]
+
+
+def test_report_computes_triad_closure_once(tmp_path, monkeypatch):
+    import legnet.topology as topology_module
+    real_triad_closure = topology_module.triad_closure
+    calls = []
+
+    def counted(graph):
+        calls.append(graph)
+        return real_triad_closure(graph)
+
+    monkeypatch.setattr(topology_module, "triad_closure", counted)
+    src = tmp_path / "src"
+    src.mkdir()
+    epath, apath = write_toy(src)
+    config = config_from_dict({
+        "edges": str(epath), "attrs": str(apath), "out": str(tmp_path / "out"),
+        "stages": ["topology", "assort", "report"],
+    })
+    manifest = legnet.run(config)
+    assert {"centrality.csv", "connectivity.json", "summary.md"} <= set(manifest["outputs"])
+    assert len(calls) == 1
