@@ -6,9 +6,18 @@ supported terms are dyad-local. fit_mple is the pseudolikelihood
 logistic regression of each tie on its change statistic; the two
 coincide for dyad-independent specs.
 
+Both maximize by Newton's method with step halving. Iteration stops
+when the largest free gradient entry is below `tol`, or once a step is
+taken whose Newton decrement (the gain the quadratic model predicts) is
+within the rounding of the log-likelihood, 16 eps |ll|: such a step is
+evaluated once, and any change of ll within that rounding accepts it.
+A step above the rounding is halved until ll does not fall.
+
 Separation: a coefficient driven past |25| is pinned there so the rest
 of the model stays estimable, and is reported as signed infinity with
-zero standard error.
+zero standard error. A term that is 0 in every state of every dyad
+(DyadDesign.inestimable) is held at 0 outside the Newton system and
+reported with NaN estimate, standard error and p-value.
 """
 
 from __future__ import annotations
@@ -76,12 +85,12 @@ def _dyad_moments(design: DyadDesign, theta: np.ndarray
     (y1, y2, y1 y2) mapped through [t1, t2, m]. Complements such as
     1 - P(y1) are summed from the other states, exact near certainty.
     """
-    w = design.state_log_weights(theta)
-    top = w.max(axis=1, keepdims=True)
+    w = design.state_log_weights(theta).T      # (4, D): one row per state
+    top = w.max(axis=0)
     e = np.exp(w - top)
-    total = e.sum(axis=1, keepdims=True)
+    total = e.sum(axis=0)
     log_kappa = float((top + np.log(total)).sum())
-    p00, p10, p01, p11 = (e / total).T
+    p00, p10, p01, p11 = e / total
     t1, t2, m = design.t1, design.t2, design.mvec
     q1, q2 = p10 + p11, p01 + p11          # P(y1), P(y2)
     r1, r2 = p00 + p01, p00 + p10          # 1 - P(y1), 1 - P(y2)
@@ -135,9 +144,12 @@ def _newton(objective, k: int, tol: float, max_iter: int,
     """Maximize a concave objective with separation pinning.
 
     objective(theta) -> (ll, grad, fisher). Returns (theta, frozen,
-    fisher, ll, converged, iterations). Also converged once a step is
-    applied whose Newton decrement is within rounding of ll, since on
-    large dyad sums the gradient's rounding floor can sit above `tol`.
+    fisher, ll, converged, iterations). pre_frozen coordinates stay at
+    pre_sign * SEPARATION_BOUND; a sign of 0 holds one at 0. Also
+    converged once a step is applied whose Newton decrement is within
+    rounding of ll, since on large dyad sums the gradient's rounding
+    floor can sit above `tol`; ll cannot rank such a step, so it is
+    evaluated once.
     """
     theta = np.zeros(k)
     frozen = np.zeros(k, dtype=bool)
@@ -162,6 +174,9 @@ def _newton(objective, k: int, tol: float, max_iter: int,
         except np.linalg.LinAlgError:
             step = np.linalg.lstsq(sub, ascent, rcond=None)[0]
         decrement = 0.5 * step @ ascent
+        rounding = 16.0 * np.finfo(float).eps * abs(ll)
+        settled = decrement <= rounding
+        slack = max(rounding, 1e-12) if settled else 1e-12
         # step halving keeps the ascent monotone on flat/ill-scaled spots
         for _ in range(40):
             trial = theta.copy()
@@ -169,7 +184,7 @@ def _newton(objective, k: int, tol: float, max_iter: int,
             over = (np.abs(trial) > SEPARATION_BOUND) & free
             trial[over] = np.sign(trial[over]) * SEPARATION_BOUND
             new_ll, new_grad, new_fisher = objective(trial)
-            ascended = new_ll >= ll - 1e-12
+            ascended = new_ll >= ll - slack
             if ascended or np.abs(step).max() < 1e-12:
                 theta, ll, grad, fisher = trial, new_ll, new_grad, new_fisher
                 frozen |= over
@@ -177,7 +192,7 @@ def _newton(objective, k: int, tol: float, max_iter: int,
             step *= 0.5
         else:
             raise EstimationError("line search failed to make progress")
-        if ascended and decrement <= 16.0 * np.finfo(float).eps * abs(ll):
+        if ascended and settled:
             converged = True
             break
     else:
@@ -189,8 +204,12 @@ def _newton(objective, k: int, tol: float, max_iter: int,
 def _finalize(theta: np.ndarray, frozen: np.ndarray, fisher: np.ndarray,
               ll: float, n_obs: int, method: str, spec: ErgmSpec,
               digest: str, converged: bool, iterations: int,
-              diagnostics: dict[str, Any] | None = None) -> ErgmFit:
+              diagnostics: dict[str, Any] | None = None,
+              inestimable: np.ndarray | None = None) -> ErgmFit:
+    """Wald inference at theta; `frozen` includes the inestimable terms."""
     k = theta.shape[0]
+    if inestimable is None:
+        inestimable = np.zeros(k, dtype=bool)
     std_err = np.zeros(k)
     free = ~frozen
     if free.any():
@@ -204,8 +223,11 @@ def _finalize(theta: np.ndarray, frozen: np.ndarray, fisher: np.ndarray,
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(std_err > 0, theta / std_err, np.inf)
     p_values[free] = 2.0 * ndtr(-np.abs(z[free]))
+    separated = frozen & ~inestimable
     reported = theta.copy()
-    reported[frozen] = np.sign(theta[frozen]) * np.inf
+    reported[separated] = np.sign(theta[separated]) * np.inf
+    for values in (reported, std_err, p_values):
+        values[inestimable] = np.nan
     aic = -2.0 * ll + 2.0 * k
     bic = -2.0 * ll + k * np.log(n_obs)
     return ErgmFit(
@@ -217,7 +239,7 @@ def _finalize(theta: np.ndarray, frozen: np.ndarray, fisher: np.ndarray,
         aic=float(aic),
         bic=float(bic),
         method=method,
-        separation=frozen.copy(),
+        separation=separated,
         theta_pinned=theta.copy(),
         n_obs=n_obs,
         converged=converged,
@@ -237,18 +259,24 @@ def fit_exact_dyad(graph: Graph, spec: ErgmSpec,
     """
     design = DyadDesign.from_graph(graph, spec)
     g_obs = design.statistics()
-    states = np.stack([np.zeros_like(design.t1), design.t1, design.t2,
-                       design.t1 + design.t2 + design.mvec[None, :]])
-    pre, sign = _boundary_freeze(g_obs, states.min(axis=0).sum(axis=0),
-                                 states.max(axis=0).sum(axis=0))
+    # each statistic's achievable range: per dyad, the extremes over the
+    # states' values 0, t1, t2 and t1 + t2 + m, one term row at a time
+    low, high = np.empty(spec.k), np.empty(spec.k)
+    for k, (a, b, m) in enumerate(zip(design.t1.T, design.t2.T, design.mvec)):
+        both = a + b + m
+        low[k] = np.minimum(np.minimum(a, b), np.minimum(both, 0.0)).sum()
+        high[k] = np.maximum(np.maximum(a, b), np.maximum(both, 0.0)).sum()
+    dead = design.inestimable
+    pre, sign = _boundary_freeze(g_obs, low, high)
 
     def objective(theta: np.ndarray):
         return _dyad_loglik(design, theta, g_obs)
 
-    theta, frozen, fisher, ll, converged, it = _newton(objective, spec.k, tol,
-                                                       max_iter, pre, sign)
+    theta, frozen, fisher, ll, converged, it = _newton(
+        objective, spec.k, tol, max_iter, pre | dead, np.where(dead, 0.0, sign))
     return _finalize(theta, frozen, fisher, ll, design.n_ordered_pairs,
-                     "exact-dyad", spec, graph_digest(graph), converged, it)
+                     "exact-dyad", spec, graph_digest(graph), converged, it,
+                     inestimable=dead)
 
 
 def fit_mple(graph: Graph, spec: ErgmSpec,
@@ -260,16 +288,18 @@ def fit_mple(graph: Graph, spec: ErgmSpec,
     """
     design = DyadDesign.from_graph(graph, spec)
     x, y = design.ordered_design_matrix()
+    dead = design.inestimable
     pre, sign = _boundary_freeze(x.T @ y, np.minimum(x, 0.0).sum(axis=0),
                                  np.maximum(x, 0.0).sum(axis=0))
 
     def objective(theta: np.ndarray):
         return _logistic_loglik(x, y, theta)
 
-    theta, frozen, fisher, ll, converged, it = _newton(objective, spec.k, tol,
-                                                       max_iter, pre, sign)
+    theta, frozen, fisher, ll, converged, it = _newton(
+        objective, spec.k, tol, max_iter, pre | dead, np.where(dead, 0.0, sign))
     return _finalize(theta, frozen, fisher, ll, design.n_ordered_pairs,
-                     "mple", spec, graph_digest(graph), converged, it)
+                     "mple", spec, graph_digest(graph), converged, it,
+                     inestimable=dead)
 
 
 def expected_statistics(graph: Graph, spec: ErgmSpec, theta: np.ndarray) -> np.ndarray:

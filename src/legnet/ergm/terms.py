@@ -139,12 +139,17 @@ def _term_pair_columns(term: ErgmTerm, iu: np.ndarray, ju: np.ndarray,
         both = x[iu] + x[ju]
         return both, both.copy(), 0.0
     if isinstance(term, NodeMatch):
-        lab = np.asarray(term.labels, dtype=object)
-        if lab.shape != (n,):
-            raise DataError(f"labels {term.name!r} have {lab.shape[0]} values for {n} nodes")
-        same = (lab[iu] == lab[ju])
-        if term.level is not None:
-            same = same & (lab[iu] == term.level)
+        if len(term.labels) != n:
+            raise DataError(f"labels {term.name!r} have {len(term.labels)} values for {n} nodes")
+        # integer level codes in order of first appearance
+        index: dict[str, int] = {}
+        codes = np.fromiter((index.setdefault(v, len(index)) for v in term.labels),
+                            dtype=np.int64, count=n)
+        if term.level is None:
+            same = codes[iu] == codes[ju]
+        else:
+            hit = codes == index[term.level]
+            same = hit[iu] & hit[ju]
         col = same.astype(np.float64)
         return col, col.copy(), 0.0
     if isinstance(term, AbsDiff):
@@ -160,7 +165,9 @@ class DyadDesign:
     """Statistic decomposition of a spec over a graph's dyads.
 
     Attributes t1/t2 are (D, K); mvec is (K,); y1/y2 are the observed
-    tie indicators for the pair orientations (i<j) -> and <-.
+    tie indicators for the pair orientations (i<j) -> and <-. t1 and t2
+    are stored term-major: each is the transpose of a contiguous (K, D)
+    array, so every per-term pass over the dyads reads whole rows.
     """
 
     def __init__(self, n: int, spec: ErgmSpec) -> None:
@@ -169,14 +176,10 @@ class DyadDesign:
         self.n = n
         self.spec = spec
         self.iu, self.ju = np.triu_indices(n, 1)
-        cols1, cols2, mus = [], [], []
-        for term in spec.terms:
-            c1, c2, m = _term_pair_columns(term, self.iu, self.ju, n)
-            cols1.append(c1)
-            cols2.append(c2)
-            mus.append(m)
-        self.t1 = np.column_stack(cols1)
-        self.t2 = np.column_stack(cols2)
+        cols1, cols2, mus = zip(*(_term_pair_columns(term, self.iu, self.ju, n)
+                                   for term in spec.terms))
+        self.t1 = np.array(cols1).T
+        self.t2 = np.array(cols2).T
         self.mvec = np.asarray(mus)
         self.y1 = np.zeros(self.iu.shape[0], dtype=bool)
         self.y2 = np.zeros(self.iu.shape[0], dtype=bool)
@@ -214,10 +217,26 @@ class DyadDesign:
 
         The model is the product over dyads of the categoricals these
         weights define; the likelihood and the sampler both use them.
+        The array is stored state-major: its transpose is the contiguous
+        (4, D) layout, so reductions over the states read whole rows.
         """
-        a1, a2 = self.t1 @ theta, self.t2 @ theta
-        return np.column_stack([np.zeros_like(a1), a1, a2,
-                                a1 + a2 + float(self.mvec @ theta)])
+        w = np.empty((4, self.n_dyads))
+        w[0] = 0.0
+        np.matmul(self.t1, theta, out=w[1])
+        np.matmul(self.t2, theta, out=w[2])
+        np.add(w[1], w[2], out=w[3])
+        w[3] += float(self.mvec @ theta)
+        return w.T
+
+    @property
+    def inestimable(self) -> np.ndarray:
+        """(K,) mask of terms that are 0 in every state of every dyad.
+
+        Such a term (say, a differential match on a level with one
+        member) leaves the likelihood flat along its axis: no data can
+        estimate it.
+        """
+        return ~(self.t1.any(axis=0) | self.t2.any(axis=0) | (self.mvec != 0.0))
 
     def statistics(self, y1: np.ndarray | None = None,
                    y2: np.ndarray | None = None) -> np.ndarray:
@@ -248,11 +267,11 @@ class DyadDesign:
 
         Row order: all (i, j) with i < j first, then all (j, i).
         Each row is the change statistic of that tie in the observed
-        graph.
+        graph. X is stored term-major, like t1 and t2.
         """
-        x_fwd = self.t1 + self.y2.astype(np.float64)[:, None] * self.mvec[None, :]
-        x_rev = self.t2 + self.y1.astype(np.float64)[:, None] * self.mvec[None, :]
-        x = np.vstack([x_fwd, x_rev])
+        x_fwd = self.t1.T + np.outer(self.mvec, self.y2.astype(np.float64))
+        x_rev = self.t2.T + np.outer(self.mvec, self.y1.astype(np.float64))
+        x = np.hstack([x_fwd, x_rev]).T
         y = np.concatenate([self.y1, self.y2]).astype(np.float64)
         return x, y
 

@@ -311,6 +311,10 @@ class Pipeline:
                 continue
             fit = self._fit(spec)
             self._fits.append((name, fit))
+            for label, value in zip(fit.labels, fit.theta):
+                if np.isnan(value):
+                    self.notice(f"ergm: {name}: {label} is 0 on every dyad "
+                                "and cannot be estimated; reported as NaN")
             if fit.k == 1 and fit.labels == ("edges",):
                 null_fit = fit
             payload = {

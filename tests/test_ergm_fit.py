@@ -8,12 +8,14 @@ import pytest
 from scipy.stats import chi2, norm
 
 import legnet
+import legnet.ergm.fit as fit_module
 from legnet import DataError, EstimationError, Graph
 from legnet.ergm import (AbsDiff, Edges, ErgmSpec, Mutual, NodeCovariate,
                          NodeMatch, expected_statistics, fit_exact_dyad,
                          fit_mple, likelihood_ratio_test, report_effects)
 
-from conftest import graph_from_matrix, matrix_of, oracle_mle, random_digraph
+from conftest import (enumerate_graphs, graph_from_matrix, matrix_of, oracle_mle,
+                      oracle_statistics, random_digraph)
 
 
 def logit(p):
@@ -88,6 +90,49 @@ def test_mle_moment_condition():
         mean = expected_statistics(g, spec, np.asarray(fit.theta))
         obs = legnet.global_statistics(g, spec)
         assert np.allclose(mean, obs, atol=1e-6)
+
+
+def test_dyad_moments_match_enumeration():
+    # every one of the 4^6 dyad states of a 4-node graph, one term of
+    # each kind; the log normalizing constant, mean and covariance of g
+    from legnet.ergm import DyadDesign
+    from legnet.ergm.fit import _dyad_moments
+
+    n = 4
+    rng = np.random.default_rng(3)
+    x, z = tuple(rng.uniform(0, 2, n)), tuple(rng.uniform(0, 2, n))
+    lab = ("u", "v", "u", "v")
+    spec = ErgmSpec([Edges(), Mutual(), NodeCovariate("x", x, "sender"),
+                     NodeCovariate("x", x, "receiver"), NodeCovariate("z", z, "sum"),
+                     NodeMatch("g", lab), NodeMatch("g", lab, level="v"),
+                     AbsDiff("z", z)])
+    terms = [("edges",), ("mutual",), ("cov", x, "sender"), ("cov", x, "receiver"),
+             ("cov", z, "sum"), ("match", lab, None), ("match", lab, "v"),
+             ("absdiff", z)]
+    stats = np.array([oracle_statistics(y, terms) for y in enumerate_graphs(n)])
+    assert stats.shape == (4 ** 6, spec.k)
+    design = DyadDesign(n, spec)
+    thetas = [rng.uniform(-1, 1, spec.k),
+              # near the separation bound the per-dyad max-shift carries
+              # the weights, and most states are near certainty
+              np.array([24.6, -24.9, 0.3, -0.2, 0.1, -24.7, 0.4, -0.3]),
+              np.array([-24.8, 24.9, -0.1, 0.2, -0.4, 24.5, -24.6, 0.2])]
+    for theta in thetas:
+        a = stats @ theta
+        top = int(a.argmax())
+        w = np.exp(a - a[top])
+        # moments about the most likely state's statistic: no cancellation
+        d = stats - stats[top]
+        total = 1.0 + np.delete(w, top).sum()
+        shift = (w @ d) / total
+        want_cov = d.T @ (w[:, None] * d) / total - np.outer(shift, shift)
+        want_log_kappa = a[top] + math.log1p(np.delete(w, top).sum())
+        log_kappa, mean, cov = _dyad_moments(design, theta)
+        assert log_kappa == pytest.approx(want_log_kappa, rel=1e-12, abs=0)
+        assert np.allclose(mean, stats[top] + shift, rtol=1e-12, atol=0)
+        # covariances against the scale of their two variances
+        scale = np.sqrt(np.outer(np.diag(want_cov), np.diag(want_cov)))
+        assert np.all(np.abs(cov - want_cov) <= 1e-12 * scale)
 
 
 def test_mple_equals_exact_for_dyad_independent_models():
@@ -189,6 +234,31 @@ def test_report_effects_values():
         assert r["expit"] == pytest.approx(1 / (1 + math.exp(-theta)))
 
 
+def test_inestimable_term_is_nan_and_leaves_the_rest_alone():
+    # a level with a single member matches no pair: its term is 0 on
+    # every dyad, so the data say nothing about its coefficient
+    n = 12
+    g = random_digraph(n, p=0.3, seed=8, mutual_boost=0.4)
+    x = tuple(np.random.default_rng(8).uniform(0, 2, n))
+    lab = tuple(["u", "v"][i % 2] for i in range(n - 1)) + ("solo",)
+    without = [Edges(), Mutual(), NodeCovariate("x", x, "sender"), NodeMatch("g", lab)]
+    with_term = without[:2] + [NodeMatch("g", lab, level="solo")] + without[2:]
+    for fit_fn in (fit_exact_dyad, fit_mple):
+        fit = fit_fn(g, ErgmSpec(with_term))
+        ref = fit_fn(g, ErgmSpec(without))
+        assert np.isnan(fit.theta[2]) and np.isnan(fit.std_err[2])
+        assert np.isnan(fit.p_values[2])
+        assert not fit.separation.any() and fit.theta_pinned[2] == 0.0
+        keep = [0, 1, 3, 4]
+        for got, want in ((fit.theta, ref.theta), (fit.std_err, ref.std_err),
+                          (fit.p_values, ref.p_values)):
+            assert np.allclose(got[keep], want, rtol=1e-10, atol=0), fit_fn
+        assert fit.log_likelihood == pytest.approx(ref.log_likelihood, rel=1e-12)
+        assert fit.converged and fit.iterations == ref.iterations
+        rows = report_effects(fit)
+        assert math.isnan(rows[2]["exp"]) and math.isnan(rows[2]["expit"])
+
+
 def test_likelihood_ratio_test_against_chi2():
     g = random_digraph(12, p=0.3, seed=44, mutual_boost=0.6)
     null = fit_exact_dyad(g, ErgmSpec([Edges()]))
@@ -215,7 +285,7 @@ def test_likelihood_ratio_test_rejects_mismatches():
         likelihood_ratio_test(same_k, null)
 
 
-def test_published_census_converges_to_p1_closed_form():
+def test_published_census_converges_to_p1_closed_form(monkeypatch):
     # the published chamber's dyad census: 475 members, 13,300 ties,
     # 3,059 mutual dyads. On 112,575 dyads the gradient's rounding floor
     # sits above 1e-8, so convergence rests on the Newton decrement.
@@ -228,6 +298,14 @@ def test_published_census_converges_to_p1_closed_form():
     src = np.concatenate([i[:mutual], j[:mutual], np.where(flip, j[mutual:], i[mutual:])])
     dst = np.concatenate([j[:mutual], i[:mutual], np.where(flip, i[mutual:], j[mutual:])])
     g = Graph(zip(src.tolist(), dst.tolist(), [1.0] * src.shape[0]), nodes=range(n))
+    calls = []
+    real = fit_module._dyad_loglik
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(fit_module, "_dyad_loglik", counted)
     fit = fit_exact_dyad(g, ErgmSpec([Edges(), Mutual()]))
 
     dyads = n * (n - 1) // 2
@@ -236,8 +314,11 @@ def test_published_census_converges_to_p1_closed_form():
     ll = (mutual * math.log(mutual / dyads) + asym * math.log(asym / (2 * dyads))
           + null * math.log(null / dyads))
     assert fit.converged
-    assert np.allclose(fit.theta, theta, rtol=1e-8, atol=0.0)
+    assert np.allclose(fit.theta, theta, rtol=1e-11, atol=0.0)
     assert fit.log_likelihood == pytest.approx(ll, rel=1e-14)
+    # one evaluation per step: the last step, whose predicted gain is
+    # below the rounding of ll, is taken once and not halved
+    assert len(calls) <= fit.iterations + 1
 
 
 def test_stalled_line_search_is_not_convergence():
@@ -250,3 +331,22 @@ def test_stalled_line_search_is_not_convergence():
 
     with pytest.raises(EstimationError, match="no convergence"):
         _newton(objective, 1, tol=1e-8, max_iter=20)
+
+
+def test_step_within_rounding_is_taken_once():
+    # near the optimum ll moves only in its last digits: each evaluation
+    # reads 1e-11 lower, below the rounding 16 eps |ll| = 1.8e-10 of ll.
+    # The step's predicted gain (5e-17) is within that rounding, so it is
+    # evaluated once, accepted and ends the iteration, where halving
+    # would chase the noise.
+    from legnet.ergm.fit import _newton
+
+    calls = []
+
+    def objective(theta):
+        calls.append(theta.copy())
+        return -5e4 - 1e-11 * len(calls), np.array([1e-6]), np.array([[1e4]])
+
+    theta, frozen, _, _, converged, it = _newton(objective, 1, tol=1e-8, max_iter=20)
+    assert converged and it == 1 and len(calls) == 2
+    assert theta[0] == pytest.approx(1e-10, rel=1e-12) and not frozen.any()

@@ -42,6 +42,17 @@ def test_global_statistics_match_direct_counting():
         got = global_statistics(g, spec)
         want = oracle_statistics(matrix_of(g), terms)
         assert np.allclose(got, want)
+    # match labels whose sorted order is not their first-seen order, and
+    # numeric-looking strings that compare equal only as numbers
+    lab = ("10", "9", "010", "9", "10", "010", "9")
+    g = random_digraph(7, p=0.6, seed=21, mutual_boost=0.5)
+    spec = ErgmSpec([NodeMatch("grp", lab), NodeMatch("grp", lab, level="010"),
+                     NodeMatch("grp", lab, level="9")])
+    want = oracle_statistics(matrix_of(g), [("match", lab, None),
+                                            ("match", lab, "010"),
+                                            ("match", lab, "9")])
+    assert global_statistics(g, spec).tolist() == want.tolist()
+    assert want.min() > 0
 
 
 def test_change_statistic_is_a_toggle_difference():

@@ -305,3 +305,30 @@ def test_report_computes_triad_closure_once(tmp_path, monkeypatch):
     manifest = legnet.run(config)
     assert {"centrality.csv", "connectivity.json", "summary.md"} <= set(manifest["outputs"])
     assert len(calls) == 1
+
+
+def test_inestimable_term_is_blank_and_noticed(tmp_path):
+    # one member alone on state "S9": a match on that level is 0 on
+    # every dyad and has no estimate
+    src = tmp_path / "src"
+    src.mkdir()
+    epath, apath = write_toy(src)
+    lines = apath.read_text().splitlines()
+    header = lines[0].split(",")
+    first = lines[1].split(",")
+    first[header.index("state")] = "S9"
+    lines[1] = ",".join(first)
+    apath.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    terms = [{"term": "edges"}, {"term": "match", "attribute": "state", "level": "S9"},
+             {"term": "match", "attribute": "party"}]
+    config = config_from_dict({
+        "edges": str(epath), "attrs": str(apath), "out": str(out), "seed": 1,
+        "stages": ["ergm"], "models": [{"name": "solo", "terms": terms}],
+    })
+    manifest = legnet.run(config)
+    rows = (out / "ergm_coefficients.csv").read_text().splitlines()
+    assert rows[2] == "solo,match(state=S9),,,"
+    assert all(cell for row in (rows[1], rows[3]) for cell in row.split(","))
+    assert ("ergm: solo: match(state=S9) is 0 on every dyad and cannot be "
+            "estimated; reported as NaN") in manifest["notices"]
