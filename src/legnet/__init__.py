@@ -18,9 +18,8 @@ from .io import (load_attributes, load_edge_list, save_dot, save_edge_list,
 from .partition import adjusted_rand, contingency, nmi, rand_index
 from .ergm import (AbsDiff, DyadDesign, Edges, ErgmFit, ErgmSpec, McmleControl,
                    Mutual, NodeCovariate, NodeMatch, SimControl, SimResult,
-                   change_statistics, ess, expected_statistics, fit_exact_dyad,
-                   fit_mcmle, fit_mple, geweke_z, global_statistics,
-                   integrated_autocorr_time, likelihood_ratio_test,
+                   change_statistics, expected_statistics, fit_exact_dyad,
+                   fit_mcmle, fit_mple, global_statistics, likelihood_ratio_test,
                    mcmc_diagnostics, report_effects, simulate)
 from .sbm import (SbmFit, classification_icl, community_summary, fit_q,
                   interaction_matrix, select_q)
@@ -43,9 +42,9 @@ __all__ = [
     "change_statistics", "classification_icl", "closeness",
     "community_summary", "compare_models", "components", "config_from_dict",
     "connectivity_report", "contingency", "degree_strength", "density",
-    "eigen_centrality", "ess", "expected_statistics", "fit_exact_dyad",
-    "fit_mcmle", "fit_mple", "fit_q", "geweke_z", "global_statistics", "hits",
-    "integrated_autocorr_time", "interaction_matrix", "likelihood_ratio_test",
+    "eigen_centrality", "expected_statistics", "fit_exact_dyad",
+    "fit_mcmle", "fit_mple", "fit_q", "global_statistics", "hits",
+    "interaction_matrix", "likelihood_ratio_test",
     "load_attributes", "load_config", "load_edge_list", "maximal_cliques",
     "mcmc_diagnostics", "nmi", "parse_q_range", "rand_index",
     "reciprocity", "report_effects", "run", "save_dot", "save_edge_list",

@@ -1,6 +1,6 @@
 """Exponential random graph modeling: terms, estimators, simulation."""
 
-from .diagnostics import ess, geweke_z, integrated_autocorr_time, mcmc_diagnostics
+from .diagnostics import mcmc_diagnostics
 from .fit import (ErgmFit, expected_statistics, fit_exact_dyad, fit_mple,
                   graph_digest, likelihood_ratio_test, report_effects)
 from .mcmle import McmleControl, fit_mcmle
@@ -12,8 +12,8 @@ from .terms import (AbsDiff, DyadDesign, Edges, ErgmSpec, ErgmTerm, Mutual,
 __all__ = [
     "AbsDiff", "DyadDesign", "Edges", "ErgmFit", "ErgmSpec", "ErgmTerm",
     "McmleControl", "Mutual", "NodeCovariate", "NodeMatch", "SimControl",
-    "SimResult", "change_statistics", "ess", "expected_statistics",
-    "fit_exact_dyad", "fit_mcmle", "fit_mple", "geweke_z", "global_statistics",
-    "graph_digest", "integrated_autocorr_time", "likelihood_ratio_test",
-    "mcmc_diagnostics", "report_effects", "sample_states", "simulate",
+    "SimResult", "change_statistics", "expected_statistics",
+    "fit_exact_dyad", "fit_mcmle", "fit_mple", "global_statistics",
+    "graph_digest", "likelihood_ratio_test", "mcmc_diagnostics",
+    "report_effects", "sample_states", "simulate",
 ]

@@ -1,4 +1,4 @@
-"""Chain-quality summaries for simulated statistic traces."""
+"""Per-term summaries of the statistics simulated by a Monte-Carlo fit."""
 
 from __future__ import annotations
 
@@ -7,70 +7,11 @@ import numpy as np
 from ..errors import DataError
 
 
-def integrated_autocorr_time(trace: np.ndarray) -> float:
-    """Geyer initial-positive-sequence estimate of the IACT.
-
-    Returns NaN for a constant trace (no information in the chain).
-    """
-    x = np.asarray(trace, dtype=np.float64)
-    s = x.shape[0]
-    if s < 4:
-        return np.nan
-    x = x - x.mean()
-    var0 = float(x @ x) / s
-    if var0 == 0.0:
-        return np.nan
-    # autocovariances up to lag s-2
-    acov = np.correlate(x, x, mode="full")[s - 1:] / s
-    rho = acov / var0
-    tau = 1.0
-    k = 1
-    while k + 1 < s:
-        pair = rho[k] + rho[k + 1]
-        if pair <= 0.0:
-            break
-        tau += 2.0 * pair
-        k += 2
-    return float(tau)
-
-
-def ess(trace: np.ndarray) -> float:
-    """Effective sample size; NaN marks a degenerate (constant) trace."""
-    tau = integrated_autocorr_time(trace)
-    if not np.isfinite(tau):
-        return np.nan
-    return float(len(trace) / tau)
-
-
-def geweke_z(trace: np.ndarray, first: float = 0.1, last: float = 0.5) -> float:
-    """Geweke convergence score comparing early and late chain segments.
-
-    Segment variances are inflated by the integrated autocorrelation
-    time, so the score is calibrated for correlated draws. NaN for
-    constant traces.
-    """
-    x = np.asarray(trace, dtype=np.float64)
-    s = x.shape[0]
-    if s < 10:
-        return np.nan
-    a = x[: int(first * s)]
-    b = x[s - int(last * s):]
-    tau_a = integrated_autocorr_time(a)
-    tau_b = integrated_autocorr_time(b)
-    if not (np.isfinite(tau_a) and np.isfinite(tau_b)):
-        return np.nan
-    var = a.var(ddof=1) * tau_a / len(a) + b.var(ddof=1) * tau_b / len(b)
-    if var <= 0.0:
-        return np.nan
-    return float((a.mean() - b.mean()) / np.sqrt(var))
-
-
 def mcmc_diagnostics(fit) -> list[dict]:
-    """Per-term trace summary for a Monte-Carlo fit.
+    """Per-term distribution of the last phase's simulated statistics.
 
-    Each row reports the simulated-statistic distribution, the Geweke
-    score (flagged when |z| > 2 or undefined), and the effective sample
-    size (NaN = degenerate trace).
+    A term whose simulated statistic never varies (sd 0) is flagged
+    `degenerate`: the draws carry no information about it.
     """
     if fit.method != "mcmle" or "trace" not in fit.diagnostics:
         raise DataError("diagnostics need a fit produced by fit_mcmle")
@@ -78,21 +19,17 @@ def mcmc_diagnostics(fit) -> list[dict]:
     rows = []
     for k, label in enumerate(fit.labels):
         col = trace[:, k]
-        z = geweke_z(col)
-        n_eff = ess(col)
+        sd = float(col.std(ddof=1))
         q = np.quantile(col, [0.0, 0.25, 0.5, 0.75, 1.0])
         rows.append({
             "term": label,
             "mean": float(col.mean()),
-            "sd": float(col.std(ddof=1)),
+            "sd": sd,
             "min": float(q[0]),
             "q25": float(q[1]),
             "median": float(q[2]),
             "q75": float(q[3]),
             "max": float(q[4]),
-            "geweke_z": float(z) if np.isfinite(z) else float("nan"),
-            "ess": float(n_eff) if np.isfinite(n_eff) else float("nan"),
-            "stationarity_flag": bool(not np.isfinite(z) or abs(z) > 2.0),
-            "degenerate": bool(not np.isfinite(n_eff)),
+            "degenerate": sd == 0.0,
         })
     return rows

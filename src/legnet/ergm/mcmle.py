@@ -1,13 +1,15 @@
 """Monte-Carlo maximum likelihood (Geyer-Thompson iteration).
 
-Starting from the pseudolikelihood estimate, each phase simulates
-networks at the current theta and maximizes the importance-sampled
+Starting from the pseudolikelihood estimate, each phase draws networks
+at the current theta and maximizes the importance-sampled
 log-likelihood ratio, guarded by the effective sample size of the
 importance weights. Convergence is declared when every simulated mean
 statistic sits within `ee_tol` simulated standard deviations of its
-observed value. The log-likelihood for AIC/BIC and the Fisher
-information behind the standard errors are exact: every term is
-dyad-local, so at theta-hat both are closed-form sums over dyads.
+observed value. The draws are exact and independent, so a phase's
+sample size is its effective sample size. The log-likelihood for
+AIC/BIC and the Fisher information behind the standard errors are
+exact: every term is dyad-local, so at theta-hat both are closed-form
+sums over dyads.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import numpy as np
 
 from ..errors import ConfigError, EstimationError
 from ..graph import Graph
-from .diagnostics import ess
 from .fit import ErgmFit, _dyad_loglik, _finalize, fit_mple, graph_digest
 from .sampler import SimControl, sample_states
 from .terms import DyadDesign, ErgmSpec
@@ -26,6 +27,8 @@ from .terms import DyadDesign, ErgmSpec
 
 @dataclass(frozen=True)
 class McmleControl:
+    """Monte-Carlo controls; burnin and interval are validated but ignored."""
+
     burnin: int = 200
     interval: int = 5
     sample_size: int = 512
@@ -82,32 +85,31 @@ def fit_mcmle(graph: Graph, spec: ErgmSpec,
     """Monte-Carlo MLE; deterministic given the control seed.
 
     Coefficients separated at the pseudolikelihood stage stay pinned
-    and are reported as signed infinity, exactly as in the exact-dyad
-    path.
+    and are reported as signed infinity, and inestimable terms are held
+    at 0 and reported as NaN, exactly as in the exact-dyad path.
     """
     control = control or McmleControl()
     design = DyadDesign.from_graph(graph, spec)
     g_obs = design.statistics()
     start = fit_mple(graph, spec)
     theta = start.theta_pinned.copy()
-    frozen = start.separation.copy()
+    dead = design.inestimable
+    frozen = start.separation | dead
     free = ~frozen
     if not free.any():
-        raise EstimationError("every coefficient is separated; nothing to estimate")
+        raise EstimationError("every coefficient is separated or inestimable; "
+                              "nothing to estimate")
 
     ee_history: list[float] = []
     sample = None
-    acceptance = 0.0
     phases = 0
     for phase in range(control.max_phases):
         phases = phase + 1
         sim = sample_states(
             design, theta,
             SimControl(control.burnin, control.interval, control.sample_size,
-                       seed=_phase_seed(control.seed, phase)),
-            init="observed")
+                       seed=_phase_seed(control.seed, phase)))
         sample = sim.stats
-        acceptance = sim.acceptance_rate
         gbar = sample.mean(axis=0)
         gsd = sample.std(axis=0, ddof=1)
         if np.any(gsd[free] == 0.0):
@@ -129,26 +131,24 @@ def fit_mcmle(graph: Graph, spec: ErgmSpec,
     # The exact log-likelihood and Fisher information Cov[g(Y)] at theta-hat.
     ll, _, fisher = _dyad_loglik(design, theta, g_obs)
 
-    # Monte-Carlo error of theta-hat: delta method with per-term ESS.
-    ess_vec = np.array([ess(sample[:, k]) for k in range(spec.k)])
+    # Monte-Carlo error of theta-hat: delta method, with the sample size
+    # as the ESS of independent draws.
     fisher_free = fisher[np.ix_(free, free)]
     try:
         finv = np.linalg.inv(fisher_free)
     except np.linalg.LinAlgError:
         finv = np.linalg.pinv(fisher_free)
-    ess_free = np.where(np.isfinite(ess_vec[free]), ess_vec[free], sample.shape[0])
-    mc_cov = finv @ np.diag(np.diag(fisher_free) / ess_free) @ finv
+    mc_cov = finv @ np.diag(np.diag(fisher_free) / sample.shape[0]) @ finv
     mc_se = np.zeros(spec.k)
     mc_se[free] = np.sqrt(np.clip(np.diag(mc_cov), 0.0, None))
+    mc_se[dead] = np.nan
 
     diagnostics = {
         "trace": sample,
-        "acceptance_rate": acceptance,
         "phases": phases,
         "ee_history": ee_history,
         "mc_std_err": mc_se,
-        "ess": ess_vec,
     }
     return _finalize(theta, frozen, fisher, ll, design.n_ordered_pairs,
                      "mcmle", spec, graph_digest(graph), True, phases,
-                     diagnostics)
+                     diagnostics, inestimable=dead)

@@ -79,6 +79,7 @@ def compare_models(fits: Sequence[tuple[str, ErgmFit]]) -> list[dict]:
 
 
 def _jsonable(obj: Any) -> Any:
+    """Plain JSON values; non-finite floats follow `fmt` (NaN null, Inf "Inf")."""
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -88,7 +89,10 @@ def _jsonable(obj: Any) -> Any:
     if isinstance(obj, (np.bool_, bool)):
         return bool(obj)
     if isinstance(obj, (np.floating, float)):
-        return float(obj)
+        v = float(obj)
+        if math.isnan(v):
+            return None
+        return v if math.isfinite(v) else fmt(v)
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     return obj
@@ -161,7 +165,7 @@ class Pipeline:
         self._write_bytes(name, text.encode("utf-8"))
 
     def _write_json(self, name: str, obj: Any) -> None:
-        payload = json.dumps(_jsonable(obj), sort_keys=True, indent=2)
+        payload = json.dumps(_jsonable(obj), sort_keys=True, indent=2, allow_nan=False)
         self._write_text(name, payload + "\n")
 
     def _write_csv(self, name: str, header: Sequence[str],
@@ -186,12 +190,17 @@ class Pipeline:
                         "centrality covariates")
         if self.config.threads is not None:
             self.notice("threads setting ignored: centralities are single-threaded")
+        ignored = [key for key in ("burnin", "interval") if key in self.config.mcmc]
+        if ignored:
+            self.notice(f"mcmc {' and '.join(ignored)} ignored: the sampler draws "
+                        "each kept state exactly, with no burn-in or thinning")
         selected = [s for s in STAGES if s in wanted]
         self._selected = selected
         for stage in selected:
             getattr(self, f"_stage_{stage}")()
         manifest = self._manifest()
-        payload = json.dumps(_jsonable(manifest), sort_keys=True, indent=2) + "\n"
+        payload = json.dumps(_jsonable(manifest), sort_keys=True, indent=2,
+                             allow_nan=False) + "\n"
         (self.out / "manifest.json").write_bytes(payload.encode("utf-8"))
         return manifest
 
@@ -332,7 +341,6 @@ class Pipeline:
                 "iterations": fit.iterations,
             }
             if fit.method == "mcmle":
-                payload["acceptance_rate"] = fit.diagnostics.get("acceptance_rate")
                 payload["phases"] = fit.diagnostics.get("phases")
                 payload["mc_std_err"] = fit.diagnostics.get("mc_std_err")
                 self._write_json(f"ergm_{name}_diagnostics.json",

@@ -1,6 +1,5 @@
-"""Network sampler, Monte-Carlo fitting, and chain diagnostics."""
+"""Exact network sampler, Monte-Carlo fitting, and its diagnostics."""
 
-import itertools
 import math
 
 import numpy as np
@@ -10,10 +9,9 @@ from scipy.special import softmax
 import legnet
 from legnet import ConfigError, DataError, EstimationError
 from legnet.ergm import (DyadDesign, Edges, ErgmSpec, McmleControl, Mutual,
-                         NodeCovariate, NodeMatch, SimControl, ess,
+                         NodeCovariate, NodeMatch, SimControl,
                          expected_statistics, fit_exact_dyad, fit_mcmle,
-                         fit_mple, geweke_z, integrated_autocorr_time,
-                         mcmc_diagnostics, sample_states, simulate)
+                         fit_mple, mcmc_diagnostics, sample_states, simulate)
 
 from conftest import (enumerate_graphs, graph_from_matrix, matrix_of,
                       oracle_statistics, random_digraph)
@@ -157,40 +155,14 @@ def test_simulated_means_match_expected_statistics():
     want = expected_statistics(g, spec, theta)
     for k in range(spec.k):
         col = result.stats[:, k]
-        se = col.std(ddof=1) / math.sqrt(ess(col))
+        se = col.std(ddof=1) / math.sqrt(len(col))
         assert abs(col.mean() - want[k]) < 5 * se
 
 
-# -- the k-step draws against the per-sweep chain -------------------------------
+# -- the exact draws against the per-dyad law ----------------------------------
 
-def reference_sweeps(w, state, sweeps, rng):
-    """The per-sweep Metropolis chain over dyad states s = y1 + 2 y2.
-
-    Every dyad proposes to toggle one tie, picked by a fair coin, and
-    accepts with probability min(1, exp(w[new] - w[old])). Returns the
-    final states and the number of accepted proposals.
-    """
-    dyads = np.arange(len(state))
-    accepted = 0
-    for _ in range(sweeps):
-        proposal = state ^ np.where(rng.random(len(state)) < 0.5, 1, 2)
-        accept = np.log(rng.random(len(state))) < w[dyads, proposal] - w[dyads, state]
-        state = np.where(accept, proposal, state)
-        accepted += int(accept.sum())
-    return state, accepted
-
-
-def one_sweep_kernel(w):
-    p = np.zeros((len(w), 4, 4))
-    for s in range(4):
-        for t in (s ^ 1, s ^ 2):
-            p[:, s, t] = 0.5 * np.minimum(1.0, np.exp(w[:, t] - w[:, s]))
-        p[:, s, s] = 1.0 - p[:, s].sum(axis=1)
-    return p
-
-
-def test_k_step_draws_have_the_law_of_the_sweep_chain():
-    n, burnin, interval, size = 3, 7, 2, 20000
+def test_exact_draws_have_the_per_dyad_law():
+    n, size = 3, 20000
     x = (0.3, -1.1, 0.8)
     terms = [("edges",), ("mutual",), ("cov", np.asarray(x), "sender")]
     spec = ErgmSpec([Edges(), Mutual(), NodeCovariate("x", x, "sender")])
@@ -203,69 +175,29 @@ def test_k_step_draws_have_the_law_of_the_sweep_chain():
             y = np.zeros((n, n), bool)
             y[i, j], y[j, i] = s & 1, s >> 1
             w[d, s] = theta @ oracle_statistics(y, terms)
-    p = one_sweep_kernel(w)
-    pk = np.linalg.matrix_power(p, interval)
     pi = softmax(w, axis=1)
-    joint_want = pi[:, :, None] * pk
 
-    drawn = sample_states(design, theta, SimControl(burnin, interval, size, seed=5),
-                          init="empty", keep_states=True)
-    lib = np.array([y1 + 2 * y2 for y1, y2 in drawn.states], dtype=np.int64)
-
-    rng = np.random.default_rng(6)
-    state, _ = reference_sweeps(w, np.zeros(design.n_dyads, np.int64), burnin, rng)
-    ref = [state]
-    accepted = 0
-    for _ in range(size - 1):
-        state, acc = reference_sweeps(w, state, interval, rng)
-        ref.append(state)
-        accepted += acc
-    ref = np.array(ref)
-
-    dyads = np.arange(design.n_dyads)
-    for states in (lib, ref):
-        for d in dyads:
-            marginal = np.bincount(states[:, d], minlength=4) / size
-            se = np.sqrt(pi[d] * (1 - pi[d]) / size)
-            assert np.all(np.abs(marginal - pi[d]) < 6 * se + 1e-3)
-            joint = np.zeros((4, 4))
-            np.add.at(joint, (states[:-1, d], states[1:, d]), 1.0)
-            joint /= size - 1
-            se = np.sqrt(joint_want[d] * (1 - joint_want[d]) / size)
-            assert np.all(np.abs(joint - joint_want[d]) < 6 * se + 1e-3)
-    # exact acceptance at the drawn states, and the sweep chain's own rate
-    stay = p[dyads, lib, lib]
-    assert drawn.acceptance_rate == pytest.approx(float((1 - stay).mean()), rel=1e-12)
-    ref_rate = accepted / ((size - 1) * interval * design.n_dyads)
-    assert ref_rate == pytest.approx(drawn.acceptance_rate, abs=0.01)
+    drawn = sample_states(design, theta, SimControl(sample_size=size, seed=5),
+                          keep_states=True)
+    states = np.array([y1 + 2 * y2 for y1, y2 in drawn.states], dtype=np.int64)
+    for d in range(design.n_dyads):
+        marginal = np.bincount(states[:, d], minlength=4) / size
+        se = np.sqrt(pi[d] * (1 - pi[d]) / size)
+        assert np.all(np.abs(marginal - pi[d]) < 6 * se)
+        # consecutive draws are independent: their joint law is the product
+        want = np.outer(pi[d], pi[d])
+        joint = np.zeros((4, 4))
+        np.add.at(joint, (states[:-1, d], states[1:, d]), 1.0)
+        joint /= size - 1
+        se = np.sqrt(want * (1 - want) / (size - 1))
+        assert np.all(np.abs(joint - want) < 6 * se)
+    assert drawn.acceptance_rate == 1.0
     # the draws carry the statistics of their states
     for k in (0, 1, size - 1):
         y = np.zeros((n, n), bool)
-        y[design.iu, design.ju] = lib[k] & 1
-        y[design.ju, design.iu] = lib[k] >> 1
+        y[design.iu, design.ju] = states[k] & 1
+        y[design.ju, design.iu] = states[k] >> 1
         assert np.allclose(drawn.stats[k], oracle_statistics(y, terms))
-
-
-def test_dyad_blocks_split_the_draws_consistently(monkeypatch):
-    # 21 dyads in blocks of 5: statistics and acceptance sum across blocks
-    monkeypatch.setattr(legnet.ergm.sampler, "_BLOCK", 5)
-    g = random_digraph(7, p=0.3, seed=3, mutual_boost=0.4)
-    spec = ErgmSpec([Edges(), Mutual(), NodeCovariate("x", tuple(range(7)), "sum")])
-    theta = np.array([-0.9, 1.1, 0.1])
-    result, design = simulate(spec, theta, graph=g,
-                              control=SimControl(burnin=20, interval=2,
-                                                 sample_size=2000, seed=8))
-    codes = np.array([y1 + 2 * y2 for y1, y2 in result.states], dtype=np.int64)
-    for index in (0, 999, 1999):
-        assert np.allclose(legnet.global_statistics(result.graph(design, index), spec),
-                           result.stats[index])
-    p = one_sweep_kernel(design.state_log_weights(theta))
-    stay = p[np.arange(design.n_dyads), codes, codes]
-    assert result.acceptance_rate == pytest.approx(float((1 - stay).mean()), rel=1e-12)
-    want = legnet.expected_statistics(g, spec, theta)
-    for k in range(spec.k):
-        col = result.stats[:, k]
-        assert abs(col.mean() - want[k]) < 5 * col.std(ddof=1) / math.sqrt(ess(col))
 
 
 def test_mcmle_is_seed_deterministic():
@@ -279,14 +211,22 @@ def test_mcmle_is_seed_deterministic():
 
 
 def test_mcmle_flags_degenerate_simulation():
-    # a match over all-distinct labels can never vary: the simulated
-    # statistic is constant and the term cannot be calibrated
+    # a match over all-distinct labels can never vary: the term is 0 on
+    # every dyad, so it is held at 0 and reported as NaN, and the rest of
+    # the model is still estimated
     g = random_digraph(6, p=0.4, seed=17)
     labels = tuple(f"L{i}" for i in range(6))
     spec = ErgmSpec([Edges(), NodeMatch("tag", labels)])
-    with pytest.raises(EstimationError, match="match\\(tag\\)"):
-        fit_mcmle(g, spec, McmleControl(seed=1, sample_size=64, burnin=30,
-                                        max_phases=3))
+    fit = fit_mcmle(g, spec, McmleControl(seed=1, sample_size=400))
+    exact = fit_exact_dyad(g, spec)
+    assert fit.labels[1] == "match(tag)"
+    assert math.isnan(fit.theta[1]) and math.isnan(fit.std_err[1])
+    assert math.isnan(fit.diagnostics["mc_std_err"][1])
+    assert not fit.separation[1]
+    mc_se = fit.diagnostics["mc_std_err"][0]
+    assert mc_se > 0
+    assert abs(fit.theta[0] - exact.theta[0]) < 3 * mc_se
+    assert [row["degenerate"] for row in mcmc_diagnostics(fit)] == [False, True]
 
 
 def test_mcmle_rejects_fully_separated_start():
@@ -298,42 +238,19 @@ def test_mcmle_rejects_fully_separated_start():
         fit_mcmle(g, ErgmSpec([Edges()]), McmleControl(seed=1, sample_size=64))
 
 
-def test_iact_and_ess_on_known_chains():
-    rng = np.random.default_rng(0)
-    iid = rng.normal(size=4000)
-    tau = integrated_autocorr_time(iid)
-    assert 0.5 < tau < 1.5
-    assert ess(iid) == pytest.approx(4000, rel=0.5)
-    # AR(1) with rho=0.9 has integrated time (1+rho)/(1-rho) = 19
-    rho = 0.9
-    ar = np.empty(60000)
-    ar[0] = 0.0
-    noise = rng.normal(size=60000)
-    for t in range(1, 60000):
-        ar[t] = rho * ar[t - 1] + noise[t]
-    tau_ar = integrated_autocorr_time(ar)
-    assert 12 < tau_ar < 28
-    assert math.isnan(integrated_autocorr_time(np.ones(500)))
-
-
-def test_geweke_on_stationary_and_drifting_chains():
-    rng = np.random.default_rng(1)
-    stationary = rng.normal(size=5000)
-    assert abs(geweke_z(stationary)) < 3.0
-    drifting = np.linspace(0, 5, 5000) + rng.normal(size=5000)
-    assert abs(geweke_z(drifting)) > 3.0
-
-
 def test_mcmc_diagnostics_rows():
     g = random_digraph(10, p=0.3, seed=33, mutual_boost=0.5)
     spec = ErgmSpec([Edges(), Mutual()])
     fit = fit_mcmle(g, spec, McmleControl(seed=2, sample_size=400, burnin=100))
     rows = mcmc_diagnostics(fit)
     assert [r["term"] for r in rows] == ["edges", "mutual"]
-    for row in rows:
+    trace = fit.diagnostics["trace"]
+    for k, row in enumerate(rows):
+        assert set(row) == {"term", "mean", "sd", "min", "q25", "median", "q75",
+                            "max", "degenerate"}
         assert row["min"] <= row["q25"] <= row["median"] <= row["q75"] <= row["max"]
-        assert row["ess"] > 10
-        assert isinstance(row["stationarity_flag"], bool)
+        assert row["sd"] == pytest.approx(trace[:, k].std(ddof=1), rel=1e-12)
+        assert row["degenerate"] is False
     exact = fit_exact_dyad(g, spec)
     with pytest.raises(DataError):
         mcmc_diagnostics(exact)

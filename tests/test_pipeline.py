@@ -1,5 +1,6 @@
 """Batch pipeline: artifacts, manifest digests, reproducibility."""
 
+import csv
 import hashlib
 import json
 import math
@@ -332,3 +333,73 @@ def test_inestimable_term_is_blank_and_noticed(tmp_path):
     assert all(cell for row in (rows[1], rows[3]) for cell in row.split(","))
     assert ("ergm: solo: match(state=S9) is 0 on every dyad and cannot be "
             "estimated; reported as NaN") in manifest["notices"]
+
+
+def _relabel(apath, column, levels):
+    """Rewrite `column` of the attribute CSV for the members in `levels`."""
+    with open(apath, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    for row in rows:
+        row[column] = levels.get(row["node_id"], row[column])
+    with open(apath, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+
+
+def test_report_json_is_strict_rfc8259(tmp_path):
+    # one member alone on "S9" (inestimable: NaN) and two untied members
+    # on "S8" (separated: -Inf) put non-finite values into the ERGM files
+    src = tmp_path / "src"
+    src.mkdir()
+    epath, apath = write_toy(src)
+    graph = legnet.load_edge_list(epath)
+    tied = {frozenset((a, b)) for a, b, _ in graph.edge_records()}
+    pair = next((a, b) for a in graph.node_ids for b in graph.node_ids
+                if a < b and frozenset((a, b)) not in tied)
+    lone = next(v for v in graph.node_ids if v not in pair)
+    _relabel(apath, "state", {pair[0]: "S8", pair[1]: "S8", lone: "S9"})
+    terms = [{"term": "edges"}, {"term": "mutual"},
+             {"term": "match", "attribute": "state", "level": "S9"},
+             {"term": "match", "attribute": "state", "level": "S8"}]
+    out = tmp_path / "out"
+    config = config_from_dict({
+        "edges": str(epath), "attrs": str(apath), "out": str(out), "seed": 3,
+        "models": ["model1", {"name": "odd", "terms": terms}],
+        "ergm_estimator": "mcmle", "mcmc": {"sample_size": 200},
+        "sbm": {"q_range": [1, 3], "restarts": 2},
+    })
+    legnet.run(config)
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    files = sorted(out.glob("*.json"))
+    assert {"manifest.json", "ergm_odd.json", "ergm_odd_diagnostics.json"} <= {
+        f.name for f in files}
+    for path in files:
+        json.loads(path.read_text(), parse_constant=reject)
+    fit = json.loads((out / "ergm_odd.json").read_text())
+    assert fit["theta"][2:] == [None, "-Inf"]
+    assert fit["std_err"][2] is None and fit["mc_std_err"][2] is None
+    assert "acceptance_rate" not in fit
+
+
+def test_mcmc_burnin_and_interval_are_ignored_with_a_notice(tmp_path):
+    src = tmp_path / "src"
+    src.mkdir()
+    epath, _ = write_toy(src)
+    manifests = []
+    for name, mcmc in (("set", {"burnin": 50, "interval": 2}), ("unset", {})):
+        config = config_from_dict({
+            "edges": str(epath), "out": str(tmp_path / name), "seed": 2,
+            "stages": ["ergm"], "models": ["model2"],
+            "ergm_estimator": "mcmle", "mcmc": {"sample_size": 200, **mcmc},
+        })
+        manifests.append(legnet.run(config))
+    with_keys, without = manifests
+    assert with_keys["outputs"] == without["outputs"]
+    notice = [n for n in with_keys["notices"] if n.startswith("mcmc ")]
+    assert notice == ["mcmc burnin and interval ignored: the sampler draws each "
+                      "kept state exactly, with no burn-in or thinning"]
+    assert not any(n.startswith("mcmc ") for n in without["notices"])
