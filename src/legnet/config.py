@@ -13,12 +13,42 @@ from .attributes import AttributeTable
 from .errors import ConfigError, DataError
 from .ergm import (AbsDiff, Edges, ErgmSpec, ErgmTerm, McmleControl, Mutual,
                    NodeCovariate, NodeMatch)
+from .ergm.terms import COVARIATE_ROLES
 from .graph import Graph
 from .topology import CentralityReport
 
 STAGES = ("ingest", "topology", "assort", "ergm", "sbm", "score", "report")
-BUILTIN_MODELS = ("model1", "model2", "model3", "model4", "model5", "model6")
 ESTIMATORS = ("exact-dyad", "mple", "mcmle")
+TERM_KINDS = ("edges", "mutual", "covariate", "match", "absdiff")
+_ATTRIBUTE_KINDS = ("covariate", "match", "absdiff")  # kinds that name an attribute
+
+# Roster-only match level: one differential match per level of the column.
+_EVERY_LEVEL = object()
+
+
+def _covariates(*names: str) -> list[dict[str, Any]]:
+    return [{"term": "covariate", "attribute": name} for name in names]
+
+
+def _matches(*columns: str) -> list[dict[str, Any]]:
+    return [{"term": "match", "attribute": c, "level": _EVERY_LEVEL} for c in columns]
+
+
+_EDGES, _MUTUAL = {"term": "edges"}, {"term": "mutual"}
+_STRUCTURE = _covariates("in_degree", "out_degree", "closeness", "betweenness", "hub")
+# The built-in models, in the term vocabulary of `spec_from_terms`.
+_ROSTER: dict[str, list[dict[str, Any]]] = {
+    "model1": [_EDGES],
+    "model2": [_EDGES, _MUTUAL],
+    "model3": [_EDGES, _MUTUAL, *_covariates(
+        "in_degree", "out_degree", "out_strength", "closeness", "betweenness",
+        "eigen", "hub", "authority")],
+    "model4": [_EDGES, *_covariates("age", "tenure"), *_matches(
+        "party", "race", "ethnicity", "religion", "sex", "chamber", "lgbtq")],
+    "model5": [_EDGES, _MUTUAL, *_STRUCTURE, *_covariates("age", "tenure")],
+    "model6": [_EDGES, _MUTUAL, *_STRUCTURE, *_matches("party", "chamber")],
+}
+BUILTIN_MODELS = tuple(_ROSTER)
 
 
 @dataclass
@@ -67,13 +97,7 @@ class RunConfig:
             if stage not in STAGES:
                 raise ConfigError(f"unknown stage {stage!r}; choose from {STAGES}")
         for model in self.models:
-            if isinstance(model, str):
-                if model not in BUILTIN_MODELS:
-                    raise ConfigError(f"unknown model {model!r}; "
-                                      f"built-ins are {BUILTIN_MODELS}")
-            elif not isinstance(model, (list, dict)):
-                raise ConfigError(f"model entry must be a name or term list, "
-                                  f"got {type(model).__name__}")
+            _validate_model(model)
         if not self.edges:
             raise ConfigError("edge list path is required")
         for name in ("json_fields", "party_reassignment"):
@@ -83,6 +107,43 @@ class RunConfig:
                 raise ConfigError(f"'{name}' must be an object of string keys and "
                                   f"string values, got {value!r}")
         _validate_mcmc(self.mcmc)
+
+
+def _validate_model(model: Any) -> None:
+    """Check one `models` entry: a built-in name, a term list or {"name", "terms"}."""
+    if isinstance(model, str):
+        if model not in BUILTIN_MODELS:
+            raise ConfigError(f"unknown model {model!r}; built-ins are {BUILTIN_MODELS}")
+        return
+    terms = model
+    if isinstance(model, dict):
+        terms = model.get("terms")
+        if not isinstance(model.get("name", ""), str):
+            raise ConfigError(f"model name must be a string, got {model['name']!r}")
+    if not isinstance(terms, list):
+        raise ConfigError(f"model entry must be a name, a term list or an object with "
+                          f"a 'terms' list, got {model!r}")
+    for term in terms:
+        _check_term(term)
+
+
+def _check_term(term: Any) -> None:
+    """Raise ConfigError unless `term` is a well-formed term object."""
+    kind = term.get("term") if isinstance(term, dict) else None
+    if kind not in TERM_KINDS:
+        raise ConfigError(f"unknown term kind in {term!r}; a term is an object "
+                          f"whose 'term' is one of {TERM_KINDS}")
+    attribute = term.get("attribute")
+    if kind in _ATTRIBUTE_KINDS and not (
+            isinstance(attribute, str) and attribute):
+        raise ConfigError(f"{kind} term needs a non-empty string 'attribute', "
+                          f"got {attribute!r}")
+    if term.get("role") not in (None, *COVARIATE_ROLES):
+        raise ConfigError(f"term role must be one of {COVARIATE_ROLES}, "
+                          f"got {term['role']!r}")
+    if not isinstance(term.get("level"), (str, type(None))):
+        raise ConfigError(f"match level must be a string or null, "
+                          f"got {term['level']!r}")
 
 
 def _validate_mcmc(mcmc: Any) -> None:
@@ -205,95 +266,59 @@ def _resolve_values(name: str, attrs: AttributeTable | None,
                     f"(not a centrality metric or loaded numeric attribute)")
 
 
-def _covariate(name: str, role: str, attrs, centrality,
-               standardize: bool) -> NodeCovariate:
-    values = _resolve_values(name, attrs, centrality)
-    if standardize:
-        sd = values.std()
-        values = (values - values.mean()) / sd if sd > 0 else values - values.mean()
-    return NodeCovariate(name, tuple(values), role)
-
-
-def _differential_matches(attrs: AttributeTable, column: str) -> list[NodeMatch]:
-    labels = attrs.categorical(column)
-    return [NodeMatch(column, labels, level=lvl) for lvl in sorted(set(labels))]
-
-
 def build_model(name: str, graph: Graph, attrs: AttributeTable | None,
                 centrality: CentralityReport | None,
                 party_reassignment: Mapping[str, str] | None = None,
                 standardize: bool = False) -> ErgmSpec:
-    """Materialize one of the built-in model specifications.
+    """Materialize a built-in model: its `_ROSTER` terms through `spec_from_terms`.
 
     model1/2 are edge/reciprocity baselines; model3 adds the structural
     score covariates; model4 is nodal attributes only (raw party, which
     exhibits separation on sparse levels); model5 mixes structure with
     age/tenure; model6 mixes structure with per-level party and chamber
     homophily, with the configured party reassignment applied first.
+    A per-level homophily entry of the roster becomes one differential
+    match term per level of its column, in sorted order.
     """
-    if name not in BUILTIN_MODELS:
+    if name not in _ROSTER:
         raise ConfigError(f"unknown model {name!r}")
-    if name == "model1":
-        return ErgmSpec([Edges()])
-    if name == "model2":
-        return ErgmSpec([Edges(), Mutual()])
-
-    def cov(metric: str) -> NodeCovariate:
-        return _covariate(metric, _CENTRALITY_ROLES[metric], attrs, centrality,
-                          standardize)
-
-    if name == "model3":
-        if centrality is None:
-            raise DataError("model3 needs centrality covariates")
-        return ErgmSpec([Edges(), Mutual(),
-                         cov("in_degree"), cov("out_degree"), cov("out_strength"),
-                         cov("closeness"), cov("betweenness"), cov("eigen"),
-                         cov("hub"), cov("authority")])
-    if attrs is None:
+    if attrs is None and model_needs_attrs(name):
         raise DataError(f"{name} needs the attribute table")
-    if name == "model4":
-        terms: list[ErgmTerm] = [Edges(),
-                                 _covariate("age", "sum", attrs, None, standardize),
-                                 _covariate("tenure", "sum", attrs, None, standardize)]
-        for column in ("party", "race", "ethnicity", "religion", "sex",
-                       "chamber", "lgbtq"):
-            attrs.require(column)
-            terms.extend(_differential_matches(attrs, column))
-        return ErgmSpec(terms)
-    if centrality is None:
+    if centrality is None and model_needs_centrality(name):
         raise DataError(f"{name} needs centrality covariates")
-    if name == "model5":
-        return ErgmSpec([Edges(), Mutual(),
-                         cov("in_degree"), cov("out_degree"),
-                         cov("closeness"), cov("betweenness"), cov("hub"),
-                         _covariate("age", "sum", attrs, None, standardize),
-                         _covariate("tenure", "sum", attrs, None, standardize)])
-    # model6
-    table = attrs
-    if party_reassignment:
-        table = table.reassign_party(party_reassignment)
-    table.require("chamber")
-    return ErgmSpec([Edges(), Mutual(),
-                     cov("in_degree"), cov("out_degree"),
-                     cov("closeness"), cov("betweenness"), cov("hub")]
-                    + _differential_matches(table, "party")
-                    + _differential_matches(table, "chamber"))
+    if name == "model6" and party_reassignment:
+        attrs = attrs.reassign_party(party_reassignment)
+    terms: list[Mapping[str, Any]] = []
+    for term in _ROSTER[name]:
+        if term.get("level") is _EVERY_LEVEL:
+            terms += [{**term, "level": level} for level in attrs.levels(term["attribute"])]
+        else:
+            terms.append(term)
+    return spec_from_terms(terms, attrs, centrality, standardize)
 
 
-_MODEL_ATTR_NEEDS = {"model1": False, "model2": False, "model3": False,
-                     "model4": True, "model5": True, "model6": True}
+def _model_terms(entry: Any) -> Sequence[Any]:
+    """The terms of a model entry: a built-in name, a term list or {"terms": [...]}."""
+    if isinstance(entry, str):
+        return _ROSTER.get(entry, [])
+    return entry.get("terms", []) if isinstance(entry, dict) else entry
+
+
+def _reads_centrality(term: Any) -> bool:
+    """Whether a term resolves a centrality score: covariate and absdiff alike."""
+    return (isinstance(term, dict) and term.get("term") in ("covariate", "absdiff")
+            and term.get("attribute") in _CENTRALITY_ROLES)
 
 
 def model_needs_attrs(name: str) -> bool:
-    return _MODEL_ATTR_NEEDS.get(name, True)
+    """Whether some term of the model reads an attribute column."""
+    return any(term.get("term") in _ATTRIBUTE_KINDS and not _reads_centrality(term)
+               for term in _model_terms(name))
 
 
 def model_needs_centrality(entry: Any) -> bool:
-    if isinstance(entry, str):
-        return entry in ("model3", "model5", "model6")
-    terms = entry["terms"] if isinstance(entry, dict) else entry
-    return any(t.get("term") == "covariate" and t.get("attribute") in _CENTRALITY_ROLES
-               for t in terms if isinstance(t, dict))
+    """Whether some term of the model entry reads a centrality score."""
+    return any(_reads_centrality(term) for term in _model_terms(entry))
 
 
 def spec_from_terms(terms: Sequence[Mapping[str, Any]], attrs, centrality,
@@ -307,24 +332,24 @@ def spec_from_terms(terms: Sequence[Mapping[str, Any]], attrs, centrality,
     """
     built: list[ErgmTerm] = []
     for entry in terms:
-        kind = entry.get("term")
+        _check_term(entry)
+        kind, name = entry["term"], entry.get("attribute")
         if kind == "edges":
             built.append(Edges())
         elif kind == "mutual":
             built.append(Mutual())
         elif kind == "covariate":
-            name = entry.get("attribute", "")
+            values = _resolve_values(name, attrs, centrality)
+            if standardize:
+                sd = values.std()
+                values = (values - values.mean()) / sd if sd > 0 else values - values.mean()
             role = entry.get("role") or _CENTRALITY_ROLES.get(name, "sum")
-            built.append(_covariate(name, role, attrs, centrality, standardize))
+            built.append(NodeCovariate(name, tuple(values), role))
         elif kind == "match":
-            name = entry.get("attribute", "")
             if attrs is None:
                 raise DataError(f"match term {name!r} needs the attribute table")
             built.append(NodeMatch(name, attrs.categorical(name),
                                    level=entry.get("level")))
-        elif kind == "absdiff":
-            name = entry.get("attribute", "")
-            built.append(AbsDiff(name, tuple(_resolve_values(name, attrs, centrality))))
         else:
-            raise ConfigError(f"unknown term kind {kind!r}")
+            built.append(AbsDiff(name, tuple(_resolve_values(name, attrs, centrality))))
     return ErgmSpec(built)

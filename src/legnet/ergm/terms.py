@@ -31,6 +31,9 @@ class Mutual:
     label: str = "mutual"
 
 
+COVARIATE_ROLES = ("sender", "receiver", "sum")
+
+
 @dataclass(frozen=True)
 class NodeCovariate:
     """Main effect of a per-node scalar.
@@ -45,7 +48,7 @@ class NodeCovariate:
     label: str = field(default="", compare=False)
 
     def __post_init__(self) -> None:
-        if self.role not in ("sender", "receiver", "sum"):
+        if self.role not in COVARIATE_ROLES:
             raise DataError(f"unknown covariate role {self.role!r}")
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
         if not self.label:

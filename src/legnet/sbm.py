@@ -291,6 +291,17 @@ def select_q(adjacency, q_range, restarts: int = 1, seed: int = 0,
     return max(fits, key=lambda fit: fit.icl), [(fit.requested_q, fit.icl) for fit in fits]
 
 
+def _dominant_level(attrs, column: str, members: np.ndarray) -> tuple[str, float] | None:
+    """The most common level of `column` among `members` (ties: first in
+    sorted order) and its share of them; None when there are no members."""
+    col = attrs.categorical(column)
+    values = [col[i] for i in members]
+    if not values:
+        return None
+    top = max(sorted(set(values)), key=values.count)
+    return top, values.count(top) / len(values)
+
+
 def interaction_matrix(fit: SbmFit, attrs=None) -> tuple[np.ndarray, list[dict]]:
     """Block probability matrix plus per-community annotations."""
     notes = []
@@ -299,12 +310,9 @@ def interaction_matrix(fit: SbmFit, attrs=None) -> tuple[np.ndarray, list[dict]]
         row = {"community": c + 1, "size": int(members.size)}
         if attrs is not None:
             for column in ("party", "chamber"):
-                if attrs.has(column):
-                    col = attrs.categorical(column)
-                    values = [col[i] for i in members]
-                    if values:
-                        top = max(sorted(set(values)), key=values.count)
-                        row[f"dominant_{column}"] = top
+                dominant = attrs.has(column) and _dominant_level(attrs, column, members)
+                if dominant:
+                    row[f"dominant_{column}"] = dominant[0]
         notes.append(row)
     return fit.pi.copy(), notes
 
@@ -331,12 +339,9 @@ def community_summary(fit: SbmFit, attrs=None, centrality=None) -> list[dict]:
                      "share": members.size / n}
         if attrs is not None:
             for column in attrs.categorical_columns:
-                col = attrs.categorical(column)
-                values = [col[i] for i in members]
-                if values:
-                    top = max(sorted(set(values)), key=values.count)
-                    row[f"{column}_dominant"] = top
-                    row[f"{column}_share"] = values.count(top) / len(values)
+                dominant = _dominant_level(attrs, column, members)
+                if dominant:
+                    row[f"{column}_dominant"], row[f"{column}_share"] = dominant
         for name, vec in norm_metrics.items():
             sub = vec[members]
             with warnings.catch_warnings():

@@ -126,6 +126,33 @@ def test_malformed_string_map_is_config_error(toy, capsys, block):
     assert "string keys and string values" in err
 
 
+def test_absdiff_on_a_centrality_score_forces_topology(toy):
+    epath, _, out = toy
+    cfg = out.parent / "run.json"
+    cfg.write_text(json.dumps({"models": [
+        [{"term": "edges"}, {"term": "absdiff", "attribute": "betweenness"}]]}))
+    code = main(["ergm", "--config", str(cfg), "--edges", str(epath), "--out", str(out)])
+    assert code == 0
+    notices = json.loads((out / "manifest.json").read_text())["notices"]
+    assert any(n.startswith("topology stage forced") for n in notices)
+    assert "absdiff(betweenness)" in (out / "ergm_coefficients.csv").read_text()
+
+
+@pytest.mark.parametrize("models", [
+    [{"name": "x"}],
+    [["edges"]],
+    [{"name": "y", "terms": "edges"}],
+])
+def test_malformed_custom_model_is_config_error(toy, capsys, models):
+    epath, _, out = toy
+    cfg = out.parent / "run.json"
+    cfg.write_text(json.dumps({"stages": ["ergm"], "models": models}))
+    code = main(["run", "--config", str(cfg), "--edges", str(epath), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and len(err.splitlines()) == 1
+
+
 def test_edge_file_name_like_json_is_read_as_a_file(toy, monkeypatch):
     epath, _, out = toy
     odd = epath.parent / "[2024] edges.csv"

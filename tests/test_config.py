@@ -90,10 +90,37 @@ def test_unknown_keys_rejected():
     {"edges": "e.csv", "json_fields": {"nodes": 3}},
     {"edges": "e.csv", "party_reassignment": "ab"},
     {"edges": "e.csv", "party_reassignment": {"alice": None}},
+    # malformed custom model entries
+    {"edges": "e.csv", "models": [{"name": "x"}]},
+    {"edges": "e.csv", "models": [["edges"]]},
+    {"edges": "e.csv", "models": [{"name": "y", "terms": "edges"}]},
+    {"edges": "e.csv", "models": [{"name": 5, "terms": [{"term": "edges"}]}]},
+    {"edges": "e.csv", "models": [[{"term": "triangles"}]]},
+    {"edges": "e.csv", "models": [[{"attribute": "age"}]]},
+    {"edges": "e.csv", "models": [[{"term": "covariate"}]]},
+    {"edges": "e.csv", "models": [[{"term": "absdiff", "attribute": ""}]]},
+    {"edges": "e.csv", "models": [[{"term": "match", "attribute": 3}]]},
+    {"edges": "e.csv", "models": [[{"term": "covariate", "attribute": "age",
+                                    "role": "both"}]]},
+    {"edges": "e.csv", "models": [[{"term": "match", "attribute": "party",
+                                    "level": 3}]]},
 ])
 def test_invalid_configs_raise(raw):
     with pytest.raises(ConfigError):
         config_from_dict(raw)
+
+
+def test_well_formed_custom_models_validate():
+    terms = [{"term": "edges"}, {"term": "mutual"},
+             {"term": "covariate", "attribute": "age", "role": None},
+             {"term": "covariate", "attribute": "eigen", "role": "receiver"},
+             {"term": "match", "attribute": "party", "level": None},
+             {"term": "match", "attribute": "party", "level": "Gold"},
+             {"term": "absdiff", "attribute": "tenure"}]
+    cfg = config_from_dict({"edges": "e.csv",
+                            "models": ["model1", terms, {"terms": terms},
+                                       {"name": "mine", "terms": terms}]})
+    assert cfg.models[1] == terms
 
 
 def test_load_config_file(tmp_path):
@@ -226,6 +253,8 @@ def test_model_requirement_predicates():
     assert not model_needs_centrality([{"term": "covariate", "attribute": "age"}])
     assert model_needs_centrality(
         {"terms": [{"term": "covariate", "attribute": "betweenness"}]})
+    assert model_needs_centrality([{"term": "absdiff", "attribute": "betweenness"}])
+    assert not model_needs_centrality([{"term": "absdiff", "attribute": "age"}])
 
 
 def test_spec_from_terms_roundtrip(toy):

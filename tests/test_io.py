@@ -181,6 +181,7 @@ def test_unknown_attribute_column_warns():
     with pytest.warns(UserWarning, match="shoe_size"):
         attrs = legnet.load_attributes(doc, graph_abc())
     assert attrs.categorical("party") == ("Blue", "Gold", "Blue")
+    assert not attrs.has("shoe_size")
 
 
 def test_attribute_mismatches():
