@@ -9,6 +9,7 @@ problem.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 
 from . import __version__
@@ -126,6 +127,12 @@ def _build_config(args: argparse.Namespace):
 
 
 def main(argv=None) -> int:
+    # What is alive now is mostly the imported modules, which live as long
+    # as the process: keep them out of the collector's full passes. Once
+    # per process, so that a later call does not freeze an earlier run's
+    # leftovers.
+    if not gc.get_freeze_count():
+        gc.freeze()
     args = build_parser().parse_args(argv)
     try:
         config = _build_config(args)

@@ -310,10 +310,10 @@ def _reads_centrality(term: Any) -> bool:
             and term.get("attribute") in _CENTRALITY_ROLES)
 
 
-def model_needs_attrs(name: str) -> bool:
-    """Whether some term of the model reads an attribute column."""
+def model_needs_attrs(entry: Any) -> bool:
+    """Whether some term of the model entry reads an attribute column."""
     return any(term.get("term") in _ATTRIBUTE_KINDS and not _reads_centrality(term)
-               for term in _model_terms(name))
+               for term in _model_terms(entry))
 
 
 def model_needs_centrality(entry: Any) -> bool:

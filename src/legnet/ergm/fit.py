@@ -280,13 +280,16 @@ def fit_exact_dyad(graph: Graph, spec: ErgmSpec,
 
 
 def fit_mple(graph: Graph, spec: ErgmSpec,
-             tol: float = 1e-8, max_iter: int = 100) -> ErgmFit:
+             tol: float = 1e-8, max_iter: int = 100, *,
+             design: DyadDesign | None = None) -> ErgmFit:
     """Maximum pseudolikelihood: logistic regression on change statistics.
 
     For dyad-independent specs the pseudolikelihood is the true
-    likelihood, so the result equals the exact MLE.
+    likelihood, so the result equals the exact MLE. `design` is the
+    `DyadDesign` of `graph` and `spec`, for a caller that has built it.
     """
-    design = DyadDesign.from_graph(graph, spec)
+    if design is None:
+        design = DyadDesign.from_graph(graph, spec)
     x, y = design.ordered_design_matrix()
     dead = design.inestimable
     pre, sign = _boundary_freeze(x.T @ y, np.minimum(x, 0.0).sum(axis=0),

@@ -91,7 +91,7 @@ def fit_mcmle(graph: Graph, spec: ErgmSpec,
     control = control or McmleControl()
     design = DyadDesign.from_graph(graph, spec)
     g_obs = design.statistics()
-    start = fit_mple(graph, spec)
+    start = fit_mple(graph, spec, design=design)
     theta = start.theta_pinned.copy()
     dead = design.inestimable
     frozen = start.separation | dead

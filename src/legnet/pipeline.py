@@ -281,22 +281,23 @@ class Pipeline:
                         self.assortativity)
 
     def _resolve_model(self, entry: Any, index: int):
+        if isinstance(entry, str):
+            name = entry
+        elif isinstance(entry, dict):
+            name = entry.get("name", f"custom{index}")
+        else:
+            name = f"custom{index}"
+        if model_needs_attrs(entry) and self.attrs is None:
+            self.notice(f"ergm: {name} skipped (needs the attribute file)")
+            return None, None
         cent = (self.centrality if model_needs_centrality(entry)
                 else self._computed("centrality"))
         if isinstance(entry, str):
-            name = entry
-            if model_needs_attrs(name) and self.attrs is None:
-                self.notice(f"ergm: {name} skipped (needs the attribute file)")
-                return None, None
             spec = build_model(name, self.graph, self.attrs, cent,
                                party_reassignment=self.config.party_reassignment,
                                standardize=self.config.standardize)
             return name, spec
-        if isinstance(entry, dict):
-            name = entry.get("name", f"custom{index}")
-            terms = entry.get("terms", [])
-        else:
-            name, terms = f"custom{index}", entry
+        terms = entry.get("terms", []) if isinstance(entry, dict) else entry
         spec = spec_from_terms(terms, self.attrs, cent,
                                standardize=self.config.standardize)
         return name, spec

@@ -5,18 +5,27 @@ carries no information. Model selection uses the integrated
 classification likelihood evaluated at the hard assignment with
 hard-count plug-in parameters.
 
-Each responsibility matrix tau is turned once into every product that
-the bound, the field and the M-step read (`_Moments`): one sparse
-product with the stacked CSR [y; yT], the class sizes, the block
-counts and the entropy. An EM iteration therefore makes one sparse
-product. The spectral initializer takes the top-Q eigenpairs of the
-centred Gram matrix, which are the part of the SVD it embeds.
+The restarts of one Q are stepped together as one stack, stored
+class-major as tau[r, q, i], so that every per-node reduction over the
+classes (the softmax maximum and sum, the class sizes) runs down
+contiguous rows. Each stack is turned once into every product that the
+bound, the field and the M-step read (`_Moments`): one sparse product
+with the stacked CSR [y; yT] for all restarts, the class sizes, the
+block counts and the entropy. An EM iteration therefore makes one
+sparse product per stack. The entropy of a softmax update comes from
+its normalizers; only a starting, pruned or sequentially updated tau
+pays for -sum tau log tau. A restart leaves the stack when it converges
+or prunes a class, and the monotone guard and its sequential fallback
+act on each restart alone. The spectral initializer takes the top-Q
+eigenpairs of the centred Gram matrix, which are the part of the SVD it
+embeds.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy import linalg, sparse
@@ -71,71 +80,97 @@ def _as_binary(adjacency) -> _Binary:
     return _Binary(sparse.csr_array(y))
 
 
-@dataclass(frozen=True)
-class _Moments:
-    """What the bound, the field and the M-step read of one tau."""
+class _Moments(NamedTuple):
+    """What the bound, the field and the M-step read of a stack of R
+    responsibilities of one Q, stored class-major as tau[r, q, i]."""
 
-    tau: np.ndarray
-    out: np.ndarray       # y @ tau
-    inn: np.ndarray       # yT @ tau
-    sizes: np.ndarray     # tau.sum(0)
-    edges: np.ndarray     # expected edges per block pair, tauT y tau
-    pairs: np.ndarray     # expected ordered pairs, s sT - tauT tau
-    entropy: float        # -sum tau log tau
-
-
-def _moments(b: _Binary, tau: np.ndarray) -> _Moments:
-    flow = b.stacked @ tau
-    out, inn = flow[:b.n], flow[b.n:]
-    s = tau.sum(axis=0)
-    return _Moments(tau, out, inn, s, tau.T @ out, np.outer(s, s) - tau.T @ tau,
-                    float(-xlogy(tau, tau).sum()))
+    tau: np.ndarray       # (R, Q, n)
+    out: np.ndarray       # (R, Q, n): tau[r] @ yT
+    inn: np.ndarray       # (R, Q, n): tau[r] @ y
+    sizes: np.ndarray     # (R, Q): tau.sum(2)
+    edges: np.ndarray     # (R, Q, Q): expected edges per block pair, tau y tauT
+    pairs: np.ndarray     # (R, Q, Q): expected ordered pairs, s sT - tau tauT
+    entropy: np.ndarray   # (R,): -sum tau log tau
 
 
-def _elbo(m: _Moments, alpha: np.ndarray, pi: np.ndarray) -> float:
-    ll = xlogy(m.edges, pi).sum() + xlogy(m.pairs - m.edges, 1.0 - pi).sum()
-    return float(ll + xlogy(m.sizes, alpha).sum() + m.entropy)
+def _moments(b: _Binary, tau: np.ndarray, entropy: np.ndarray | None = None) -> _Moments:
+    """Moments of the stack `tau`; `entropy` is computed when not given."""
+    r, q, n = tau.shape
+    # the sparse product is node-major, (2n, R Q); its transpose views it class-major
+    flow = (b.stacked @ tau.reshape(r * q, n).T).T.reshape(r, q, 2 * n)
+    out, inn = flow[..., :n], flow[..., n:]
+    s = tau.sum(axis=2)
+    if entropy is None:
+        entropy = -xlogy(tau, tau).sum(axis=(1, 2))
+    return _Moments(tau, out, inn, s, tau @ out.transpose(0, 2, 1),
+                    s[:, :, None] * s[:, None, :] - tau @ tau.transpose(0, 2, 1), entropy)
 
 
-def _logs(alpha: np.ndarray, pi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(log(1 - pi), log(pi) - log(1 - pi), log(alpha)), clipped away from -inf."""
-    l0 = np.log(np.clip(1.0 - pi, _LOG_CLIP, None))
-    return l0, np.log(np.clip(pi, _LOG_CLIP, None)) - l0, np.log(np.clip(alpha, _LOG_CLIP, None))
+class _Params(NamedTuple):
+    """Class shares and block rates of each run of a stack, with the logs
+    that the bound and the field read."""
+
+    alpha: np.ndarray       # (R, Q)
+    pi: np.ndarray          # (R, Q, Q), inside [_LOG_CLIP, 1 - _LOG_CLIP]
+    log_alpha: np.ndarray   # log(alpha), clipped away from -inf
+    log_odds: np.ndarray    # log(pi) - log(1 - pi)
+    log_1m_pi: np.ndarray   # log(1 - pi)
 
 
-def _field(m: _Moments, alpha: np.ndarray, pi: np.ndarray) -> np.ndarray:
-    """Per-(node, class) unnormalized log-responsibility.
+def _take(stack, runs):
+    """The runs `runs` (an index or a mask) of a `_Moments` or `_Params`."""
+    return type(stack)(*(a[runs] for a in stack))
+
+
+def _params(alpha: np.ndarray, pi: np.ndarray) -> _Params:
+    l0 = np.log(1.0 - pi)
+    return _Params(alpha, pi, np.log(np.maximum(alpha, _LOG_CLIP)), np.log(pi) - l0, l0)
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-run inner product of two stacks of one shape."""
+    r = len(a)
+    return (a.reshape(r, 1, -1) @ b.reshape(r, -1, 1)).reshape(r)
+
+
+def _elbo(m: _Moments, p: _Params) -> np.ndarray:
+    """The bound of each run of the stack."""
+    ll = _dot(m.edges, p.log_odds) + _dot(m.pairs, p.log_1m_pi)
+    return ll + xlogy(m.sizes, p.alpha).sum(axis=1) + m.entropy
+
+
+def _field(m: _Moments, p: _Params) -> np.ndarray:
+    """Per-(run, class, node) unnormalized log-responsibility.
 
     The non-edges enter through (1 - I - y) @ X = X.sum(0) - X - y @ X,
-    so only the edges are touched: O(|E| Q + n Q^2).
+    so only the edges are touched: O(|E| Q + n Q^2) per run.
     """
-    l0, d, log_alpha = _logs(alpha, pi)
-    c0 = m.tau @ (l0.T + l0)
-    f = m.out @ d.T + m.inn @ d + (c0.sum(axis=0) - c0)
-    return f + log_alpha[None, :]
+    none = p.log_1m_pi + p.log_1m_pi.transpose(0, 2, 1)
+    f = p.log_odds @ m.out
+    f += p.log_odds.transpose(0, 2, 1) @ m.inn
+    f -= none @ m.tau
+    f += none @ m.sizes[:, :, None] + p.log_alpha[:, :, None]
+    return f
 
 
-def _softmax_rows(f: np.ndarray) -> np.ndarray:
+def _softmax(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Responsibilities from the field of each run, and each run's entropy.
+
+    With z = f - max f and Z = sum exp z over the classes of a node,
+    tau = exp(z) / Z, so -sum tau log tau = sum_i log Z_i - sum tau z.
+    """
     z = f - f.max(axis=1, keepdims=True)
-    t = np.exp(z)
-    t /= t.sum(axis=1, keepdims=True)
-    return t
+    tau = np.exp(z)
+    norm = tau.sum(axis=1, keepdims=True)
+    tau /= norm
+    return tau, np.log(norm).sum(axis=(1, 2)) - _dot(tau, z)
 
 
-def _estep(b: _Binary, m: _Moments, alpha: np.ndarray, pi: np.ndarray,
-           before: float) -> tuple[_Moments, bool]:
-    """One responsibility pass that never lowers the bound `before`.
-
-    The vectorized simultaneous update is attempted first; if it would
-    decrease the ELBO, the pass is redone sequentially (true coordinate
-    ascent, monotone by construction). Returns the moments of the new
-    responsibilities and whether the sequential pass ran.
-    """
-    candidate = _moments(b, _softmax_rows(_field(m, alpha, pi)))
-    if _elbo(candidate, alpha, pi) >= before - 1e-10:
-        return candidate, False
-    tau = m.tau.copy()
-    l0, d, log_alpha = _logs(alpha, pi)
+def _sequential_pass(b: _Binary, tau: np.ndarray, p: _Params) -> np.ndarray:
+    """One run's responsibilities (Q, n) updated node by node: true
+    coordinate ascent, so the bound cannot decrease."""
+    tau = tau.T.copy()
+    l0, d = p.log_1m_pi, p.log_odds
     y, yt = b.y, b.yt
     # cached per-node projections, refreshed row-by-row as tau changes
     out_t, in_t, none_t = tau @ d.T, tau @ d, tau @ (l0.T + l0)
@@ -144,21 +179,41 @@ def _estep(b: _Binary, m: _Moments, alpha: np.ndarray, pi: np.ndarray,
         out = y.indices[y.indptr[i]:y.indptr[i + 1]]
         inn = yt.indices[yt.indptr[i]:yt.indptr[i + 1]]
         f = (out_t[out].sum(axis=0) + in_t[inn].sum(axis=0)
-             + (none_sum - none_t[i]) + log_alpha)
+             + (none_sum - none_t[i]) + p.log_alpha)
         t = np.exp(f - f.max())
         tau[i] = t / t.sum()
         out_t[i], in_t[i] = tau[i] @ d.T, tau[i] @ d
         none_sum -= none_t[i]
         none_t[i] = tau[i] @ (l0.T + l0)
         none_sum += none_t[i]
-    return _moments(b, tau), True
+    return tau.T
 
 
-def _mstep(m: _Moments) -> tuple[np.ndarray, np.ndarray]:
-    alpha = m.sizes / m.tau.shape[0]
+def _estep(b: _Binary, m: _Moments, p: _Params,
+           before: np.ndarray) -> tuple[_Moments, list[int]]:
+    """One responsibility pass that never lowers any run's bound `before`.
+
+    The vectorized simultaneous update is attempted for the whole stack.
+    A run whose ELBO it would decrease is redone by the sequential pass,
+    and the other runs keep their update. Returns the moments of the new
+    responsibilities and the runs that ran the sequential pass.
+    """
+    tau, entropy = _softmax(_field(m, p))
+    candidate = _moments(b, tau, entropy)
+    kept = _elbo(candidate, p) >= before - 1e-10
+    if kept.all():
+        return candidate, []
+    sequential = np.flatnonzero(~kept).tolist()
+    for r in sequential:
+        tau[r] = _sequential_pass(b, m.tau[r], _take(p, r))
+        entropy[r] = -xlogy(tau[r], tau[r]).sum()
+    return _moments(b, tau, entropy), sequential
+
+
+def _mstep(m: _Moments) -> _Params:
     pi = np.divide(m.edges, m.pairs, out=np.zeros_like(m.edges), where=m.pairs > 0)
-    # saturated rates make the bound -inf through xlogy(eps, 0); keep interior
-    return alpha, np.clip(pi, _LOG_CLIP, 1.0 - _LOG_CLIP)
+    # saturated rates would make log(pi) or log(1 - pi) -inf; keep them interior
+    return _params(m.sizes / m.tau.shape[2], np.clip(pi, _LOG_CLIP, 1.0 - _LOG_CLIP))
 
 
 def _init_tau(b: _Binary, q: int, mode: str, rng: np.random.Generator) -> np.ndarray:
@@ -218,31 +273,63 @@ def _renumber_by_size(tau: np.ndarray, alpha: np.ndarray,
     return tau, alpha[order], pi[np.ix_(order, order)], tau.argmax(axis=1)
 
 
-def _single_run(b: _Binary, q: int, mode: str, rng: np.random.Generator,
-                max_iter: int, tol: float) -> tuple:
-    """One EM run: (tau, alpha, pi, bound trace, convergence facts)."""
-    m = _moments(b, _init_tau(b, q, mode, rng))
-    alpha, pi = _mstep(m)
-    trace = [_elbo(m, alpha, pi)]
-    facts = {"iterations": 0, "converged": False, "collapsed": False,
-             "sequential_esteps": 0}
-    for it in range(1, max_iter + 1):
-        facts["iterations"] = it
-        m, sequential = _estep(b, m, alpha, pi, trace[-1])
-        facts["sequential_esteps"] += sequential
+@dataclass
+class _Run:
+    """One restart: its bound trace, its convergence facts and, once it
+    stops, its responsibilities (Q, n) and parameters."""
+
+    trace: list[float] = field(default_factory=list)
+    facts: dict = field(default_factory=lambda: {
+        "iterations": 0, "converged": False, "collapsed": False, "sequential_esteps": 0})
+    tau: np.ndarray | None = None
+    params: _Params | None = None
+
+
+def _em(b: _Binary, m: _Moments, runs: list[_Run], it: int, max_iter: int,
+        tol: float) -> None:
+    """Step the stack `m` of `runs`, all with one Q, from the responsibilities
+    of E-step `it` (0: the starting ones) until every run has stopped.
+
+    A run leaves the stack when it converges or reaches `max_iter`. A run
+    that prunes an empty class leaves it too, and goes on as a stack of one
+    with its smaller Q.
+    """
+    # the starting bound has no predecessor; -inf never counts as converged
+    bound = np.array([run.trace[-1] if it else -np.inf for run in runs])
+    while True:
+        p = _mstep(m)
+        prev, bound = bound, _elbo(m, p)
+        for run, value in zip(runs, bound.tolist()):
+            run.trace.append(value)
+        converged = (bound - prev < tol) & (bound >= prev - 1e-7)
+        stop = converged | (it == max_iter)
+        if stop.any():
+            for r in np.flatnonzero(stop):
+                runs[r].facts.update(iterations=it, converged=bool(converged[r]))
+                runs[r].tau, runs[r].params = m.tau[r], _take(p, r)
+            if stop.all():
+                return
+            keep = ~stop
+            runs = [run for run, k in zip(runs, keep) if k]
+            m, p, bound = _take(m, keep), _take(p, keep), bound[keep]
+        it += 1
+        m, sequential = _estep(b, m, p, bound)
+        for r in sequential:
+            runs[r].facts["sequential_esteps"] += 1
         dead = m.sizes < _COLLAPSE_TOL
-        if dead.any() and (~dead).sum() >= 1:
-            warnings.warn(f"pruned {int(dead.sum())} empty class(es) at Q={m.tau.shape[1]}")
-            tau = m.tau[:, ~dead]
-            tau /= tau.sum(axis=1, keepdims=True)
-            m = _moments(b, tau)
-            facts["collapsed"] = True
-        alpha, pi = _mstep(m)
-        trace.append(_elbo(m, alpha, pi))
-        if trace[-1] - trace[-2] < tol and trace[-1] >= trace[-2] - 1e-7:
-            facts["converged"] = True
-            break
-    return m.tau, alpha, pi, trace, facts
+        if dead.any():
+            pruned = dead.any(axis=1)
+            for r in np.flatnonzero(pruned):
+                warnings.warn(f"pruned {int(dead[r].sum())} empty class(es) at Q={dead.shape[1]}")
+                tau = m.tau[r, ~dead[r]]
+                tau /= tau.sum(axis=0)
+                runs[r].facts["collapsed"] = True
+                _em(b, _moments(b, tau[None]), [runs[r]], it, max_iter, tol)
+            if pruned.all():
+                return
+            keep = ~pruned
+            runs = [run for run, k in zip(runs, keep) if k]
+            m, bound = _take(m, keep), bound[keep]
 
 
 def fit_q(adjacency, q: int, init: str = "spectral", restarts: int = 1,
@@ -264,18 +351,22 @@ def fit_q(adjacency, q: int, init: str = "spectral", restarts: int = 1,
     if restarts < 1:
         raise DataError("restarts must be >= 1")
 
-    runs = [_single_run(b, q, init if r == 0 else "random",
-                        np.random.default_rng((seed * 1_000_003 + r) % 2**63),
-                        max_iter, tol) for r in range(restarts)]
-    tau, alpha, pi, trace, facts = max(runs, key=lambda run: run[3][-1])
-    tau, alpha, pi, labels = _renumber_by_size(tau, alpha, pi)
+    runs = [_Run() for _ in range(restarts)]
+    tau = np.stack([_init_tau(b, q, init if r == 0 else "random",
+                              np.random.default_rng((seed * 1_000_003 + r) % 2**63)).T
+                    for r in range(restarts)])
+    _em(b, _moments(b, tau), runs, 0, max_iter, tol)
+    best = max(runs, key=lambda run: run.trace[-1])
+    tau, alpha, pi, labels = _renumber_by_size(best.tau.T, best.params.alpha,
+                                               best.params.pi)
     return SbmFit(
         q=tau.shape[1], tau=tau, alpha=alpha, pi=pi, labels=labels,
-        icl=classification_icl(b, labels), elbo=trace[-1], elbo_trace=tuple(trace),
-        converged=facts["converged"], iterations=facts["iterations"], requested_q=q,
-        collapsed=facts["collapsed"],
+        icl=classification_icl(b, labels), elbo=best.trace[-1],
+        elbo_trace=tuple(best.trace), converged=best.facts["converged"],
+        iterations=best.facts["iterations"], requested_q=q,
+        collapsed=best.facts["collapsed"],
         meta={"init": init, "restarts": restarts, "seed": seed,
-              "runs": [run[4] for run in runs]},
+              "runs": [run.facts for run in runs]},
     )
 
 

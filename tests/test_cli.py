@@ -138,6 +138,19 @@ def test_absdiff_on_a_centrality_score_forces_topology(toy):
     assert "absdiff(betweenness)" in (out / "ergm_coefficients.csv").read_text()
 
 
+
+def test_models_needing_attrs_are_skipped_without_the_attribute_file(toy):
+    epath, _, out = toy
+    cfg = out.parent / "run.json"
+    cfg.write_text(json.dumps({"models": [
+        "model4", [{"term": "edges"}, {"term": "match", "attribute": "party"}]]}))
+    code = main(["ergm", "--config", str(cfg), "--edges", str(epath), "--out", str(out)])
+    assert code == 0
+    notices = json.loads((out / "manifest.json").read_text())["notices"]
+    assert [n for n in notices if n.endswith("skipped (needs the attribute file)")] == [
+        "ergm: model4 skipped (needs the attribute file)",
+        "ergm: custom2 skipped (needs the attribute file)"]
+
 @pytest.mark.parametrize("models", [
     [{"name": "x"}],
     [["edges"]],
@@ -245,6 +258,29 @@ def test_report_never_loads_scipy_stats(toy):
     assert json.loads(done.stdout.splitlines()[-1]) == [False, 0, False]
     assert (out / "ergm_lrt_vs_edges.csv").exists()
 
+
+
+def test_main_freezes_the_collector_once_per_process(toy):
+    # A fresh process, so that the first call is the process's first.
+    epath, _, out = toy
+    argv = ["ingest", "--edges", str(epath), "--out", str(out)]
+    script = ("import gc, json\n"
+              "import legnet.cli\n"
+              "before = gc.get_freeze_count()\n"
+              f"legnet.cli.main({argv!r})\n"
+              "first = gc.get_freeze_count()\n"
+              "born_after = [[] for _ in range(100)]\n"
+              f"legnet.cli.main({argv!r})\n"
+              "print(json.dumps([before, first, gc.get_freeze_count()]))\n")
+    src = str(Path(legnet.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path},
+                          timeout=300)
+    assert done.returncode == 0, done.stderr
+    before, first, second = json.loads(done.stdout.splitlines()[-1])
+    assert before == 0 and first > 0
+    assert second == first
 
 def test_json_fields_flag_round_trip(tmp_path):
     blob = {"usernameList": ["a", "b", "c"],

@@ -254,86 +254,126 @@ def _dense_mstep(y, tau):
     return s / y.shape[0], np.clip(pi, 1e-12, 1.0 - 1e-12)
 
 
+def _dense_softmax(f):
+    t = np.exp(f - f.max(axis=1, keepdims=True))
+    return t / t.sum(axis=1, keepdims=True)
+
+
 def _dense_fit_q(y, q, restarts, seed, max_iter=500, tol=1e-6):
-    from legnet.sbm import _as_binary, _init_tau, _renumber_by_size, _softmax_rows
+    """(fitted Q, labels, ICL, each restart's facts) of the dense EM."""
+    from legnet.sbm import _as_binary, _init_tau, _renumber_by_size
     best = None
+    runs = []
     for r in range(restarts):
         rng = np.random.default_rng((seed * 1_000_003 + r) % 2**63)
         tau = _init_tau(_as_binary(y), q, "spectral" if r == 0 else "random", rng)
         alpha, pi = _dense_mstep(y, tau)
         trace = [_dense_elbo(y, tau, alpha, pi)]
-        for _ in range(max_iter):
+        facts = {"iterations": 0, "converged": False, "collapsed": False,
+                 "sequential_esteps": 0}
+        for it in range(1, max_iter + 1):
+            facts["iterations"] = it
             before = _dense_elbo(y, tau, alpha, pi)
-            candidate = _softmax_rows(_dense_field(y, tau, alpha, pi))
+            candidate = _dense_softmax(_dense_field(y, tau, alpha, pi))
             if _dense_elbo(y, candidate, alpha, pi) >= before - 1e-10:
                 tau = candidate
             else:
                 tau = _dense_sequential(y, tau, alpha, pi)
+                facts["sequential_esteps"] += 1
             dead = tau.sum(axis=0) < 1e-8
             if dead.any():
                 tau = tau[:, ~dead]
                 tau /= tau.sum(axis=1, keepdims=True)
+                facts["collapsed"] = True
             alpha, pi = _dense_mstep(y, tau)
             trace.append(_dense_elbo(y, tau, alpha, pi))
             if trace[-1] - trace[-2] < tol and trace[-1] >= trace[-2] - 1e-7:
+                facts["converged"] = True
                 break
+        runs.append(facts)
         if best is None or trace[-1] > best[3][-1]:
             best = (tau, alpha, pi, trace)
     tau, _, _, _ = best
     _, _, _, labels = _renumber_by_size(tau, best[1], best[2])
-    return tau.shape[1], labels, classification_icl(y, labels)
+    return tau.shape[1], labels, classification_icl(y, labels), runs
 
 
-def _random_state(n=60, q=4, seed=21):
+def _random_state(n=60, q=4, seed=21, runs=1):
+    """A graph and `runs` random states of one Q on it."""
     rng = np.random.default_rng(seed)
     y = (rng.random((n, n)) < 0.12).astype(np.float64)
     np.fill_diagonal(y, 0.0)
-    tau = rng.dirichlet(np.full(q, 0.7), size=n)
-    alpha = rng.dirichlet(np.ones(q))
-    pi = rng.uniform(0.02, 0.6, size=(q, q))
+    tau = rng.dirichlet(np.full(q, 0.7), size=(runs, n))
+    alpha = rng.dirichlet(np.ones(q), size=runs)
+    pi = rng.uniform(0.02, 0.6, size=(runs, q, q))
     return y, tau, alpha, pi
 
 
+def _stack(y, tau, alpha, pi):
+    """The class-major moments and parameters of node-major states."""
+    from legnet.sbm import _as_binary, _moments, _params
+    return (_moments(_as_binary(y), np.ascontiguousarray(tau.transpose(0, 2, 1))),
+            _params(alpha, pi))
+
+
 def test_sparse_field_and_bound_match_dense_formulas():
-    from legnet.sbm import _as_binary, _elbo, _field, _moments
+    from legnet.sbm import _elbo, _field
     for seed in range(4):
-        y, tau, alpha, pi = _random_state(seed=30 + seed)
-        m = _moments(_as_binary(y), tau)
-        assert np.allclose(_field(m, alpha, pi), _dense_field(y, tau, alpha, pi),
-                           rtol=1e-12, atol=1e-12)
-        dense = _dense_elbo(y, tau, alpha, pi)
-        assert _elbo(m, alpha, pi) == pytest.approx(dense, rel=1e-12)
+        y, tau, alpha, pi = _random_state(seed=30 + seed, runs=3)
+        m, p = _stack(y, tau, alpha, pi)
+        field, bound = _field(m, p), _elbo(m, p)
+        for r in range(3):
+            assert np.allclose(field[r].T, _dense_field(y, tau[r], alpha[r], pi[r]),
+                               rtol=1e-12, atol=1e-12)
+            dense = _dense_elbo(y, tau[r], alpha[r], pi[r])
+            assert bound[r] == pytest.approx(dense, rel=1e-12)
+
+
+def test_entropy_from_the_normalizers_matches_xlogy():
+    from legnet.sbm import _softmax
+    rng = np.random.default_rng(5)
+    # the last stack's spread leaves some responsibilities at 0 or subnormal
+    for scale in (0.1, 3.0, 40.0, 400.0):
+        tau, entropy = _softmax(scale * rng.standard_normal((3, 6, 50)))
+        np.testing.assert_allclose(tau.sum(axis=1), 1.0, rtol=1e-15)
+        np.testing.assert_allclose(entropy, -xlogy(tau, tau).sum(axis=(1, 2)),
+                                   rtol=1e-12, atol=0.0)
 
 
 def test_sequential_fallback_is_monotone_and_matches_dense_pass():
-    from legnet.sbm import _as_binary, _elbo, _estep, _moments
-    y, tau, alpha, pi = _random_state(seed=44)
-    b = _as_binary(y)
-    m = _moments(b, tau)
-    before = _elbo(m, alpha, pi)
-    # an unreachable bound rejects the simultaneous update
-    new, sequential = _estep(b, m, alpha, pi, math.inf)
-    assert sequential
-    assert _elbo(new, alpha, pi) >= before
-    assert np.allclose(new.tau, _dense_sequential(y, tau, alpha, pi), rtol=1e-12, atol=1e-14)
+    from legnet.sbm import _as_binary, _elbo, _estep, _field, _softmax
+    y, tau, alpha, pi = _random_state(seed=44, runs=2)
+    m, p = _stack(y, tau, alpha, pi)
+    before = _elbo(m, p)
+    simultaneous, _ = _softmax(_field(m, p))
+    # an unreachable bound rejects the simultaneous update of run 1 alone
+    new, sequential = _estep(_as_binary(y), m, p, np.array([-math.inf, math.inf]))
+    assert sequential == [1]
+    assert _elbo(new, p)[1] >= before[1]
+    assert np.allclose(new.tau[1].T, _dense_sequential(y, tau[1], alpha[1], pi[1]),
+                       rtol=1e-12, atol=1e-14)
+    assert np.array_equal(new.tau[0], simultaneous[0])
 
 
 def _assert_moments_are_fresh(y, m):
-    """Every cached product of `m` equals its recomputation from m.tau."""
-    tau = m.tau
-    s = tau.sum(axis=0)
-    fresh = {"out": y @ tau, "inn": y.T @ tau, "sizes": s, "edges": tau.T @ y @ tau,
-             "pairs": np.outer(s, s) - tau.T @ tau, "entropy": -xlogy(tau, tau).sum()}
-    for name, want in fresh.items():
-        np.testing.assert_allclose(getattr(m, name), want, rtol=1e-12, atol=0.0, err_msg=name)
+    """Every cached product of the stack `m` equals its recomputation
+    from m.tau, run by run."""
+    for r, tau in enumerate(m.tau.transpose(0, 2, 1)):
+        s = tau.sum(axis=0)
+        fresh = {"out": (y @ tau).T, "inn": (y.T @ tau).T, "sizes": s,
+                 "edges": tau.T @ y @ tau, "pairs": np.outer(s, s) - tau.T @ tau,
+                 "entropy": -xlogy(tau, tau).sum()}
+        for name, want in fresh.items():
+            np.testing.assert_allclose(getattr(m, name)[r], want, rtol=1e-12, atol=0.0,
+                                       err_msg=name)
 
 
 def test_cached_moments_match_a_fresh_recomputation(monkeypatch):
-    from legnet.sbm import _as_binary, _estep, _moments
-    y, tau, alpha, pi = _random_state(seed=44)
-    b = _as_binary(y)
-    new, sequential = _estep(b, _moments(b, tau), alpha, pi, math.inf)
-    assert sequential
+    from legnet.sbm import _as_binary, _estep
+    y, tau, alpha, pi = _random_state(seed=44, runs=2)
+    m, p = _stack(y, tau, alpha, pi)
+    new, sequential = _estep(_as_binary(y), m, p, np.array([-math.inf, math.inf]))
+    assert sequential == [1]
     _assert_moments_are_fresh(y, new)
 
     # after pruning: record every state the M-step reads during a collapsing fit
@@ -394,7 +434,8 @@ def test_select_q_matches_dense_reference():
     ref_curve = []
     ref_best = None
     for q in range(1, 8):
-        fitted_q, labels, icl = _dense_fit_q(y, q, restarts=2, seed=3 + 7919 * q)
+        fitted_q, labels, icl, runs = _dense_fit_q(y, q, restarts=2, seed=3 + 7919 * q)
+        assert fit_q(y, q, restarts=2, seed=3 + 7919 * q).meta["runs"] == runs
         ref_curve.append((q, icl))
         if ref_best is None or icl > ref_best[2]:
             ref_best = (fitted_q, labels, icl)
@@ -402,6 +443,29 @@ def test_select_q_matches_dense_reference():
     assert np.allclose([v for _, v in curve], [v for _, v in ref_curve], rtol=1e-9, atol=0.0)
     assert best.q == ref_best[0]
     assert np.array_equal(best.labels, ref_best[1])
+
+
+def test_one_restart_prunes_while_the_other_does_not(monkeypatch):
+    y, truth = planted(15, 3, 0.5, 0.03, seed=8)
+    y = y.astype(np.float64)
+    random_init = legnet.sbm._init_tau
+
+    def init(b, q, mode, rng):
+        if mode == "random":
+            return random_init(b, q, mode, rng)
+        # the spectral restart starts with the last class empty
+        tau = np.zeros((b.n, q))
+        tau[np.arange(b.n), np.minimum(truth, q - 2)] = 1.0
+        return tau
+
+    monkeypatch.setattr(legnet.sbm, "_init_tau", init)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fit = fit_q(y, 3, seed=2, restarts=2)
+    runs = fit.meta["runs"]
+    assert [run["collapsed"] for run in runs] == [True, False]
+    assert [str(w.message) for w in caught] == ["pruned 1 empty class(es) at Q=3"]
+    assert runs == _dense_fit_q(y, 3, restarts=2, seed=2)[3]
 
 
 def test_restart_facts_are_recorded():
