@@ -13,8 +13,8 @@ import gc
 import sys
 
 from . import __version__
-from .config import (BUILTIN_MODELS, ESTIMATORS, STAGES, config_from_dict,
-                     parse_q_range, read_config)
+from .config import (BUILTIN_MODELS, EDGE_FORMATS, ESTIMATORS, SBM_INITS, STAGES,
+                     config_from_dict, read_config)
 from .errors import ConfigError, DataError, EstimationError
 from .pipeline import Pipeline
 
@@ -32,8 +32,7 @@ _STAGES_FOR = {
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--edges", help="edge list (CSV or exported JSON)")
     p.add_argument("--attrs", help="node attribute CSV")
-    p.add_argument("--format", dest="edge_format",
-                   choices=("csv", "upstream-json"),
+    p.add_argument("--format", dest="edge_format", choices=EDGE_FORMATS,
                    help="edge list format (default csv)")
     p.add_argument("--json-fields",
                    help="field remapping for the JSON format, e.g. "
@@ -41,8 +40,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON run config; flags override it")
     p.add_argument("--out", help="output directory (default out)")
     p.add_argument("--seed", type=int, help="master RNG seed (default 0)")
-    p.add_argument("--threads", type=int,
-                   help="accepted and ignored (kept for old scripts)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -76,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--q-range", help="community counts to scan, as A:B")
             p.add_argument("--restarts", type=int,
                            help="restarts per community count")
-            p.add_argument("--init", choices=("spectral", "random"),
+            p.add_argument("--init", choices=SBM_INITS,
                            help="blockmodel initialization")
         if command in ("score", "report", "run"):
             p.add_argument("--against",
@@ -94,30 +91,26 @@ def _parse_json_fields(text: str) -> dict:
     return fields
 
 
+# (config key, argparse destination) of the flags that set a key as given.
+_FLAG_KEYS = (("edges", "edges"), ("attrs", "attrs"), ("format", "edge_format"),
+              ("out", "out"), ("seed", "seed"), ("ergm_estimator", "estimator"),
+              ("min_clique_size", "min_clique_size"))
+
+
 def _build_config(args: argparse.Namespace):
     raw = read_config(args.config) if args.config else {}
-    for key, value in (("edges", args.edges), ("attrs", args.attrs),
-                       ("format", args.edge_format), ("out", args.out),
-                       ("seed", args.seed), ("threads", args.threads)):
-        if value is not None:
-            raw[key] = value
+    for key, dest in _FLAG_KEYS:
+        if getattr(args, dest, None) is not None:
+            raw[key] = getattr(args, dest)
     if args.json_fields:
         raw["json_fields"] = _parse_json_fields(args.json_fields)
     if getattr(args, "models", None):
         raw["models"] = [m.strip() for m in args.models.split(",") if m.strip()]
-    if getattr(args, "estimator", None):
-        raw["ergm_estimator"] = args.estimator
-    if getattr(args, "min_clique_size", None) is not None:
-        raw["min_clique_size"] = args.min_clique_size
-    sbm_block = dict(raw.get("sbm") or {})
-    if getattr(args, "q_range", None):
-        sbm_block["q_range"] = list(parse_q_range(args.q_range))
-    if getattr(args, "restarts", None) is not None:
-        sbm_block["restarts"] = args.restarts
-    if getattr(args, "init", None):
-        sbm_block["init"] = args.init
-    if sbm_block:
-        raw["sbm"] = sbm_block
+    sbm_flags = {key: getattr(args, key) for key in ("q_range", "restarts", "init")
+                 if getattr(args, key, None) is not None}
+    sbm_block = {} if raw.get("sbm") is None else raw["sbm"]
+    if sbm_flags and isinstance(sbm_block, dict):  # else config_from_dict refuses it
+        raw["sbm"] = {**sbm_block, **sbm_flags}
     if getattr(args, "against", None):
         raw["score_against"] = [c.strip() for c in args.against.split(",")
                                 if c.strip()]

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -15,10 +15,13 @@ from .ergm import (AbsDiff, Edges, ErgmSpec, ErgmTerm, McmleControl, Mutual,
                    NodeCovariate, NodeMatch)
 from .ergm.terms import COVARIATE_ROLES
 from .graph import Graph
+from .io import UPSTREAM_FIELD_DEFAULTS
 from .topology import CentralityReport
 
 STAGES = ("ingest", "topology", "assort", "ergm", "sbm", "score", "report")
 ESTIMATORS = ("exact-dyad", "mple", "mcmle")
+EDGE_FORMATS = ("csv", "upstream-json")
+SBM_INITS = ("spectral", "random")
 TERM_KINDS = ("edges", "mutual", "covariate", "match", "absdiff")
 _ATTRIBUTE_KINDS = ("covariate", "match", "absdiff")  # kinds that name an attribute
 
@@ -53,8 +56,8 @@ BUILTIN_MODELS = tuple(_ROSTER)
 
 @dataclass
 class RunConfig:
-    edges: str
-    out_dir: str
+    edges: str = ""
+    out_dir: str = "out"
     attrs: str | None = None
     edge_format: str = "csv"
     json_fields: dict[str, str] = field(default_factory=dict)
@@ -67,46 +70,80 @@ class RunConfig:
     sbm_init: str = "spectral"
     score_against: list[str] = field(default_factory=lambda: ["party", "chamber"])
     seed: int = 0
-    threads: int | None = None  # accepted for old configs; ignored
     stages: list[str] = field(default_factory=lambda: list(STAGES))
     weighted_spectral: bool = False
     standardize: bool = False
     min_clique_size: int | None = None
 
     def validate(self) -> None:
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
-        if self.seed < 0:
-            raise ConfigError("seed must be non-negative")
-        if self.threads is not None and (not isinstance(self.threads, int)
-                                         or self.threads < 1):
-            raise ConfigError(f"threads must be a positive integer, got {self.threads!r}")
-        if self.edge_format not in ("csv", "upstream-json"):
-            raise ConfigError(f"unknown edge format {self.edge_format!r}")
-        if self.ergm_estimator not in ESTIMATORS:
-            raise ConfigError(f"unknown estimator {self.ergm_estimator!r}; "
-                              f"choose from {ESTIMATORS}")
-        if self.sbm_init not in ("spectral", "random"):
-            raise ConfigError(f"unknown SBM init {self.sbm_init!r}")
-        lo, hi = self.q_range
-        if not (isinstance(lo, int) and isinstance(hi, int) and 1 <= lo <= hi):
-            raise ConfigError(f"bad Q range {self.q_range!r}")
-        if self.sbm_restarts < 1:
-            raise ConfigError("restarts must be >= 1")
-        for stage in self.stages:
-            if stage not in STAGES:
-                raise ConfigError(f"unknown stage {stage!r}; choose from {STAGES}")
+        """Raise ConfigError, naming the config key, unless every field is well-formed."""
+        for key, (name, requirement, ok) in _SCHEMA.items():
+            value = getattr(self, name)
+            if not ok(value):
+                raise ConfigError(f"{key} must be {requirement}, got {value!r}")
         for model in self.models:
             _validate_model(model)
-        if not self.edges:
-            raise ConfigError("edge list path is required")
-        for name in ("json_fields", "party_reassignment"):
-            value = getattr(self, name)
-            if not (isinstance(value, Mapping) and all(
-                    isinstance(k, str) and isinstance(v, str) for k, v in value.items())):
-                raise ConfigError(f"'{name}' must be an object of string keys and "
-                                  f"string values, got {value!r}")
         _validate_mcmc(self.mcmc)
+
+
+def _int_at_least(low: int) -> Callable[[Any], bool]:
+    return lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= low
+
+
+def _list_of(ok: Callable[[Any], bool]) -> Callable[[Any], bool]:
+    return lambda v: isinstance(v, (list, tuple)) and all(map(ok, v))
+
+
+def _string_map(value: Any) -> bool:
+    return isinstance(value, Mapping) and all(
+        isinstance(x, str) for item in value.items() for x in item)
+
+
+# The config schema: each JSON key (keys of the `sbm` block written
+# "sbm.KEY"), the RunConfig field it sets, and what the field must hold.
+# The defaults are RunConfig's own: a key that is absent or null keeps it.
+_SCHEMA: dict[str, tuple[str, str, Callable[[Any], bool]]] = {
+    "edges": ("edges", "a non-empty string", lambda v: isinstance(v, str) and v != ""),
+    "out": ("out_dir", "a non-empty string", lambda v: isinstance(v, str) and v != ""),
+    "attrs": ("attrs", "a string or null", lambda v: v is None or isinstance(v, str)),
+    "format": ("edge_format", f"one of {EDGE_FORMATS}", lambda v: v in EDGE_FORMATS),
+    "json_fields": ("json_fields", "an object of string keys and string values, with "
+                    f"keys from {tuple(UPSTREAM_FIELD_DEFAULTS)}",
+                    lambda v: _string_map(v) and set(v) <= set(UPSTREAM_FIELD_DEFAULTS)),
+    "party_reassignment": ("party_reassignment",
+                           "an object of string keys and string values", _string_map),
+    "models": ("models", "a list", _list_of(lambda model: True)),
+    "ergm_estimator": ("ergm_estimator", f"one of {ESTIMATORS}", lambda v: v in ESTIMATORS),
+    "mcmc": ("mcmc", "an object", lambda v: isinstance(v, Mapping)),
+    "sbm.q_range": ("q_range", "'A:B' or a pair [A, B] of integers, 1 <= A <= B", lambda v:
+                    _list_of(_int_at_least(1))(v) and len(v) == 2 and v[0] <= v[1]),
+    "sbm.restarts": ("sbm_restarts", "an integer >= 1", _int_at_least(1)),
+    "sbm.init": ("sbm_init", f"one of {SBM_INITS}", lambda v: v in SBM_INITS),
+    "score_against": ("score_against", "a list of strings",
+                      _list_of(lambda column: isinstance(column, str))),
+    "seed": ("seed", "an integer >= 0", _int_at_least(0)),
+    "stages": ("stages", f"a list of stages from {STAGES}", _list_of(lambda s: s in STAGES)),
+    "weighted_spectral": ("weighted_spectral", "true or false", lambda v: isinstance(v, bool)),
+    "standardize": ("standardize", "true or false", lambda v: isinstance(v, bool)),
+    "min_clique_size": ("min_clique_size", "an integer >= 1 or null",
+                        lambda v: v is None or _int_at_least(1)(v)),
+}
+_TOP_LEVEL_KEYS = {key.partition(".")[0] for key in _SCHEMA}
+
+# Settings that no longer exist, and why; a config that sets one is refused.
+_REMOVED = {
+    "threads": "every kernel is single-threaded",
+    "mcmc.burnin": "the sampler draws each state exactly, with no burn-in",
+    "mcmc.interval": "the sampler's draws are independent, with no thinning",
+    **dict.fromkeys(("mcmc.bridges", "mcmc.bridge_sample_size", "mcmc.bridge_burnin"),
+                    "the MCMLE log-likelihood is exact, with no bridge sampling"),
+}
+
+
+def _refuse_removed(keys: Iterable[str]) -> None:
+    for key in keys:
+        if key in _REMOVED:
+            raise ConfigError(f"config key {key!r} was removed: {_REMOVED[key]}")
 
 
 def _validate_model(model: Any) -> None:
@@ -146,28 +183,17 @@ def _check_term(term: Any) -> None:
                           f"got {term['level']!r}")
 
 
-def _validate_mcmc(mcmc: Any) -> None:
+def _validate_mcmc(mcmc: Mapping[str, Any]) -> None:
     """Check the `mcmc` block's keys and value types; McmleControl checks ranges."""
-    if not isinstance(mcmc, Mapping):
-        raise ConfigError("'mcmc' must be an object")
+    _refuse_removed(f"mcmc.{key}" for key in mcmc)
     defaults = {f.name: f.default for f in fields(McmleControl)}
     for key, value in mcmc.items():
-        if str(key).startswith("bridge"):
-            raise ConfigError(f"mcmc key {key!r} was removed: the MCMLE log-likelihood "
-                              f"is the exact dyad sum, with no bridge sampling")
         if key not in defaults:
             raise ConfigError(f"unknown mcmc key {key!r}; valid keys are {sorted(defaults)}")
         kind = type(defaults[key])  # int or float; an int is a valid float
         if isinstance(value, bool) or not isinstance(value, (kind, int)):
             raise ConfigError(f"mcmc {key} must be of type {kind.__name__}, got {value!r}")
     McmleControl(**mcmc)
-
-
-_CONFIG_KEYS = {
-    "edges", "attrs", "format", "json_fields", "party_reassignment", "models",
-    "ergm_estimator", "mcmc", "sbm", "score_against", "seed", "threads", "out",
-    "stages", "weighted_spectral", "standardize", "min_clique_size",
-}
 
 
 def read_config(path: str | Path) -> dict[str, Any]:
@@ -189,43 +215,30 @@ def load_config(path: str | Path) -> RunConfig:
 
 
 def config_from_dict(raw: Mapping[str, Any]) -> RunConfig:
+    """Build and validate the RunConfig a JSON config object describes.
+
+    Each key sets the field `_SCHEMA` maps it to; a key that is absent
+    or null keeps RunConfig's default. `sbm.q_range` may be written 'A:B'.
+    """
     if not isinstance(raw, Mapping):
         raise ConfigError("config root must be a JSON object")
-    unknown = set(raw) - _CONFIG_KEYS
+    sbm = {} if raw.get("sbm") is None else raw["sbm"]
+    if not isinstance(sbm, Mapping):
+        raise ConfigError(f"sbm must be an object, got {sbm!r}")
+    keys = {str(k): v for k, v in raw.items() if k != "sbm"}
+    keys.update({f"sbm.{k}": v for k, v in sbm.items()})
+    _refuse_removed(keys)
+    unknown = sorted(({str(k) for k in raw} - _TOP_LEVEL_KEYS)
+                     | {k for k in keys if k not in _SCHEMA})
     if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    sbm_block = raw.get("sbm")
-    if sbm_block is None:
-        sbm_block = {}
-    if not isinstance(sbm_block, Mapping):
-        raise ConfigError("'sbm' must be an object")
-    q_range = sbm_block.get("q_range", [1, 20])
+        raise ConfigError(f"unknown config keys: {unknown}")
+    settings = {_SCHEMA[k][0]: v for k, v in keys.items() if v is not None}
+    q_range = settings.get("q_range")
     if isinstance(q_range, str):
-        q_range = parse_q_range(q_range)
-    if not (isinstance(q_range, (list, tuple)) and len(q_range) == 2
-            and all(isinstance(v, int) and not isinstance(v, bool) for v in q_range)):
-        raise ConfigError(f"bad Q range {q_range!r}")
-    config = RunConfig(
-        edges=raw.get("edges", ""),
-        attrs=raw.get("attrs"),
-        edge_format=raw.get("format", "csv"),
-        json_fields=raw.get("json_fields") or {},
-        party_reassignment=raw.get("party_reassignment") or {},
-        models=list(raw.get("models", list(BUILTIN_MODELS))),
-        ergm_estimator=raw.get("ergm_estimator", "exact-dyad"),
-        mcmc=raw.get("mcmc") or {},
-        q_range=(int(q_range[0]), int(q_range[1])),
-        sbm_restarts=sbm_block.get("restarts", 10),
-        sbm_init=sbm_block.get("init", "spectral"),
-        score_against=list(raw.get("score_against", ["party", "chamber"])),
-        seed=raw.get("seed", 0),
-        threads=raw.get("threads"),
-        out_dir=raw.get("out", "out"),
-        stages=list(raw.get("stages", list(STAGES))),
-        weighted_spectral=bool(raw.get("weighted_spectral", False)),
-        standardize=bool(raw.get("standardize", False)),
-        min_clique_size=raw.get("min_clique_size"),
-    )
+        settings["q_range"] = parse_q_range(q_range)
+    elif isinstance(q_range, list):
+        settings["q_range"] = tuple(q_range)
+    config = RunConfig(**settings)
     config.validate()
     return config
 

@@ -27,10 +27,8 @@ from .terms import DyadDesign, ErgmSpec
 
 @dataclass(frozen=True)
 class McmleControl:
-    """Monte-Carlo controls; burnin and interval are validated but ignored."""
+    """Monte-Carlo controls; the draws are exact, so no burn-in or thinning is set."""
 
-    burnin: int = 200
-    interval: int = 5
     sample_size: int = 512
     max_phases: int = 20
     ee_tol: float = 0.1
@@ -39,9 +37,8 @@ class McmleControl:
     min_ess_frac: float = 0.05
 
     def __post_init__(self) -> None:
-        if not (self.burnin >= 0 and self.interval >= 1 and self.sample_size >= 2
-                and self.max_phases >= 1 and self.ee_tol > 0 and self.seed >= 0
-                and self.step_max > 0 and 0 <= self.min_ess_frac <= 1):
+        if not (self.sample_size >= 2 and self.max_phases >= 1 and self.ee_tol > 0
+                and self.seed >= 0 and self.step_max > 0 and 0 <= self.min_ess_frac <= 1):
             raise ConfigError(f"invalid Monte-Carlo control values in {self}")
 
 
@@ -107,7 +104,7 @@ def fit_mcmle(graph: Graph, spec: ErgmSpec,
         phases = phase + 1
         sim = sample_states(
             design, theta,
-            SimControl(control.burnin, control.interval, control.sample_size,
+            SimControl(sample_size=control.sample_size,
                        seed=_phase_seed(control.seed, phase)))
         sample = sim.stats
         gbar = sample.mean(axis=0)

@@ -188,12 +188,6 @@ class Pipeline:
             wanted.add("topology")
             self.notice("topology stage forced: requested models use "
                         "centrality covariates")
-        if self.config.threads is not None:
-            self.notice("threads setting ignored: centralities are single-threaded")
-        ignored = [key for key in ("burnin", "interval") if key in self.config.mcmc]
-        if ignored:
-            self.notice(f"mcmc {' and '.join(ignored)} ignored: the sampler draws "
-                        "each kept state exactly, with no burn-in or thinning")
         selected = [s for s in STAGES if s in wanted]
         self._selected = selected
         for stage in selected:

@@ -99,8 +99,8 @@ def test_degenerate_fit_exits_4(tmp_path, capsys):
 @pytest.mark.parametrize("mcmc, message", [
     ({"bogus": 1}, "unknown mcmc key 'bogus'"),
     ({"bridges": 12}, "no bridge sampling"),
-    ({"burnin": "a"}, "burnin must be of type int"),
-    ({"interval": 0}, "interval=0"),
+    ({"burnin": 50}, "config key 'mcmc.burnin' was removed"),
+    ({"interval": 2}, "config key 'mcmc.interval' was removed"),
 ])
 def test_bad_mcmc_block_is_config_error(toy, capsys, mcmc, message):
     epath, _, out = toy
@@ -112,6 +112,33 @@ def test_bad_mcmc_block_is_config_error(toy, capsys, mcmc, message):
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and len(err.splitlines()) == 1
     assert message in err
+
+
+@pytest.mark.parametrize("block, message", [
+    ({"min_clique_size": "3"}, "min_clique_size must be an integer >= 1 or null, got '3'"),
+    ({"weighted_spectral": "no"}, "weighted_spectral must be true or false, got 'no'"),
+    ({"threads": 2}, "config key 'threads' was removed"),
+])
+def test_malformed_or_removed_setting_is_one_config_error_line(toy, capsys, block, message):
+    # the first setting used to end in a traceback; the second quietly
+    # turned the option on
+    epath, _, out = toy
+    cfg = out.parent / "run.json"
+    cfg.write_text(json.dumps({"edges": str(epath), "out": str(out), **block}))
+    code = main(["run", "--config", str(cfg)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and len(err.splitlines()) == 1
+    assert message in err
+    assert not out.exists()
+
+
+def test_threads_flag_is_a_usage_error(toy, capsys):
+    epath, _, out = toy
+    with pytest.raises(SystemExit) as exc:
+        main(["topology", "--edges", str(epath), "--out", str(out), "--threads", "2"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("block", [{"json_fields": [1]}, {"party_reassignment": "ab"}])
@@ -215,7 +242,7 @@ def test_score_against_selected_column(toy):
 def test_topology_subcommand_artifacts(toy):
     epath, apath, out = toy
     code = main(["topology", "--edges", str(epath), "--attrs", str(apath),
-                 "--out", str(out), "--threads", "2"])
+                 "--out", str(out)])
     assert code == 0
     names = {p.name for p in out.iterdir()}
     assert "centrality.csv" in names and "connectivity.json" in names

@@ -1,12 +1,14 @@
 """Configuration parsing and the built-in model roster."""
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from legnet import (ConfigError, DataError, build_model, config_from_dict,
                     load_config, parse_q_range, spec_from_terms)
+from legnet.cli import _build_config, build_parser
 from legnet.config import (BUILTIN_MODELS, STAGES, RunConfig,
                            model_needs_attrs, model_needs_centrality)
 
@@ -104,10 +106,149 @@ def test_unknown_keys_rejected():
                                     "role": "both"}]]},
     {"edges": "e.csv", "models": [[{"term": "match", "attribute": "party",
                                     "level": 3}]]},
+    # wrong types that used to end in a traceback
+    {"edges": "e.csv", "min_clique_size": "3"},
+    {"edges": "e.csv", "sbm": {"restarts": "2"}},
+    {"edges": "e.csv", "sbm": {"restarts": 2.5}},
+    {"edges": "e.csv", "score_against": 5},
+    {"edges": 5},
+    {"edges": "e.csv", "out": 5},
+    # wrong types and keys that used to be coerced or ignored
+    {"edges": "e.csv", "weighted_spectral": "no"},
+    {"edges": "e.csv", "standardize": 1},
+    {"edges": "e.csv", "score_against": "party"},
+    {"edges": "e.csv", "sbm": {"restarts": True}},
+    {"edges": "e.csv", "sbm": {"restart": 3}},
+    {"edges": "e.csv", "json_fields": {"node": "users"}},
+    {"edges": "e.csv", "min_clique_size": 0},
+    {"edges": "e.csv", "attrs": 5},
+    # removed settings
+    {"edges": "e.csv", "threads": 2},
+    {"edges": "e.csv", "mcmc": {"burnin": 200}},
+    {"edges": "e.csv", "mcmc": {"interval": 5}},
 ])
 def test_invalid_configs_raise(raw):
     with pytest.raises(ConfigError):
         config_from_dict(raw)
+
+
+@pytest.mark.parametrize("raw, message", [
+    ({"edges": "e.csv", "sbm": {"restarts": "2"}}, "sbm.restarts must be an integer >= 1"),
+    ({"edges": "e.csv", "out": 5}, "out must be a non-empty string, got 5"),
+    ({"edges": "e.csv", "json_fields": {"node": "users"}}, "with keys from ('nodes', "),
+    ({"edges": "e.csv", "threads": 2}, "config key 'threads' was removed: "),
+    ({"edges": "e.csv", "mcmc": {"burnin": 200}}, "config key 'mcmc.burnin' was removed: "),
+    ({"edges": "e.csv", "mcmc": {"bridges": 4}}, "no bridge sampling"),
+    ({"edges": "e.csv", "sbm": {"restart": 3}}, "unknown config keys: ['sbm.restart']"),
+    ({"edges": "e.csv", "sbm.init": "random"}, "unknown config keys: ['sbm.init']"),
+    ({"out": "o"}, "edges must be a non-empty string, got ''"),
+])
+def test_config_errors_name_the_key(raw, message):
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict(raw)
+    assert message in str(exc.value)
+
+
+def test_null_means_the_default_for_every_key():
+    keys = ["attrs", "format", "json_fields", "party_reassignment", "models",
+            "ergm_estimator", "mcmc", "sbm", "score_against", "seed", "out",
+            "stages", "weighted_spectral", "standardize", "min_clique_size"]
+    default = config_from_dict({"edges": "e.csv"})
+    assert config_from_dict({"edges": "e.csv", **dict.fromkeys(keys)}) == default
+    sbm_nulls = {"q_range": None, "restarts": None, "init": None}
+    assert config_from_dict({"edges": "e.csv", "sbm": sbm_nulls}) == default
+    with pytest.raises(ConfigError, match="edges must be"):
+        config_from_dict({"edges": None})
+
+
+def test_library_callers_get_the_same_checks():
+    with pytest.raises(ConfigError, match="weighted_spectral must be true or false"):
+        RunConfig(edges="e.csv", weighted_spectral="no").validate()
+    with pytest.raises(ConfigError, match="config key 'mcmc.interval' was removed"):
+        RunConfig(edges="e.csv", mcmc={"interval": 2}).validate()
+
+
+# Every field's default, as config_from_dict has always filled it in.
+DEFAULTS = {
+    "edges": "", "out_dir": "out", "attrs": None, "edge_format": "csv",
+    "json_fields": {}, "party_reassignment": {}, "models": list(BUILTIN_MODELS),
+    "ergm_estimator": "exact-dyad", "mcmc": {}, "q_range": (1, 20),
+    "sbm_restarts": 10, "sbm_init": "spectral", "score_against": ["party", "chamber"],
+    "seed": 0, "stages": list(STAGES), "weighted_spectral": False,
+    "standardize": False, "min_clique_size": None,
+}
+_ODD = {"name": "odd", "terms": [{"term": "edges"}, {"term": "absdiff", "attribute": "age"}]}
+_REPORT_ARGV = ["report", "--edges", "in/congress_edges.csv", "--attrs",
+                "in/congress_attrs.csv", "--out", "o", "--models", "model1,model3,model6",
+                "--estimator", "exact-dyad", "--q-range", "1:20", "--restarts", "2",
+                "--seed", "81"]
+_README_CONFIG = {
+    "edges": "edges.csv", "attrs": "members.csv", "out": "results", "seed": 7,
+    "stages": list(STAGES), "models": ["model1", "model2", "model3", "model6"],
+    "ergm_estimator": "exact-dyad", "mcmc": {"sample_size": 512},
+    "sbm": {"q_range": [1, 20], "restarts": 10, "init": "spectral"},
+    "score_against": ["party", "chamber"],
+    "party_reassignment": {"SenAngusKing": "Democrat"},
+}
+
+
+# Valid configs of the test suite, the README and the benchmark's CLI
+# calls (a config dict, or the argv of a legnet call), each with the
+# fields where its RunConfig differs from DEFAULTS.
+VALID_CONFIGS = [
+    ({"edges": "e.csv"}, {"edges": "e.csv"}),
+    ({"edges": "e.csv", "seed": 9}, {"edges": "e.csv", "seed": 9}),
+    ({"edges": "e.csv", "sbm": {"q_range": "2:8", "restarts": 3, "init": "random"}},
+     {"edges": "e.csv", "q_range": (2, 8), "sbm_restarts": 3, "sbm_init": "random"}),
+    ({"edges": "e.csv", "attrs": "a.csv", "out": "o", "seed": 5,
+      "models": ["model1", "model2", "model6"], "sbm": {"q_range": [1, 4], "restarts": 4}},
+     {"edges": "e.csv", "attrs": "a.csv", "out_dir": "o", "seed": 5,
+      "models": ["model1", "model2", "model6"], "q_range": (1, 4), "sbm_restarts": 4}),
+    ({"edges": "e.csv", "attrs": "a.csv", "out": "o", "seed": 3,
+      "models": ["model1", _ODD], "ergm_estimator": "mcmle", "mcmc": {"sample_size": 200},
+      "sbm": {"q_range": [1, 3], "restarts": 2}},
+     {"edges": "e.csv", "attrs": "a.csv", "out_dir": "o", "seed": 3,
+      "models": ["model1", _ODD], "ergm_estimator": "mcmle", "mcmc": {"sample_size": 200},
+      "q_range": (1, 3), "sbm_restarts": 2}),
+    ({"edges": "e.csv", "out": "o", "stages": ["ergm"], "models": [_ODD["terms"]]},
+     {"edges": "e.csv", "out_dir": "o", "stages": ["ergm"], "models": [_ODD["terms"]]}),
+    ({"edges": "e.json", "format": "upstream-json", "json_fields": {"nodes": "users"},
+      "weighted_spectral": True, "standardize": True, "min_clique_size": 3,
+      "score_against": ["party"], "party_reassignment": {"a": "Gold"}},
+     {"edges": "e.json", "edge_format": "upstream-json", "json_fields": {"nodes": "users"},
+      "weighted_spectral": True, "standardize": True, "min_clique_size": 3,
+      "score_against": ["party"], "party_reassignment": {"a": "Gold"}}),
+    (_README_CONFIG,
+     {"edges": "edges.csv", "attrs": "members.csv", "out_dir": "results", "seed": 7,
+      "models": ["model1", "model2", "model3", "model6"], "mcmc": {"sample_size": 512},
+      "party_reassignment": {"SenAngusKing": "Democrat"}}),
+    (_REPORT_ARGV,
+     {"edges": "in/congress_edges.csv", "attrs": "in/congress_attrs.csv", "out_dir": "o",
+      "models": ["model1", "model3", "model6"], "sbm_restarts": 2, "seed": 81}),
+    (["topology", "--edges", "in/sparse_edges.csv", "--out", "o", "--seed", "81"],
+     {"edges": "in/sparse_edges.csv", "out_dir": "o", "seed": 81, "stages": ["topology"]}),
+    (["ingest", "--edges", "net.json", "--format", "upstream-json", "--json-fields",
+      "nodes=usernameList,targets=outList,weights=outWeight", "--out", "o"],
+     {"edges": "net.json", "edge_format": "upstream-json", "out_dir": "o",
+      "json_fields": {"nodes": "usernameList", "targets": "outList",
+                      "weights": "outWeight"}, "stages": ["ingest"]}),
+    (["topology", "--edges", "e.csv", "--min-clique-size", "4"],
+     {"edges": "e.csv", "min_clique_size": 4, "stages": ["topology"]}),
+    (["score", "--edges", "e.csv", "--q-range", "1:3", "--restarts", "2",
+      "--init", "random", "--against", "party"],
+     {"edges": "e.csv", "q_range": (1, 3), "sbm_restarts": 2, "sbm_init": "random",
+      "score_against": ["party"], "stages": ["sbm", "score"]}),
+]
+
+
+@pytest.mark.parametrize("given, differs", VALID_CONFIGS)
+def test_valid_configs_build_the_same_fields(given, differs):
+    if isinstance(given, list):
+        config = _build_config(build_parser().parse_args(given))
+    else:
+        config = config_from_dict(given)
+    assert asdict(config) == {**DEFAULTS, **differs}
+    assert type(config.q_range) is tuple
 
 
 def test_well_formed_custom_models_validate():

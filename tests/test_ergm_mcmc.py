@@ -100,8 +100,7 @@ def test_mcmle_recovers_the_exact_mle():
     g = random_digraph(16, p=0.22, seed=9, mutual_boost=0.5)
     spec = ErgmSpec([Edges(), Mutual()])
     exact = fit_exact_dyad(g, spec)
-    fit = fit_mcmle(g, spec, McmleControl(seed=4, sample_size=600,
-                                          burnin=150, interval=5))
+    fit = fit_mcmle(g, spec, McmleControl(seed=4, sample_size=600))
     mc_se = np.asarray(fit.diagnostics["mc_std_err"])
     gap = np.abs(np.asarray(fit.theta) - np.asarray(exact.theta))
     assert np.all(gap < np.maximum(3 * mc_se, 0.05))
@@ -121,8 +120,7 @@ def test_mcmle_lands_within_monte_carlo_error_of_the_exact_mle():
     spec = ErgmSpec([Edges(), Mutual(), NodeCovariate("x", x, "sender")])
     exact = fit_exact_dyad(g, spec)
     start = fit_mple(g, spec)
-    fit = fit_mcmle(g, spec, McmleControl(seed=4, sample_size=600,
-                                          burnin=150, interval=5))
+    fit = fit_mcmle(g, spec, McmleControl(seed=4, sample_size=600))
     mc_se = np.asarray(fit.diagnostics["mc_std_err"])
     assert np.any(np.abs(start.theta - exact.theta) > 3 * mc_se)
     assert np.all(np.abs(fit.theta - exact.theta) < 3 * mc_se)
@@ -135,8 +133,7 @@ def test_mcmle_standard_errors_use_the_exact_fisher_information():
 
     g = random_digraph(16, p=0.22, seed=9, mutual_boost=0.5)
     spec = ErgmSpec([Edges(), Mutual()])
-    fit = fit_mcmle(g, spec, McmleControl(seed=4, sample_size=200,
-                                          burnin=100, interval=5))
+    fit = fit_mcmle(g, spec, McmleControl(seed=4, sample_size=200))
     cov = _dyad_moments(DyadDesign.from_graph(g, spec), fit.theta_pinned)[2]
     expected = np.sqrt(np.diag(np.linalg.inv(cov)))
     assert np.allclose(fit.std_err, expected, rtol=1e-12, atol=0.0)
@@ -203,7 +200,7 @@ def test_exact_draws_have_the_per_dyad_law():
 def test_mcmle_is_seed_deterministic():
     g = random_digraph(10, p=0.3, seed=21, mutual_boost=0.4)
     spec = ErgmSpec([Edges(), Mutual()])
-    control = McmleControl(seed=8, sample_size=300, burnin=80)
+    control = McmleControl(seed=8, sample_size=300)
     a = fit_mcmle(g, spec, control)
     b = fit_mcmle(g, spec, control)
     assert np.array_equal(a.theta, b.theta)
@@ -241,7 +238,7 @@ def test_mcmle_rejects_fully_separated_start():
 def test_mcmc_diagnostics_rows():
     g = random_digraph(10, p=0.3, seed=33, mutual_boost=0.5)
     spec = ErgmSpec([Edges(), Mutual()])
-    fit = fit_mcmle(g, spec, McmleControl(seed=2, sample_size=400, burnin=100))
+    fit = fit_mcmle(g, spec, McmleControl(seed=2, sample_size=400))
     rows = mcmc_diagnostics(fit)
     assert [r["term"] for r in rows] == ["edges", "mutual"]
     trace = fit.diagnostics["trace"]

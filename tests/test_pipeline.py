@@ -273,14 +273,13 @@ def test_sbm_prune_warnings_become_counted_notices(tmp_path, monkeypatch):
     epath, _ = write_toy(src)
     config = config_from_dict({
         "edges": str(epath), "out": str(tmp_path / "out"), "seed": 1,
-        "threads": 4, "stages": ["sbm"], "sbm": {"q_range": [1, 2], "restarts": 1},
+        "stages": ["sbm"], "sbm": {"q_range": [1, 2], "restarts": 1},
     })
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         manifest = legnet.run(config)
     assert "sbm: pruned 1 empty class(es) at Q=3 (2x)" in manifest["notices"]
     assert "sbm: pruned 2 empty class(es) at Q=4 (1x)" in manifest["notices"]
-    assert any("threads" in n and "ignored" in n for n in manifest["notices"])
     fit = json.loads((tmp_path / "out" / "sbm_fit.json").read_text())
     assert [sorted(run) for run in fit["runs"]] == [
         ["collapsed", "converged", "iterations", "sequential_esteps"]]
@@ -385,21 +384,21 @@ def test_report_json_is_strict_rfc8259(tmp_path):
     assert "acceptance_rate" not in fit
 
 
-def test_mcmc_burnin_and_interval_are_ignored_with_a_notice(tmp_path):
+def test_mcmc_burnin_and_interval_are_removed_settings(tmp_path, capsys):
+    from legnet.cli import main
+
     src = tmp_path / "src"
     src.mkdir()
     epath, _ = write_toy(src)
-    manifests = []
-    for name, mcmc in (("set", {"burnin": 50, "interval": 2}), ("unset", {})):
-        config = config_from_dict({
-            "edges": str(epath), "out": str(tmp_path / name), "seed": 2,
+    for key, value in (("burnin", 50), ("interval", 2)):
+        cfg = tmp_path / f"{key}.json"
+        cfg.write_text(json.dumps({
+            "edges": str(epath), "out": str(tmp_path / key), "seed": 2,
             "stages": ["ergm"], "models": ["model2"],
-            "ergm_estimator": "mcmle", "mcmc": {"sample_size": 200, **mcmc},
-        })
-        manifests.append(legnet.run(config))
-    with_keys, without = manifests
-    assert with_keys["outputs"] == without["outputs"]
-    notice = [n for n in with_keys["notices"] if n.startswith("mcmc ")]
-    assert notice == ["mcmc burnin and interval ignored: the sampler draws each "
-                      "kept state exactly, with no burn-in or thinning"]
-    assert not any(n.startswith("mcmc ") for n in without["notices"])
+            "ergm_estimator": "mcmle", "mcmc": {"sample_size": 200, key: value},
+        }))
+        assert main(["run", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: config key 'mcmc.{key}' was removed: ")
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / key).exists()
