@@ -18,17 +18,6 @@ from .config import (BUILTIN_MODELS, EDGE_FORMATS, ESTIMATORS, SBM_INITS, STAGES
 from .errors import ConfigError, DataError, EstimationError
 from .pipeline import Pipeline
 
-_STAGES_FOR = {
-    "ingest": ["ingest"],
-    "topology": ["topology"],
-    "assort": ["assort"],
-    "ergm": ["ergm"],
-    "sbm": ["sbm"],
-    "score": ["sbm", "score"],
-    "report": list(STAGES),
-}
-
-
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--edges", help="edge list (CSV or exported JSON)")
     p.add_argument("--attrs", help="node attribute CSV")
@@ -114,8 +103,10 @@ def _build_config(args: argparse.Namespace):
     if getattr(args, "against", None):
         raw["score_against"] = [c.strip() for c in args.against.split(",")
                                 if c.strip()]
-    if args.command != "run":
-        raw["stages"] = _STAGES_FOR[args.command]
+    if args.command == "report":
+        raw["stages"] = list(STAGES)
+    elif args.command != "run":
+        raw["stages"] = [args.command]
     return config_from_dict(raw)
 
 

@@ -81,6 +81,9 @@ class RunConfig:
             value = getattr(self, name)
             if not ok(value):
                 raise ConfigError(f"{key} must be {requirement}, got {value!r}")
+        if self.json_fields and self.edge_format != "upstream-json":
+            raise ConfigError("json_fields applies only to format 'upstream-json', "
+                              f"got format {self.edge_format!r}")
         for model in self.models:
             _validate_model(model)
         _validate_mcmc(self.mcmc)

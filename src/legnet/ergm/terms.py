@@ -119,6 +119,16 @@ class ErgmSpec:
         return tuple(t.label for t in self.terms)
 
 
+def _covariate_values(term: NodeCovariate | AbsDiff, n: int) -> np.ndarray:
+    """The term's node values, refused unless there are n of them, all finite."""
+    x = np.asarray(term.values, dtype=np.float64)
+    if x.shape != (n,):
+        raise DataError(f"covariate {term.name!r} has {x.shape[0]} values for {n} nodes")
+    if not np.all(np.isfinite(x)):
+        raise DataError(f"covariate {term.name!r} contains non-finite values")
+    return x
+
+
 def _term_pair_columns(term: ErgmTerm, iu: np.ndarray, ju: np.ndarray,
                        n: int) -> tuple[np.ndarray, np.ndarray, float]:
     """(t1, t2, m) columns of one term over the unordered pairs."""
@@ -130,11 +140,7 @@ def _term_pair_columns(term: ErgmTerm, iu: np.ndarray, ju: np.ndarray,
         zero = np.zeros(d)
         return zero, zero.copy(), 1.0
     if isinstance(term, NodeCovariate):
-        x = np.asarray(term.values, dtype=np.float64)
-        if x.shape != (n,):
-            raise DataError(f"covariate {term.name!r} has {x.shape[0]} values for {n} nodes")
-        if not np.all(np.isfinite(x)):
-            raise DataError(f"covariate {term.name!r} contains non-finite values")
+        x = _covariate_values(term, n)
         if term.role == "sender":
             return x[iu], x[ju], 0.0
         if term.role == "receiver":
@@ -156,9 +162,7 @@ def _term_pair_columns(term: ErgmTerm, iu: np.ndarray, ju: np.ndarray,
         col = same.astype(np.float64)
         return col, col.copy(), 0.0
     if isinstance(term, AbsDiff):
-        x = np.asarray(term.values, dtype=np.float64)
-        if x.shape != (n,):
-            raise DataError(f"covariate {term.name!r} has {x.shape[0]} values for {n} nodes")
+        x = _covariate_values(term, n)
         col = np.abs(x[iu] - x[ju])
         return col, col.copy(), 0.0
     raise DataError(f"unknown term type {type(term).__name__}")

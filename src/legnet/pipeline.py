@@ -9,6 +9,7 @@ randomness flows from the configured seed.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import io as _io
 import json
@@ -109,7 +110,6 @@ class Pipeline:
         self._digests: dict[str, str] = {}
         self._sbm: SbmFit | None = None
         self._fits: list[tuple[str, ErgmFit]] = []
-        self._selected: list[str] = [s for s in STAGES if s in config.stages]
 
     # -- shared lazy inputs, each computed on first use ----------------------
 
@@ -180,18 +180,34 @@ class Pipeline:
     # -- stages -----------------------------------------------------------
 
     def run(self) -> dict:
-        """Execute the selected stages in dependency order."""
+        """Execute the requested stages and the stages they need, in order.
+
+        The scores need the communities, and a model on centrality scores
+        needs the topology stage. A UserWarning raised in a stage becomes
+        a notice "<stage>: <message> (<n>x)"; other warnings pass through.
+        """
         self.out.mkdir(parents=True, exist_ok=True)
         wanted = set(self.config.stages)
+        if "score" in wanted:
+            wanted.add("sbm")
         if "ergm" in wanted and "topology" not in wanted and any(
                 model_needs_centrality(m) for m in self.config.models):
             wanted.add("topology")
             self.notice("topology stage forced: requested models use "
                         "centrality covariates")
-        selected = [s for s in STAGES if s in wanted]
-        self._selected = selected
-        for stage in selected:
-            getattr(self, f"_stage_{stage}")()
+        self._selected = [s for s in STAGES if s in wanted]
+        for stage in self._selected:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", UserWarning)
+                getattr(self, f"_stage_{stage}")()
+            counts = Counter()
+            for w in caught:
+                if issubclass(w.category, UserWarning):
+                    counts[str(w.message)] += 1
+                else:
+                    warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+            for message, count in sorted(counts.items()):
+                self.notice(f"{stage}: {message} ({count}x)")
         manifest = self._manifest()
         payload = json.dumps(_jsonable(manifest), sort_keys=True, indent=2,
                              allow_nan=False) + "\n"
@@ -233,29 +249,15 @@ class Pipeline:
 
     def _stage_topology(self) -> None:
         graph = self.graph
-        cent = self.centrality
-        rows = []
-        for i, node in enumerate(graph.node_ids):
-            rows.append([str(node),
-                         int(cent.in_degree[i]), int(cent.out_degree[i]),
-                         cent.out_strength[i], cent.closeness[i],
-                         cent.betweenness[i], cent.eigen[i], cent.hub[i],
-                         cent.authority[i], cent.local_clustering[i]])
-        self._write_csv("centrality.csv",
-                        ["node_id", "in_degree", "out_degree", "out_strength",
-                         "closeness", "betweenness", "eigen", "hub",
-                         "authority", "local_clustering"], rows)
+        names = [f.name for f in dataclasses.fields(CentralityReport)]
+        columns = [getattr(self.centrality, name) for name in names]
+        self._write_csv("centrality.csv", ["node_id", *names],
+                        [[str(node), *values]
+                         for node, *values in zip(graph.node_ids, *columns)])
         conn = self.connectivity
-        payload = {
-            "density": conn.density,
-            "reciprocity": conn.reciprocity,
-            "transitivity": conn.transitivity,
-            "mean_local_clustering": conn.mean_local_clustering,
-            "triad_closed_fraction": conn.triad_closed_fraction,
-            "max_clique_size": conn.max_clique_size,
-            "maximal_cliques": [[str(graph.id_of(v)) for v in clique]
-                                for clique in conn.maximal_cliques],
-        }
+        payload = {**dataclasses.asdict(conn),
+                   "maximal_cliques": [[str(graph.id_of(v)) for v in clique]
+                                       for clique in conn.maximal_cliques]}
         if self.attrs is not None:
             by_level = {}
             for column in ("party", "chamber"):
@@ -356,12 +358,8 @@ class Pipeline:
                             effect_rows)
         if len(self._fits) >= 2:
             ranking = compare_models(self._fits)
-            self._write_csv("model_comparison.csv",
-                            ["model", "terms", "log_likelihood", "aic", "bic",
-                             "aic_reduction_pct", "bic_reduction_pct"],
-                            [[r["model"], r["terms"], r["log_likelihood"],
-                              r["aic"], r["bic"], r["aic_reduction_pct"],
-                              r["bic_reduction_pct"]] for r in ranking])
+            self._write_csv("model_comparison.csv", list(ranking[0]),
+                            [list(row.values()) for row in ranking])
         if null_fit is not None and len(self._fits) >= 2:
             tests = []
             for name, fit in self._fits:
@@ -375,14 +373,9 @@ class Pipeline:
 
     def _stage_sbm(self) -> None:
         lo, hi = self.config.q_range
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            best, curve = select_q(self.graph, range(lo, hi + 1),
-                                   restarts=self.config.sbm_restarts,
-                                   seed=self.config.seed,
-                                   init=self.config.sbm_init)
-        for message, count in sorted(Counter(str(w.message) for w in caught).items()):
-            self.notice(f"sbm: {message} ({count}x)")
+        best, curve = select_q(self.graph, range(lo, hi + 1),
+                               restarts=self.config.sbm_restarts,
+                               seed=self.config.seed, init=self.config.sbm_init)
         self._sbm = best
         self._write_csv("sbm_icl_curve.csv", ["q", "icl"],
                         [[q, value] for q, value in curve])
@@ -418,8 +411,6 @@ class Pipeline:
         if self.attrs is None:
             self.notice("partition scores skipped (no attribute file)")
             return
-        if self._sbm is None:
-            self._stage_sbm()
         labels = [int(v) for v in self._sbm.labels]
         rows = []
         for column in self.config.score_against:

@@ -239,7 +239,8 @@ def _init_tau(b: _Binary, q: int, mode: str, rng: np.random.Generator) -> np.nda
             emb = np.hstack([u * s, a.T @ u])
             _, labels = kmeans2(emb, q, minit="++",
                                 seed=np.random.default_rng(rng.integers(2**32)))
-        except Exception:
+        except np.linalg.LinAlgError as exc:
+            warnings.warn(f"spectral start failed at Q={q} ({exc}); random start used")
             labels = rng.integers(q, size=n)
     tau = np.full((n, q), 0.05 / max(q - 1, 1))
     tau[np.arange(n), labels] = 0.95

@@ -114,6 +114,14 @@ def random_digraph(n, p=0.3, seed=0, mutual_boost=0.0, weighted=True):
     return graph_from_matrix(y, rng=rng if weighted else None)
 
 
+def graph_with_a_sink(n=12, seed=7) -> legnet.Graph:
+    """A random digraph where node 0 has no out-tie: its closeness is NaN."""
+    y = matrix_of(random_digraph(n, p=0.3, seed=seed))
+    y[0, :] = False
+    y[1:, 0] = True
+    return graph_from_matrix(y)
+
+
 def toy_tables(seed=11, n=30, split=15):
     """Two planted caucuses with attributes; clearly synthetic names."""
     rng = np.random.default_rng(seed)

@@ -12,7 +12,7 @@ import legnet
 from legnet import __version__
 from legnet.cli import main
 
-from conftest import write_toy
+from conftest import graph_with_a_sink, write_toy
 
 
 @pytest.fixture()
@@ -118,6 +118,8 @@ def test_bad_mcmc_block_is_config_error(toy, capsys, mcmc, message):
     ({"min_clique_size": "3"}, "min_clique_size must be an integer >= 1 or null, got '3'"),
     ({"weighted_spectral": "no"}, "weighted_spectral must be true or false, got 'no'"),
     ({"threads": 2}, "config key 'threads' was removed"),
+    ({"json_fields": {"nodes": "x"}},
+     "json_fields applies only to format 'upstream-json', got format 'csv'"),
 ])
 def test_malformed_or_removed_setting_is_one_config_error_line(toy, capsys, block, message):
     # the first setting used to end in a traceback; the second quietly
@@ -131,6 +133,21 @@ def test_malformed_or_removed_setting_is_one_config_error_line(toy, capsys, bloc
     assert err.startswith("config error: ") and len(err.splitlines()) == 1
     assert message in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("term", ["absdiff", "covariate"])
+def test_non_finite_centrality_covariate_exits_3(tmp_path, capsys, term):
+    edges = tmp_path / "edges.csv"
+    legnet.save_edge_list(graph_with_a_sink(), edges)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"models": [[{"term": "edges"},
+                                           {"term": term, "attribute": "closeness"}]]}))
+    for estimator in ("exact-dyad", "mple"):
+        code = main(["ergm", "--config", str(cfg), "--edges", str(edges),
+                     "--out", str(tmp_path / estimator), "--estimator", estimator])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "data error: covariate 'closeness' contains non-finite values\n")
 
 
 def test_threads_flag_is_a_usage_error(toy, capsys):

@@ -126,6 +126,9 @@ def test_unknown_keys_rejected():
     {"edges": "e.csv", "threads": 2},
     {"edges": "e.csv", "mcmc": {"burnin": 200}},
     {"edges": "e.csv", "mcmc": {"interval": 5}},
+    # json_fields without the format it applies to
+    {"edges": "e.csv", "json_fields": {"nodes": "x"}},
+    {"edges": "e.csv", "format": "csv", "json_fields": {"targets": "out"}},
 ])
 def test_invalid_configs_raise(raw):
     with pytest.raises(ConfigError):
@@ -142,6 +145,8 @@ def test_invalid_configs_raise(raw):
     ({"edges": "e.csv", "sbm": {"restart": 3}}, "unknown config keys: ['sbm.restart']"),
     ({"edges": "e.csv", "sbm.init": "random"}, "unknown config keys: ['sbm.init']"),
     ({"out": "o"}, "edges must be a non-empty string, got ''"),
+    ({"edges": "e.csv", "json_fields": {"nodes": "x"}},
+     "json_fields applies only to format 'upstream-json', got format 'csv'"),
 ])
 def test_config_errors_name_the_key(raw, message):
     with pytest.raises(ConfigError) as exc:
@@ -237,7 +242,7 @@ VALID_CONFIGS = [
     (["score", "--edges", "e.csv", "--q-range", "1:3", "--restarts", "2",
       "--init", "random", "--against", "party"],
      {"edges": "e.csv", "q_range": (1, 3), "sbm_restarts": 2, "sbm_init": "random",
-      "score_against": ["party"], "stages": ["sbm", "score"]}),
+      "score_against": ["party"], "stages": ["score"]}),
 ]
 
 

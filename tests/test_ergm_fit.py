@@ -14,8 +14,8 @@ from legnet.ergm import (AbsDiff, Edges, ErgmSpec, Mutual, NodeCovariate,
                          NodeMatch, expected_statistics, fit_exact_dyad,
                          fit_mple, likelihood_ratio_test, report_effects)
 
-from conftest import (enumerate_graphs, graph_from_matrix, matrix_of, oracle_mle,
-                      oracle_statistics, random_digraph)
+from conftest import (enumerate_graphs, graph_from_matrix, graph_with_a_sink, matrix_of,
+                      oracle_mle, oracle_statistics, random_digraph)
 
 
 def logit(p):
@@ -350,3 +350,16 @@ def test_step_within_rounding_is_taken_once():
     theta, frozen, _, _, converged, it = _newton(objective, 1, tol=1e-8, max_iter=20)
     assert converged and it == 1 and len(calls) == 2
     assert theta[0] == pytest.approx(1e-10, rel=1e-12) and not frozen.any()
+
+
+@pytest.mark.parametrize("fit", [fit_exact_dyad, fit_mple])
+@pytest.mark.parametrize("term", [
+    lambda x: AbsDiff("closeness", x),
+    lambda x: NodeCovariate("closeness", x, "sum"),
+], ids=["absdiff", "covariate"])
+def test_non_finite_covariate_is_a_data_error(fit, term):
+    g = graph_with_a_sink()
+    x = legnet.closeness(g)
+    assert np.isnan(x[0]) and np.isfinite(x[1:]).all()
+    with pytest.raises(DataError, match="covariate 'closeness' contains non-finite values"):
+        fit(g, ErgmSpec([Edges(), term(tuple(x))]))

@@ -218,6 +218,64 @@ def test_score_stage_pulls_in_communities(tmp_path):
     manifest = legnet.run(config)
     assert "partition_scores.csv" in manifest["outputs"]
     assert "sbm_fit.json" in manifest["outputs"]
+    assert manifest["stages"] == ["sbm", "score"]
+
+
+def test_score_stage_without_attributes_still_runs_the_scan(tmp_path):
+    src = tmp_path / "src"
+    src.mkdir()
+    epath, _ = write_toy(src)
+    config = config_from_dict({
+        "edges": str(epath), "out": str(tmp_path / "out"),
+        "stages": ["score"], "seed": 3,
+        "sbm": {"q_range": [1, 3], "restarts": 2},
+    })
+    manifest = legnet.run(config)
+    assert manifest["stages"] == ["sbm", "score"]
+    assert {"sbm_icl_curve.csv", "sbm_fit.json", "communities.csv"} <= set(manifest["outputs"])
+    assert "partition_scores.csv" not in manifest["outputs"]
+    assert manifest["notices"] == ["partition scores skipped (no attribute file)"]
+
+
+def test_unknown_attribute_columns_become_a_notice(tmp_path):
+    src = tmp_path / "src"
+    src.mkdir()
+    epath, apath = write_toy(src)
+    lines = apath.read_text().splitlines()
+    apath.write_text("\n".join([lines[0] + ",hobby"] + [line + ",chess" for line in lines[1:]])
+                     + "\n")
+    config = config_from_dict({
+        "edges": str(epath), "attrs": str(apath), "out": str(tmp_path / "out"),
+        "stages": ["ingest", "assort"],
+    })
+    manifest = legnet.run(config)
+    assert manifest["notices"] == ["ingest: ignoring unknown attribute columns: hobby (1x)"]
+
+
+def test_warnings_of_any_stage_become_notices(tmp_path, monkeypatch):
+    import warnings
+
+    import legnet.pipeline as pipeline_module
+    real_report = pipeline_module.assortativity_report
+
+    def warning_report(*args, **kwargs):
+        warnings.warn("coefficient undefined for x")
+        warnings.warn("coefficient undefined for x")
+        warnings.warn("log of zero", RuntimeWarning)
+        return real_report(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline_module, "assortativity_report", warning_report)
+    src = tmp_path / "src"
+    src.mkdir()
+    epath, apath = write_toy(src)
+    config = config_from_dict({
+        "edges": str(epath), "attrs": str(apath), "out": str(tmp_path / "out"),
+        "stages": ["topology", "assort"],
+    })
+    # a RuntimeWarning is no notice: it passes on to the caller
+    with pytest.warns(RuntimeWarning, match="log of zero"):
+        manifest = legnet.run(config)
+    assert manifest["notices"] == ["assort: coefficient undefined for x (2x)"]
 
 
 def test_ingest_round_trip_preserves_weights(toy_run):

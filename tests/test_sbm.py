@@ -479,3 +479,43 @@ def test_restart_facts_are_recorded():
     assert {"iterations": fit.iterations, "converged": fit.converged,
             "collapsed": fit.collapsed} in [
         {k: r[k] for k in ("iterations", "converged", "collapsed")} for r in runs]
+
+
+def test_failed_spectral_start_warns_and_starts_at_random(monkeypatch):
+    y, _ = planted(10, 3, 0.4, 0.04, seed=3)
+
+    def failing_eigh(*args, **kwargs):
+        raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+    monkeypatch.setattr(legnet.sbm.linalg, "eigh", failing_eigh)
+    with pytest.warns(UserWarning, match=r"spectral start failed at Q=3 "
+                      r"\(eigenvalues did not converge\); random start used"):
+        fit = fit_q(y, 3, seed=1, restarts=2)
+    assert fit.requested_q == 3 and fit.labels.shape == (30,)
+
+
+def test_other_spectral_start_errors_propagate(monkeypatch):
+    y, _ = planted(10, 3, 0.4, 0.04, seed=3)
+
+    def broken_eigh(*args, **kwargs):
+        raise ValueError("broken input")
+
+    monkeypatch.setattr(legnet.sbm.linalg, "eigh", broken_eigh)
+    with pytest.raises(ValueError, match="broken input"):
+        fit_q(y, 3, seed=1, restarts=2)
+
+
+def test_monotone_guard_never_lowers_the_bound():
+    from legnet.sbm import _as_binary, _elbo, _estep, _moments, _mstep, _sequential_pass, _take
+    y, _ = planted(10, 3, 0.3, 0.06, seed=12)
+    b = _as_binary(y.astype(np.float64))
+    rng = np.random.default_rng(12)
+    tau = rng.dirichlet(np.full(4, 0.5), size=(20, b.n)).transpose(0, 2, 1)
+    m = _moments(b, np.ascontiguousarray(tau))
+    p = _mstep(m)
+    before = _elbo(m, p)
+    for r in range(20):
+        after = _sequential_pass(b, m.tau[r], _take(p, r))
+        assert _elbo(_moments(b, after[None]), _take(p, [r]))[0] >= before[r] - 1e-10
+    new, sequential = _estep(b, m, p, before)
+    assert np.all(_elbo(new, p) >= before - 1e-10)
