@@ -6,11 +6,12 @@ supported terms are dyad-local. fit_mple is the pseudolikelihood
 logistic regression of each tie on its change statistic; the two
 coincide for dyad-independent specs.
 
-Both maximize by Newton's method with step halving. Iteration stops
-when the largest free gradient entry is below `tol`, or once a step is
-taken whose Newton decrement (the gain the quadratic model predicts) is
-within the rounding of the log-likelihood, 16 eps |ll|: such a step is
-evaluated once, and any change of ll within that rounding accepts it.
+Both maximize by Newton's method with step halving, and fail after
+_NEWTON_MAX_ITER iterations. Iteration stops when the largest free
+gradient entry is below _NEWTON_TOL, or once a step is taken whose
+Newton decrement (the gain the quadratic model predicts) is within the
+rounding of the log-likelihood, 16 eps |ll|: such a step is evaluated
+once, and any change of ll within that rounding accepts it.
 A step above the rounding is halved until ll does not fall.
 
 Separation: a coefficient driven past |25| is pinned there so the rest
@@ -34,6 +35,8 @@ from ..graph import Graph
 from .terms import DyadDesign, ErgmSpec
 
 SEPARATION_BOUND = 25.0
+_NEWTON_TOL = 1e-8
+_NEWTON_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -85,12 +88,7 @@ def _dyad_moments(design: DyadDesign, theta: np.ndarray
     (y1, y2, y1 y2) mapped through [t1, t2, m]. Complements such as
     1 - P(y1) are summed from the other states, exact near certainty.
     """
-    w = design.state_log_weights(theta).T      # (4, D): one row per state
-    top = w.max(axis=0)
-    e = np.exp(w - top)
-    total = e.sum(axis=0)
-    log_kappa = float((top + np.log(total)).sum())
-    p00, p10, p01, p11 = e / total
+    log_kappa, (p00, p10, p01, p11) = design.state_law(theta)
     t1, t2, m = design.t1, design.t2, design.mvec
     q1, q2 = p10 + p11, p01 + p11          # P(y1), P(y2)
     r1, r2 = p00 + p01, p00 + p10          # 1 - P(y1), 1 - P(y2)
@@ -144,7 +142,8 @@ def _newton(objective, k: int, tol: float, max_iter: int,
     """Maximize a concave objective with separation pinning.
 
     objective(theta) -> (ll, grad, fisher). Returns (theta, frozen,
-    fisher, ll, converged, iterations). pre_frozen coordinates stay at
+    fisher, ll, True, iterations): a run that does not converge raises
+    EstimationError instead. pre_frozen coordinates stay at
     pre_sign * SEPARATION_BOUND; a sign of 0 holds one at 0. Also
     converged once a step is applied whose Newton decrement is within
     rounding of ll, since on large dyad sums the gradient's rounding
@@ -157,15 +156,9 @@ def _newton(objective, k: int, tol: float, max_iter: int,
         frozen |= pre_frozen
         theta[pre_frozen] = pre_sign[pre_frozen] * SEPARATION_BOUND
     ll, grad, fisher = objective(theta)
-    converged = False
-    it = 0
     for it in range(1, max_iter + 1):
         free = ~frozen
-        if not free.any():
-            converged = True
-            break
-        if np.abs(grad[free]).max() < tol:
-            converged = True
+        if not free.any() or np.abs(grad[free]).max() < tol:
             break
         sub = fisher[np.ix_(free, free)]
         ascent = grad[free]
@@ -193,23 +186,19 @@ def _newton(objective, k: int, tol: float, max_iter: int,
         else:
             raise EstimationError("line search failed to make progress")
         if ascended and settled:
-            converged = True
             break
     else:
         raise EstimationError(f"no convergence after {max_iter} iterations "
                               f"(gradient norm {np.abs(grad[~frozen]).max():.3g})")
-    return theta, frozen, fisher, ll, converged, it
+    return theta, frozen, fisher, ll, True, it
 
 
 def _finalize(theta: np.ndarray, frozen: np.ndarray, fisher: np.ndarray,
               ll: float, n_obs: int, method: str, spec: ErgmSpec,
               digest: str, converged: bool, iterations: int,
-              diagnostics: dict[str, Any] | None = None,
-              inestimable: np.ndarray | None = None) -> ErgmFit:
+              diagnostics: dict[str, Any], inestimable: np.ndarray) -> ErgmFit:
     """Wald inference at theta; `frozen` includes the inestimable terms."""
     k = theta.shape[0]
-    if inestimable is None:
-        inestimable = np.zeros(k, dtype=bool)
     std_err = np.zeros(k)
     free = ~frozen
     if free.any():
@@ -246,12 +235,24 @@ def _finalize(theta: np.ndarray, frozen: np.ndarray, fisher: np.ndarray,
         iterations=iterations,
         graph_digest=digest,
         spec=spec,
-        diagnostics=dict(diagnostics or {}),
+        diagnostics=dict(diagnostics),
     )
 
 
-def fit_exact_dyad(graph: Graph, spec: ErgmSpec,
-                   tol: float = 1e-8, max_iter: int = 100) -> ErgmFit:
+def _newton_fit(graph: Graph, design: DyadDesign, objective, method: str,
+               g_obs: np.ndarray, low: np.ndarray, high: np.ndarray) -> ErgmFit:
+    """Newton fit of `objective`, with inestimable terms held at 0 and a term
+    pinned whose statistic g_obs is at an end of its range [low, high]."""
+    dead = design.inestimable
+    pre, sign = _boundary_freeze(g_obs, low, high)
+    theta, frozen, fisher, ll, converged, it = _newton(
+        objective, design.k, _NEWTON_TOL, _NEWTON_MAX_ITER, pre | dead,
+        np.where(dead, 0.0, sign))
+    return _finalize(theta, frozen, fisher, ll, design.n_ordered_pairs, method,
+                     design.spec, graph_digest(graph), converged, it, {}, dead)
+
+
+def fit_exact_dyad(graph: Graph, spec: ErgmSpec) -> ErgmFit:
     """Exact MLE through the per-dyad factorization of the likelihood.
 
     Valid for every term in this algebra: all of them are dyad-local,
@@ -266,21 +267,11 @@ def fit_exact_dyad(graph: Graph, spec: ErgmSpec,
         both = a + b + m
         low[k] = np.minimum(np.minimum(a, b), np.minimum(both, 0.0)).sum()
         high[k] = np.maximum(np.maximum(a, b), np.maximum(both, 0.0)).sum()
-    dead = design.inestimable
-    pre, sign = _boundary_freeze(g_obs, low, high)
-
-    def objective(theta: np.ndarray):
-        return _dyad_loglik(design, theta, g_obs)
-
-    theta, frozen, fisher, ll, converged, it = _newton(
-        objective, spec.k, tol, max_iter, pre | dead, np.where(dead, 0.0, sign))
-    return _finalize(theta, frozen, fisher, ll, design.n_ordered_pairs,
-                     "exact-dyad", spec, graph_digest(graph), converged, it,
-                     inestimable=dead)
+    return _newton_fit(graph, design, lambda theta: _dyad_loglik(design, theta, g_obs),
+                       "exact-dyad", g_obs, low, high)
 
 
-def fit_mple(graph: Graph, spec: ErgmSpec,
-             tol: float = 1e-8, max_iter: int = 100, *,
+def fit_mple(graph: Graph, spec: ErgmSpec, *,
              design: DyadDesign | None = None) -> ErgmFit:
     """Maximum pseudolikelihood: logistic regression on change statistics.
 
@@ -291,18 +282,9 @@ def fit_mple(graph: Graph, spec: ErgmSpec,
     if design is None:
         design = DyadDesign.from_graph(graph, spec)
     x, y = design.ordered_design_matrix()
-    dead = design.inestimable
-    pre, sign = _boundary_freeze(x.T @ y, np.minimum(x, 0.0).sum(axis=0),
-                                 np.maximum(x, 0.0).sum(axis=0))
-
-    def objective(theta: np.ndarray):
-        return _logistic_loglik(x, y, theta)
-
-    theta, frozen, fisher, ll, converged, it = _newton(
-        objective, spec.k, tol, max_iter, pre | dead, np.where(dead, 0.0, sign))
-    return _finalize(theta, frozen, fisher, ll, design.n_ordered_pairs,
-                     "mple", spec, graph_digest(graph), converged, it,
-                     inestimable=dead)
+    return _newton_fit(graph, design, lambda theta: _logistic_loglik(x, y, theta),
+                       "mple", x.T @ y, np.minimum(x, 0.0).sum(axis=0),
+                       np.maximum(x, 0.0).sum(axis=0))
 
 
 def expected_statistics(graph: Graph, spec: ErgmSpec, theta: np.ndarray) -> np.ndarray:

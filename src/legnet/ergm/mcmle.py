@@ -148,4 +148,4 @@ def fit_mcmle(graph: Graph, spec: ErgmSpec,
     }
     return _finalize(theta, frozen, fisher, ll, design.n_ordered_pairs,
                      "mcmle", spec, graph_digest(graph), True, phases,
-                     diagnostics, inestimable=dead)
+                     diagnostics, dead)

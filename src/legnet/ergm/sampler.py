@@ -3,7 +3,7 @@
 Every supported term is dyad-local, so the model is a product over the
 unordered pairs of 4-state categoricals (00, 10, 01, 11), Holland and
 Leinhardt's p1 form. A draw from the model is one categorical draw per
-pair from the softmax of its state log-weights: one uniform per pair,
+pair from its state law (`DyadDesign.state_law`): one uniform per pair,
 placed in the pair's cumulative law. Kept states are independent, so
 there is no burn-in, thinning or start state, and nothing is rejected.
 """
@@ -66,9 +66,7 @@ def sample_states(design: DyadDesign, theta: np.ndarray, control: SimControl,
     if not np.all(np.isfinite(theta)):
         raise ConfigError("theta must be finite for simulation")
     rng = np.random.default_rng(control.seed)
-    w = design.state_log_weights(theta).T  # (4, D), contiguous
-    cum = np.exp(w - w.max(axis=0)).cumsum(axis=0)
-    cum = cum[:3] / cum[3]  # P(state <= s) for s = 0, 1, 2
+    cum = design.state_law(theta)[1][:3].cumsum(axis=0)  # P(state <= s), s < 3
     stats = np.empty((control.sample_size, design.k))
     codes = (np.empty((control.sample_size, design.n_dyads), dtype=np.int8)
              if keep_states else None)

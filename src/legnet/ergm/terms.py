@@ -219,13 +219,13 @@ class DyadDesign:
         j = np.asarray(j, dtype=np.int64)
         return i * (2 * self.n - i - 1) // 2 + (j - i - 1)
 
-    def state_log_weights(self, theta: np.ndarray) -> np.ndarray:
-        """(D, 4) log-weights theta' g of each dyad's states s = y1 + 2 y2.
+    def state_law(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
+        """(log normalizing constant, (4, D) state probabilities) at theta.
 
-        The model is the product over dyads of the categoricals these
-        weights define; the likelihood and the sampler both use them.
-        The array is stored state-major: its transpose is the contiguous
-        (4, D) layout, so reductions over the states read whole rows.
+        Row s holds each dyad's probability of state s = y1 + 2 y2, the
+        softmax of the log-weights theta' g of its four states. The model
+        is the product over dyads of these categoricals; the likelihood
+        and the sampler both read them.
         """
         w = np.empty((4, self.n_dyads))
         w[0] = 0.0
@@ -233,7 +233,11 @@ class DyadDesign:
         np.matmul(self.t2, theta, out=w[2])
         np.add(w[1], w[2], out=w[3])
         w[3] += float(self.mvec @ theta)
-        return w.T
+        top = w.max(axis=0)
+        np.exp(np.subtract(w, top, out=w), out=w)
+        total = w.sum(axis=0)
+        w /= total
+        return float((top + np.log(total)).sum()), w
 
     @property
     def inestimable(self) -> np.ndarray:

@@ -28,24 +28,23 @@ UPSTREAM_FIELD_DEFAULTS = {
 
 
 def _as_text(source: str | Path | bytes | IO) -> str:
-    if isinstance(source, Path):
-        try:
-            return source.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise DataError(f"cannot read {source}: {exc}") from None
-    if isinstance(source, bytes):
-        return source.decode("utf-8")
     if isinstance(source, str):
         # Literal document content, not a path: blank, multi-line, or a
         # one-line JSON value that names no file ("[2024] edges.csv" may).
         if not source.strip() or "\n" in source or (
                 source.lstrip()[0] in "{[" and not os.path.isfile(source)):
             return source
-        return _as_text(Path(source))
-    data = source.read()
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    return data
+        source = Path(source)
+    try:
+        if isinstance(source, Path):
+            return source.read_text(encoding="utf-8")
+        data = source if isinstance(source, bytes) else source.read()
+        return data.decode("utf-8") if isinstance(data, bytes) else data
+    except OSError as exc:
+        raise DataError(f"cannot read {source}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        name = source if isinstance(source, Path) else "input"
+        raise DataError(f"{name} is not UTF-8 text ({exc})") from None
 
 
 def load_edge_list(source: str | Path | bytes | IO,
@@ -113,12 +112,13 @@ def _edges_from_upstream_json(text: str,
     if not isinstance(doc, dict):
         raise DataError("upstream document is not an object")
 
-    try:
-        ids = doc[fields["nodes"]]
-        targets = doc[fields["targets"]]
-        weights = doc[fields["weights"]]
-    except KeyError as exc:
-        raise DataError(f"upstream document missing field {exc.args[0]!r}") from None
+    names = [fields[key] for key in ("nodes", "targets", "weights")]
+    for name in names:
+        if name not in doc:
+            raise DataError(f"upstream document missing field {name!r}")
+        if not isinstance(doc[name], list):
+            raise DataError(f"upstream field {name!r} is not an array")
+    ids, targets, weights = (doc[name] for name in names)
     if not ids:
         raise DataError("no nodes: empty node list")
     if not (len(ids) == len(targets) == len(weights)):
@@ -126,16 +126,21 @@ def _edges_from_upstream_json(text: str,
 
     edges = []
     for i, (node, outs, wts) in enumerate(zip(ids, targets, weights)):
+        # a bool is an int to Python, but JSON true and false are not numbers
+        if isinstance(node, bool) or not isinstance(node, (str, int, float)):
+            raise DataError(f"node {i}: id {node!r} is not a string or a number")
+        if not (isinstance(outs, list) and isinstance(wts, list)):
+            raise DataError(f"node {node!r}: targets and weights must be arrays")
         if len(outs) != len(wts):
             raise DataError(f"node {node!r}: {len(outs)} targets but {len(wts)} weights")
         for j, w in zip(outs, wts):
-            if isinstance(j, int):
-                if not (0 <= j < len(ids)):
-                    raise DataError(f"node {node!r}: target index {j} out of range")
-                target = ids[j]
-            else:
-                target = j
-            edges.append((node, target, float(w)))
+            if isinstance(j, bool) or not isinstance(j, (int, str)):
+                raise DataError(f"node {node!r}: target {j!r} is not an index or a node id")
+            if isinstance(j, int) and not (0 <= j < len(ids)):
+                raise DataError(f"node {node!r}: target index {j} out of range")
+            if isinstance(w, bool) or not isinstance(w, (int, float)):
+                raise DataError(f"node {node!r}: weight {w!r} is not a number")
+            edges.append((node, ids[j] if isinstance(j, int) else j, float(w)))
     return Graph(edges, nodes=ids)
 
 

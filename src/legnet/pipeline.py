@@ -26,7 +26,7 @@ from . import __version__, topology
 from .attributes import AttributeTable, subgraph_by_level
 from .config import (RunConfig, STAGES, build_model, model_needs_attrs,
                      model_needs_centrality, spec_from_terms)
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .ergm import (ErgmFit, McmleControl, fit_exact_dyad, fit_mcmle, fit_mple,
                    likelihood_ratio_test, mcmc_diagnostics, report_effects)
 from .graph import ComponentReport, Graph, components
@@ -186,7 +186,10 @@ class Pipeline:
         needs the topology stage. A UserWarning raised in a stage becomes
         a notice "<stage>: <message> (<n>x)"; other warnings pass through.
         """
-        self.out.mkdir(parents=True, exist_ok=True)
+        try:
+            self.out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {self.out}: {exc}") from None
         wanted = set(self.config.stages)
         if "score" in wanted:
             wanted.add("sbm")

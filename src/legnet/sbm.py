@@ -37,6 +37,8 @@ from .graph import Graph
 
 _LOG_CLIP = 1e-12
 _COLLAPSE_TOL = 1e-8
+_EM_TOL = 1e-6       # converged: the bound rose by less (and fell by at most 1e-7)
+_EM_MAX_ITER = 500   # E-steps, after which a run stops unconverged
 
 
 @dataclass(frozen=True)
@@ -286,12 +288,11 @@ class _Run:
     params: _Params | None = None
 
 
-def _em(b: _Binary, m: _Moments, runs: list[_Run], it: int, max_iter: int,
-        tol: float) -> None:
+def _em(b: _Binary, m: _Moments, runs: list[_Run], it: int) -> None:
     """Step the stack `m` of `runs`, all with one Q, from the responsibilities
     of E-step `it` (0: the starting ones) until every run has stopped.
 
-    A run leaves the stack when it converges or reaches `max_iter`. A run
+    A run leaves the stack when it converges or reaches _EM_MAX_ITER. A run
     that prunes an empty class leaves it too, and goes on as a stack of one
     with its smaller Q.
     """
@@ -302,8 +303,8 @@ def _em(b: _Binary, m: _Moments, runs: list[_Run], it: int, max_iter: int,
         prev, bound = bound, _elbo(m, p)
         for run, value in zip(runs, bound.tolist()):
             run.trace.append(value)
-        converged = (bound - prev < tol) & (bound >= prev - 1e-7)
-        stop = converged | (it == max_iter)
+        converged = (bound - prev < _EM_TOL) & (bound >= prev - 1e-7)
+        stop = converged | (it == _EM_MAX_ITER)
         if stop.any():
             for r in np.flatnonzero(stop):
                 runs[r].facts.update(iterations=it, converged=bool(converged[r]))
@@ -325,7 +326,7 @@ def _em(b: _Binary, m: _Moments, runs: list[_Run], it: int, max_iter: int,
                 tau = m.tau[r, ~dead[r]]
                 tau /= tau.sum(axis=0)
                 runs[r].facts["collapsed"] = True
-                _em(b, _moments(b, tau[None]), [runs[r]], it, max_iter, tol)
+                _em(b, _moments(b, tau[None]), [runs[r]], it)
             if pruned.all():
                 return
             keep = ~pruned
@@ -334,7 +335,7 @@ def _em(b: _Binary, m: _Moments, runs: list[_Run], it: int, max_iter: int,
 
 
 def fit_q(adjacency, q: int, init: str = "spectral", restarts: int = 1,
-          seed: int = 0, max_iter: int = 500, tol: float = 1e-6) -> SbmFit:
+          seed: int = 0) -> SbmFit:
     """Best-of-`restarts` variational EM fit with Q starting classes.
 
     The first restart uses the requested initializer; the rest draw
@@ -356,7 +357,7 @@ def fit_q(adjacency, q: int, init: str = "spectral", restarts: int = 1,
     tau = np.stack([_init_tau(b, q, init if r == 0 else "random",
                               np.random.default_rng((seed * 1_000_003 + r) % 2**63)).T
                     for r in range(restarts)])
-    _em(b, _moments(b, tau), runs, 0, max_iter, tol)
+    _em(b, _moments(b, tau), runs, 0)
     best = max(runs, key=lambda run: run.trace[-1])
     tau, alpha, pi, labels = _renumber_by_size(best.tau.T, best.params.alpha,
                                                best.params.pi)
@@ -372,14 +373,13 @@ def fit_q(adjacency, q: int, init: str = "spectral", restarts: int = 1,
 
 
 def select_q(adjacency, q_range, restarts: int = 1, seed: int = 0,
-             init: str = "spectral", max_iter: int = 500,
-             tol: float = 1e-6) -> tuple[SbmFit, list[tuple[int, float]]]:
+             init: str = "spectral") -> tuple[SbmFit, list[tuple[int, float]]]:
     """Fit every Q in the range; return the ICL-best fit and the curve."""
     qs = list(q_range)
     if not qs:
         raise DataError("empty Q range")
-    fits = [fit_q(adjacency, q, init=init, restarts=restarts, seed=seed + 7919 * q,
-                  max_iter=max_iter, tol=tol) for q in qs]
+    fits = [fit_q(adjacency, q, init=init, restarts=restarts, seed=seed + 7919 * q)
+            for q in qs]
     return max(fits, key=lambda fit: fit.icl), [(fit.requested_q, fit.icl) for fit in fits]
 
 

@@ -152,8 +152,21 @@ def _undirected_matrix(graph: Graph, weighted: bool) -> np.ndarray:
     return ((a + a.T) > 0).astype(np.float64)
 
 
-def eigen_centrality(graph: Graph, weighted: bool = False,
-                     tol: float = 1e-10, max_iter: int = 10000) -> np.ndarray:
+_POWER_TOL = 1e-10        # converged: no entry moved by this much
+_POWER_MAX_ITER = 10_000  # steps, after which the score fails
+
+
+def _power(step, x: np.ndarray, method: str) -> np.ndarray:
+    """Fixed point of `step` from x, by plain iteration."""
+    for _ in range(_POWER_MAX_ITER):
+        y = step(x)
+        if np.abs(y - x).max() < _POWER_TOL:
+            return y
+        x = y
+    raise EstimationError(f"{method} did not converge in {_POWER_MAX_ITER} iterations")
+
+
+def eigen_centrality(graph: Graph, weighted: bool = False) -> np.ndarray:
     """Dominant-eigenvector score on the undirected projection, max 1.
 
     Power iteration runs on the shifted matrix M + I, which has the
@@ -163,46 +176,36 @@ def eigen_centrality(graph: Graph, weighted: bool = False,
     if graph.edge_count == 0:
         raise DataError("eigen centrality needs at least one edge")
     m = _undirected_matrix(graph, weighted)
-    n = graph.n
-    x = np.full(n, 1.0 / n)
-    for _ in range(max_iter):
-        y = m @ x + x
-        top = y.max()
-        if top <= 0:
-            raise EstimationError("eigen iteration collapsed to zero")
-        y /= top
-        if np.abs(y - x).max() < tol:
-            return y
-        x = y
-    raise EstimationError(f"eigen centrality did not converge in {max_iter} iterations")
+
+    def step(x: np.ndarray) -> np.ndarray:
+        y = m @ x + x  # >= x > 0, so its maximum is positive
+        return y / y.max()
+
+    return _power(step, np.full(graph.n, 1.0 / graph.n), "eigen centrality")
 
 
-def hits(graph: Graph, weighted: bool = False,
-         tol: float = 1e-10, max_iter: int = 10000) -> tuple[np.ndarray, np.ndarray]:
+def hits(graph: Graph, weighted: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Hub and authority scores, each max-normalized every step.
 
-    Alternates a = A^T h, h = A a until both vectors move less than
-    tol in the max norm.
+    Alternates a = A^T h, h = A a on the stacked vector [h, a], so both
+    stop together once neither moves by the tolerance. Nodes without
+    out-edges score hub 0, and nodes without in-edges authority 0.
     """
     if graph.edge_count == 0:
         raise DataError("HITS needs at least one edge")
     a_mat = graph.adjacency(weighted=weighted)
     n = graph.n
-    hub = np.ones(n)
-    auth = np.ones(n)
-    for _ in range(max_iter):
-        auth_new = a_mat.T @ hub
-        top = auth_new.max()
-        if top > 0:
-            auth_new /= top
-        hub_new = a_mat @ auth_new
-        top = hub_new.max()
-        if top > 0:
-            hub_new /= top
-        if np.abs(auth_new - auth).max() < tol and np.abs(hub_new - hub).max() < tol:
-            return hub_new, auth_new
-        hub, auth = hub_new, auth_new
-    raise EstimationError(f"HITS did not converge in {max_iter} iterations")
+
+    def step(x: np.ndarray) -> np.ndarray:
+        # every node with an in-edge keeps a positive authority and every
+        # node with an out-edge a positive hub score: no maximum is 0
+        auth = a_mat.T @ x[:n]
+        auth /= auth.max()
+        hub = a_mat @ auth
+        return np.concatenate([hub / hub.max(), auth])
+
+    x = _power(step, np.ones(2 * n), "HITS")
+    return x[:n], x[n:]
 
 
 # -- density family -----------------------------------------------------------

@@ -347,3 +347,43 @@ def test_bad_json_fields_flag(tmp_path, capsys):
                  "--json-fields", "nodes", "--out", str(tmp_path / "o")])
     assert code == 2
     assert "key=value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case, code, message", [
+    ("edges", 3, "data error: {src}/edges.csv is not UTF-8 text"),
+    ("attrs", 3, "data error: {src}/attrs.csv is not UTF-8 text"),
+    ("config", 2, "config error: cannot read config {src}/run.json: 'utf-8' codec"),
+    ("config-dir", 2, "config error: cannot read config {src}: [Errno 21]"),
+    ("out-file", 2, "config error: cannot create output directory {src}/edges.csv"),
+])
+def test_unreadable_input_or_output_exits_with_one_line(toy, capsys, case, code, message):
+    epath, apath, out = toy
+    src = epath.parent
+    argv = ["ingest", "--edges", str(epath), "--out", str(out)]
+    if case == "edges":
+        epath.write_bytes(epath.read_bytes() + b"a\xff,b,0.5\n")
+    elif case == "attrs":
+        apath.write_bytes(apath.read_bytes() + b"\xfe\n")
+        argv += ["--attrs", str(apath)]
+    elif case == "config":
+        (src / "run.json").write_bytes(b'{"seed": "\xff"}')
+        argv += ["--config", str(src / "run.json")]
+    elif case == "config-dir":
+        argv += ["--config", str(src)]
+    else:
+        argv += ["--out", str(epath)]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith(message.format(src=src))
+    assert len(err.splitlines()) == 1
+
+
+def test_malformed_upstream_json_exits_3(tmp_path, capsys):
+    src = tmp_path / "net.json"
+    src.write_text(json.dumps({"usernameList": ["a", "b"], "outList": [[1], [0]],
+                               "outWeight": [["x"], [0.5]]}))
+    code = main(["ingest", "--edges", str(src), "--format", "upstream-json",
+                 "--out", str(tmp_path / "o")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err == "data error: node 'a': weight 'x' is not a number\n"

@@ -333,6 +333,14 @@ def test_stalled_line_search_is_not_convergence():
         _newton(objective, 1, tol=1e-8, max_iter=20)
 
 
+@pytest.mark.parametrize("fit", [fit_exact_dyad, fit_mple])
+def test_newton_budget_out_is_no_convergence(monkeypatch, fit):
+    monkeypatch.setattr(fit_module, "_NEWTON_MAX_ITER", 1)
+    g = random_digraph(12, p=0.35, seed=3, mutual_boost=0.3)
+    with pytest.raises(EstimationError, match="^no convergence after 1 iterations"):
+        fit(g, ErgmSpec([Edges(), Mutual()]))
+
+
 def test_step_within_rounding_is_taken_once():
     # near the optimum ll moves only in its last digits: each evaluation
     # reads 1e-11 lower, below the rounding 16 eps |ll| = 1.8e-10 of ll.

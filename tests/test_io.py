@@ -136,6 +136,47 @@ def test_upstream_json_bad_documents():
         legnet.load_edge_list("{not json\n", format="upstream-json")
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"usernameList": "abc"}, "'usernameList' is not an array"),
+    ({"outList": {"a": [1]}}, "'outList' is not an array"),
+    ({"outWeight": 0.5}, "'outWeight' is not an array"),
+    ({"usernameList": [["alpha"], "beta", "gamma"]}, r"node 0: id \['alpha'\]"),
+    ({"usernameList": ["alpha", True, "gamma"]}, "node 1: id True"),
+    ({"outList": [1, [0], []]}, "node 'alpha': targets and weights must be arrays"),
+    ({"outWeight": [[0.5, 0.25], 1.0, []]}, "node 'beta': targets and weights"),
+    ({"outList": [[True, 2], [0], []]}, "node 'alpha': target True is not an index"),
+    ({"outList": [[1.0, 2], [0], []]}, "node 'alpha': target 1.0 is not an index"),
+    ({"outList": [[[1], 2], [0], []]}, r"node 'alpha': target \[1\]"),
+    ({"outWeight": [["x", 0.25], [1.0], []]}, "node 'alpha': weight 'x' is not a number"),
+    ({"outWeight": [[None, 0.25], [1.0], []]}, "node 'alpha': weight None"),
+    ({"outWeight": [[0.5, 0.25], [True], []]}, "node 'beta': weight True"),
+])
+def test_upstream_json_malformed_values_name_the_node(change, message):
+    with pytest.raises(DataError, match=message):
+        legnet.load_edge_list(json.dumps(dict(UPSTREAM, **change)), format="upstream-json")
+
+
+def test_upstream_json_numeric_node_ids_still_load():
+    doc = {"usernameList": [10, 2.5], "outList": [[1], [0]], "outWeight": [[0.5], [1]]}
+    g = legnet.load_edge_list(json.dumps(doc), format="upstream-json")
+    assert list(g.edge_records()) == [(10, 2.5, 0.5), (2.5, 10, 1.0)]
+
+
+def test_non_utf8_input_is_a_data_error_naming_the_file(tmp_path):
+    path = tmp_path / "edges.csv"
+    path.write_bytes(b"source,target,weight\na\xff,b,0.5\n")
+    for source in (path, str(path)):
+        with pytest.raises(DataError, match="edges.csv is not UTF-8 text"):
+            legnet.load_edge_list(source)
+    for source in (path.read_bytes(), io.BytesIO(path.read_bytes())):
+        with pytest.raises(DataError, match="input is not UTF-8 text"):
+            legnet.load_edge_list(source)
+    attrs = tmp_path / "attrs.csv"
+    attrs.write_bytes(b"node_id,party\n\xfea,Blue\n")
+    with pytest.raises(DataError, match="attrs.csv is not UTF-8 text"):
+        legnet.load_attributes(attrs, legnet.load_edge_list(CSV_DOC))
+
+
 def test_upstream_json_keeps_isolated_nodes():
     doc = {"usernameList": ["a", "b", "loner"], "outList": [[1], [0], []],
            "outWeight": [[0.5], [0.5], []]}

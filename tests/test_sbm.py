@@ -481,6 +481,15 @@ def test_restart_facts_are_recorded():
         {k: r[k] for k in ("iterations", "converged", "collapsed")} for r in runs]
 
 
+def test_e_step_budget_stops_runs_unconverged(monkeypatch):
+    monkeypatch.setattr(legnet.sbm, "_EM_MAX_ITER", 2)
+    y, _ = planted(15, 3, 0.4, 0.05, seed=4)
+    fit = fit_q(y, 3, seed=0, restarts=3)
+    assert not fit.converged and fit.iterations == 2 and len(fit.elbo_trace) == 3
+    assert all(run["iterations"] == 2 and not run["converged"] for run in fit.meta["runs"])
+    assert fit.meta["runs"] == _dense_fit_q(y, 3, restarts=3, seed=0, max_iter=2)[3]
+
+
 def test_failed_spectral_start_warns_and_starts_at_random(monkeypatch):
     y, _ = planted(10, 3, 0.4, 0.04, seed=3)
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import legnet
-from legnet import DataError, Graph
+from legnet import DataError, EstimationError, Graph
 
 from conftest import (graph_from_matrix, matrix_of, oracle_closeness,
                       oracle_betweenness, oracle_eigen, oracle_hits,
@@ -143,6 +143,31 @@ def test_hits_matches_dense_eigensolver():
         ohub, oauth = oracle_hits(matrix_of(g))
         assert np.allclose(hub, ohub, atol=1e-6)
         assert np.allclose(authority, oauth, atol=1e-6)
+
+
+@pytest.mark.parametrize("score", ["eigen centrality", "HITS"])
+def test_power_iteration_out_of_steps_names_the_method(monkeypatch, score):
+    monkeypatch.setattr(legnet.topology, "_POWER_MAX_ITER", 2)
+    g = random_digraph(12, p=0.3, seed=31)
+    call = legnet.eigen_centrality if score == "eigen centrality" else legnet.hits
+    with pytest.raises(EstimationError, match=f"^{score} did not converge in 2 iterations"):
+        call(g)
+
+
+def test_hits_scores_isolated_nodes_sinks_and_sources():
+    # s1, s2 only send, t1, t2 only receive, m does both, loner does neither
+    g = Graph([("s1", "m", 0.5), ("s1", "t1", 1.0), ("s2", "t1", 0.25),
+               ("m", "t2", 0.5), ("s2", "m", 1.0)], nodes=["s1", "s2", "m", "t1", "t2", "loner"])
+    for weighted in (False, True):
+        hub, authority = legnet.hits(g, weighted=weighted)
+        assert np.isfinite(hub).all() and np.isfinite(authority).all()
+        ohub, oauth = oracle_hits(g.adjacency(weighted=weighted))
+        assert np.allclose(hub, ohub, atol=1e-6) and np.allclose(authority, oauth, atol=1e-6)
+        no_out = g.out_degrees() == 0
+        no_in = g.in_degrees() == 0
+        assert (hub[no_out] == 0).all() and (hub[~no_out] > 0).all()
+        assert (authority[no_in] == 0).all() and (authority[~no_in] > 0).all()
+        assert hub.max() == 1.0 and authority.max() == 1.0
 
 
 def test_density_and_reciprocity():
