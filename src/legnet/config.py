@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import re
+from collections import Counter
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence
@@ -16,7 +18,7 @@ from .ergm import (AbsDiff, Edges, ErgmSpec, ErgmTerm, McmleControl, Mutual,
 from .ergm.terms import COVARIATE_ROLES
 from .graph import Graph
 from .io import UPSTREAM_FIELD_DEFAULTS
-from .topology import CentralityReport
+from .topology import STRUCTURAL_METRICS, CentralityReport
 
 STAGES = ("ingest", "topology", "assort", "ergm", "sbm", "score", "report")
 ESTIMATORS = ("exact-dyad", "mple", "mcmle")
@@ -24,6 +26,8 @@ EDGE_FORMATS = ("csv", "upstream-json")
 SBM_INITS = ("spectral", "random")
 TERM_KINDS = ("edges", "mutual", "covariate", "match", "absdiff")
 _ATTRIBUTE_KINDS = ("covariate", "match", "absdiff")  # kinds that name an attribute
+# A model's name becomes part of its output file names (ergm_<name>.json).
+_MODEL_NAME = re.compile(r"[A-Za-z0-9_.-]+")
 
 # Roster-only match level: one differential match per level of the column.
 _EVERY_LEVEL = object()
@@ -84,8 +88,11 @@ class RunConfig:
         if self.json_fields and self.edge_format != "upstream-json":
             raise ConfigError("json_fields applies only to format 'upstream-json', "
                               f"got format {self.edge_format!r}")
-        for model in self.models:
-            _validate_model(model)
+        names = Counter(_validate_model(model, index)
+                        for index, model in enumerate(self.models, start=1))
+        repeated = sorted(name for name, count in names.items() if count > 1)
+        if repeated:
+            raise ConfigError(f"model names must be unique, got {repeated} more than once")
         _validate_mcmc(self.mcmc)
 
 
@@ -138,6 +145,8 @@ _REMOVED = {
     "threads": "every kernel is single-threaded",
     "mcmc.burnin": "the sampler draws each state exactly, with no burn-in",
     "mcmc.interval": "the sampler's draws are independent, with no thinning",
+    **dict.fromkeys(("mcmc.max_phases", "mcmc.ee_tol", "mcmc.step_max", "mcmc.min_ess_frac"),
+                    "the Monte-Carlo MLE's stopping and step rules are fixed"),
     **dict.fromkeys(("mcmc.bridges", "mcmc.bridge_sample_size", "mcmc.bridge_burnin"),
                     "the MCMLE log-likelihood is exact, with no bridge sampling"),
 }
@@ -149,22 +158,33 @@ def _refuse_removed(keys: Iterable[str]) -> None:
             raise ConfigError(f"config key {key!r} was removed: {_REMOVED[key]}")
 
 
-def _validate_model(model: Any) -> None:
-    """Check one `models` entry: a built-in name, a term list or {"name", "terms"}."""
+def model_entry(entry: Any, index: int) -> tuple[Any, Any]:
+    """(name, terms) of the index-th `models` entry (from 1): a built-in name,
+    a term list or {"name": NAME, "terms": [...]}; a custom model without a
+    name is "custom<index>". Neither is checked here."""
+    if isinstance(entry, str):
+        return entry, _ROSTER.get(entry)
+    if isinstance(entry, dict):
+        return entry.get("name", f"custom{index}"), entry.get("terms")
+    return f"custom{index}", entry
+
+
+def _validate_model(model: Any, index: int) -> str:
+    """Check the index-th `models` entry, and return its name."""
+    name, terms = model_entry(model, index)
     if isinstance(model, str):
-        if model not in BUILTIN_MODELS:
+        if terms is None:
             raise ConfigError(f"unknown model {model!r}; built-ins are {BUILTIN_MODELS}")
-        return
-    terms = model
-    if isinstance(model, dict):
-        terms = model.get("terms")
-        if not isinstance(model.get("name", ""), str):
-            raise ConfigError(f"model name must be a string, got {model['name']!r}")
+        return name
+    if not (isinstance(name, str) and _MODEL_NAME.fullmatch(name)):
+        raise ConfigError(f"model name must be a non-empty string of letters, digits, "
+                          f"'_', '.' and '-', got {name!r}")
     if not isinstance(terms, list):
         raise ConfigError(f"model entry must be a name, a term list or an object with "
                           f"a 'terms' list, got {model!r}")
     for term in terms:
         _check_term(term)
+    return name
 
 
 def _check_term(term: Any) -> None:
@@ -189,13 +209,12 @@ def _check_term(term: Any) -> None:
 def _validate_mcmc(mcmc: Mapping[str, Any]) -> None:
     """Check the `mcmc` block's keys and value types; McmleControl checks ranges."""
     _refuse_removed(f"mcmc.{key}" for key in mcmc)
-    defaults = {f.name: f.default for f in fields(McmleControl)}
+    valid = sorted(f.name for f in fields(McmleControl))
     for key, value in mcmc.items():
-        if key not in defaults:
-            raise ConfigError(f"unknown mcmc key {key!r}; valid keys are {sorted(defaults)}")
-        kind = type(defaults[key])  # int or float; an int is a valid float
-        if isinstance(value, bool) or not isinstance(value, (kind, int)):
-            raise ConfigError(f"mcmc {key} must be of type {kind.__name__}, got {value!r}")
+        if key not in valid:
+            raise ConfigError(f"unknown mcmc key {key!r}; valid keys are {valid}")
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"mcmc {key} must be of type int, got {value!r}")
     McmleControl(**mcmc)
 
 
@@ -262,21 +281,9 @@ def parse_q_range(text: str) -> tuple[int, int]:
 
 # -- covariate resolution and the roster ---------------------------------------
 
-_CENTRALITY_ROLES = {
-    "in_degree": "receiver",
-    "out_degree": "sender",
-    "out_strength": "sender",
-    "hub": "sender",
-    "closeness": "sum",
-    "betweenness": "sum",
-    "eigen": "sum",
-    "authority": "sum",
-}
-
-
 def _resolve_values(name: str, attrs: AttributeTable | None,
                     centrality: CentralityReport | None) -> np.ndarray:
-    if centrality is not None and name in _CENTRALITY_ROLES:
+    if centrality is not None and name in STRUCTURAL_METRICS:
         return np.asarray(centrality.metric(name), dtype=np.float64)
     if attrs is not None and name in attrs.numeric_columns:
         return attrs.numeric(name)
@@ -315,28 +322,21 @@ def build_model(name: str, graph: Graph, attrs: AttributeTable | None,
     return spec_from_terms(terms, attrs, centrality, standardize)
 
 
-def _model_terms(entry: Any) -> Sequence[Any]:
-    """The terms of a model entry: a built-in name, a term list or {"terms": [...]}."""
-    if isinstance(entry, str):
-        return _ROSTER.get(entry, [])
-    return entry.get("terms", []) if isinstance(entry, dict) else entry
-
-
 def _reads_centrality(term: Any) -> bool:
     """Whether a term resolves a centrality score: covariate and absdiff alike."""
     return (isinstance(term, dict) and term.get("term") in ("covariate", "absdiff")
-            and term.get("attribute") in _CENTRALITY_ROLES)
+            and term.get("attribute") in STRUCTURAL_METRICS)
 
 
 def model_needs_attrs(entry: Any) -> bool:
     """Whether some term of the model entry reads an attribute column."""
     return any(term.get("term") in _ATTRIBUTE_KINDS and not _reads_centrality(term)
-               for term in _model_terms(entry))
+               for term in model_entry(entry, 0)[1] or ())
 
 
 def model_needs_centrality(entry: Any) -> bool:
     """Whether some term of the model entry reads a centrality score."""
-    return any(_reads_centrality(term) for term in _model_terms(entry))
+    return any(_reads_centrality(term) for term in model_entry(entry, 0)[1] or ())
 
 
 def spec_from_terms(terms: Sequence[Mapping[str, Any]], attrs, centrality,
@@ -361,7 +361,7 @@ def spec_from_terms(terms: Sequence[Mapping[str, Any]], attrs, centrality,
             if standardize:
                 sd = values.std()
                 values = (values - values.mean()) / sd if sd > 0 else values - values.mean()
-            role = entry.get("role") or _CENTRALITY_ROLES.get(name, "sum")
+            role = entry.get("role") or STRUCTURAL_METRICS.get(name, "sum")
             built.append(NodeCovariate(name, tuple(values), role))
         elif kind == "match":
             if attrs is None:

@@ -135,15 +135,31 @@ def _boundary_freeze(g_obs: np.ndarray, gmin: np.ndarray, gmax: np.ndarray,
     return hi | lo, np.where(hi, 1.0, -1.0)
 
 
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a^-1 b, by least squares when a is singular."""
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(a, b, rcond=None)[0]
+
+
+def _inverse(a: np.ndarray) -> np.ndarray:
+    """a^-1, the pseudo-inverse when a is singular."""
+    try:
+        return np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        return np.linalg.pinv(a)
+
+
 def _newton(objective, k: int, tol: float, max_iter: int,
             pre_frozen: np.ndarray | None = None,
             pre_sign: np.ndarray | None = None,
-            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, bool, int]:
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, int]:
     """Maximize a concave objective with separation pinning.
 
     objective(theta) -> (ll, grad, fisher). Returns (theta, frozen,
-    fisher, ll, True, iterations): a run that does not converge raises
-    EstimationError instead. pre_frozen coordinates stay at
+    fisher, ll, iterations); a run that does not converge raises
+    EstimationError. pre_frozen coordinates stay at
     pre_sign * SEPARATION_BOUND; a sign of 0 holds one at 0. Also
     converged once a step is applied whose Newton decrement is within
     rounding of ll, since on large dyad sums the gradient's rounding
@@ -160,12 +176,8 @@ def _newton(objective, k: int, tol: float, max_iter: int,
         free = ~frozen
         if not free.any() or np.abs(grad[free]).max() < tol:
             break
-        sub = fisher[np.ix_(free, free)]
         ascent = grad[free]
-        try:
-            step = np.linalg.solve(sub, ascent)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(sub, ascent, rcond=None)[0]
+        step = _solve(fisher[np.ix_(free, free)], ascent)
         decrement = 0.5 * step @ ascent
         rounding = 16.0 * np.finfo(float).eps * abs(ll)
         settled = decrement <= rounding
@@ -190,23 +202,19 @@ def _newton(objective, k: int, tol: float, max_iter: int,
     else:
         raise EstimationError(f"no convergence after {max_iter} iterations "
                               f"(gradient norm {np.abs(grad[~frozen]).max():.3g})")
-    return theta, frozen, fisher, ll, True, it
+    return theta, frozen, fisher, ll, it
 
 
 def _finalize(theta: np.ndarray, frozen: np.ndarray, fisher: np.ndarray,
               ll: float, n_obs: int, method: str, spec: ErgmSpec,
-              digest: str, converged: bool, iterations: int,
+              digest: str, iterations: int,
               diagnostics: dict[str, Any], inestimable: np.ndarray) -> ErgmFit:
     """Wald inference at theta; `frozen` includes the inestimable terms."""
     k = theta.shape[0]
     std_err = np.zeros(k)
     free = ~frozen
     if free.any():
-        sub = fisher[np.ix_(free, free)]
-        try:
-            cov = np.linalg.inv(sub)
-        except np.linalg.LinAlgError:
-            cov = np.linalg.pinv(sub)
+        cov = _inverse(fisher[np.ix_(free, free)])
         std_err[free] = np.sqrt(np.clip(np.diag(cov), 0.0, None))
     p_values = np.zeros(k)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -231,7 +239,7 @@ def _finalize(theta: np.ndarray, frozen: np.ndarray, fisher: np.ndarray,
         separation=separated,
         theta_pinned=theta.copy(),
         n_obs=n_obs,
-        converged=converged,
+        converged=True,
         iterations=iterations,
         graph_digest=digest,
         spec=spec,
@@ -245,11 +253,11 @@ def _newton_fit(graph: Graph, design: DyadDesign, objective, method: str,
     pinned whose statistic g_obs is at an end of its range [low, high]."""
     dead = design.inestimable
     pre, sign = _boundary_freeze(g_obs, low, high)
-    theta, frozen, fisher, ll, converged, it = _newton(
+    theta, frozen, fisher, ll, it = _newton(
         objective, design.k, _NEWTON_TOL, _NEWTON_MAX_ITER, pre | dead,
         np.where(dead, 0.0, sign))
     return _finalize(theta, frozen, fisher, ll, design.n_ordered_pairs, method,
-                     design.spec, graph_digest(graph), converged, it, {}, dead)
+                     design.spec, graph_digest(graph), it, {}, dead)
 
 
 def fit_exact_dyad(graph: Graph, spec: ErgmSpec) -> ErgmFit:
@@ -295,20 +303,12 @@ def expected_statistics(graph: Graph, spec: ErgmSpec, theta: np.ndarray) -> np.n
 def report_effects(fit: ErgmFit) -> list[dict]:
     """Per-term odds and probability transforms of the coefficients.
 
-    Infinite (separated) coefficients map through the limits: exp and
-    expit of -inf are 0, of +inf are inf and 1.
+    Separated coefficients map through the limits (exp and expit of
+    -inf are 0, of +inf are inf and 1), and a NaN one stays NaN.
     """
-    rows = []
-    for label, value in zip(fit.labels, fit.theta):
-        if np.isposinf(value):
-            odds, prob = float("inf"), 1.0
-        elif np.isneginf(value):
-            odds, prob = 0.0, 0.0
-        else:
-            odds, prob = float(np.exp(value)), float(expit(value))
-        rows.append({"term": label, "theta": float(value),
-                     "exp": odds, "expit": prob})
-    return rows
+    return [{"term": label, "theta": float(value), "exp": float(np.exp(value)),
+             "expit": float(expit(value))}
+            for label, value in zip(fit.labels, fit.theta)]
 
 
 def likelihood_ratio_test(fit: ErgmFit, null_fit: ErgmFit) -> tuple[float, int, float]:

@@ -4,7 +4,7 @@ Starting from the pseudolikelihood estimate, each phase draws networks
 at the current theta and maximizes the importance-sampled
 log-likelihood ratio, guarded by the effective sample size of the
 importance weights. Convergence is declared when every simulated mean
-statistic sits within `ee_tol` simulated standard deviations of its
+statistic sits within _EE_TOL simulated standard deviations of its
 observed value. The draws are exact and independent, so a phase's
 sample size is its effective sample size. The log-likelihood for
 AIC/BIC and the Fisher information behind the standard errors are
@@ -20,25 +20,26 @@ import numpy as np
 
 from ..errors import ConfigError, EstimationError
 from ..graph import Graph
-from .fit import ErgmFit, _dyad_loglik, _finalize, fit_mple, graph_digest
+from .fit import (ErgmFit, _dyad_loglik, _finalize, _inverse, _solve, fit_mple,
+                  graph_digest)
 from .sampler import SimControl, sample_states
 from .terms import DyadDesign, ErgmSpec
+
+_MAX_PHASES = 20      # phases before the fit fails
+_EE_TOL = 0.1         # converged: each mean statistic within this many sd of g_obs
+_STEP_MAX = 1.0       # largest coefficient change of one update step
+_MIN_ESS_FRAC = 0.05  # an update ends below this ESS share of the sample (or below 2)
 
 
 @dataclass(frozen=True)
 class McmleControl:
-    """Monte-Carlo controls; the draws are exact, so no burn-in or thinning is set."""
+    """Monte-Carlo controls: the draws per phase, and the seed of every phase's draws."""
 
     sample_size: int = 512
-    max_phases: int = 20
-    ee_tol: float = 0.1
     seed: int = 0
-    step_max: float = 1.0
-    min_ess_frac: float = 0.05
 
     def __post_init__(self) -> None:
-        if not (self.sample_size >= 2 and self.max_phases >= 1 and self.ee_tol > 0
-                and self.seed >= 0 and self.step_max > 0 and 0 <= self.min_ess_frac <= 1):
+        if not (self.sample_size >= 2 and self.seed >= 0):
             raise ConfigError(f"invalid Monte-Carlo control values in {self}")
 
 
@@ -48,7 +49,7 @@ def _phase_seed(seed: int, stream: int) -> int:
 
 
 def _weighted_update(g_obs: np.ndarray, sample: np.ndarray, theta: np.ndarray,
-                     free: np.ndarray, control: McmleControl) -> np.ndarray:
+                     free: np.ndarray) -> np.ndarray:
     """Maximize the importance-sampled likelihood ratio from theta."""
     eta = theta.copy()
     s = sample.shape[0]
@@ -57,20 +58,16 @@ def _weighted_update(g_obs: np.ndarray, sample: np.ndarray, theta: np.ndarray,
         lw -= lw.max()
         w = np.exp(lw)
         w /= w.sum()
-        if 1.0 / (w @ w) < max(2.0, control.min_ess_frac * s):
+        if 1.0 / (w @ w) < max(2.0, _MIN_ESS_FRAC * s):
             break
         gw = w @ sample
         centered = sample - gw
         cov = centered.T @ (w[:, None] * centered)
         grad = (g_obs - gw)[free]
-        sub = cov[np.ix_(free, free)]
-        try:
-            step = np.linalg.solve(sub, grad)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(sub, grad, rcond=None)[0]
+        step = _solve(cov[np.ix_(free, free)], grad)
         biggest = np.abs(step).max()
-        if biggest > control.step_max:
-            step *= control.step_max / biggest
+        if biggest > _STEP_MAX:
+            step *= _STEP_MAX / biggest
         eta[free] += step
         if biggest < 1e-10:
             break
@@ -100,7 +97,7 @@ def fit_mcmle(graph: Graph, spec: ErgmSpec,
     ee_history: list[float] = []
     sample = None
     phases = 0
-    for phase in range(control.max_phases):
+    for phase in range(_MAX_PHASES):
         phases = phase + 1
         sim = sample_states(
             design, theta,
@@ -117,12 +114,12 @@ def fit_mcmle(graph: Graph, spec: ErgmSpec,
                 f"last draws:\n{tail}")
         ee = float(np.abs((gbar - g_obs)[free] / gsd[free]).max())
         ee_history.append(ee)
-        if ee < control.ee_tol:
+        if ee < _EE_TOL:
             break
-        theta = _weighted_update(g_obs, sample, theta, free, control)
+        theta = _weighted_update(g_obs, sample, theta, free)
     else:
         raise EstimationError(
-            f"estimating equations not met after {control.max_phases} phases "
+            f"estimating equations not met after {_MAX_PHASES} phases "
             f"(discrepancy history {np.array2string(np.asarray(ee_history), precision=3)})")
 
     # The exact log-likelihood and Fisher information Cov[g(Y)] at theta-hat.
@@ -131,10 +128,7 @@ def fit_mcmle(graph: Graph, spec: ErgmSpec,
     # Monte-Carlo error of theta-hat: delta method, with the sample size
     # as the ESS of independent draws.
     fisher_free = fisher[np.ix_(free, free)]
-    try:
-        finv = np.linalg.inv(fisher_free)
-    except np.linalg.LinAlgError:
-        finv = np.linalg.pinv(fisher_free)
+    finv = _inverse(fisher_free)
     mc_cov = finv @ np.diag(np.diag(fisher_free) / sample.shape[0]) @ finv
     mc_se = np.zeros(spec.k)
     mc_se[free] = np.sqrt(np.clip(np.diag(mc_cov), 0.0, None))
@@ -147,5 +141,4 @@ def fit_mcmle(graph: Graph, spec: ErgmSpec,
         "mc_std_err": mc_se,
     }
     return _finalize(theta, frozen, fisher, ll, design.n_ordered_pairs,
-                     "mcmle", spec, graph_digest(graph), True, phases,
-                     diagnostics, dead)
+                     "mcmle", spec, graph_digest(graph), phases, diagnostics, dead)

@@ -23,8 +23,8 @@ from typing import Any, Sequence
 import numpy as np
 
 from . import __version__, topology
-from .attributes import AttributeTable, subgraph_by_level
-from .config import (RunConfig, STAGES, build_model, model_needs_attrs,
+from .attributes import AttributeTable
+from .config import (RunConfig, STAGES, build_model, model_entry, model_needs_attrs,
                      model_needs_centrality, spec_from_terms)
 from .errors import ConfigError, DataError
 from .ergm import (ErgmFit, McmleControl, fit_exact_dyad, fit_mcmle, fit_mple,
@@ -77,6 +77,11 @@ def compare_models(fits: Sequence[tuple[str, ErgmFit]]) -> list[dict]:
         })
     rows.sort(key=lambda r: r["aic"])
     return rows
+
+
+# The ErgmFit fields each ergm_<model>.json reports under their own names.
+_FIT_FIELDS = ("method", "theta", "std_err", "p_values", "separation", "log_likelihood",
+               "aic", "bic", "converged", "iterations")
 
 
 def _jsonable(obj: Any) -> Any:
@@ -155,10 +160,17 @@ class Pipeline:
 
     # -- emission helpers ----------------------------------------------------
 
-    def _write_bytes(self, name: str, payload: bytes) -> None:
+    def _path(self, name: str) -> Path:
+        """The output path `name`, its directory created on first use."""
         path = self.out / name
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(payload)
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {path.parent}: {exc}") from None
+        return path
+
+    def _write_bytes(self, name: str, payload: bytes) -> None:
+        self._path(name).write_bytes(payload)
         self._digests[name] = hashlib.sha256(payload).hexdigest()
 
     def _write_text(self, name: str, text: str) -> None:
@@ -185,11 +197,12 @@ class Pipeline:
         The scores need the communities, and a model on centrality scores
         needs the topology stage. A UserWarning raised in a stage becomes
         a notice "<stage>: <message> (<n>x)"; other warnings pass through.
+        The output directory is made at the first write, so a run that
+        fails before it leaves none behind.
         """
-        try:
-            self.out.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise ConfigError(f"cannot create output directory {self.out}: {exc}") from None
+        if self.out.exists() and not self.out.is_dir():
+            raise ConfigError(f"cannot create output directory {self.out}: "
+                              "it exists and is not a directory")
         wanted = set(self.config.stages)
         if "score" in wanted:
             wanted.add("sbm")
@@ -214,7 +227,7 @@ class Pipeline:
         manifest = self._manifest()
         payload = json.dumps(_jsonable(manifest), sort_keys=True, indent=2,
                              allow_nan=False) + "\n"
-        (self.out / "manifest.json").write_bytes(payload.encode("utf-8"))
+        self._path("manifest.json").write_bytes(payload.encode("utf-8"))
         return manifest
 
     def _manifest(self) -> dict:
@@ -233,7 +246,7 @@ class Pipeline:
         }
 
     def _stage_ingest(self) -> None:
-        graph = self.graph
+        graph, attrs = self.graph, self.attrs  # every input read before the first write
         report = self.census
         summary = {
             "nodes": graph.n,
@@ -247,8 +260,8 @@ class Pipeline:
         }
         self._write_json("graph_summary.json", summary)
         self._write_text("edges.csv", edge_csv_dump(graph))
-        self._write_text("graph.graphml", graphml_dump(graph, self.attrs))
-        self._write_text("graph.dot", dot_dump(graph, self.attrs))
+        self._write_text("graph.graphml", graphml_dump(graph, attrs))
+        self._write_text("graph.dot", dot_dump(graph, attrs))
 
     def _stage_topology(self) -> None:
         graph = self.graph
@@ -262,13 +275,18 @@ class Pipeline:
                    "maximal_cliques": [[str(graph.id_of(v)) for v in clique]
                                        for clique in conn.maximal_cliques]}
         if self.attrs is not None:
+            # each level's density: its internal edges over its k(k - 1) ordered pairs
+            src, dst, _ = graph.edge_arrays()
             by_level = {}
             for column in ("party", "chamber"):
                 if self.attrs.has(column):
+                    labels = np.asarray(self.attrs.categorical(column))
                     for level in self.attrs.levels(column):
-                        sub = subgraph_by_level(self.graph, self.attrs, column, level)
-                        if sub.n >= 2:
-                            by_level[f"{column}:{level}"] = density(sub)
+                        member = labels == level
+                        k = int(member.sum())
+                        if k >= 2:
+                            inside = int(np.count_nonzero(member[src] & member[dst]))
+                            by_level[f"{column}:{level}"] = inside / (k * (k - 1))
             payload["subgraph_density"] = by_level
         self._write_json("connectivity.json", payload)
 
@@ -280,26 +298,18 @@ class Pipeline:
                         self.assortativity)
 
     def _resolve_model(self, entry: Any, index: int):
-        if isinstance(entry, str):
-            name = entry
-        elif isinstance(entry, dict):
-            name = entry.get("name", f"custom{index}")
-        else:
-            name = f"custom{index}"
-        if model_needs_attrs(entry) and self.attrs is None:
+        name, terms = model_entry(entry, index)
+        if model_needs_attrs(terms) and self.attrs is None:
             self.notice(f"ergm: {name} skipped (needs the attribute file)")
             return None, None
-        cent = (self.centrality if model_needs_centrality(entry)
+        cent = (self.centrality if model_needs_centrality(terms)
                 else self._computed("centrality"))
         if isinstance(entry, str):
-            spec = build_model(name, self.graph, self.attrs, cent,
-                               party_reassignment=self.config.party_reassignment,
-                               standardize=self.config.standardize)
-            return name, spec
-        terms = entry.get("terms", []) if isinstance(entry, dict) else entry
-        spec = spec_from_terms(terms, self.attrs, cent,
-                               standardize=self.config.standardize)
-        return name, spec
+            return name, build_model(name, self.graph, self.attrs, cent,
+                                     party_reassignment=self.config.party_reassignment,
+                                     standardize=self.config.standardize)
+        return name, spec_from_terms(terms, self.attrs, cent,
+                                     standardize=self.config.standardize)
 
     def _fit(self, spec) -> ErgmFit:
         method = self.config.ergm_estimator
@@ -326,20 +336,8 @@ class Pipeline:
                                 "and cannot be estimated; reported as NaN")
             if fit.k == 1 and fit.labels == ("edges",):
                 null_fit = fit
-            payload = {
-                "model": name,
-                "method": fit.method,
-                "terms": list(fit.labels),
-                "theta": fit.theta,
-                "std_err": fit.std_err,
-                "p_values": fit.p_values,
-                "separation": fit.separation,
-                "log_likelihood": fit.log_likelihood,
-                "aic": fit.aic,
-                "bic": fit.bic,
-                "converged": fit.converged,
-                "iterations": fit.iterations,
-            }
+            payload = {"model": name, "terms": list(fit.labels),
+                       **{key: getattr(fit, key) for key in _FIT_FIELDS}}
             if fit.method == "mcmle":
                 payload["phases"] = fit.diagnostics.get("phases")
                 payload["mc_std_err"] = fit.diagnostics.get("mc_std_err")

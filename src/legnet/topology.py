@@ -397,8 +397,11 @@ def _connectivity_report(graph: Graph, min_clique_size: int | None,
     )
 
 
-STRUCTURAL_METRICS = ("out_degree", "in_degree", "out_strength", "closeness",
-                      "betweenness", "eigen", "hub", "authority")
+# The structural scores, in assortativity-row order, each with the dyad role
+# an ERGM covariate on it takes unless its term names one.
+STRUCTURAL_METRICS = {"out_degree": "sender", "in_degree": "receiver",
+                      "out_strength": "sender", "closeness": "sum", "betweenness": "sum",
+                      "eigen": "sum", "hub": "sender", "authority": "sum"}
 
 
 def assortativity_report(graph: Graph,

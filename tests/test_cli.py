@@ -9,10 +9,11 @@ from pathlib import Path
 import pytest
 
 import legnet
+import legnet.ergm.mcmle as mcmle_module
 from legnet import __version__
 from legnet.cli import main
 
-from conftest import graph_with_a_sink, write_toy
+from conftest import graph_with_a_sink, random_digraph, write_toy
 
 
 @pytest.fixture()
@@ -101,6 +102,8 @@ def test_degenerate_fit_exits_4(tmp_path, capsys):
     ({"bridges": 12}, "no bridge sampling"),
     ({"burnin": 50}, "config key 'mcmc.burnin' was removed"),
     ({"interval": 2}, "config key 'mcmc.interval' was removed"),
+    ({"ee_tol": 0.2}, "config key 'mcmc.ee_tol' was removed"),
+    ({"max_phases": 40}, "config key 'mcmc.max_phases' was removed"),
 ])
 def test_bad_mcmc_block_is_config_error(toy, capsys, mcmc, message):
     epath, _, out = toy
@@ -376,6 +379,10 @@ def test_unreadable_input_or_output_exits_with_one_line(toy, capsys, case, code,
     err = capsys.readouterr().err
     assert err.startswith(message.format(src=src))
     assert len(err.splitlines()) == 1
+    # nothing is made in place of, or beside, the output path
+    assert not out.exists()
+    assert epath.is_file() and sorted(p.name for p in src.iterdir()) == sorted(
+        ["edges.csv", "attrs.csv"] + ["run.json"] * (case == "config"))
 
 
 def test_malformed_upstream_json_exits_3(tmp_path, capsys):
@@ -387,3 +394,43 @@ def test_malformed_upstream_json_exits_3(tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert err == "data error: node 'a': weight 'x' is not a number\n"
+
+
+@pytest.mark.parametrize("models, message", [
+    ([{"name": "x/../../../escaped", "terms": [{"term": "edges"}]}],
+     "model name must be a non-empty string"),
+    (["model1", {"name": "model1", "terms": [{"term": "edges"}, {"term": "mutual"}]}],
+     "model names must be unique, got ['model1'] more than once"),
+])
+def test_unsafe_or_repeated_model_name_writes_nothing(tmp_path, capsys, models, message):
+    # a traversal name used to write escaped.json above the output
+    # directory, and a custom model1 used to replace the built-in's file
+    src = tmp_path / "a" / "b"
+    src.mkdir(parents=True)
+    epath, _ = write_toy(src)
+    cfg = src / "cfg.json"
+    cfg.write_text(json.dumps({"edges": str(epath), "out": str(src / "o" / "run"),
+                               "models": models}))
+    before = sorted(tmp_path.rglob("*"))
+    assert main(["run", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and len(err.splitlines()) == 1
+    assert message in err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_phase_budget_out_exits_4(tmp_path, capsys, monkeypatch):
+    edges = tmp_path / "edges.csv"
+    legnet.save_edge_list(random_digraph(20, p=0.1, seed=1, mutual_boost=0.95), edges)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"mcmc": {"sample_size": 200}}))
+    argv = ["ergm", "--config", str(cfg), "--edges", str(edges), "--models", "model2",
+            "--estimator", "mcmle", "--seed", "1"]
+    assert main([*argv, "--out", str(tmp_path / "o")]) == 0
+    assert json.loads((tmp_path / "o" / "ergm_model2.json").read_text())["phases"] > 1
+    monkeypatch.setattr(mcmle_module, "_MAX_PHASES", 1)
+    capsys.readouterr()
+    assert main([*argv, "--out", str(tmp_path / "capped")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("estimation error: estimating equations not met after 1 phases")
+    assert len(err.splitlines()) == 1

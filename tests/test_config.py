@@ -9,7 +9,7 @@ import pytest
 from legnet import (ConfigError, DataError, build_model, config_from_dict,
                     load_config, parse_q_range, spec_from_terms)
 from legnet.cli import _build_config, build_parser
-from legnet.config import (BUILTIN_MODELS, STAGES, RunConfig,
+from legnet.config import (BUILTIN_MODELS, STAGES, RunConfig, model_entry,
                            model_needs_attrs, model_needs_centrality)
 
 from conftest import toy_tables
@@ -86,7 +86,6 @@ def test_unknown_keys_rejected():
     {"edges": "e.csv", "models": [42]},
     {"edges": "e.csv", "mcmc": [1]},
     {"edges": "e.csv", "mcmc": {"sample_size": True}},
-    {"edges": "e.csv", "mcmc": {"ee_tol": float("nan")}},
     {"edges": "e.csv", "mcmc": {"bridge_burnin": 100}},
     {"edges": "e.csv", "json_fields": [1]},
     {"edges": "e.csv", "json_fields": {"nodes": 3}},
@@ -126,6 +125,10 @@ def test_unknown_keys_rejected():
     {"edges": "e.csv", "threads": 2},
     {"edges": "e.csv", "mcmc": {"burnin": 200}},
     {"edges": "e.csv", "mcmc": {"interval": 5}},
+    # model names that are not file names, or that repeat
+    {"edges": "e.csv", "models": [{"name": None, "terms": [{"term": "edges"}]}]},
+    {"edges": "e.csv", "models": [{"name": "two words", "terms": [{"term": "edges"}]}]},
+    {"edges": "e.csv", "models": ["model1", "model1"]},
     # json_fields without the format it applies to
     {"edges": "e.csv", "json_fields": {"nodes": "x"}},
     {"edges": "e.csv", "format": "csv", "json_fields": {"targets": "out"}},
@@ -147,11 +150,40 @@ def test_invalid_configs_raise(raw):
     ({"out": "o"}, "edges must be a non-empty string, got ''"),
     ({"edges": "e.csv", "json_fields": {"nodes": "x"}},
      "json_fields applies only to format 'upstream-json', got format 'csv'"),
+    *[({"edges": "e.csv", "mcmc": {key: value}},
+       f"config key 'mcmc.{key}' was removed: the Monte-Carlo MLE's stopping and step "
+       "rules are fixed")
+      for key, value in [("max_phases", 5), ("ee_tol", float("nan")), ("step_max", 0.5),
+                         ("min_ess_frac", 0.1)]],
+    ({"edges": "e.csv", "models": [{"name": "x/../../../escaped",
+                                    "terms": [{"term": "edges"}]}]},
+     "model name must be a non-empty string of letters, digits, '_', '.' and '-', "
+     "got 'x/../../../escaped'"),
+    ({"edges": "e.csv", "models": [{"name": "", "terms": [{"term": "edges"}]}]},
+     "model name must be a non-empty string of letters, digits, '_', '.' and '-', got ''"),
+    ({"edges": "e.csv", "models": ["model1", "model2",
+                                   {"name": "model1", "terms": [{"term": "edges"}]}]},
+     "model names must be unique, got ['model1'] more than once"),
+    ({"edges": "e.csv", "models": [{"name": "custom2", "terms": [{"term": "edges"}]},
+                                   [{"term": "mutual"}]]},
+     "model names must be unique, got ['custom2'] more than once"),
 ])
 def test_config_errors_name_the_key(raw, message):
     with pytest.raises(ConfigError) as exc:
         config_from_dict(raw)
     assert message in str(exc.value)
+
+
+def test_model_entry_reads_each_form():
+    terms = [{"term": "edges"}]
+    assert model_entry("model2", 1) == ("model2", [{"term": "edges"}, {"term": "mutual"}])
+    assert model_entry(terms, 3) == ("custom3", terms)
+    assert model_entry({"terms": terms}, 4) == ("custom4", terms)
+    assert model_entry({"name": "m-1.b", "terms": terms}, 5) == ("m-1.b", terms)
+    cfg = config_from_dict({"edges": "e.csv", "models": [
+        "model1", {"name": "m-1.b_2", "terms": terms}, terms, {"terms": terms}]})
+    assert [model_entry(m, i)[0] for i, m in enumerate(cfg.models, start=1)] == [
+        "model1", "m-1.b_2", "custom3", "custom4"]
 
 
 def test_null_means_the_default_for_every_key():

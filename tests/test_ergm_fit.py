@@ -234,6 +234,16 @@ def test_report_effects_values():
         assert r["expit"] == pytest.approx(1 / (1 + math.exp(-theta)))
 
 
+def test_report_effects_of_an_inestimable_coefficient_are_nan():
+    # a match on all-distinct labels is 0 on every dyad: its estimate is NaN
+    g = random_digraph(6, p=0.4, seed=17)
+    fit = fit_exact_dyad(g, ErgmSpec([Edges(), NodeMatch("tag", tuple("abcdef"))]))
+    rows = report_effects(fit)
+    assert math.isnan(rows[1]["theta"])
+    assert math.isnan(rows[1]["exp"]) and math.isnan(rows[1]["expit"])
+    assert rows[0]["exp"] == pytest.approx(math.exp(fit.theta[0]))
+
+
 def test_inestimable_term_is_nan_and_leaves_the_rest_alone():
     # a level with a single member matches no pair: its term is 0 on
     # every dyad, so the data say nothing about its coefficient
@@ -355,8 +365,8 @@ def test_step_within_rounding_is_taken_once():
         calls.append(theta.copy())
         return -5e4 - 1e-11 * len(calls), np.array([1e-6]), np.array([[1e4]])
 
-    theta, frozen, _, _, converged, it = _newton(objective, 1, tol=1e-8, max_iter=20)
-    assert converged and it == 1 and len(calls) == 2
+    theta, frozen, _, _, it = _newton(objective, 1, tol=1e-8, max_iter=20)
+    assert it == 1 and len(calls) == 2
     assert theta[0] == pytest.approx(1e-10, rel=1e-12) and not frozen.any()
 
 

@@ -1,5 +1,6 @@
 """Exact network sampler, Monte-Carlo fitting, and its diagnostics."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from scipy.special import softmax
 
 import legnet
+import legnet.ergm.mcmle as mcmle_module
 from legnet import ConfigError, DataError, EstimationError
 from legnet.ergm import (DyadDesign, Edges, ErgmSpec, McmleControl, Mutual,
                          NodeCovariate, NodeMatch, SimControl,
@@ -251,3 +253,34 @@ def test_mcmc_diagnostics_rows():
     exact = fit_exact_dyad(g, spec)
     with pytest.raises(DataError):
         mcmc_diagnostics(exact)
+
+
+# Phase counts of this fit depend on its draws; the first test checks
+# that it does take more than one phase at the fixed rules.
+def _multi_phase_fit():
+    g = random_digraph(20, p=0.1, seed=1, mutual_boost=0.95)
+    return g, ErgmSpec([Edges(), Mutual()]), McmleControl(seed=1, sample_size=200)
+
+
+def test_phase_budget_out_is_an_estimation_error(monkeypatch):
+    g, spec, control = _multi_phase_fit()
+    assert fit_mcmle(g, spec, control).diagnostics["phases"] > 1
+    monkeypatch.setattr(mcmle_module, "_MAX_PHASES", 1)
+    with pytest.raises(EstimationError,
+                       match=r"^estimating equations not met after 1 phases"):
+        fit_mcmle(g, spec, control)
+
+
+def test_loose_estimating_equation_tolerance_stops_after_one_phase(monkeypatch):
+    g, spec, control = _multi_phase_fit()
+    monkeypatch.setattr(mcmle_module, "_EE_TOL", 1e6)
+    fit = fit_mcmle(g, spec, control)
+    assert fit.diagnostics["phases"] == fit.iterations == 1
+    assert len(fit.diagnostics["ee_history"]) == 1
+
+
+@pytest.mark.parametrize("field", ["max_phases", "ee_tol", "step_max", "min_ess_frac"])
+def test_fixed_rules_are_not_control_fields(field):
+    assert [f.name for f in dataclasses.fields(McmleControl)] == ["sample_size", "seed"]
+    with pytest.raises(TypeError):
+        McmleControl(**{field: 1})
