@@ -4,7 +4,10 @@ fit_exact_dyad maximizes the exact likelihood, which factorizes over
 unordered pairs into 4-state categoricals (00, 10, 01, 11) because all
 supported terms are dyad-local. fit_mple is the pseudolikelihood
 logistic regression of each tie on its change statistic; the two
-coincide for dyad-independent specs.
+coincide for dyad-independent specs. Each evaluation of either
+objective is one pass over blocks of _BLOCK dyads, whose rows and
+weights stay in cache: per block, the state law or the tie predictors,
+then one weighted-Gram update (DyadDesign.weighted_gram).
 
 Both maximize by Newton's method with step halving, and fail after
 _NEWTON_MAX_ITER iterations. Iteration stops when the largest free
@@ -37,6 +40,10 @@ from .terms import DyadDesign, ErgmSpec
 SEPARATION_BOUND = 25.0
 _NEWTON_TOL = 1e-8
 _NEWTON_MAX_ITER = 100
+# Dyads per block of a Newton objective's pass. Of 2048-8192, 4096 to 8192
+# ran the ergm-fits sequence equally fast on a core with 2 MiB of L2, and
+# 8192 slowed the 29-row model4; fewer dyads pay more per-block overhead.
+_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -80,25 +87,36 @@ def graph_digest(graph: Graph) -> str:
     return h.hexdigest()
 
 
+def _blocks(n_dyads: int):
+    """Consecutive ranges of at most _BLOCK dyads covering 0..n_dyads."""
+    return (slice(lo, min(lo + _BLOCK, n_dyads)) for lo in range(0, n_dyads, _BLOCK))
+
+
 def _dyad_moments(design: DyadDesign, theta: np.ndarray
                   ) -> tuple[float, np.ndarray, np.ndarray]:
     """(log normalizing constant, E_theta[g(Y)], Cov_theta[g(Y)]).
 
     Per dyad g = y1 t1 + y2 t2 + y1 y2 m: its covariance is that of
-    (y1, y2, y1 y2) mapped through [t1, t2, m]. Complements such as
+    (y1, y2, y1 y2) mapped through (t1, t2, m). Complements such as
     1 - P(y1) are summed from the other states, exact near certainty.
+    One pass over blocks of _BLOCK dyads.
     """
-    log_kappa, (p00, p10, p01, p11) = design.state_law(theta)
-    t1, t2, m = design.t1, design.t2, design.mvec
-    q1, q2 = p10 + p11, p01 + p11          # P(y1), P(y2)
-    r1, r2 = p00 + p01, p00 + p10          # 1 - P(y1), 1 - P(y2)
-    mean = q1 @ t1 + q2 @ t2 + p11.sum() * m
-    cross = t1.T @ ((p00 * p11 - p10 * p01)[:, None] * t2)
-    side = t1.T @ (p11 * r1) + t2.T @ (p11 * r2)
-    cov = (t1.T @ ((q1 * r1)[:, None] * t1) + t2.T @ ((q2 * r2)[:, None] * t2)
-           + cross + cross.T + np.outer(m, side) + np.outer(side, m)
-           + float(p11 @ (r1 + p10)) * np.outer(m, m))
-    return log_kappa, mean, cov
+    k = design.k
+    log_kappa, mean, cov = 0.0, np.zeros(k), np.zeros((k, k))
+    for dyads in _blocks(design.n_dyads):
+        block_kappa, p = design.state_law(theta, dyads)
+        log_kappa += block_kappa
+        p00, p10, p01, p11 = p
+        q = p[1:3] + p11                       # P(y1), P(y2)
+        r = p00 + p[2:0:-1]                    # 1 - P(y1), 1 - P(y2)
+        mutual = None
+        if design.mut.size:
+            v = p11 * r                        # Cov(y1, y1 y2), Cov(y2, y1 y2)
+            mutual = (v[0], v[1], p11 * (r[0] + p10))   # and Var(y1 y2)
+        # Var(y1), Var(y2) and Cov(y1, y2)
+        design.weighted_gram(dyads, mean, cov, (q[0], q[1], p11), q * r,
+                             p00 * p11 - p10 * p01, mutual)
+    return (log_kappa, *design.spec_order(mean, cov))
 
 
 def _dyad_loglik(design: DyadDesign, theta: np.ndarray,
@@ -108,16 +126,35 @@ def _dyad_loglik(design: DyadDesign, theta: np.ndarray,
     return float(theta @ g_obs - log_kappa), g_obs - mean, cov
 
 
-def _logistic_loglik(x: np.ndarray, y: np.ndarray,
-                     theta: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    eta = x @ theta
-    p = expit(eta)
-    # log-likelihood via the numerically stable softplus form
-    ll = float(y @ eta - np.logaddexp(0.0, eta).sum())
-    grad = x.T @ (y - p)
-    w = p * (1.0 - p)
-    fisher = x.T @ (w[:, None] * x)
-    return ll, grad, fisher
+def _pseudo_loglik(design: DyadDesign,
+                   theta: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """(log-pseudolikelihood, gradient, Fisher information) at theta.
+
+    The logistic regression of every tie on its change statistic
+    x = t1 + y2 m (tie i->j) or t2 + y1 m (tie j->i), summed over blocks
+    of _BLOCK dyads. The sigmoid, its variance and the softplus come
+    from e = exp(-|eta|), exact at either tail.
+    """
+    k = design.k
+    ll, grad, fisher = 0.0, np.zeros(k), np.zeros((k, k))
+    theta_m = float(design.mvec @ theta)
+    for dyads in _blocks(design.n_dyads):
+        y = np.stack((design.y1[dyads], design.y2[dyads]))
+        eta = design.tie_predictors(theta, dyads)
+        if design.mut.size:
+            eta += theta_m * y[::-1]
+        e = np.exp(-np.abs(eta))
+        inv = 1.0 / (1.0 + e)
+        ll += float(np.vdot(eta, y) - np.maximum(eta, 0.0).sum() - np.log1p(e).sum())
+        resid = y - np.where(eta >= 0.0, inv, e * inv)   # y - expit(eta)
+        w = e * inv * inv                                 # p (1 - p)
+        mutual = None
+        if design.mut.size:
+            v = w * y[::-1]
+            mutual = (v[0], v[1], v.sum())
+        design.weighted_gram(dyads, grad, fisher,
+                             (resid[0], resid[1], np.vdot(resid, y[::-1])), w, None, mutual)
+    return (ll, *design.spec_order(grad, fisher))
 
 
 def _boundary_freeze(g_obs: np.ndarray, gmin: np.ndarray, gmax: np.ndarray,
@@ -268,13 +305,8 @@ def fit_exact_dyad(graph: Graph, spec: ErgmSpec) -> ErgmFit:
     """
     design = DyadDesign.from_graph(graph, spec)
     g_obs = design.statistics()
-    # each statistic's achievable range: per dyad, the extremes over the
-    # states' values 0, t1, t2 and t1 + t2 + m, one term row at a time
-    low, high = np.empty(spec.k), np.empty(spec.k)
-    for k, (a, b, m) in enumerate(zip(design.t1.T, design.t2.T, design.mvec)):
-        both = a + b + m
-        low[k] = np.minimum(np.minimum(a, b), np.minimum(both, 0.0)).sum()
-        high[k] = np.maximum(np.maximum(a, b), np.maximum(both, 0.0)).sum()
+    # the mutual count ranges over all D dyads
+    low, high = design.statistic_range(design.n_dyads)
     return _newton_fit(graph, design, lambda theta: _dyad_loglik(design, theta, g_obs),
                        "exact-dyad", g_obs, low, high)
 
@@ -289,10 +321,16 @@ def fit_mple(graph: Graph, spec: ErgmSpec, *,
     """
     if design is None:
         design = DyadDesign.from_graph(graph, spec)
-    x, y = design.ordered_design_matrix()
-    return _newton_fit(graph, design, lambda theta: _logistic_loglik(x, y, theta),
-                       "mple", x.T @ y, np.minimum(x, 0.0).sum(axis=0),
-                       np.maximum(x, 0.0).sum(axis=0))
+    y1, y2 = design.y1, design.y2
+    # X'y, the change statistics of the observed ties: both ties of a
+    # mutual dyad carry m
+    g_obs = design.weighted_sum(y1.astype(np.float64), y2.astype(np.float64),
+                                2.0 * (y1 & y2))
+    # an ordered pair's change statistic carries m when its reverse is a
+    # tie, so on as many pairs as there are ties
+    low, high = design.statistic_range(float(y1.sum() + y2.sum()))
+    return _newton_fit(graph, design, lambda theta: _pseudo_loglik(design, theta),
+                       "mple", g_obs, low, high)
 
 
 def expected_statistics(graph: Graph, spec: ErgmSpec, theta: np.ndarray) -> np.ndarray:

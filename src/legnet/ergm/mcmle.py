@@ -43,6 +43,11 @@ class McmleControl:
             raise ConfigError(f"invalid Monte-Carlo control values in {self}")
 
 
+def _one_line(values: np.ndarray) -> str:
+    """A vector printed on one line, so that an error message stays one line."""
+    return np.array2string(values, precision=3, max_line_width=np.inf)
+
+
 def _phase_seed(seed: int, stream: int) -> int:
     # distinct deterministic streams per phase
     return (seed * 1_000_003 + stream) % (2**63)
@@ -108,10 +113,10 @@ def fit_mcmle(graph: Graph, spec: ErgmSpec,
         gsd = sample.std(axis=0, ddof=1)
         if np.any(gsd[free] == 0.0):
             stuck = [spec.labels[k] for k in np.flatnonzero((gsd == 0.0) & free)]
-            tail = np.array2string(sample[-5:], precision=3)
+            tail = ", ".join(_one_line(draw) for draw in sample[-5:])
             raise EstimationError(
                 f"degenerate simulation: constant statistics for {stuck}; "
-                f"last draws:\n{tail}")
+                f"last draws: {tail}")
         ee = float(np.abs((gbar - g_obs)[free] / gsd[free]).max())
         ee_history.append(ee)
         if ee < _EE_TOL:
@@ -120,7 +125,7 @@ def fit_mcmle(graph: Graph, spec: ErgmSpec,
     else:
         raise EstimationError(
             f"estimating equations not met after {_MAX_PHASES} phases "
-            f"(discrepancy history {np.array2string(np.asarray(ee_history), precision=3)})")
+            f"(discrepancy history {_one_line(np.asarray(ee_history))})")
 
     # The exact log-likelihood and Fisher information Cov[g(Y)] at theta-hat.
     ll, _, fisher = _dyad_loglik(design, theta, g_obs)

@@ -74,8 +74,7 @@ def sample_states(design: DyadDesign, theta: np.ndarray, control: SimControl,
     for i in range(control.sample_size):
         rng.random(out=u)
         state = (u >= cum).sum(axis=0, dtype=np.int8)
-        stats[i] = ((state & 1) @ design.t1 + (state >> 1) @ design.t2
-                    + np.count_nonzero(state == 3) * design.mvec)
+        stats[i] = design.weighted_sum(state & 1, state >> 1, state == 3)
         if keep_states:
             codes[i] = state
     states = [((c & 1).astype(bool), (c >> 1).astype(bool))

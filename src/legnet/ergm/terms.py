@@ -5,9 +5,11 @@ Every supported term is dyad-local: the statistic decomposes as
     g(y) = sum_ij y_ij * e(i, j)  +  (mutual pair count) * m,
 
 where e(i, j) depends only on node covariates and m is the indicator
-of the mutual term. The decomposition is materialized per unordered
-pair as matrices T1 (tie i->j, i<j) and T2 (tie j->i), which is what
-the estimators and the sampler consume.
+of the mutual term. Per unordered pair i<j, the tie i->j adds the term
+row t1 = e(i, j) and the tie j->i adds t2 = e(j, i). Most terms (edges,
+match, absdiff, "sum" covariates) have t1 == t2, and their rows are
+stored once; only "sender"/"receiver" covariates keep both rows, and
+the mutual term has none (it is carried by m).
 """
 
 from __future__ import annotations
@@ -129,24 +131,25 @@ def _covariate_values(term: NodeCovariate | AbsDiff, n: int) -> np.ndarray:
     return x
 
 
-def _term_pair_columns(term: ErgmTerm, iu: np.ndarray, ju: np.ndarray,
-                       n: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """(t1, t2, m) columns of one term over the unordered pairs."""
+def _term_rows(term: ErgmTerm, iu: np.ndarray, ju: np.ndarray,
+               n: int) -> tuple[np.ndarray | None, np.ndarray | None, float]:
+    """(t1, t2, m) of one term over the unordered pairs.
+
+    t2 is None when it equals t1, and both are None for the mutual term,
+    whose rows are 0.
+    """
     d = iu.shape[0]
     if isinstance(term, Edges):
-        ones = np.ones(d)
-        return ones, ones.copy(), 0.0
+        return np.ones(d), None, 0.0
     if isinstance(term, Mutual):
-        zero = np.zeros(d)
-        return zero, zero.copy(), 1.0
+        return None, None, 1.0
     if isinstance(term, NodeCovariate):
         x = _covariate_values(term, n)
         if term.role == "sender":
             return x[iu], x[ju], 0.0
         if term.role == "receiver":
             return x[ju], x[iu], 0.0
-        both = x[iu] + x[ju]
-        return both, both.copy(), 0.0
+        return x[iu] + x[ju], None, 0.0
     if isinstance(term, NodeMatch):
         if len(term.labels) != n:
             raise DataError(f"labels {term.name!r} have {len(term.labels)} values for {n} nodes")
@@ -159,22 +162,26 @@ def _term_pair_columns(term: ErgmTerm, iu: np.ndarray, ju: np.ndarray,
         else:
             hit = codes == index[term.level]
             same = hit[iu] & hit[ju]
-        col = same.astype(np.float64)
-        return col, col.copy(), 0.0
+        return same.astype(np.float64), None, 0.0
     if isinstance(term, AbsDiff):
         x = _covariate_values(term, n)
-        col = np.abs(x[iu] - x[ju])
-        return col, col.copy(), 0.0
+        return np.abs(x[iu] - x[ju]), None, 0.0
     raise DataError(f"unknown term type {type(term).__name__}")
 
 
 class DyadDesign:
     """Statistic decomposition of a spec over a graph's dyads.
 
-    Attributes t1/t2 are (D, K); mvec is (K,); y1/y2 are the observed
-    tie indicators for the pair orientations (i<j) -> and <-. t1 and t2
-    are stored term-major: each is the transpose of a contiguous (K, D)
-    array, so every per-term pass over the dyads reads whole rows.
+    The term rows are stored term-major, split by orientation:
+    - `s` (K_S, D): the rows of the terms with t1 == t2, whose positions
+      in the spec are `sym`;
+    - `a1`, `a2` (K_A, D): the t1 and t2 rows of the sender and receiver
+      covariates, at positions `asym`;
+    - the mutual terms, at positions `mut`, have no rows; `mvec` (K,) is
+      the mutual indicator m, and `m` its entries at `mut`.
+    `order` lists the positions in this kind order (sym, asym, mut).
+    y1/y2 are the observed tie indicators for the pair orientations
+    (i<j) -> and <-. Every per-term pass over the dyads reads whole rows.
     """
 
     def __init__(self, n: int, spec: ErgmSpec) -> None:
@@ -183,13 +190,22 @@ class DyadDesign:
         self.n = n
         self.spec = spec
         self.iu, self.ju = np.triu_indices(n, 1)
-        cols1, cols2, mus = zip(*(_term_pair_columns(term, self.iu, self.ju, n)
-                                   for term in spec.terms))
-        self.t1 = np.array(cols1).T
-        self.t2 = np.array(cols2).T
-        self.mvec = np.asarray(mus)
-        self.y1 = np.zeros(self.iu.shape[0], dtype=bool)
-        self.y2 = np.zeros(self.iu.shape[0], dtype=bool)
+        d = self.iu.shape[0]
+        rows = [_term_rows(term, self.iu, self.ju, n) for term in spec.terms]
+        self.sym = np.array([k for k, (t1, t2, _) in enumerate(rows)
+                             if t1 is not None and t2 is None], dtype=np.intp)
+        self.asym = np.array([k for k, (_, t2, _) in enumerate(rows) if t2 is not None],
+                             dtype=np.intp)
+        self.mut = np.array([k for k, (t1, _, _) in enumerate(rows) if t1 is None],
+                            dtype=np.intp)
+        self.order = np.concatenate([self.sym, self.asym, self.mut])
+        self.s = np.array([rows[k][0] for k in self.sym]).reshape(-1, d)
+        self.a1 = np.array([rows[k][0] for k in self.asym]).reshape(-1, d)
+        self.a2 = np.array([rows[k][1] for k in self.asym]).reshape(-1, d)
+        self.mvec = np.array([m for _, _, m in rows])
+        self.m = self.mvec[self.mut]
+        self.y1 = np.zeros(d, dtype=bool)
+        self.y2 = np.zeros(d, dtype=bool)
 
     @classmethod
     def from_graph(cls, graph: Graph, spec: ErgmSpec) -> "DyadDesign":
@@ -219,18 +235,33 @@ class DyadDesign:
         j = np.asarray(j, dtype=np.int64)
         return i * (2 * self.n - i - 1) // 2 + (j - i - 1)
 
-    def state_law(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
-        """(log normalizing constant, (4, D) state probabilities) at theta.
+    def tie_predictors(self, theta: np.ndarray, dyads: slice = slice(None)) -> np.ndarray:
+        """(2, B) theta't1 and theta't2 over the B dyads in `dyads`.
+
+        These are the log-weights of the states 10 and 01 of each dyad.
+        """
+        out = np.empty((2, self.iu[dyads].shape[0]))
+        np.matmul(theta[self.sym], self.s[:, dyads], out=out[0])
+        out[1] = out[0]
+        if self.asym.size:
+            ta = theta[self.asym]
+            out[0] += ta @ self.a1[:, dyads]
+            out[1] += ta @ self.a2[:, dyads]
+        return out
+
+    def state_law(self, theta: np.ndarray,
+                  dyads: slice = slice(None)) -> tuple[float, np.ndarray]:
+        """(log normalizing constant, (4, B) state probabilities) at theta.
 
         Row s holds each dyad's probability of state s = y1 + 2 y2, the
-        softmax of the log-weights theta' g of its four states. The model
-        is the product over dyads of these categoricals; the likelihood
-        and the sampler both read them.
+        softmax of the log-weights theta' g of its four states; `dyads`
+        selects a range of the dyads, and the constant is over that range.
+        The model is the product over dyads of these categoricals; the
+        likelihood and the sampler both read them.
         """
-        w = np.empty((4, self.n_dyads))
+        w = np.empty((4, self.iu[dyads].shape[0]))
         w[0] = 0.0
-        np.matmul(self.t1, theta, out=w[1])
-        np.matmul(self.t2, theta, out=w[2])
+        w[1:3] = self.tie_predictors(theta, dyads)
         np.add(w[1], w[2], out=w[3])
         w[3] += float(self.mvec @ theta)
         top = w.max(axis=0)
@@ -238,6 +269,92 @@ class DyadDesign:
         total = w.sum(axis=0)
         w /= total
         return float((top + np.log(total)).sum()), w
+
+    def kind_sums(self, w1: np.ndarray, w2: np.ndarray, w12: np.ndarray,
+                  dyads: slice = slice(None)) -> np.ndarray:
+        """(K,) sum over the dyads in `dyads` of w1 t1 + w2 t2 + w12 m, in
+        kind order: the `s` rows, the `a1`/`a2` rows, the mutual terms."""
+        ks, ka = self.sym.size, self.sym.size + self.asym.size
+        total = np.empty(self.k)
+        np.matmul(self.s[:, dyads], np.add(w1, w2, dtype=np.float64), out=total[:ks])
+        if self.asym.size:
+            np.matmul(self.a1[:, dyads], w1, out=total[ks:ka])
+            total[ks:ka] += self.a2[:, dyads] @ w2
+        np.multiply(self.m, w12.sum(), out=total[ka:])
+        return total
+
+    def weighted_sum(self, w1: np.ndarray, w2: np.ndarray, w12: np.ndarray,
+                     dyads: slice = slice(None)) -> np.ndarray:
+        """`kind_sums` in the spec's term order.
+
+        With the tie indicators y1, y2 and y1 y2 as weights this is g(y);
+        with their probabilities it is E[g(Y)].
+        """
+        total = np.empty(self.k)
+        total[self.order] = self.kind_sums(w1, w2, w12, dyads)
+        return total
+
+    def weighted_gram(self, dyads: slice, total: np.ndarray, gram: np.ndarray,
+                      first, c: np.ndarray, c12: np.ndarray | None, mutual) -> None:
+        """Add sum_d T_d' g_d to `total` and sum_d T_d' C_d T_d to `gram`.
+
+        T_d is dyad d's (3, K) matrix of rows t1, t2 and m, over the dyads
+        in `dyads`; `total` and `gram` are in kind order (`spec_order` maps
+        them back). first = (g1, g2, g12) is the weight vector g_d. The
+        symmetric weight C_d is given by its (t1, t2) block, with diagonal
+        c = (c11, c22) and off-diagonal c12 (None for 0), and by its m
+        column mutual = (v1, v2, vm), None when there is no mutual term.
+        Only the sums of g12 and vm are read. A row stored once in `s` is
+        t1 = t2, so its block of the Gram is one product with weight
+        c11 + c22 + 2 c12; only the `a1`/`a2` rows pay for the cross
+        products.
+        """
+        ks, ka = self.sym.size, self.sym.size + self.asym.size
+        total += self.kind_sums(*first, dyads)
+        s = self.s[:, dyads]
+        if c12 is None:
+            both, side_w = c[0] + c[1], c
+        else:
+            both, side_w = c[0] + c[1] + 2.0 * c12, c + c12
+        gram[:ks, :ks] += (s * both) @ s.T
+        if self.asym.size:
+            a1, a2 = self.a1[:, dyads], self.a2[:, dyads]
+            side = s @ (a1 * side_w[0] + a2 * side_w[1]).T
+            gram[:ks, ks:ka] += side
+            gram[ks:ka, :ks] += side.T
+            aa = (a1 * c[0]) @ a1.T + (a2 * c[1]) @ a2.T
+            if c12 is not None:
+                cross = (a1 * c12) @ a2.T
+                aa += cross + cross.T
+            gram[ks:ka, ks:ka] += aa
+        if mutual is not None:
+            rows = np.multiply.outer(self.m, self.kind_sums(*mutual, dyads))
+            gram[ka:] += rows
+            gram[:ka, ka:] += rows[:, :ka].T
+
+    def spec_order(self, total: np.ndarray,
+                   gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(K,) `total` and (K, K) `gram` moved from kind order to the spec's."""
+        out, full = np.empty_like(total), np.empty_like(gram)
+        out[self.order] = total
+        full[np.ix_(self.order, self.order)] = gram
+        return out, full
+
+    def statistic_range(self, mutual_count: float) -> tuple[np.ndarray, np.ndarray]:
+        """(K,) lowest and highest achievable statistic, one term row at a time.
+
+        Each tie adds its row's value or 0, whatever the other tie of its
+        dyad does, so the extremes sum each row's negative and positive
+        parts; the mutual term adds m in `mutual_count` of the places.
+        """
+        low = mutual_count * np.minimum(self.mvec, 0.0)
+        high = mutual_count * np.maximum(self.mvec, 0.0)
+        rows = zip(np.concatenate([self.sym, self.asym]), [*self.s, *self.a1],
+                   [*self.s, *self.a2])
+        for k, t1, t2 in rows:
+            low[k] += np.minimum(t1, 0.0).sum() + np.minimum(t2, 0.0).sum()
+            high[k] += np.maximum(t1, 0.0).sum() + np.maximum(t2, 0.0).sum()
+        return low, high
 
     @property
     def inestimable(self) -> np.ndarray:
@@ -247,17 +364,17 @@ class DyadDesign:
         member) leaves the likelihood flat along its axis: no data can
         estimate it.
         """
-        return ~(self.t1.any(axis=0) | self.t2.any(axis=0) | (self.mvec != 0.0))
+        live = self.mvec != 0.0
+        live[self.sym] |= self.s.any(axis=1)
+        live[self.asym] |= self.a1.any(axis=1) | self.a2.any(axis=1)
+        return ~live
 
     def statistics(self, y1: np.ndarray | None = None,
                    y2: np.ndarray | None = None) -> np.ndarray:
         """g(y) for the given tie state (defaults to the observed one)."""
         y1 = self.y1 if y1 is None else y1
         y2 = self.y2 if y2 is None else y2
-        mutual = float((y1 & y2).sum())
-        return (y1.astype(np.float64) @ self.t1
-                + y2.astype(np.float64) @ self.t2
-                + mutual * self.mvec)
+        return self.weighted_sum(y1.astype(np.float64), y2.astype(np.float64), y1 & y2)
 
     def change_statistic(self, i: int, j: int,
                          y1: np.ndarray | None = None,
@@ -268,23 +385,31 @@ class DyadDesign:
         y1 = self.y1 if y1 is None else y1
         y2 = self.y2 if y2 is None else y2
         if i < j:
-            d = int(self.pair_index(i, j))
-            return self.t1[d] + (1.0 if y2[d] else 0.0) * self.mvec
-        d = int(self.pair_index(j, i))
-        return self.t2[d] + (1.0 if y1[d] else 0.0) * self.mvec
+            d, rows, reverse = int(self.pair_index(i, j)), self.a1, y2
+        else:
+            d, rows, reverse = int(self.pair_index(j, i)), self.a2, y1
+        delta = (1.0 if reverse[d] else 0.0) * self.mvec
+        delta[self.sym] = self.s[:, d]
+        delta[self.asym] = rows[:, d]
+        return delta
 
     def ordered_design_matrix(self) -> tuple[np.ndarray, np.ndarray]:
         """(X, y) over all n(n-1) ordered pairs for pseudolikelihood.
 
         Row order: all (i, j) with i < j first, then all (j, i).
         Each row is the change statistic of that tie in the observed
-        graph. X is stored term-major, like t1 and t2.
+        graph. X is stored term-major. The estimators do not build it;
+        it is the dense form of what `fit_mple` sums over dyad blocks.
         """
-        x_fwd = self.t1.T + np.outer(self.mvec, self.y2.astype(np.float64))
-        x_rev = self.t2.T + np.outer(self.mvec, self.y1.astype(np.float64))
-        x = np.hstack([x_fwd, x_rev]).T
+        d = self.n_dyads
+        x = np.zeros((self.k, 2 * d))
+        x[:, :d] = np.outer(self.mvec, self.y2)
+        x[:, d:] = np.outer(self.mvec, self.y1)
+        x[self.sym, :d] = x[self.sym, d:] = self.s
+        x[self.asym, :d] = self.a1
+        x[self.asym, d:] = self.a2
         y = np.concatenate([self.y1, self.y2]).astype(np.float64)
-        return x, y
+        return x.T, y
 
 
 def global_statistics(graph: Graph, spec: ErgmSpec) -> np.ndarray:

@@ -197,8 +197,10 @@ class Pipeline:
         The scores need the communities, and a model on centrality scores
         needs the topology stage. A UserWarning raised in a stage becomes
         a notice "<stage>: <message> (<n>x)"; other warnings pass through.
-        The output directory is made at the first write, so a run that
-        fails before it leaves none behind.
+        The first stage reads every configured input before anything is
+        written (the loaders' warnings are its notices), and the output
+        directory is made at the first write, so a run that fails on its
+        input leaves none behind.
         """
         if self.out.exists() and not self.out.is_dir():
             raise ConfigError(f"cannot create output directory {self.out}: "
@@ -212,9 +214,11 @@ class Pipeline:
             self.notice("topology stage forced: requested models use "
                         "centrality covariates")
         self._selected = [s for s in STAGES if s in wanted]
-        for stage in self._selected:
+        for index, stage in enumerate(self._selected):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always", UserWarning)
+                if index == 0:
+                    self.graph, self.attrs  # every input is read before the first write
                 getattr(self, f"_stage_{stage}")()
             counts = Counter()
             for w in caught:
@@ -246,7 +250,7 @@ class Pipeline:
         }
 
     def _stage_ingest(self) -> None:
-        graph, attrs = self.graph, self.attrs  # every input read before the first write
+        graph, attrs = self.graph, self.attrs
         report = self.census
         summary = {
             "nodes": graph.n,

@@ -97,6 +97,20 @@ def test_degenerate_fit_exits_4(tmp_path, capsys):
     assert "estimation error" in capsys.readouterr().err
 
 
+def test_degenerate_simulation_is_one_stderr_line(toy, capsys):
+    # at the pseudolikelihood start every draw of the toy graph is the same,
+    # and the error lists the last draws on the one line
+    epath, _, out = toy
+    cfg = epath.parent / "run.json"
+    cfg.write_text(json.dumps({"mcmc": {"sample_size": 10}}))
+    code = main(["ergm", "--config", str(cfg), "--edges", str(epath), "--out", str(out),
+                 "--models", "model2", "--estimator", "mcmle"])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("estimation error: degenerate simulation: ")
+    assert len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("mcmc, message", [
     ({"bogus": 1}, "unknown mcmc key 'bogus'"),
     ({"bridges": 12}, "no bridge sampling"),
@@ -355,6 +369,8 @@ def test_bad_json_fields_flag(tmp_path, capsys):
 @pytest.mark.parametrize("case, code, message", [
     ("edges", 3, "data error: {src}/edges.csv is not UTF-8 text"),
     ("attrs", 3, "data error: {src}/attrs.csv is not UTF-8 text"),
+    # a stage that writes before it uses the attributes still reads them first
+    ("topology-attrs", 3, "data error: {src}/attrs.csv is not UTF-8 text"),
     ("config", 2, "config error: cannot read config {src}/run.json: 'utf-8' codec"),
     ("config-dir", 2, "config error: cannot read config {src}: [Errno 21]"),
     ("out-file", 2, "config error: cannot create output directory {src}/edges.csv"),
@@ -365,9 +381,11 @@ def test_unreadable_input_or_output_exits_with_one_line(toy, capsys, case, code,
     argv = ["ingest", "--edges", str(epath), "--out", str(out)]
     if case == "edges":
         epath.write_bytes(epath.read_bytes() + b"a\xff,b,0.5\n")
-    elif case == "attrs":
+    elif case in ("attrs", "topology-attrs"):
         apath.write_bytes(apath.read_bytes() + b"\xfe\n")
         argv += ["--attrs", str(apath)]
+        if case == "topology-attrs":
+            argv[0] = "topology"
     elif case == "config":
         (src / "run.json").write_bytes(b'{"seed": "\xff"}')
         argv += ["--config", str(src / "run.json")]

@@ -5,14 +5,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import expit
 from scipy.stats import chi2, norm
 
 import legnet
 import legnet.ergm.fit as fit_module
 from legnet import DataError, EstimationError, Graph
 from legnet.ergm import (AbsDiff, Edges, ErgmSpec, Mutual, NodeCovariate,
-                         NodeMatch, expected_statistics, fit_exact_dyad,
-                         fit_mple, likelihood_ratio_test, report_effects)
+                         NodeMatch, SimControl, expected_statistics, fit_exact_dyad,
+                         fit_mple, likelihood_ratio_test, report_effects, simulate)
 
 from conftest import (enumerate_graphs, graph_from_matrix, graph_with_a_sink, matrix_of,
                       oracle_mle, oracle_statistics, random_digraph)
@@ -152,6 +153,132 @@ def test_mple_equals_exact_for_dyad_independent_models():
         assert np.allclose(exact.theta, pseudo.theta, atol=1e-6), trial
         assert exact.log_likelihood == pytest.approx(pseudo.log_likelihood,
                                                      abs=1e-6)
+
+
+def dense_pair_rows(oracle_terms, n):
+    """(D, K) t1 and t2 and (K,) m of the oracle terms, from their definitions."""
+    iu, ju = np.triu_indices(n, 1)
+    t1, t2, m = [], [], []
+    for kind, *args in oracle_terms:
+        if kind in ("edges", "mutual"):
+            a = b = np.full(iu.size, float(kind == "edges"))
+        elif kind == "cov":
+            x, role = np.asarray(args[0]), args[1]
+            a, b = {"sender": (x[iu], x[ju]), "receiver": (x[ju], x[iu]),
+                    "sum": (x[iu] + x[ju], x[iu] + x[ju])}[role]
+        elif kind == "match":
+            lab, level = np.asarray(args[0]), args[1]
+            same = lab[iu] == lab[ju]
+            if level is not None:
+                same &= lab[iu] == level
+            a = b = same.astype(float)
+        else:
+            z = np.asarray(args[0])
+            a = b = np.abs(z[iu] - z[ju])
+        t1.append(a)
+        t2.append(b)
+        m.append(float(kind == "mutual"))
+    return np.array(t1).T, np.array(t2).T, np.array(m)
+
+
+def dense_moments(t1, t2, m, theta):
+    """log kappa, E[g] and Cov[g] from the (D, K) t1/t2 formulas in one pass."""
+    w = np.stack([np.zeros(len(t1)), t1 @ theta, t2 @ theta,
+                  t1 @ theta + t2 @ theta + m @ theta])
+    top = w.max(axis=0)
+    p = np.exp(w - top)
+    total = p.sum(axis=0)
+    p00, p10, p01, p11 = p / total
+    q1, q2, r1, r2 = p10 + p11, p01 + p11, p00 + p01, p00 + p10
+    mean = q1 @ t1 + q2 @ t2 + p11.sum() * m
+    cross = t1.T @ ((p00 * p11 - p10 * p01)[:, None] * t2)
+    side = t1.T @ (p11 * r1) + t2.T @ (p11 * r2)
+    cov = (t1.T @ ((q1 * r1)[:, None] * t1) + t2.T @ ((q2 * r2)[:, None] * t2)
+           + cross + cross.T + np.outer(m, side) + np.outer(side, m)
+           + float(p11 @ (r1 + p10)) * np.outer(m, m))
+    return float((top + np.log(total)).sum()), mean, cov
+
+
+def assert_gram_close(got, want, rel):
+    """Entrywise, against the scale of the two diagonal entries."""
+    scale = np.sqrt(np.outer(np.diag(want), np.diag(want)))
+    assert np.all(np.abs(got - want) <= rel * scale)
+
+
+@pytest.mark.parametrize("kinds", ["every", "no-asymmetric", "no-symmetric"])
+def test_blocked_objectives_match_dense_formulas(kinds):
+    # D spans several dyad blocks and ends in a partial one
+    block = fit_module._BLOCK
+    n = next(n for n in range(2, 1000)
+             if n * (n - 1) // 2 > 2 * block and (n * (n - 1) // 2) % block)
+    rng = np.random.default_rng(17)
+    x, z = tuple(rng.uniform(0, 2, n)), tuple(rng.uniform(0, 2, n))
+    lab = tuple("uvw"[i % 3] for i in range(n))
+    every = [
+        (Edges(), ("edges",), -1.5), (Mutual(), ("mutual",), 1.0),
+        (NodeCovariate("x", x, "sender"), ("cov", x, "sender"), 0.3),
+        (NodeCovariate("x", x, "receiver"), ("cov", x, "receiver"), -0.2),
+        (NodeCovariate("z", z, "sum"), ("cov", z, "sum"), 0.1),
+        (NodeMatch("g", lab), ("match", lab, None), 0.4),
+        (NodeMatch("g", lab, level="v"), ("match", lab, "v"), -0.3),
+        (AbsDiff("z", z), ("absdiff", z), -0.25),
+    ]
+    keep = {"every": range(8), "no-asymmetric": (0, 1, 4, 5, 6, 7),
+            "no-symmetric": (1, 2)}[kinds]
+    terms, oracle_terms, theta = zip(*(every[i] for i in keep))
+    theta = np.array(theta)
+    spec = ErgmSpec(terms)
+    g = random_digraph(n, p=0.15, seed=5, mutual_boost=0.5)
+    design = legnet.DyadDesign.from_graph(g, spec)
+    assert design.n_dyads > 2 * block and design.n_dyads % block
+    assert (design.s.shape[0] == 0) == (kinds == "no-symmetric")
+    assert (design.a1.shape[0] == 0) == (kinds == "no-asymmetric")
+
+    t1, t2, m = dense_pair_rows(oracle_terms, n)
+    want_kappa, want_mean, want_cov = dense_moments(t1, t2, m, theta)
+    log_kappa, mean, cov = fit_module._dyad_moments(design, theta)
+    assert log_kappa == pytest.approx(want_kappa, rel=1e-12, abs=0)
+    assert np.allclose(mean, want_mean, rtol=1e-12, atol=0)
+    assert_gram_close(cov, want_cov, 1e-12)
+
+    # the pseudolikelihood against a dense logistic regression
+    xmat, y = design.ordered_design_matrix()
+    y1, y2 = design.y1.astype(float), design.y2.astype(float)
+    assert np.array_equal(xmat, np.vstack([t1 + np.outer(y2, m), t2 + np.outer(y1, m)]))
+    eta = xmat @ theta
+    p = expit(eta)
+    want_ll = float(y @ eta - np.logaddexp(0.0, eta).sum())
+    want_grad = xmat.T @ (y - p)
+    want_fisher = xmat.T @ ((p * (1.0 - p))[:, None] * xmat)
+    ll, grad, fisher = fit_module._pseudo_loglik(design, theta)
+    assert ll == pytest.approx(want_ll, rel=1e-12, abs=0)
+    # the gradient sums terms of both signs: compare against their magnitude
+    assert np.all(np.abs(grad - want_grad) <= 1e-12 * (np.abs(xmat).T @ np.abs(y - p)))
+    assert_gram_close(fisher, want_fisher, 1e-12)
+
+
+def test_planted_theta_is_recovered():
+    # graphs drawn exactly from a known theta of model2 plus a sender and a
+    # match term; each estimate lands within 3 standard errors of the truth
+    n = 120
+    rng = np.random.default_rng(8)
+    x = tuple(rng.uniform(-1, 1, n))
+    party = tuple("DR"[i % 2] for i in range(n))
+    terms = [Edges(), Mutual(), NodeCovariate("x", x, "sender"), NodeMatch("party", party)]
+    spec = ErgmSpec(terms)
+    # the same spec without mutual is dyad-independent: MPLE is the exact MLE
+    independent = ErgmSpec([t for t in terms if not isinstance(t, Mutual)])
+    truth = np.array([-2.5, 1.5, 0.6, 0.8])
+    draws, design = simulate(spec, truth, graph_size=n,
+                             control=SimControl(sample_size=4, seed=21))
+    for index in range(4):
+        g = draws.graph(design, index)
+        fit = fit_exact_dyad(g, spec)
+        assert not fit.separation.any()
+        assert np.all(np.abs(fit.theta - truth) < 3.0 * fit.std_err), (index, fit.theta)
+        exact, pseudo = fit_exact_dyad(g, independent), fit_mple(g, independent)
+        assert np.allclose(pseudo.theta, exact.theta, rtol=1e-8, atol=0)
+        assert pseudo.log_likelihood == pytest.approx(exact.log_likelihood, rel=1e-8)
 
 
 def test_standard_errors_match_numerical_fisher():
