@@ -109,14 +109,15 @@ def _dyad_moments(design: DyadDesign, theta: np.ndarray
         p00, p10, p01, p11 = p
         q = p[1:3] + p11                       # P(y1), P(y2)
         r = p00 + p[2:0:-1]                    # 1 - P(y1), 1 - P(y2)
-        mutual = None
-        if design.mut.size:
-            v = p11 * r                        # Cov(y1, y1 y2), Cov(y2, y1 y2)
-            mutual = (v[0], v[1], p11 * (r[0] + p10))   # and Var(y1 y2)
-        # Var(y1), Var(y2) and Cov(y1, y2)
-        design.weighted_gram(dyads, mean, cov, (q[0], q[1], p11), q * r,
-                             p00 * p11 - p10 * p01, mutual)
-    return (log_kappa, *design.spec_order(mean, cov))
+        var = q * r                            # Var(y1), Var(y2)
+        v = p11 * r                            # Cov(y1, y1 y2), Cov(y2, y1 y2)
+        block_mean, block_cov = design.weighted_gram(
+            dyads, (q[0], q[1], p11),
+            (var[0], var[1], p00 * p11 - p10 * p01,     # Cov(y1, y2)
+             v[0], v[1], p11 * (r[0] + p10)))           # Var(y1 y2)
+        mean += block_mean
+        cov += block_cov
+    return log_kappa, mean, cov
 
 
 def _dyad_loglik(design: DyadDesign, theta: np.ndarray,
@@ -140,21 +141,21 @@ def _pseudo_loglik(design: DyadDesign,
     theta_m = float(design.mvec @ theta)
     for dyads in _blocks(design.n_dyads):
         y = np.stack((design.y1[dyads], design.y2[dyads]))
+        reverse = y[::-1]
         eta = design.tie_predictors(theta, dyads)
-        if design.mut.size:
-            eta += theta_m * y[::-1]
+        eta += theta_m * reverse
         e = np.exp(-np.abs(eta))
         inv = 1.0 / (1.0 + e)
         ll += float(np.vdot(eta, y) - np.maximum(eta, 0.0).sum() - np.log1p(e).sum())
         resid = y - np.where(eta >= 0.0, inv, e * inv)   # y - expit(eta)
         w = e * inv * inv                                 # p (1 - p)
-        mutual = None
-        if design.mut.size:
-            v = w * y[::-1]
-            mutual = (v[0], v[1], v.sum())
-        design.weighted_gram(dyads, grad, fisher,
-                             (resid[0], resid[1], np.vdot(resid, y[::-1])), w, None, mutual)
-    return (ll, *design.spec_order(grad, fisher))
+        v = w * reverse
+        block_grad, block_fisher = design.weighted_gram(
+            dyads, (resid[0], resid[1], np.vdot(resid, reverse)),
+            (w[0], w[1], None, v[0], v[1], v.sum()))
+        grad += block_grad
+        fisher += block_fisher
+    return ll, grad, fisher
 
 
 def _boundary_freeze(g_obs: np.ndarray, gmin: np.ndarray, gmax: np.ndarray,

@@ -179,7 +179,9 @@ class DyadDesign:
       covariates, at positions `asym`;
     - the mutual terms, at positions `mut`, have no rows; `mvec` (K,) is
       the mutual indicator m, and `m` its entries at `mut`.
-    `order` lists the positions in this kind order (sym, asym, mut).
+    `order` lists the positions in this kind order (sym, asym, mut), and
+    `spec_pairs` indexes a (K, K) array by it; the sums and Gram
+    matrices are built in kind order and returned in the spec's.
     y1/y2 are the observed tie indicators for the pair orientations
     (i<j) -> and <-. Every per-term pass over the dyads reads whole rows.
     """
@@ -199,6 +201,7 @@ class DyadDesign:
         self.mut = np.array([k for k, (t1, _, _) in enumerate(rows) if t1 is None],
                             dtype=np.intp)
         self.order = np.concatenate([self.sym, self.asym, self.mut])
+        self.spec_pairs = np.ix_(self.order, self.order)
         self.s = np.array([rows[k][0] for k in self.sym]).reshape(-1, d)
         self.a1 = np.array([rows[k][0] for k in self.asym]).reshape(-1, d)
         self.a2 = np.array([rows[k][1] for k in self.asym]).reshape(-1, d)
@@ -271,7 +274,7 @@ class DyadDesign:
         return float((top + np.log(total)).sum()), w
 
     def kind_sums(self, w1: np.ndarray, w2: np.ndarray, w12: np.ndarray,
-                  dyads: slice = slice(None)) -> np.ndarray:
+                  dyads: slice) -> np.ndarray:
         """(K,) sum over the dyads in `dyads` of w1 t1 + w2 t2 + w12 m, in
         kind order: the `s` rows, the `a1`/`a2` rows, the mutual terms."""
         ks, ka = self.sym.size, self.sym.size + self.asym.size
@@ -283,62 +286,56 @@ class DyadDesign:
         np.multiply(self.m, w12.sum(), out=total[ka:])
         return total
 
-    def weighted_sum(self, w1: np.ndarray, w2: np.ndarray, w12: np.ndarray,
-                     dyads: slice = slice(None)) -> np.ndarray:
-        """`kind_sums` in the spec's term order.
+    def weighted_sum(self, w1: np.ndarray, w2: np.ndarray, w12: np.ndarray) -> np.ndarray:
+        """(K,) sum over all dyads of w1 t1 + w2 t2 + w12 m, in spec order.
 
         With the tie indicators y1, y2 and y1 y2 as weights this is g(y);
         with their probabilities it is E[g(Y)].
         """
         total = np.empty(self.k)
-        total[self.order] = self.kind_sums(w1, w2, w12, dyads)
+        total[self.order] = self.kind_sums(w1, w2, w12, slice(None))
         return total
 
-    def weighted_gram(self, dyads: slice, total: np.ndarray, gram: np.ndarray,
-                      first, c: np.ndarray, c12: np.ndarray | None, mutual) -> None:
-        """Add sum_d T_d' g_d to `total` and sum_d T_d' C_d T_d to `gram`.
+    def weighted_gram(self, dyads: slice, g, c) -> tuple[np.ndarray, np.ndarray]:
+        """(sum_d T_d' g_d, sum_d T_d' C_d T_d) over the dyads in `dyads`.
 
-        T_d is dyad d's (3, K) matrix of rows t1, t2 and m, over the dyads
-        in `dyads`; `total` and `gram` are in kind order (`spec_order` maps
-        them back). first = (g1, g2, g12) is the weight vector g_d. The
-        symmetric weight C_d is given by its (t1, t2) block, with diagonal
-        c = (c11, c22) and off-diagonal c12 (None for 0), and by its m
-        column mutual = (v1, v2, vm), None when there is no mutual term.
-        Only the sums of g12 and vm are read. A row stored once in `s` is
+        T_d is dyad d's (3, K) matrix of rows t1, t2 and m. The weights
+        are per-dyad arrays: g = (g1, g2, g12) is the vector g_d, and
+        c = (c11, c22, c12, c1m, c2m, cmm) the entries of the symmetric
+        C_d, with c12 None for 0. Only the sums of g12 and cmm are read,
+        and the m column of C_d only when the spec has a mutual term.
+        Both results are in spec order. A row stored once in `s` is
         t1 = t2, so its block of the Gram is one product with weight
         c11 + c22 + 2 c12; only the `a1`/`a2` rows pay for the cross
         products.
         """
+        c11, c22, c12, c1m, c2m, cmm = c
         ks, ka = self.sym.size, self.sym.size + self.asym.size
-        total += self.kind_sums(*first, dyads)
+        gram = np.empty((self.k, self.k))
         s = self.s[:, dyads]
-        if c12 is None:
-            both, side_w = c[0] + c[1], c
-        else:
-            both, side_w = c[0] + c[1] + 2.0 * c12, c + c12
-        gram[:ks, :ks] += (s * both) @ s.T
+        both = c11 + c22 if c12 is None else c11 + c22 + 2.0 * c12
+        np.matmul(s * both, s.T, out=gram[:ks, :ks])
         if self.asym.size:
             a1, a2 = self.a1[:, dyads], self.a2[:, dyads]
-            side = s @ (a1 * side_w[0] + a2 * side_w[1]).T
-            gram[:ks, ks:ka] += side
-            gram[ks:ka, :ks] += side.T
-            aa = (a1 * c[0]) @ a1.T + (a2 * c[1]) @ a2.T
+            if c12 is None:
+                side = s @ (a1 * c11 + a2 * c22).T
+            else:
+                side = s @ (a1 * (c11 + c12) + a2 * (c22 + c12)).T
+            gram[:ks, ks:ka] = side
+            gram[ks:ka, :ks] = side.T
+            aa = (a1 * c11) @ a1.T + (a2 * c22) @ a2.T
             if c12 is not None:
                 cross = (a1 * c12) @ a2.T
                 aa += cross + cross.T
-            gram[ks:ka, ks:ka] += aa
-        if mutual is not None:
-            rows = np.multiply.outer(self.m, self.kind_sums(*mutual, dyads))
-            gram[ka:] += rows
-            gram[:ka, ka:] += rows[:, :ka].T
-
-    def spec_order(self, total: np.ndarray,
-                   gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(K,) `total` and (K, K) `gram` moved from kind order to the spec's."""
-        out, full = np.empty_like(total), np.empty_like(gram)
-        out[self.order] = total
-        full[np.ix_(self.order, self.order)] = gram
-        return out, full
+            gram[ks:ka, ks:ka] = aa
+        if self.mut.size:
+            rows = np.multiply.outer(self.m, self.kind_sums(c1m, c2m, cmm, dyads))
+            gram[ka:] = rows
+            gram[:ka, ka:] = rows[:, :ka].T
+        total, full = np.empty(self.k), np.empty_like(gram)
+        total[self.order] = self.kind_sums(*g, dyads)
+        full[self.spec_pairs] = gram
+        return total, full
 
     def statistic_range(self, mutual_count: float) -> tuple[np.ndarray, np.ndarray]:
         """(K,) lowest and highest achievable statistic, one term row at a time.

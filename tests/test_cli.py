@@ -97,9 +97,17 @@ def test_degenerate_fit_exits_4(tmp_path, capsys):
     assert "estimation error" in capsys.readouterr().err
 
 
-def test_degenerate_simulation_is_one_stderr_line(toy, capsys):
-    # at the pseudolikelihood start every draw of the toy graph is the same,
-    # and the error lists the last draws on the one line
+def test_degenerate_simulation_is_one_stderr_line(toy, capsys, monkeypatch):
+    # a sampler whose draws never vary; the error lists the last draws on
+    # the one line
+    sample_states = mcmle_module.sample_states
+
+    def constant_draws(design, theta, control):
+        sim = sample_states(design, theta, control)
+        sim.stats[:] = sim.stats[0]
+        return sim
+
+    monkeypatch.setattr(mcmle_module, "sample_states", constant_draws)
     epath, _, out = toy
     cfg = epath.parent / "run.json"
     cfg.write_text(json.dumps({"mcmc": {"sample_size": 10}}))
