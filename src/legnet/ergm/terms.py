@@ -238,7 +238,7 @@ class DyadDesign:
         j = np.asarray(j, dtype=np.int64)
         return i * (2 * self.n - i - 1) // 2 + (j - i - 1)
 
-    def tie_predictors(self, theta: np.ndarray, dyads: slice = slice(None)) -> np.ndarray:
+    def tie_predictors(self, theta: np.ndarray, dyads: slice) -> np.ndarray:
         """(2, B) theta't1 and theta't2 over the B dyads in `dyads`.
 
         These are the log-weights of the states 10 and 01 of each dyad.
