@@ -214,7 +214,7 @@ def _validate_mcmc(mcmc: Mapping[str, Any]) -> None:
         if key not in valid:
             raise ConfigError(f"unknown mcmc key {key!r}; valid keys are {valid}")
         if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"mcmc {key} must be of type int, got {value!r}")
+            raise ConfigError(f"mcmc.{key} must be an integer, got {value!r}")
     McmleControl(**mcmc)
 
 

@@ -39,8 +39,11 @@ class McmleControl:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (self.sample_size >= 2 and self.seed >= 0):
-            raise ConfigError(f"invalid Monte-Carlo control values in {self}")
+        # named as the keys of a run configuration's `mcmc` block
+        for key, least in (("sample_size", 2), ("seed", 0)):
+            value = getattr(self, key)
+            if not value >= least:
+                raise ConfigError(f"mcmc.{key} must be an integer >= {least}, got {value!r}")
 
 
 def _one_line(values: np.ndarray) -> str:

@@ -390,24 +390,6 @@ class DyadDesign:
         delta[self.asym] = rows[:, d]
         return delta
 
-    def ordered_design_matrix(self) -> tuple[np.ndarray, np.ndarray]:
-        """(X, y) over all n(n-1) ordered pairs for pseudolikelihood.
-
-        Row order: all (i, j) with i < j first, then all (j, i).
-        Each row is the change statistic of that tie in the observed
-        graph. X is stored term-major. The estimators do not build it;
-        it is the dense form of what `fit_mple` sums over dyad blocks.
-        """
-        d = self.n_dyads
-        x = np.zeros((self.k, 2 * d))
-        x[:, :d] = np.outer(self.mvec, self.y2)
-        x[:, d:] = np.outer(self.mvec, self.y1)
-        x[self.sym, :d] = x[self.sym, d:] = self.s
-        x[self.asym, :d] = self.a1
-        x[self.asym, d:] = self.a2
-        y = np.concatenate([self.y1, self.y2]).astype(np.float64)
-        return x.T, y
-
 
 def global_statistics(graph: Graph, spec: ErgmSpec) -> np.ndarray:
     """Observed statistic vector g(y) for the graph."""

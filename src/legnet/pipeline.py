@@ -22,7 +22,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from . import __version__, topology
+from . import __version__
 from .attributes import AttributeTable
 from .config import (RunConfig, STAGES, build_model, model_entry, model_needs_attrs,
                      model_needs_centrality, spec_from_terms)
@@ -33,9 +33,8 @@ from .graph import ComponentReport, Graph, components
 from .io import dot_dump, edge_csv_dump, graphml_dump, load_attributes, load_edge_list
 from .partition import adjusted_rand, nmi, rand_index
 from .sbm import SbmFit, community_summary, interaction_matrix, select_q
-from .topology import (CentralityReport, ConnectivityReport, TriadReport,
-                       _centrality_report, _connectivity_report,
-                       assortativity_report, density)
+from .topology import (CentralityReport, ConnectivityReport, assortativity_report,
+                       centrality_report, connectivity_report, density)
 
 
 def fmt(x: Any) -> str:
@@ -130,18 +129,12 @@ class Pipeline:
         return load_attributes(Path(self.config.attrs), self.graph)
 
     @cached_property
-    def triads(self) -> TriadReport:
-        # called through the module, so that a wrapper installed on
-        # topology.triad_closure sees the one call of the run
-        return topology.triad_closure(self.graph)
-
-    @cached_property
     def centrality(self) -> CentralityReport:
-        return _centrality_report(self.graph, self.config.weighted_spectral, self.triads)
+        return centrality_report(self.graph, self.config.weighted_spectral)
 
     @cached_property
     def connectivity(self) -> ConnectivityReport:
-        return _connectivity_report(self.graph, self.config.min_clique_size, self.triads)
+        return connectivity_report(self.graph, self.config.min_clique_size)
 
     @cached_property
     def census(self) -> ComponentReport:

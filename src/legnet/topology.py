@@ -1,7 +1,8 @@
 """Descriptive network statistics for directed weighted graphs.
 
 Geodesic metrics (closeness, betweenness) run on the binary digraph:
-the stored weights are interaction ratios, not traversal costs.
+the stored weights are interaction ratios, not traversal costs. Both
+read one BFS sweep over blocks of sources, written as sparse products.
 Spectral scores (eigenvector, HITS) default to the binary adjacency
 with a weighted toggle. Clique and clustering measures use the
 undirected projection, where two nodes count as adjacent when an edge
@@ -14,7 +15,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.sparse.csgraph import shortest_path
 
 from .errors import DataError, EstimationError
 from .graph import Graph
@@ -73,6 +73,38 @@ def degree_strength(graph: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 # -- geodesic centralities ----------------------------------------------------
 
+# sources per block of closeness and betweenness; bounds their
+# n x block work arrays
+_BLOCK = 64
+
+
+def _sweep(step, lo: int) -> tuple[np.ndarray, np.ndarray]:
+    """BFS from the block of sources lo, lo + 1, ... (at most _BLOCK).
+
+    `step` is a CSR matrix whose row j lists the nodes one step before
+    j on the walk, so one product `step @ frontier` advances every
+    source of the block by one level. Returns (dist, sigma), n x b with
+    one column per source: dist is each node's BFS level (-1 where
+    unreached) and sigma its number of shortest paths from the source.
+    Path counts are integer sums, exact in any order of summation.
+    """
+    n = step.shape[0]
+    sources = np.arange(lo, min(lo + _BLOCK, n))
+    sigma = np.zeros((n, sources.shape[0]))
+    sigma[sources, sources - lo] = 1.0
+    dist = np.where(sigma > 0, 0, -1)
+    frontier, depth = sigma.copy(), 0
+    while frontier.any():
+        # shortest-path counts into each node first reached at depth + 1
+        paths = step @ frontier
+        fresh = (paths > 0) & (dist < 0)
+        depth += 1
+        np.putmask(dist, fresh, depth)
+        paths *= fresh  # the next frontier: counts on fresh nodes only
+        sigma += paths
+        frontier = paths
+    return dist, sigma
+
 
 def closeness(graph: Graph, mode: str = "out") -> np.ndarray:
     """Reachable-set closeness under unweighted directed geodesics.
@@ -80,7 +112,8 @@ def closeness(graph: Graph, mode: str = "out") -> np.ndarray:
     For node i with nonempty reachable set R_i (i excluded),
     closeness(i) = |R_i| / sum of distances to R_i; NaN when R_i is
     empty. mode "out" follows edge direction, "in" walks edges
-    backwards.
+    backwards. Reads the levels of `_sweep`: O(D * n * (|E| + n)) in
+    total, with D the deepest level reached from a block.
     """
     if graph.n < 2:
         raise DataError("closeness needs at least 2 nodes")
@@ -88,51 +121,36 @@ def closeness(graph: Graph, mode: str = "out") -> np.ndarray:
         raise DataError(f"unknown closeness mode {mode!r}")
     n = graph.n
     a = graph.adjacency(sparse=True)
+    # walking backwards, a node's step row lists its successors: a itself
+    step = a.T.tocsr() if mode == "out" else a
     scores = np.empty(n)
     for lo in range(0, n, _BLOCK):
-        dist = shortest_path(a if mode == "out" else a.T, unweighted=True,
-                             indices=np.arange(lo, min(lo + _BLOCK, n)))
-        dist[np.isinf(dist)] = 0.0  # unreachable nodes add nothing
+        dist, _ = _sweep(step, lo)
         with np.errstate(invalid="ignore"):  # 0 / 0: nothing reached, NaN
-            scores[lo:lo + dist.shape[0]] = (dist > 0).sum(axis=1) / dist.sum(axis=1)
+            scores[lo:lo + dist.shape[1]] = ((dist > 0).sum(axis=0)
+                                             / np.maximum(dist, 0).sum(axis=0))
     return scores
-
-
-# sources per block of closeness and betweenness; bounds their
-# block x n work arrays
-_BLOCK = 64
 
 
 def betweenness(graph: Graph) -> np.ndarray:
     """Brandes betweenness over directed geodesics, divided by (n-1)(n-2).
 
-    Level-synchronous: a block of b sources (one column each) advances
-    one BFS level per sparse product, counting shortest paths forward
-    and summing dependencies backward, at O(b * (|E| + n)) per level.
-    With D the deepest level reached from a block, the total is
-    O(D * n * (|E| + n)).
+    Level-synchronous: `_sweep` advances a block of b sources one BFS
+    level per sparse product, counting shortest paths, and the backward
+    pass sums dependencies one level per product, each level at
+    O(b * (|E| + n)). With D the deepest level reached from a block,
+    the total is O(D * n * (|E| + n)).
     """
     n = graph.n
     if n < 3:
         raise DataError("betweenness needs at least 3 nodes")
     a = graph.adjacency(sparse=True)
+    step = a.T.tocsr()
     total = np.zeros(n)
     for lo in range(0, n, _BLOCK):
-        sources = np.arange(lo, min(lo + _BLOCK, n))
-        sigma = np.zeros((n, sources.shape[0]))
-        sigma[sources, sources - lo] = 1.0
-        dist = np.where(sigma > 0, 0, -1)
-        frontier, depth = sigma.copy(), 0
-        while frontier.any():
-            # shortest-path counts into each node first reached at depth + 1
-            paths = a.T @ frontier
-            fresh = (paths > 0) & (dist < 0)
-            depth += 1
-            dist[fresh] = depth
-            frontier = np.where(fresh, paths, 0.0)
-            sigma += frontier
+        dist, sigma = _sweep(step, lo)
         delta = np.zeros_like(sigma)
-        for d in range(depth - 1, 1, -1):
+        for d in range(dist.max(), 1, -1):
             # each level-d node w hands (1 + delta_w) / sigma_w back to its
             # predecessors on level d - 1, scaled there by their own sigma
             share = np.where(dist == d, (1.0 + delta) / np.maximum(sigma, 1.0), 0.0)
@@ -346,25 +364,7 @@ def assortativity_scalar(graph: Graph,
 
 
 def centrality_report(graph: Graph, weighted: bool = False) -> CentralityReport:
-    return _centrality_report(graph, weighted, triad_closure(graph))
-
-
-def connectivity_report(graph: Graph,
-                        min_clique_size: int | None = None) -> ConnectivityReport:
-    """Graph-level cohesion summary.
-
-    With min_clique_size=None only the maximum-size cliques are listed;
-    otherwise every maximal clique at or above the threshold is kept.
-    """
-    return _connectivity_report(graph, min_clique_size, triad_closure(graph))
-
-
-# The builders proper take the triad_closure(graph) result, so that a
-# caller making both reports computes it once.
-
-
-def _centrality_report(graph: Graph, weighted: bool,
-                       triads: TriadReport) -> CentralityReport:
+    """Every per-node score; `weighted` applies to eigenvector and HITS."""
     in_deg, out_deg, out_str = degree_strength(graph)
     hub, auth = hits(graph, weighted=weighted)
     return CentralityReport(
@@ -376,12 +376,18 @@ def _centrality_report(graph: Graph, weighted: bool,
         eigen=eigen_centrality(graph, weighted=weighted),
         hub=hub,
         authority=auth,
-        local_clustering=triads.local_clustering,
+        local_clustering=triad_closure(graph).local_clustering,
     )
 
 
-def _connectivity_report(graph: Graph, min_clique_size: int | None,
-                         triads: TriadReport) -> ConnectivityReport:
+def connectivity_report(graph: Graph,
+                        min_clique_size: int | None = None) -> ConnectivityReport:
+    """Graph-level cohesion summary.
+
+    With min_clique_size=None only the maximum-size cliques are listed;
+    otherwise every maximal clique at or above the threshold is kept.
+    """
+    triads = triad_closure(graph)
     cliques = maximal_cliques(graph, min_size=min_clique_size or 1)
     max_size = max((len(c) for c in cliques), default=0)
     if min_clique_size is None:

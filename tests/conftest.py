@@ -428,3 +428,21 @@ def oracle_mle(y_obs, terms, n=None):
     res = minimize(negll, np.zeros(len(terms)), method="BFGS",
                    options={"gtol": 1e-10})
     return res.x, -res.fun
+
+
+def ordered_design_matrix(design) -> tuple[np.ndarray, np.ndarray]:
+    """(X, y) of a DyadDesign over all n(n-1) ordered pairs: the dense MPLE reference.
+
+    Row order: all (i, j) with i < j first, then all (j, i). Each row is
+    the change statistic of that tie in the observed graph; y holds the
+    observed ties. `fit_mple` sums the same rows over dyad blocks.
+    """
+    d = design.n_dyads
+    x = np.zeros((design.k, 2 * d))
+    x[:, :d] = np.outer(design.mvec, design.y2)
+    x[:, d:] = np.outer(design.mvec, design.y1)
+    x[design.sym, :d] = x[design.sym, d:] = design.s
+    x[design.asym, :d] = design.a1
+    x[design.asym, d:] = design.a2
+    y = np.concatenate([design.y1, design.y2]).astype(np.float64)
+    return x.T, y

@@ -167,6 +167,9 @@ def test_invalid_configs_raise(raw):
     ({"edges": "e.csv", "models": [{"name": "custom2", "terms": [{"term": "edges"}]},
                                    [{"term": "mutual"}]]},
      "model names must be unique, got ['custom2'] more than once"),
+    ({"edges": "e.csv", "mcmc": {"sample_size": 1}},
+     "mcmc.sample_size must be an integer >= 2, got 1"),
+    ({"edges": "e.csv", "mcmc": {"seed": -1}}, "mcmc.seed must be an integer >= 0, got -1"),
 ])
 def test_config_errors_name_the_key(raw, message):
     with pytest.raises(ConfigError) as exc:

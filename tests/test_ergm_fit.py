@@ -16,7 +16,7 @@ from legnet.ergm import (AbsDiff, Edges, ErgmSpec, Mutual, NodeCovariate,
                          fit_mple, likelihood_ratio_test, report_effects, simulate)
 
 from conftest import (enumerate_graphs, graph_from_matrix, graph_with_a_sink, matrix_of,
-                      oracle_mle, oracle_statistics, random_digraph)
+                      oracle_mle, oracle_statistics, ordered_design_matrix, random_digraph)
 
 
 def logit(p):
@@ -242,7 +242,7 @@ def test_blocked_objectives_match_dense_formulas(kinds):
     assert_gram_close(cov, want_cov, 1e-12)
 
     # the pseudolikelihood against a dense logistic regression
-    xmat, y = design.ordered_design_matrix()
+    xmat, y = ordered_design_matrix(design)
     y1, y2 = design.y1.astype(float), design.y2.astype(float)
     assert np.array_equal(xmat, np.vstack([t1 + np.outer(y2, m), t2 + np.outer(y1, m)]))
     eta = xmat @ theta

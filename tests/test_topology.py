@@ -113,6 +113,24 @@ def test_path_scores_match_networkx():
                        rtol=1e-9, atol=1e-15)
 
 
+def test_report_path_scores_match_networkx_at_published_density():
+    # n and density of the published congress graph: geodesics of 2-3
+    # levels, so each block of sources meets most nodes at every level
+    nx = pytest.importorskip("networkx")
+    n = 475
+    g = random_digraph(n, p=0.059, seed=47)
+    d = nx.DiGraph()
+    d.add_nodes_from(range(n))
+    d.add_edges_from(zip(*np.nonzero(matrix_of(g))))
+    rep = legnet.centrality_report(g)
+    close = nx.closeness_centrality(d.reverse(copy=True), wf_improved=False)
+    assert np.allclose(rep.closeness, [close[i] or np.nan for i in range(n)],
+                       rtol=1e-9, atol=0.0, equal_nan=True)
+    between = nx.betweenness_centrality(d, normalized=True)
+    assert np.allclose(rep.betweenness, [between[i] for i in range(n)],
+                       rtol=1e-9, atol=1e-15)
+
+
 def test_eigen_matches_dense_eigensolver():
     for seed in range(4):
         g = random_digraph(12, p=0.3, seed=seed + 21)
