@@ -13,8 +13,8 @@ import gc
 import sys
 
 from . import __version__
-from .config import (BUILTIN_MODELS, EDGE_FORMATS, ESTIMATORS, SBM_INITS, STAGES,
-                     config_from_dict, read_config)
+from .config import (BUILTIN_MODELS, EDGE_FORMATS, ESTIMATORS, STAGES, config_from_dict,
+                     read_config)
 from .errors import ConfigError, DataError, EstimationError
 from .pipeline import Pipeline
 
@@ -62,8 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--q-range", help="community counts to scan, as A:B")
             p.add_argument("--restarts", type=int,
                            help="restarts per community count")
-            p.add_argument("--init", choices=SBM_INITS,
-                           help="blockmodel initialization")
         if command in ("score", "report", "run"):
             p.add_argument("--against",
                            help="comma list of attribute columns to score against")
@@ -95,7 +93,7 @@ def _build_config(args: argparse.Namespace):
         raw["json_fields"] = _parse_json_fields(args.json_fields)
     if getattr(args, "models", None):
         raw["models"] = [m.strip() for m in args.models.split(",") if m.strip()]
-    sbm_flags = {key: getattr(args, key) for key in ("q_range", "restarts", "init")
+    sbm_flags = {key: getattr(args, key) for key in ("q_range", "restarts")
                  if getattr(args, key, None) is not None}
     sbm_block = {} if raw.get("sbm") is None else raw["sbm"]
     if sbm_flags and isinstance(sbm_block, dict):  # else config_from_dict refuses it

@@ -5,16 +5,15 @@ from __future__ import annotations
 import json
 import re
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
 from .attributes import AttributeTable
 from .errors import ConfigError, DataError
-from .ergm import (AbsDiff, Edges, ErgmSpec, ErgmTerm, McmleControl, Mutual,
-                   NodeCovariate, NodeMatch)
+from .ergm import AbsDiff, Edges, ErgmSpec, ErgmTerm, Mutual, NodeCovariate, NodeMatch
 from .ergm.terms import COVARIATE_ROLES
 from .graph import Graph
 from .io import UPSTREAM_FIELD_DEFAULTS
@@ -23,7 +22,6 @@ from .topology import STRUCTURAL_METRICS, CentralityReport
 STAGES = ("ingest", "topology", "assort", "ergm", "sbm", "score", "report")
 ESTIMATORS = ("exact-dyad", "mple", "mcmle")
 EDGE_FORMATS = ("csv", "upstream-json")
-SBM_INITS = ("spectral", "random")
 TERM_KINDS = ("edges", "mutual", "covariate", "match", "absdiff")
 _ATTRIBUTE_KINDS = ("covariate", "match", "absdiff")  # kinds that name an attribute
 # A model's name becomes part of its output file names (ergm_<name>.json).
@@ -68,10 +66,9 @@ class RunConfig:
     party_reassignment: dict[str, str] = field(default_factory=dict)
     models: list[Any] = field(default_factory=lambda: list(BUILTIN_MODELS))
     ergm_estimator: str = "exact-dyad"
-    mcmc: dict[str, Any] = field(default_factory=dict)
+    mcmc_sample_size: int = 512
     q_range: tuple[int, int] = (1, 20)
     sbm_restarts: int = 10
-    sbm_init: str = "spectral"
     score_against: list[str] = field(default_factory=lambda: ["party", "chamber"])
     seed: int = 0
     stages: list[str] = field(default_factory=lambda: list(STAGES))
@@ -93,7 +90,6 @@ class RunConfig:
         repeated = sorted(name for name, count in names.items() if count > 1)
         if repeated:
             raise ConfigError(f"model names must be unique, got {repeated} more than once")
-        _validate_mcmc(self.mcmc)
 
 
 def _int_at_least(low: int) -> Callable[[Any], bool]:
@@ -109,9 +105,9 @@ def _string_map(value: Any) -> bool:
         isinstance(x, str) for item in value.items() for x in item)
 
 
-# The config schema: each JSON key (keys of the `sbm` block written
-# "sbm.KEY"), the RunConfig field it sets, and what the field must hold.
-# The defaults are RunConfig's own: a key that is absent or null keeps it.
+# The config schema: each JSON key (keys of a block written "BLOCK.KEY"),
+# the RunConfig field it sets, and what the field must hold. The defaults
+# are RunConfig's own: a key that is absent or null keeps it.
 _SCHEMA: dict[str, tuple[str, str, Callable[[Any], bool]]] = {
     "edges": ("edges", "a non-empty string", lambda v: isinstance(v, str) and v != ""),
     "out": ("out_dir", "a non-empty string", lambda v: isinstance(v, str) and v != ""),
@@ -124,11 +120,10 @@ _SCHEMA: dict[str, tuple[str, str, Callable[[Any], bool]]] = {
                            "an object of string keys and string values", _string_map),
     "models": ("models", "a list", _list_of(lambda model: True)),
     "ergm_estimator": ("ergm_estimator", f"one of {ESTIMATORS}", lambda v: v in ESTIMATORS),
-    "mcmc": ("mcmc", "an object", lambda v: isinstance(v, Mapping)),
+    "mcmc.sample_size": ("mcmc_sample_size", "an integer >= 2", _int_at_least(2)),
     "sbm.q_range": ("q_range", "'A:B' or a pair [A, B] of integers, 1 <= A <= B", lambda v:
                     _list_of(_int_at_least(1))(v) and len(v) == 2 and v[0] <= v[1]),
     "sbm.restarts": ("sbm_restarts", "an integer >= 1", _int_at_least(1)),
-    "sbm.init": ("sbm_init", f"one of {SBM_INITS}", lambda v: v in SBM_INITS),
     "score_against": ("score_against", "a list of strings",
                       _list_of(lambda column: isinstance(column, str))),
     "seed": ("seed", "an integer >= 0", _int_at_least(0)),
@@ -138,11 +133,12 @@ _SCHEMA: dict[str, tuple[str, str, Callable[[Any], bool]]] = {
     "min_clique_size": ("min_clique_size", "an integer >= 1 or null",
                         lambda v: v is None or _int_at_least(1)(v)),
 }
-_TOP_LEVEL_KEYS = {key.partition(".")[0] for key in _SCHEMA}
 
 # Settings that no longer exist, and why; a config that sets one is refused.
 _REMOVED = {
     "threads": "every kernel is single-threaded",
+    "sbm.init": "restart 0 starts from the spectral labels and the others at random",
+    "mcmc.seed": "the Monte-Carlo MLE is seeded with the run's seed",
     "mcmc.burnin": "the sampler draws each state exactly, with no burn-in",
     "mcmc.interval": "the sampler's draws are independent, with no thinning",
     **dict.fromkeys(("mcmc.max_phases", "mcmc.ee_tol", "mcmc.step_max", "mcmc.min_ess_frac"),
@@ -150,12 +146,9 @@ _REMOVED = {
     **dict.fromkeys(("mcmc.bridges", "mcmc.bridge_sample_size", "mcmc.bridge_burnin"),
                     "the MCMLE log-likelihood is exact, with no bridge sampling"),
 }
-
-
-def _refuse_removed(keys: Iterable[str]) -> None:
-    for key in keys:
-        if key in _REMOVED:
-            raise ConfigError(f"config key {key!r} was removed: {_REMOVED[key]}")
+_KNOWN = {*_SCHEMA, *_REMOVED}
+_TOP_LEVEL_KEYS = {key.partition(".")[0] for key in _KNOWN}
+_BLOCKS = ("sbm", "mcmc")
 
 
 def model_entry(entry: Any, index: int) -> tuple[Any, Any]:
@@ -206,18 +199,6 @@ def _check_term(term: Any) -> None:
                           f"got {term['level']!r}")
 
 
-def _validate_mcmc(mcmc: Mapping[str, Any]) -> None:
-    """Check the `mcmc` block's keys and value types; McmleControl checks ranges."""
-    _refuse_removed(f"mcmc.{key}" for key in mcmc)
-    valid = sorted(f.name for f in fields(McmleControl))
-    for key, value in mcmc.items():
-        if key not in valid:
-            raise ConfigError(f"unknown mcmc key {key!r}; valid keys are {valid}")
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"mcmc.{key} must be an integer, got {value!r}")
-    McmleControl(**mcmc)
-
-
 def read_config(path: str | Path) -> dict[str, Any]:
     """The JSON object in a run configuration file, not yet validated."""
     try:
@@ -241,21 +222,25 @@ def load_config(path: str | Path) -> RunConfig:
 def config_from_dict(raw: Mapping[str, Any]) -> RunConfig:
     """Build and validate the RunConfig a JSON config object describes.
 
-    Each key sets the field `_SCHEMA` maps it to; a key that is absent
-    or null keeps RunConfig's default. `sbm.q_range` may be written 'A:B'.
+    Each key sets the field `_SCHEMA` maps it to, the keys of the `sbm`
+    and `mcmc` blocks read as "sbm.KEY" and "mcmc.KEY"; a key that is
+    absent or null keeps RunConfig's default, and a null block keeps all
+    of its keys' defaults. `sbm.q_range` may be written 'A:B'.
     """
     if not isinstance(raw, Mapping):
         raise ConfigError("config root must be a JSON object")
-    sbm = {} if raw.get("sbm") is None else raw["sbm"]
-    if not isinstance(sbm, Mapping):
-        raise ConfigError(f"sbm must be an object, got {sbm!r}")
-    keys = {str(k): v for k, v in raw.items() if k != "sbm"}
-    keys.update({f"sbm.{k}": v for k, v in sbm.items()})
-    _refuse_removed(keys)
-    unknown = sorted(({str(k) for k in raw} - _TOP_LEVEL_KEYS)
-                     | {k for k in keys if k not in _SCHEMA})
+    keys = {str(k): v for k, v in raw.items() if k not in _BLOCKS}
+    for name in _BLOCKS:
+        block = {} if raw.get(name) is None else raw[name]
+        if not isinstance(block, Mapping):
+            raise ConfigError(f"{name} must be an object, got {block!r}")
+        keys.update({f"{name}.{k}": v for k, v in block.items()})
+    unknown = sorted(({str(k) for k in raw} - _TOP_LEVEL_KEYS) | (keys.keys() - _KNOWN))
     if unknown:
         raise ConfigError(f"unknown config keys: {unknown}")
+    for key in keys:
+        if key in _REMOVED:
+            raise ConfigError(f"config key {key!r} was removed: {_REMOVED[key]}")
     settings = {_SCHEMA[k][0]: v for k, v in keys.items() if v is not None}
     q_range = settings.get("q_range")
     if isinstance(q_range, str):

@@ -40,6 +40,7 @@ from .terms import DyadDesign, ErgmSpec
 SEPARATION_BOUND = 25.0
 _NEWTON_TOL = 1e-8
 _NEWTON_MAX_ITER = 100
+_BOUNDARY_TOL = 1e-8  # an observed statistic this close to an end of its range is at it
 # Dyads per block of a Newton objective's pass. Of 2048-8192, 4096 to 8192
 # ran the ergm-fits sequence equally fast on a core with 2 MiB of L2, and
 # 8192 slowed the 29-row model4; fewer dyads pay more per-block overhead.
@@ -158,8 +159,8 @@ def _pseudo_loglik(design: DyadDesign,
     return ll, grad, fisher
 
 
-def _boundary_freeze(g_obs: np.ndarray, gmin: np.ndarray, gmax: np.ndarray,
-                     atol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
+def _boundary_freeze(g_obs: np.ndarray, gmin: np.ndarray,
+                     gmax: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Coordinates whose observed statistic is at an achievable extreme.
 
     Such a coordinate has no finite maximizer (the likelihood keeps
@@ -168,8 +169,8 @@ def _boundary_freeze(g_obs: np.ndarray, gmin: np.ndarray, gmax: np.ndarray,
     extreme up front pins it with the correct sign.
     """
     span = gmax - gmin
-    hi = (g_obs >= gmax - atol) & (span > atol)
-    lo = (g_obs <= gmin + atol) & (span > atol)
+    hi = (g_obs >= gmax - _BOUNDARY_TOL) & (span > _BOUNDARY_TOL)
+    lo = (g_obs <= gmin + _BOUNDARY_TOL) & (span > _BOUNDARY_TOL)
     return hi | lo, np.where(hi, 1.0, -1.0)
 
 
@@ -189,8 +190,7 @@ def _inverse(a: np.ndarray) -> np.ndarray:
         return np.linalg.pinv(a)
 
 
-def _newton(objective, k: int, tol: float, max_iter: int,
-            pre_frozen: np.ndarray | None = None,
+def _newton(objective, k: int, pre_frozen: np.ndarray | None = None,
             pre_sign: np.ndarray | None = None,
             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, int]:
     """Maximize a concave objective with separation pinning.
@@ -201,7 +201,7 @@ def _newton(objective, k: int, tol: float, max_iter: int,
     pre_sign * SEPARATION_BOUND; a sign of 0 holds one at 0. Also
     converged once a step is applied whose Newton decrement is within
     rounding of ll, since on large dyad sums the gradient's rounding
-    floor can sit above `tol`; ll cannot rank such a step, so it is
+    floor can sit above _NEWTON_TOL; ll cannot rank such a step, so it is
     evaluated once.
     """
     theta = np.zeros(k)
@@ -210,9 +210,9 @@ def _newton(objective, k: int, tol: float, max_iter: int,
         frozen |= pre_frozen
         theta[pre_frozen] = pre_sign[pre_frozen] * SEPARATION_BOUND
     ll, grad, fisher = objective(theta)
-    for it in range(1, max_iter + 1):
+    for it in range(1, _NEWTON_MAX_ITER + 1):
         free = ~frozen
-        if not free.any() or np.abs(grad[free]).max() < tol:
+        if not free.any() or np.abs(grad[free]).max() < _NEWTON_TOL:
             break
         ascent = grad[free]
         step = _solve(fisher[np.ix_(free, free)], ascent)
@@ -238,7 +238,7 @@ def _newton(objective, k: int, tol: float, max_iter: int,
         if ascended and settled:
             break
     else:
-        raise EstimationError(f"no convergence after {max_iter} iterations "
+        raise EstimationError(f"no convergence after {_NEWTON_MAX_ITER} iterations "
                               f"(gradient norm {np.abs(grad[~frozen]).max():.3g})")
     return theta, frozen, fisher, ll, it
 
@@ -291,9 +291,8 @@ def _newton_fit(graph: Graph, design: DyadDesign, objective, method: str,
     pinned whose statistic g_obs is at an end of its range [low, high]."""
     dead = design.inestimable
     pre, sign = _boundary_freeze(g_obs, low, high)
-    theta, frozen, fisher, ll, it = _newton(
-        objective, design.k, _NEWTON_TOL, _NEWTON_MAX_ITER, pre | dead,
-        np.where(dead, 0.0, sign))
+    theta, frozen, fisher, ll, it = _newton(objective, design.k, pre | dead,
+                                            np.where(dead, 0.0, sign))
     return _finalize(theta, frozen, fisher, ll, design.n_ordered_pairs, method,
                      design.spec, graph_digest(graph), it, {}, dead)
 

@@ -39,11 +39,10 @@ class McmleControl:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        # named as the keys of a run configuration's `mcmc` block
-        for key, least in (("sample_size", 2), ("seed", 0)):
-            value = getattr(self, key)
+        for name, least in (("sample_size", 2), ("seed", 0)):
+            value = getattr(self, name)
             if not value >= least:
-                raise ConfigError(f"mcmc.{key} must be an integer >= {least}, got {value!r}")
+                raise ConfigError(f"McmleControl.{name} must be >= {least}, got {value!r}")
 
 
 def _one_line(values: np.ndarray) -> str:

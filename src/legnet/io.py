@@ -256,7 +256,7 @@ def graphml_dump(graph: Graph, attrs: AttributeTable | None = None) -> str:
 def dot_dump(graph: Graph, attrs: AttributeTable | None = None) -> str:
     """Serialize the graph (and any attributes) in DOT syntax."""
     def q(value: Any) -> str:
-        return '"' + str(value).replace('"', r'\"') + '"'
+        return '"' + str(value).replace("\\", r"\\").replace('"', r'\"') + '"'
 
     lines = ["digraph G {"]
     for i, node in enumerate(graph.node_ids):

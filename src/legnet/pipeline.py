@@ -163,7 +163,11 @@ class Pipeline:
         return path
 
     def _write_bytes(self, name: str, payload: bytes) -> None:
-        self._path(name).write_bytes(payload)
+        path = self._path(name)
+        try:
+            path.write_bytes(payload)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output file {path}: {exc}") from None
         self._digests[name] = hashlib.sha256(payload).hexdigest()
 
     def _write_text(self, name: str, text: str) -> None:
@@ -222,9 +226,7 @@ class Pipeline:
             for message, count in sorted(counts.items()):
                 self.notice(f"{stage}: {message} ({count}x)")
         manifest = self._manifest()
-        payload = json.dumps(_jsonable(manifest), sort_keys=True, indent=2,
-                             allow_nan=False) + "\n"
-        self._path("manifest.json").write_bytes(payload.encode("utf-8"))
+        self._write_json("manifest.json", manifest)
         return manifest
 
     def _manifest(self) -> dict:
@@ -314,7 +316,8 @@ class Pipeline:
             return fit_exact_dyad(self.graph, spec)
         if method == "mple":
             return fit_mple(self.graph, spec)
-        control = McmleControl(**{"seed": self.config.seed, **self.config.mcmc})
+        control = McmleControl(sample_size=self.config.mcmc_sample_size,
+                               seed=self.config.seed)
         return fit_mcmle(self.graph, spec, control)
 
     def _stage_ergm(self) -> None:
@@ -373,7 +376,7 @@ class Pipeline:
         lo, hi = self.config.q_range
         best, curve = select_q(self.graph, range(lo, hi + 1),
                                restarts=self.config.sbm_restarts,
-                               seed=self.config.seed, init=self.config.sbm_init)
+                               seed=self.config.seed)
         self._sbm = best
         self._write_csv("sbm_icl_curve.csv", ["q", "icl"],
                         [[q, value] for q, value in curve])

@@ -218,18 +218,16 @@ def _mstep(m: _Moments) -> _Params:
     return _params(m.sizes / m.tau.shape[2], np.clip(pi, _LOG_CLIP, 1.0 - _LOG_CLIP))
 
 
-def _init_tau(b: _Binary, q: int, mode: str, rng: np.random.Generator) -> np.ndarray:
+def _init_tau(b: _Binary, q: int, spectral: bool, rng: np.random.Generator) -> np.ndarray:
+    """Starting responsibilities at hard labels: the spectral labels if
+    `spectral`, else (and when the spectral start fails) random labels."""
     n = b.n
     if q == 1:
         return np.ones((n, 1))
-    if mode == "random":
-        # hard labels, not soft draws: near-uniform responsibilities sit
-        # in the basin of the uninformative fixed point
-        labels = rng.integers(q, size=n)
-    else:
-        # spectral: k-means on the leading left+right singular directions,
-        # scaled by singular value so noise directions don't swamp signal.
-        # With a = U S V^T, the top-q eigenpairs of a a^T are (s^2, u), and
+    if spectral:
+        # k-means on the leading left+right singular directions, scaled by
+        # singular value so noise directions don't swamp signal. With
+        # a = U S V^T, the top-q eigenpairs of a a^T are (s^2, u), and
         # a^T u = s v, so the embedding needs no full SVD. Rounding can
         # leave an eigenvalue of the PSD Gram matrix just below zero.
         try:
@@ -243,7 +241,11 @@ def _init_tau(b: _Binary, q: int, mode: str, rng: np.random.Generator) -> np.nda
                                 seed=np.random.default_rng(rng.integers(2**32)))
         except np.linalg.LinAlgError as exc:
             warnings.warn(f"spectral start failed at Q={q} ({exc}); random start used")
-            labels = rng.integers(q, size=n)
+            spectral = False
+    if not spectral:
+        # hard labels, not soft draws: near-uniform responsibilities sit
+        # in the basin of the uninformative fixed point
+        labels = rng.integers(q, size=n)
     tau = np.full((n, q), 0.05 / max(q - 1, 1))
     tau[np.arange(n), labels] = 0.95
     return tau / tau.sum(axis=1, keepdims=True)
@@ -334,12 +336,11 @@ def _em(b: _Binary, m: _Moments, runs: list[_Run], it: int) -> None:
             m, bound = _take(m, keep), bound[keep]
 
 
-def fit_q(adjacency, q: int, init: str = "spectral", restarts: int = 1,
-          seed: int = 0) -> SbmFit:
+def fit_q(adjacency, q: int, restarts: int = 1, seed: int = 0) -> SbmFit:
     """Best-of-`restarts` variational EM fit with Q starting classes.
 
-    The first restart uses the requested initializer; the rest draw
-    random responsibilities. Classes whose total responsibility
+    The first restart starts from the spectral labels; the rest start
+    from random labels. Classes whose total responsibility
     collapses are pruned with a warning, so the returned fit can have
     fewer classes than requested. Deterministic for a fixed seed.
     `meta["runs"]` lists each restart's iterations, convergence,
@@ -348,13 +349,11 @@ def fit_q(adjacency, q: int, init: str = "spectral", restarts: int = 1,
     b = _as_binary(adjacency)
     if not (1 <= q <= b.n):
         raise DataError(f"Q={q} outside [1, {b.n}]")
-    if init not in ("spectral", "random"):
-        raise DataError(f"unknown init {init!r}")
     if restarts < 1:
         raise DataError("restarts must be >= 1")
 
     runs = [_Run() for _ in range(restarts)]
-    tau = np.stack([_init_tau(b, q, init if r == 0 else "random",
+    tau = np.stack([_init_tau(b, q, r == 0,
                               np.random.default_rng((seed * 1_000_003 + r) % 2**63)).T
                     for r in range(restarts)])
     _em(b, _moments(b, tau), runs, 0)
@@ -367,18 +366,17 @@ def fit_q(adjacency, q: int, init: str = "spectral", restarts: int = 1,
         elbo_trace=tuple(best.trace), converged=best.facts["converged"],
         iterations=best.facts["iterations"], requested_q=q,
         collapsed=best.facts["collapsed"],
-        meta={"init": init, "restarts": restarts, "seed": seed,
-              "runs": [run.facts for run in runs]},
+        meta={"restarts": restarts, "seed": seed, "runs": [run.facts for run in runs]},
     )
 
 
-def select_q(adjacency, q_range, restarts: int = 1, seed: int = 0,
-             init: str = "spectral") -> tuple[SbmFit, list[tuple[int, float]]]:
+def select_q(adjacency, q_range, restarts: int = 1,
+             seed: int = 0) -> tuple[SbmFit, list[tuple[int, float]]]:
     """Fit every Q in the range; return the ICL-best fit and the curve."""
     qs = list(q_range)
     if not qs:
         raise DataError("empty Q range")
-    fits = [fit_q(adjacency, q, init=init, restarts=restarts, seed=seed + 7919 * q)
+    fits = [fit_q(adjacency, q, restarts=restarts, seed=seed + 7919 * q)
             for q in qs]
     return max(fits, key=lambda fit: fit.icl), [(fit.requested_q, fit.icl) for fit in fits]
 

@@ -12,6 +12,7 @@ import csv
 import itertools
 import math
 import os
+import sys
 from collections import namedtuple
 from pathlib import Path
 
@@ -21,6 +22,13 @@ from scipy.optimize import minimize
 from scipy.special import logsumexp
 
 import legnet
+
+# The benchmark's seeded input generator, imported read-only as
+# bench/tests/conftest.py imports it: one generator serves both suites.
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+if str(BENCH) not in sys.path:
+    sys.path.append(str(BENCH))
+import gen  # noqa: E402
 
 # -- real-dataset discovery ----------------------------------------------------
 
@@ -79,6 +87,16 @@ def congress_attrs(dataset, congress_graph):
 @pytest.fixture(scope="session")
 def congress_centrality(congress_graph):
     return legnet.centrality_report(congress_graph)
+
+
+@pytest.fixture(scope="session")
+def published_graph(tmp_path_factory):
+    """The benchmark generator's seed-1 graph at the published size (n=475,
+    13,300 edges, reciprocity 0.46) as legnet loads it, and the census the
+    generator took of it without legnet."""
+    out = tmp_path_factory.mktemp("generated")
+    census = gen.generate(1, out, shapes=("published",))["published"]
+    return legnet.load_edge_list(out / "published_edges.csv"), census
 
 
 # -- synthetic graphs -----------------------------------------------------------

@@ -4,7 +4,9 @@ One test per published criterion; `pytest -v` prints one pass/fail/skip
 line for each. Criteria that need the interaction dataset (and, where
 marked, the hand-compiled attribute table) skip with a notice telling
 the operator what to supply. Tolerances are pinned here and nowhere
-else.
+else. The census and clique timing gates also run, next to the dataset
+tests, on the benchmark generator's graph of the published size, so
+they run without the dataset.
 
 Named-node checks compare against normalized node ids, accepting both
 official Twitter handles and plain-name ids.
@@ -16,6 +18,8 @@ import time
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse import csgraph
 from scipy.special import expit
 
 import legnet
@@ -29,7 +33,7 @@ from legnet.config import build_model
 from legnet.ergm import Edges, ErgmSpec, McmleControl, Mutual
 from legnet.ergm.fit import expected_statistics
 
-from conftest import (graph_from_matrix, oracle_ari, oracle_nmi, oracle_rand,
+from conftest import (graph_from_matrix, matrix_of, oracle_ari, oracle_nmi, oracle_rand,
                       oracle_statistics, random_digraph, set_partitions,
                       write_toy)
 
@@ -70,6 +74,25 @@ def test_criterion_01_dataset_census(congress_graph):
     assert report.articulation_points == ()
     assert not report.is_strongly_connected
     assert elapsed < 1.0
+
+
+def test_criterion_01_census_gate_at_published_scale(published_graph):
+    # the timing gate above, on the generator's graph of the published size
+    graph, census = published_graph
+    start = time.perf_counter()
+    report = components(graph)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0
+    assert (graph.n, graph.edge_count) == (census.n, census.edges) == (475, 13_300)
+    assert reciprocity(graph) == pytest.approx(census.reciprocity, rel=1e-12)
+    out_deg = graph.out_degrees()
+    assert (int(out_deg.max()), int(graph.in_degrees().max()), int(out_deg.min())) == (
+        census.max_out, census.max_in, census.min_out)
+    y = sparse.csr_array(matrix_of(graph))
+    for connection, sizes in (("weak", report.weak_sizes), ("strong", report.strong_sizes)):
+        _, labels = csgraph.connected_components(y, connection=connection)
+        assert sorted(sizes) == sorted(np.bincount(labels).tolist()), connection
+    assert report.is_strongly_connected == (len(report.strong_sizes) == 1)
 
 
 # -- 2: degrees and strength -------------------------------------------------
@@ -130,6 +153,35 @@ def test_criterion_05_maximal_cliques(congress_graph):
     assert max(sizes) == 13
     assert sizes.count(13) == 6
     assert len(sizes) == 6
+
+
+def _undirected(graph):
+    y = matrix_of(graph)
+    return y | y.T
+
+
+def test_criterion_05_clique_gate_at_published_scale(published_graph):
+    # the timing gate above, on the generator's graph of the published size
+    graph, _ = published_graph
+    start = time.perf_counter()
+    cliques = maximal_cliques(graph)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 30.0
+    assert len(set(cliques)) == len(cliques) > 0
+    # each is a clique, and no other node is adjacent to all of its members
+    b = _undirected(graph)
+    np.fill_diagonal(b, True)
+    for clique in cliques:
+        members = list(clique)
+        assert b[np.ix_(members, members)].all()
+        assert np.count_nonzero(b[:, members].all(axis=1)) == len(members)
+
+
+def test_criterion_05_cliques_match_networkx_at_published_scale(published_graph):
+    nx = pytest.importorskip("networkx")
+    graph, _ = published_graph
+    want = {tuple(sorted(c)) for c in nx.find_cliques(nx.from_numpy_array(_undirected(graph)))}
+    assert set(maximal_cliques(graph)) == want
 
 
 # -- 6: centrality spot values --------------------------------------------------

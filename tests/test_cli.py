@@ -120,12 +120,13 @@ def test_degenerate_simulation_is_one_stderr_line(toy, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("mcmc, message", [
-    ({"bogus": 1}, "unknown mcmc key 'bogus'"),
+    ({"bogus": 1}, "unknown config keys: ['mcmc.bogus']"),
     ({"bridges": 12}, "no bridge sampling"),
     ({"burnin": 50}, "config key 'mcmc.burnin' was removed"),
     ({"interval": 2}, "config key 'mcmc.interval' was removed"),
     ({"ee_tol": 0.2}, "config key 'mcmc.ee_tol' was removed"),
     ({"max_phases": 40}, "config key 'mcmc.max_phases' was removed"),
+    ({"seed": 3}, "config key 'mcmc.seed' was removed: "),
 ])
 def test_bad_mcmc_block_is_config_error(toy, capsys, mcmc, message):
     epath, _, out = toy
@@ -145,6 +146,8 @@ def test_bad_mcmc_block_is_config_error(toy, capsys, mcmc, message):
     ({"threads": 2}, "config key 'threads' was removed"),
     ({"json_fields": {"nodes": "x"}},
      "json_fields applies only to format 'upstream-json', got format 'csv'"),
+    ({"sbm": {"init": "random"}}, "config key 'sbm.init' was removed: "),
+    ({"mcmc": {"seed": 3}}, "config key 'mcmc.seed' was removed: "),
 ])
 def test_malformed_or_removed_setting_is_one_config_error_line(toy, capsys, block, message):
     # the first setting used to end in a traceback; the second quietly
@@ -181,6 +184,15 @@ def test_threads_flag_is_a_usage_error(toy, capsys):
         main(["topology", "--edges", str(epath), "--out", str(out), "--threads", "2"])
     assert exc.value.code == 2
     assert "--threads" in capsys.readouterr().err
+
+
+def test_init_flag_is_a_usage_error(toy, capsys):
+    epath, _, out = toy
+    with pytest.raises(SystemExit) as exc:
+        main(["sbm", "--edges", str(epath), "--out", str(out), "--init", "random"])
+    assert exc.value.code == 2
+    assert "--init" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("block", [{"json_fields": [1]}, {"party_reassignment": "ab"}])
@@ -382,6 +394,8 @@ def test_bad_json_fields_flag(tmp_path, capsys):
     ("config", 2, "config error: cannot read config {src}/run.json: 'utf-8' codec"),
     ("config-dir", 2, "config error: cannot read config {src}: [Errno 21]"),
     ("out-file", 2, "config error: cannot create output directory {src}/edges.csv"),
+    # an output file's path is taken by a directory
+    ("out-entry", 2, "config error: cannot write output file {out}/edges.csv: "),
 ])
 def test_unreadable_input_or_output_exits_with_one_line(toy, capsys, case, code, message):
     epath, apath, out = toy
@@ -399,14 +413,20 @@ def test_unreadable_input_or_output_exits_with_one_line(toy, capsys, case, code,
         argv += ["--config", str(src / "run.json")]
     elif case == "config-dir":
         argv += ["--config", str(src)]
+    elif case == "out-entry":
+        (out / "edges.csv").mkdir(parents=True)
     else:
         argv += ["--out", str(epath)]
     assert main(argv) == code
     err = capsys.readouterr().err
-    assert err.startswith(message.format(src=src))
+    assert err.startswith(message.format(src=src, out=out))
     assert len(err.splitlines()) == 1
-    # nothing is made in place of, or beside, the output path
-    assert not out.exists()
+    if case == "out-entry":
+        # the directory in the file's place is left as it was
+        assert not any((out / "edges.csv").iterdir())
+    else:
+        # nothing is made in place of, or beside, the output path
+        assert not out.exists()
     assert epath.is_file() and sorted(p.name for p in src.iterdir()) == sorted(
         ["edges.csv", "attrs.csv"] + ["run.json"] * (case == "config"))
 

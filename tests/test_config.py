@@ -55,12 +55,9 @@ def test_minimal_dict_fills_defaults():
 
 
 def test_sbm_block_and_string_q_range():
-    cfg = config_from_dict({"edges": "e.csv",
-                            "sbm": {"q_range": "2:8", "restarts": 3,
-                                    "init": "random"}})
+    cfg = config_from_dict({"edges": "e.csv", "sbm": {"q_range": "2:8", "restarts": 3}})
     assert cfg.q_range == (2, 8)
     assert cfg.sbm_restarts == 3
-    assert cfg.sbm_init == "random"
 
 
 def test_unknown_keys_rejected():
@@ -169,7 +166,14 @@ def test_invalid_configs_raise(raw):
      "model names must be unique, got ['custom2'] more than once"),
     ({"edges": "e.csv", "mcmc": {"sample_size": 1}},
      "mcmc.sample_size must be an integer >= 2, got 1"),
-    ({"edges": "e.csv", "mcmc": {"seed": -1}}, "mcmc.seed must be an integer >= 0, got -1"),
+    ({"edges": "e.csv", "mcmc": {"seed": 3}},
+     "config key 'mcmc.seed' was removed: the Monte-Carlo MLE is seeded with the run's seed"),
+    ({"edges": "e.csv", "sbm": {"init": "random"}},
+     "config key 'sbm.init' was removed: restart 0 starts from the spectral labels"),
+    ({"edges": "e.csv", "mcmc": {"bogus": 1}}, "unknown config keys: ['mcmc.bogus']"),
+    ({"edges": "e.csv", "mcmc": {"sample_size": True}},
+     "mcmc.sample_size must be an integer >= 2, got True"),
+    ({"edges": "e.csv", "mcmc": 5}, "mcmc must be an object, got 5"),
 ])
 def test_config_errors_name_the_key(raw, message):
     with pytest.raises(ConfigError) as exc:
@@ -195,8 +199,11 @@ def test_null_means_the_default_for_every_key():
             "stages", "weighted_spectral", "standardize", "min_clique_size"]
     default = config_from_dict({"edges": "e.csv"})
     assert config_from_dict({"edges": "e.csv", **dict.fromkeys(keys)}) == default
-    sbm_nulls = {"q_range": None, "restarts": None, "init": None}
+    sbm_nulls = {"q_range": None, "restarts": None}
     assert config_from_dict({"edges": "e.csv", "sbm": sbm_nulls}) == default
+    mcmc_nulls = {"sample_size": None}
+    assert config_from_dict({"edges": "e.csv", "mcmc": mcmc_nulls}) == default
+    assert default.mcmc_sample_size == 512
     with pytest.raises(ConfigError, match="edges must be"):
         config_from_dict({"edges": None})
 
@@ -204,16 +211,16 @@ def test_null_means_the_default_for_every_key():
 def test_library_callers_get_the_same_checks():
     with pytest.raises(ConfigError, match="weighted_spectral must be true or false"):
         RunConfig(edges="e.csv", weighted_spectral="no").validate()
-    with pytest.raises(ConfigError, match="config key 'mcmc.interval' was removed"):
-        RunConfig(edges="e.csv", mcmc={"interval": 2}).validate()
+    with pytest.raises(ConfigError, match="mcmc.sample_size must be an integer >= 2, got 1"):
+        RunConfig(edges="e.csv", mcmc_sample_size=1).validate()
 
 
 # Every field's default, as config_from_dict has always filled it in.
 DEFAULTS = {
     "edges": "", "out_dir": "out", "attrs": None, "edge_format": "csv",
     "json_fields": {}, "party_reassignment": {}, "models": list(BUILTIN_MODELS),
-    "ergm_estimator": "exact-dyad", "mcmc": {}, "q_range": (1, 20),
-    "sbm_restarts": 10, "sbm_init": "spectral", "score_against": ["party", "chamber"],
+    "ergm_estimator": "exact-dyad", "mcmc_sample_size": 512, "q_range": (1, 20),
+    "sbm_restarts": 10, "score_against": ["party", "chamber"],
     "seed": 0, "stages": list(STAGES), "weighted_spectral": False,
     "standardize": False, "min_clique_size": None,
 }
@@ -226,7 +233,7 @@ _README_CONFIG = {
     "edges": "edges.csv", "attrs": "members.csv", "out": "results", "seed": 7,
     "stages": list(STAGES), "models": ["model1", "model2", "model3", "model6"],
     "ergm_estimator": "exact-dyad", "mcmc": {"sample_size": 512},
-    "sbm": {"q_range": [1, 20], "restarts": 10, "init": "spectral"},
+    "sbm": {"q_range": [1, 20], "restarts": 10},
     "score_against": ["party", "chamber"],
     "party_reassignment": {"SenAngusKing": "Democrat"},
 }
@@ -238,8 +245,8 @@ _README_CONFIG = {
 VALID_CONFIGS = [
     ({"edges": "e.csv"}, {"edges": "e.csv"}),
     ({"edges": "e.csv", "seed": 9}, {"edges": "e.csv", "seed": 9}),
-    ({"edges": "e.csv", "sbm": {"q_range": "2:8", "restarts": 3, "init": "random"}},
-     {"edges": "e.csv", "q_range": (2, 8), "sbm_restarts": 3, "sbm_init": "random"}),
+    ({"edges": "e.csv", "sbm": {"q_range": "2:8", "restarts": 3}},
+     {"edges": "e.csv", "q_range": (2, 8), "sbm_restarts": 3}),
     ({"edges": "e.csv", "attrs": "a.csv", "out": "o", "seed": 5,
       "models": ["model1", "model2", "model6"], "sbm": {"q_range": [1, 4], "restarts": 4}},
      {"edges": "e.csv", "attrs": "a.csv", "out_dir": "o", "seed": 5,
@@ -248,7 +255,7 @@ VALID_CONFIGS = [
       "models": ["model1", _ODD], "ergm_estimator": "mcmle", "mcmc": {"sample_size": 200},
       "sbm": {"q_range": [1, 3], "restarts": 2}},
      {"edges": "e.csv", "attrs": "a.csv", "out_dir": "o", "seed": 3,
-      "models": ["model1", _ODD], "ergm_estimator": "mcmle", "mcmc": {"sample_size": 200},
+      "models": ["model1", _ODD], "ergm_estimator": "mcmle", "mcmc_sample_size": 200,
       "q_range": (1, 3), "sbm_restarts": 2}),
     ({"edges": "e.csv", "out": "o", "stages": ["ergm"], "models": [_ODD["terms"]]},
      {"edges": "e.csv", "out_dir": "o", "stages": ["ergm"], "models": [_ODD["terms"]]}),
@@ -260,7 +267,7 @@ VALID_CONFIGS = [
       "score_against": ["party"], "party_reassignment": {"a": "Gold"}}),
     (_README_CONFIG,
      {"edges": "edges.csv", "attrs": "members.csv", "out_dir": "results", "seed": 7,
-      "models": ["model1", "model2", "model3", "model6"], "mcmc": {"sample_size": 512},
+      "models": ["model1", "model2", "model3", "model6"],
       "party_reassignment": {"SenAngusKing": "Democrat"}}),
     (_REPORT_ARGV,
      {"edges": "in/congress_edges.csv", "attrs": "in/congress_attrs.csv", "out_dir": "o",
@@ -275,8 +282,8 @@ VALID_CONFIGS = [
     (["topology", "--edges", "e.csv", "--min-clique-size", "4"],
      {"edges": "e.csv", "min_clique_size": 4, "stages": ["topology"]}),
     (["score", "--edges", "e.csv", "--q-range", "1:3", "--restarts", "2",
-      "--init", "random", "--against", "party"],
-     {"edges": "e.csv", "q_range": (1, 3), "sbm_restarts": 2, "sbm_init": "random",
+      "--against", "party"],
+     {"edges": "e.csv", "q_range": (1, 3), "sbm_restarts": 2,
       "score_against": ["party"], "stages": ["score"]}),
 ]
 

@@ -6,17 +6,16 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from legnet import ConfigError, config_from_dict  # noqa: E402
-from legnet.config import RunConfig  # noqa: E402
+from legnet.config import _REMOVED, _SCHEMA, RunConfig  # noqa: E402
 
-TOP_LEVEL = ["edges", "attrs", "format", "json_fields", "party_reassignment", "models",
-             "ergm_estimator", "mcmc", "sbm", "score_against", "seed", "out", "stages",
-             "weighted_spectral", "standardize", "min_clique_size"]
-UNKNOWN = ["threads", "qrange", "sbm.init", ""]
-# keys of the nested blocks and term objects, so that draws reach their checks
-NESTED = ["q_range", "restarts", "init", "sample_size", "max_phases", "ee_tol", "seed",
-          "step_max", "min_ess_frac", "burnin", "interval", "bridges", "nodes",
-          "targets", "name", "terms", "term", "attribute", "level", "role"]
-WORDS = ["e.csv", "csv", "upstream-json", "exact-dyad", "mcmle", "spectral", "model1",
+# Every key as the schema reads it, blocks flattened to "BLOCK.KEY", with
+# the removed and some unknown keys; `nest` writes each dotted key back
+# into its block.
+FLAT = sorted({*_SCHEMA, *_REMOVED}) + ["sbm", "mcmc", "qrange", "sbm.bogus",
+                                        "mcmc.bogus", ""]
+# keys of term objects and of the json_fields map, so that draws reach their checks
+NESTED = ["nodes", "targets", "name", "terms", "term", "attribute", "level", "role"]
+WORDS = ["e.csv", "csv", "upstream-json", "exact-dyad", "mcmle", "model1",
          "edges", "mutual", "covariate", "match", "absdiff", "age", "party", "sender",
          "ingest", "sbm", "1:3", "3:1", "x:y", ""]
 
@@ -26,7 +25,21 @@ json_values = st.recursive(
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
         st.sampled_from(NESTED) | st.text(max_size=3), inner, max_size=4),
     max_leaves=12)
-configs = st.dictionaries(st.sampled_from(TOP_LEVEL + UNKNOWN), json_values, max_size=8)
+
+
+def nest(flat):
+    """The JSON config of flattened keys; a block drawn whole keeps its value."""
+    raw = {}
+    for key, value in flat.items():
+        block, dot, name = key.partition(".")
+        if not dot:
+            raw.setdefault(key, value)
+        elif isinstance(raw.setdefault(block, {}), dict):
+            raw[block] = {**raw[block], name: value}
+    return raw
+
+
+configs = st.dictionaries(st.sampled_from(FLAT), json_values, max_size=8).map(nest)
 
 
 @settings(max_examples=400, deadline=None)

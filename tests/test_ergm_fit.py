@@ -458,16 +458,17 @@ def test_published_census_converges_to_p1_closed_form(monkeypatch):
     assert len(calls) <= fit.iterations + 1
 
 
-def test_stalled_line_search_is_not_convergence():
+def test_stalled_line_search_is_not_convergence(monkeypatch):
     # the reported gradient points uphill but the objective falls along
     # it, so halving ends in forced tiny steps that lower ll each time
     from legnet.ergm.fit import _newton
+    monkeypatch.setattr(fit_module, "_NEWTON_MAX_ITER", 20)
 
     def objective(theta):
         return -5e4 - 1e3 * theta[0], np.array([1e-2]), np.eye(1)
 
     with pytest.raises(EstimationError, match="no convergence"):
-        _newton(objective, 1, tol=1e-8, max_iter=20)
+        _newton(objective, 1)
 
 
 @pytest.mark.parametrize("fit", [fit_exact_dyad, fit_mple])
@@ -478,13 +479,14 @@ def test_newton_budget_out_is_no_convergence(monkeypatch, fit):
         fit(g, ErgmSpec([Edges(), Mutual()]))
 
 
-def test_step_within_rounding_is_taken_once():
+def test_step_within_rounding_is_taken_once(monkeypatch):
     # near the optimum ll moves only in its last digits: each evaluation
     # reads 1e-11 lower, below the rounding 16 eps |ll| = 1.8e-10 of ll.
     # The step's predicted gain (5e-17) is within that rounding, so it is
     # evaluated once, accepted and ends the iteration, where halving
     # would chase the noise.
     from legnet.ergm.fit import _newton
+    monkeypatch.setattr(fit_module, "_NEWTON_MAX_ITER", 20)
 
     calls = []
 
@@ -492,7 +494,7 @@ def test_step_within_rounding_is_taken_once():
         calls.append(theta.copy())
         return -5e4 - 1e-11 * len(calls), np.array([1e-6]), np.array([[1e4]])
 
-    theta, frozen, _, _, it = _newton(objective, 1, tol=1e-8, max_iter=20)
+    theta, frozen, _, _, it = _newton(objective, 1)
     assert it == 1 and len(calls) == 2
     assert theta[0] == pytest.approx(1e-10, rel=1e-12) and not frozen.any()
 

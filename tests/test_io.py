@@ -1,7 +1,9 @@
 """Edge-list parsing, attribute loading, and exports."""
 
+import csv
 import io
 import json
+import re
 import warnings
 import xml.etree.ElementTree as ET
 
@@ -259,6 +261,26 @@ def test_dot_output_quotes_identifiers(tmp_path):
     text = path.read_text()
     assert text.startswith("digraph")
     assert '"mr smith" -> "ms jones"' in text
+
+
+_DOT_STRING = r'"(?:[^"\\]|\\.)*"'
+
+
+def _dot_strings(line):
+    """The quoted strings of a DOT line, unescaped; each must be quoted whole."""
+    assert re.fullmatch(rf'(?:[^"]|{_DOT_STRING})*', line), line
+    return [re.sub(r"\\(.)", r"\1", s[1:-1]) for s in re.findall(_DOT_STRING, line)]
+
+
+@pytest.mark.parametrize("text", ["a\\", 'a"b', 'a\\"b', "\\\\", '"', 'ends "\\', "plain"])
+def test_dot_strings_unescape_to_the_original(text):
+    g = Graph([(text, "x", 0.5)])
+    doc = io.StringIO()
+    csv.writer(doc).writerows([["node_id", "party"], [text, text + "p"], ["x", "Gold"]])
+    attrs = legnet.load_attributes(doc.getvalue(), g)
+    lines = legnet.io.dot_dump(g, attrs).splitlines()
+    assert [_dot_strings(line) for line in lines] == [
+        [], [text, text + "p"], ["x", "Gold"], [text, "x"], []]
 
 
 def test_graphml_escapes_reserved_characters(tmp_path):

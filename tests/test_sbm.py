@@ -103,7 +103,7 @@ def test_posterior_and_rate_matrices_are_proper():
 def test_collapse_consistency_and_warning(monkeypatch):
     y, truth = planted(15, 2, 0.5, 0.02, seed=6)
 
-    def init_leaving_class_empty(b, q, mode, rng):
+    def init_leaving_class_empty(b, q, spectral, rng):
         # the planted labels on the first two of q classes; the rest get no mass
         tau = np.zeros((b.n, q))
         tau[np.arange(b.n), truth] = 1.0
@@ -137,9 +137,17 @@ def test_seed_determinism():
     assert a.elbo == b.elbo
 
 
-def test_random_init_also_recovers():
+def test_random_init_also_recovers(monkeypatch):
+    # with the spectral start failing, restart 0 falls back to random
+    # labels too, so every start is random
     y, truth = planted(20, 2, 0.4, 0.05, seed=11)
-    fit = fit_q(y, 2, init="random", restarts=5, seed=3)
+
+    def failing_eigh(*args, **kwargs):
+        raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+    monkeypatch.setattr(legnet.sbm.linalg, "eigh", failing_eigh)
+    with pytest.warns(UserWarning, match="spectral start failed at Q=2"):
+        fit = fit_q(y, 2, restarts=5, seed=3)
     assert adjusted_rand(fit.labels.tolist(), truth.tolist()) == 1.0
 
 
@@ -167,8 +175,6 @@ def test_input_validation():
         fit_q(y, 9)
     with pytest.raises(DataError):
         fit_q(y, 0)
-    with pytest.raises(DataError):
-        fit_q(y, 2, init="warmstart")
     with pytest.raises(DataError):
         select_q(y, [], seed=0)
 
@@ -266,7 +272,7 @@ def _dense_fit_q(y, q, restarts, seed, max_iter=500, tol=1e-6):
     runs = []
     for r in range(restarts):
         rng = np.random.default_rng((seed * 1_000_003 + r) % 2**63)
-        tau = _init_tau(_as_binary(y), q, "spectral" if r == 0 else "random", rng)
+        tau = _init_tau(_as_binary(y), q, r == 0, rng)
         alpha, pi = _dense_mstep(y, tau)
         trace = [_dense_elbo(y, tau, alpha, pi)]
         facts = {"iterations": 0, "converged": False, "collapsed": False,
@@ -380,7 +386,7 @@ def test_cached_moments_match_a_fresh_recomputation(monkeypatch):
     y, truth = planted(15, 2, 0.5, 0.02, seed=6)
     y = y.astype(np.float64)
 
-    def init_leaving_class_empty(b, q, mode, rng):
+    def init_leaving_class_empty(b, q, spectral, rng):
         tau = np.zeros((b.n, q))
         tau[np.arange(b.n), truth] = 1.0
         return tau
@@ -422,7 +428,7 @@ def test_spectral_init_matches_the_full_svd_embedding():
         for q in range(2, 21):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                tau = _init_tau(b, q, "spectral", np.random.default_rng(q))
+                tau = _init_tau(b, q, True, np.random.default_rng(q))
                 labels = _svd_init_labels(y, q, np.random.default_rng(q))
             assert np.array_equal(tau.argmax(axis=1), labels), q
 
@@ -450,9 +456,9 @@ def test_one_restart_prunes_while_the_other_does_not(monkeypatch):
     y = y.astype(np.float64)
     random_init = legnet.sbm._init_tau
 
-    def init(b, q, mode, rng):
-        if mode == "random":
-            return random_init(b, q, mode, rng)
+    def init(b, q, spectral, rng):
+        if not spectral:
+            return random_init(b, q, spectral, rng)
         # the spectral restart starts with the last class empty
         tau = np.zeros((b.n, q))
         tau[np.arange(b.n), np.minimum(truth, q - 2)] = 1.0
