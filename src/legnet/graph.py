@@ -9,7 +9,8 @@ edges are rejected. Instances are immutable once built.
 Edges are kept in storage order (the order that round-trips) and as
 three CSR adjacencies with sorted indices: out (weighted), in and
 undirected. Neighbors are row slices, degrees are row-pointer
-differences, and components come from `scipy.sparse.csgraph`.
+differences, and components come from `scipy.sparse.csgraph`, which is
+imported on first use: most commands never need it.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from typing import Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy.sparse import csr_array
-from scipy.sparse.csgraph import connected_components
 
 from .errors import DataError
 
@@ -204,6 +204,8 @@ class Graph:
         Components are ordered by their smallest member; members are
         sorted ascending.
         """
+        from scipy.sparse.csgraph import connected_components
+
         return _grouped(connected_components(self._und, directed=False)[1])
 
     def strong_components(self) -> list[list[int]]:
@@ -211,6 +213,8 @@ class Graph:
 
         Same ordering conventions as `weak_components`.
         """
+        from scipy.sparse.csgraph import connected_components
+
         return _grouped(connected_components(self._out, directed=True,
                                              connection="strong")[1])
 

@@ -111,6 +111,7 @@ class Pipeline:
         self.config = config
         self.out = Path(config.out_dir)
         self.notices: list[str] = []
+        self._payloads: dict[str, bytes] = {}  # the bundle, written once at the end
         self._digests: dict[str, str] = {}
         self._sbm: SbmFit | None = None
         self._fits: list[tuple[str, ErgmFit]] = []
@@ -153,22 +154,27 @@ class Pipeline:
 
     # -- emission helpers ----------------------------------------------------
 
-    def _path(self, name: str) -> Path:
-        """The output path `name`, its directory created on first use."""
-        path = self.out / name
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise ConfigError(f"cannot create output directory {path.parent}: {exc}") from None
-        return path
-
     def _write_bytes(self, name: str, payload: bytes) -> None:
-        path = self._path(name)
-        try:
-            path.write_bytes(payload)
-        except OSError as exc:
-            raise ConfigError(f"cannot write output file {path}: {exc}") from None
+        self._payloads[name] = payload
         self._digests[name] = hashlib.sha256(payload).hexdigest()
+
+    def _emit(self) -> None:
+        """Write the bundle, the manifest last. A failed write removes the
+        files this run wrote, so that it leaves no partial bundle."""
+        try:
+            self.out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {self.out}: {exc}") from None
+        written: list[Path] = []
+        for name, payload in self._payloads.items():
+            path = self.out / name
+            try:
+                path.write_bytes(payload)
+            except OSError as exc:
+                for done in written:
+                    done.unlink(missing_ok=True)
+                raise ConfigError(f"cannot write output file {path}: {exc}") from None
+            written.append(path)
 
     def _write_text(self, name: str, text: str) -> None:
         self._write_bytes(name, text.encode("utf-8"))
@@ -194,10 +200,10 @@ class Pipeline:
         The scores need the communities, and a model on centrality scores
         needs the topology stage. A UserWarning raised in a stage becomes
         a notice "<stage>: <message> (<n>x)"; other warnings pass through.
-        The first stage reads every configured input before anything is
-        written (the loaders' warnings are its notices), and the output
-        directory is made at the first write, so a run that fails on its
-        input leaves none behind.
+        The first stage reads every configured input (the loaders'
+        warnings are its notices). The stages only collect their files;
+        the bundle is written after the manifest is built, so a run that
+        fails leaves no output behind.
         """
         if self.out.exists() and not self.out.is_dir():
             raise ConfigError(f"cannot create output directory {self.out}: "
@@ -215,7 +221,7 @@ class Pipeline:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always", UserWarning)
                 if index == 0:
-                    self.graph, self.attrs  # every input is read before the first write
+                    self.graph, self.attrs  # every input is read, and warns, here
                 getattr(self, f"_stage_{stage}")()
             counts = Counter()
             for w in caught:
@@ -227,6 +233,7 @@ class Pipeline:
                 self.notice(f"{stage}: {message} ({count}x)")
         manifest = self._manifest()
         self._write_json("manifest.json", manifest)
+        self._emit()
         return manifest
 
     def _manifest(self) -> dict:

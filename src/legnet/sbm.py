@@ -16,9 +16,11 @@ sparse product per stack. The entropy of a softmax update comes from
 its normalizers; only a starting, pruned or sequentially updated tau
 pays for -sum tau log tau. A restart leaves the stack when it converges
 or prunes a class, and the monotone guard and its sequential fallback
-act on each restart alone. The spectral initializer takes the top-Q
+act on each restart alone. The spectral initializer embeds the top-Q
 eigenpairs of the centred Gram matrix, which are the part of the SVD it
-embeds.
+needs; a scan solves for the top-Q_max pairs once and slices them for
+each Q. `scipy.linalg` and `scipy.cluster` are imported there, on first
+use, so that commands without an SBM stage never load them.
 """
 
 from __future__ import annotations
@@ -28,8 +30,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy import linalg, sparse
-from scipy.cluster.vq import kmeans2
+from scipy import sparse
 from scipy.special import xlogy
 
 from .errors import DataError
@@ -218,31 +219,66 @@ def _mstep(m: _Moments) -> _Params:
     return _params(m.sizes / m.tau.shape[2], np.clip(pi, _LOG_CLIP, 1.0 - _LOG_CLIP))
 
 
-def _init_tau(b: _Binary, q: int, spectral: bool, rng: np.random.Generator) -> np.ndarray:
-    """Starting responsibilities at hard labels: the spectral labels if
-    `spectral`, else (and when the spectral start fails) random labels."""
+class _SpectralStart:
+    """The spectral start of every Q up to `q_max` on one adjacency.
+
+    k-means on the leading left+right singular directions of the centred
+    adjacency a, scaled by singular value so noise directions don't
+    swamp signal. With a = U S V^T, the top-q eigenpairs of a a^T are
+    (s^2, u), and a^T u = s v, so the embedding needs no full SVD. The
+    top-q pairs are the first q of the top-q_max ones, so one eigensolve,
+    made at the first use, serves every Q of a scan; a solve that fails
+    fails again at every Q.
+    """
+
+    def __init__(self, q_max: int) -> None:
+        self.q_max = q_max
+        self._basis: tuple[np.ndarray, np.ndarray] | np.linalg.LinAlgError | None = None
+
+    def _solve(self, b: _Binary) -> tuple[np.ndarray, np.ndarray]:
+        from scipy import linalg
+
+        n, k = b.n, min(self.q_max, b.n)
+        dense = b.y.toarray()
+        a = dense - dense.mean()
+        w, u = linalg.eigh(a @ a.T, subset_by_index=[n - k, n - 1])
+        u = u[:, ::-1]
+        # rounding can leave an eigenvalue of the PSD Gram matrix just below zero
+        s = np.sqrt(np.clip(w[::-1], 0.0, None))
+        return u * s, a.T @ u
+
+    def embedding(self, b: _Binary, q: int) -> np.ndarray:
+        """The (n, 2q) embedding at `q`; raises the solve's LinAlgError."""
+        if self._basis is None:
+            try:
+                self._basis = self._solve(b)
+            except np.linalg.LinAlgError as exc:
+                self._basis = exc
+        if isinstance(self._basis, np.linalg.LinAlgError):
+            raise self._basis
+        us, atu = self._basis
+        return np.hstack([us[:, :q], atu[:, :q]])
+
+
+def _init_tau(b: _Binary, q: int, spectral: _SpectralStart | None,
+              rng: np.random.Generator) -> np.ndarray:
+    """Starting responsibilities at hard labels: the k-means labels of the
+    `spectral` embedding if given, else (and when the spectral start
+    fails) random labels."""
     n = b.n
     if q == 1:
         return np.ones((n, 1))
-    if spectral:
-        # k-means on the leading left+right singular directions, scaled by
-        # singular value so noise directions don't swamp signal. With
-        # a = U S V^T, the top-q eigenpairs of a a^T are (s^2, u), and
-        # a^T u = s v, so the embedding needs no full SVD. Rounding can
-        # leave an eigenvalue of the PSD Gram matrix just below zero.
+    if spectral is not None:
+        from scipy.cluster.vq import kmeans2
+
         try:
-            dense = b.y.toarray()
-            a = dense - dense.mean()
-            w, u = linalg.eigh(a @ a.T, subset_by_index=[n - q, n - 1])
-            u = u[:, ::-1]
-            s = np.sqrt(np.clip(w[::-1], 0.0, None))
-            emb = np.hstack([u * s, a.T @ u])
+            emb = spectral.embedding(b, q)
             _, labels = kmeans2(emb, q, minit="++",
                                 seed=np.random.default_rng(rng.integers(2**32)))
         except np.linalg.LinAlgError as exc:
             warnings.warn(f"spectral start failed at Q={q} ({exc}); random start used")
-            spectral = False
-    if not spectral:
+            spectral = None
+    if spectral is None:
         # hard labels, not soft draws: near-uniform responsibilities sit
         # in the basin of the uninformative fixed point
         labels = rng.integers(q, size=n)
@@ -336,7 +372,8 @@ def _em(b: _Binary, m: _Moments, runs: list[_Run], it: int) -> None:
             m, bound = _take(m, keep), bound[keep]
 
 
-def fit_q(adjacency, q: int, restarts: int = 1, seed: int = 0) -> SbmFit:
+def fit_q(adjacency, q: int, restarts: int = 1, seed: int = 0, *,
+          _spectral: _SpectralStart | None = None) -> SbmFit:
     """Best-of-`restarts` variational EM fit with Q starting classes.
 
     The first restart starts from the spectral labels; the rest start
@@ -352,8 +389,10 @@ def fit_q(adjacency, q: int, restarts: int = 1, seed: int = 0) -> SbmFit:
     if restarts < 1:
         raise DataError("restarts must be >= 1")
 
+    # a scan passes one start for all its Q (`_spectral`); a lone fit makes its own
+    spectral = _SpectralStart(q) if _spectral is None else _spectral
     runs = [_Run() for _ in range(restarts)]
-    tau = np.stack([_init_tau(b, q, r == 0,
+    tau = np.stack([_init_tau(b, q, spectral if r == 0 else None,
                               np.random.default_rng((seed * 1_000_003 + r) % 2**63)).T
                     for r in range(restarts)])
     _em(b, _moments(b, tau), runs, 0)
@@ -372,11 +411,15 @@ def fit_q(adjacency, q: int, restarts: int = 1, seed: int = 0) -> SbmFit:
 
 def select_q(adjacency, q_range, restarts: int = 1,
              seed: int = 0) -> tuple[SbmFit, list[tuple[int, float]]]:
-    """Fit every Q in the range; return the ICL-best fit and the curve."""
+    """Fit every Q in the range; return the ICL-best fit and the curve.
+
+    The spectral starts of all Q come from one eigensolve.
+    """
     qs = list(q_range)
     if not qs:
         raise DataError("empty Q range")
-    fits = [fit_q(adjacency, q, restarts=restarts, seed=seed + 7919 * q)
+    spectral = _SpectralStart(max(qs))
+    fits = [fit_q(adjacency, q, restarts=restarts, seed=seed + 7919 * q, _spectral=spectral)
             for q in qs]
     return max(fits, key=lambda fit: fit.icl), [(fit.requested_q, fit.icl) for fit in fits]
 

@@ -12,6 +12,7 @@ import legnet
 import legnet.ergm.mcmle as mcmle_module
 from legnet import __version__
 from legnet.cli import main
+from legnet.config import STAGES
 
 from conftest import graph_with_a_sink, random_digraph, write_toy
 
@@ -176,6 +177,8 @@ def test_non_finite_centrality_covariate_exits_3(tmp_path, capsys, term):
         assert code == 3
         assert capsys.readouterr().err == (
             "data error: covariate 'closeness' contains non-finite values\n")
+        # the topology stage ran before the failing fit, but wrote nothing
+        assert not (tmp_path / estimator).exists()
 
 
 def test_threads_flag_is_a_usage_error(toy, capsys):
@@ -340,6 +343,40 @@ def test_report_never_loads_scipy_stats(toy):
     assert (out / "ergm_lrt_vs_edges.csv").exists()
 
 
+_ON_FIRST_USE = ("scipy.sparse.csgraph", "scipy.sparse.linalg", "scipy.linalg",
+                 "scipy.cluster", "scipy.spatial")
+
+
+def test_import_and_ergm_never_load_the_graph_and_linear_algebra_modules(toy):
+    # A fresh process, because the test session itself imports them. Only
+    # the component census and the SBM spectral start need them.
+    epath, apath, out = toy
+    ergm = ["ergm", "--edges", str(epath), "--attrs", str(apath),
+            "--out", str(out / "ergm"), "--models", "model1,model2"]
+    report = ["report", "--edges", str(epath), "--attrs", str(apath),
+              "--out", str(out / "report"), "--q-range", "1:3", "--restarts", "2"]
+    script = ("import json, sys\n"
+              f"names = {_ON_FIRST_USE!r}\n"
+              "def loaded():\n"
+              "    return [name for name in names if name in sys.modules]\n"
+              "import legnet.cli\n"
+              "seen = [loaded()]\n"
+              f"seen += [legnet.cli.main({ergm!r}), loaded()]\n"
+              f"seen += [legnet.cli.main({report!r}), loaded()]\n"
+              "print(json.dumps(seen))\n")
+    src = str(Path(legnet.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path},
+                          timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == [[], 0, [], 0, list(_ON_FIRST_USE)]
+    manifest = json.loads((out / "report" / "manifest.json").read_text())
+    assert manifest["stages"] == list(STAGES)
+    assert sorted(p.name for p in (out / "report").iterdir()) == sorted(
+        [*manifest["outputs"], "manifest.json"])
+    assert {"graph_summary.json", "communities.csv", "summary.md"} <= set(manifest["outputs"])
+
 
 def test_main_freezes_the_collector_once_per_process(toy):
     # A fresh process, so that the first call is the process's first.
@@ -422,8 +459,10 @@ def test_unreadable_input_or_output_exits_with_one_line(toy, capsys, case, code,
     assert err.startswith(message.format(src=src, out=out))
     assert len(err.splitlines()) == 1
     if case == "out-entry":
-        # the directory in the file's place is left as it was
+        # the directory in the file's place is left as it was, and the
+        # graph summary written before it is removed again
         assert not any((out / "edges.csv").iterdir())
+        assert [p.name for p in out.iterdir()] == ["edges.csv"]
     else:
         # nothing is made in place of, or beside, the output path
         assert not out.exists()

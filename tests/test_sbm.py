@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.cluster.vq import kmeans2
 from scipy.special import xlogy
 
@@ -145,7 +146,7 @@ def test_random_init_also_recovers(monkeypatch):
     def failing_eigh(*args, **kwargs):
         raise np.linalg.LinAlgError("eigenvalues did not converge")
 
-    monkeypatch.setattr(legnet.sbm.linalg, "eigh", failing_eigh)
+    monkeypatch.setattr(scipy.linalg, "eigh", failing_eigh)
     with pytest.warns(UserWarning, match="spectral start failed at Q=2"):
         fit = fit_q(y, 2, restarts=5, seed=3)
     assert adjusted_rand(fit.labels.tolist(), truth.tolist()) == 1.0
@@ -267,12 +268,12 @@ def _dense_softmax(f):
 
 def _dense_fit_q(y, q, restarts, seed, max_iter=500, tol=1e-6):
     """(fitted Q, labels, ICL, each restart's facts) of the dense EM."""
-    from legnet.sbm import _as_binary, _init_tau, _renumber_by_size
+    from legnet.sbm import _as_binary, _init_tau, _renumber_by_size, _SpectralStart
     best = None
     runs = []
     for r in range(restarts):
         rng = np.random.default_rng((seed * 1_000_003 + r) % 2**63)
-        tau = _init_tau(_as_binary(y), q, r == 0, rng)
+        tau = _init_tau(_as_binary(y), q, _SpectralStart(q) if r == 0 else None, rng)
         alpha, pi = _dense_mstep(y, tau)
         trace = [_dense_elbo(y, tau, alpha, pi)]
         facts = {"iterations": 0, "converged": False, "collapsed": False,
@@ -419,16 +420,18 @@ def _svd_init_labels(y, q, rng):
 
 
 def test_spectral_init_matches_the_full_svd_embedding():
-    from legnet.sbm import _as_binary, _init_tau
+    # one start serves every Q, as in a scan: each Q slices the top-20 solve
+    from legnet.sbm import _as_binary, _init_tau, _SpectralStart
     rng = np.random.default_rng(29)
     dense = (rng.random((300, 300)) < 0.5).astype(np.float64)
     np.fill_diagonal(dense, 0.0)
     for y in (planted(30, 5, 0.3, 0.04, seed=17)[0].astype(np.float64), dense):
         b = _as_binary(y)
+        spectral = _SpectralStart(20)
         for q in range(2, 21):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                tau = _init_tau(b, q, True, np.random.default_rng(q))
+                tau = _init_tau(b, q, spectral, np.random.default_rng(q))
                 labels = _svd_init_labels(y, q, np.random.default_rng(q))
             assert np.array_equal(tau.argmax(axis=1), labels), q
 
@@ -502,11 +505,39 @@ def test_failed_spectral_start_warns_and_starts_at_random(monkeypatch):
     def failing_eigh(*args, **kwargs):
         raise np.linalg.LinAlgError("eigenvalues did not converge")
 
-    monkeypatch.setattr(legnet.sbm.linalg, "eigh", failing_eigh)
+    monkeypatch.setattr(scipy.linalg, "eigh", failing_eigh)
     with pytest.warns(UserWarning, match=r"spectral start failed at Q=3 "
                       r"\(eigenvalues did not converge\); random start used"):
         fit = fit_q(y, 3, seed=1, restarts=2)
     assert fit.requested_q == 3 and fit.labels.shape == (30,)
+
+
+def test_scan_solves_once_and_a_failed_start_warns_at_every_q(monkeypatch):
+    y, _ = planted(10, 3, 0.4, 0.04, seed=3)
+    calls = []
+    eigh = scipy.linalg.eigh
+
+    def counting_eigh(*args, **kwargs):
+        calls.append(kwargs["subset_by_index"])
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", counting_eigh)
+    select_q(y, range(1, 6), restarts=1, seed=2)
+    assert calls == [[25, 29]]
+
+    def failing_eigh(*args, **kwargs):
+        calls.append(kwargs["subset_by_index"])
+        raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+    calls.clear()
+    monkeypatch.setattr(scipy.linalg, "eigh", failing_eigh)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        select_q(y, range(1, 6), restarts=1, seed=2)
+    assert calls == [[25, 29]]
+    assert [str(w.message) for w in caught if "spectral" in str(w.message)] == [
+        f"spectral start failed at Q={q} (eigenvalues did not converge); random start used"
+        for q in range(2, 6)]
 
 
 def test_other_spectral_start_errors_propagate(monkeypatch):
@@ -515,7 +546,7 @@ def test_other_spectral_start_errors_propagate(monkeypatch):
     def broken_eigh(*args, **kwargs):
         raise ValueError("broken input")
 
-    monkeypatch.setattr(legnet.sbm.linalg, "eigh", broken_eigh)
+    monkeypatch.setattr(scipy.linalg, "eigh", broken_eigh)
     with pytest.raises(ValueError, match="broken input"):
         fit_q(y, 3, seed=1, restarts=2)
 
