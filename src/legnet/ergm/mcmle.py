@@ -1,15 +1,16 @@
 """Monte-Carlo maximum likelihood (Geyer-Thompson iteration).
 
 Starting from the pseudolikelihood estimate, each phase draws networks
-at the current theta and maximizes the importance-sampled
-log-likelihood ratio, guarded by the effective sample size of the
-importance weights. Convergence is declared when every simulated mean
-statistic sits within _EE_TOL simulated standard deviations of its
-observed value. The draws are exact and independent, so a phase's
-sample size is its effective sample size. The log-likelihood for
-AIC/BIC and the Fisher information behind the standard errors are
-exact: every term is dyad-local, so at theta-hat both are closed-form
-sums over dyads.
+at the current theta. Convergence is declared when every simulated
+mean statistic sits within _EE_TOL simulated standard deviations of
+its observed value. Otherwise theta moves by partial stepping (Hummel,
+Hunter & Handcock 2012): toward gamma g_obs + (1 - gamma) gbar, with
+gamma as large as keeps that target inside the hull of the draws, the
+shared Newton fit maximizes the importance-sampled log-likelihood
+ratio. The draws are exact and independent, so a phase's sample size
+is its effective sample size. The log-likelihood for AIC/BIC and the
+Fisher information behind the standard errors are exact: every term is
+dyad-local, so at theta-hat both are closed-form sums over dyads.
 """
 
 from __future__ import annotations
@@ -17,18 +18,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import logsumexp, softmax
 
 from ..errors import ConfigError, EstimationError
 from ..graph import Graph
-from .fit import (ErgmFit, _dyad_loglik, _finalize, _inverse, _solve, fit_mple,
+from .fit import (ErgmFit, _dyad_loglik, _finalize, _inverse, _newton, fit_mple,
                   graph_digest)
 from .sampler import SimControl, sample_states
 from .terms import DyadDesign, ErgmSpec
 
 _MAX_PHASES = 20      # phases before the fit fails
 _EE_TOL = 0.1         # converged: each mean statistic within this many sd of g_obs
-_STEP_MAX = 1.0       # largest coefficient change of one update step
-_MIN_ESS_FRAC = 0.05  # an update ends below this ESS share of the sample (or below 2)
+_HALVINGS = 10        # gamma tries 1, 1/2, ..., 2**-9, then takes 0
 
 
 @dataclass(frozen=True)
@@ -55,30 +56,44 @@ def _phase_seed(seed: int, stream: int) -> int:
     return (seed * 1_000_003 + stream) % (2**63)
 
 
-def _weighted_update(g_obs: np.ndarray, sample: np.ndarray, theta: np.ndarray,
-                     free: np.ndarray) -> np.ndarray:
-    """Maximize the importance-sampled likelihood ratio from theta."""
-    eta = theta.copy()
-    s = sample.shape[0]
-    for _ in range(50):
-        lw = sample @ (eta - theta)
-        lw -= lw.max()
-        w = np.exp(lw)
-        w /= w.sum()
-        if 1.0 / (w @ w) < max(2.0, _MIN_ESS_FRAC * s):
-            break
-        gw = w @ sample
-        centered = sample - gw
-        cov = centered.T @ (w[:, None] * centered)
-        grad = (g_obs - gw)[free]
-        step = _solve(cov[np.ix_(free, free)], grad)
-        biggest = np.abs(step).max()
-        if biggest > _STEP_MAX:
-            step *= _STEP_MAX / biggest
-        eta[free] += step
-        if biggest < 1e-10:
-            break
-    return eta
+def _inside_hull(points: np.ndarray, xi: np.ndarray) -> bool:
+    """Whether xi is in the relative interior of the hull of points: the
+    finite-support recession check of Geyer (2009). It is not when some
+    delta has <delta, p - xi> <= 0 for every point p, strictly for one;
+    an LP over |delta| <= 1, with unit-range columns, maximizes the sum
+    of -<delta, p - xi>, which is 0 exactly when no such delta exists."""
+    from scipy.optimize import linprog
+
+    rows = points - xi
+    rows /= np.maximum(np.abs(rows).max(axis=0), np.finfo(float).tiny)
+    found = linprog(rows.sum(axis=0), A_ub=rows, b_ub=np.zeros(len(rows)),
+                    bounds=(-1.0, 1.0), method="highs")
+    return found.status == 0 and found.fun > -1e-7
+
+
+def _hull_target(g_obs: np.ndarray, sample: np.ndarray,
+                 free: np.ndarray) -> tuple[np.ndarray, float]:
+    """(xi, gamma): xi = gamma g_obs + (1 - gamma) gbar for the first gamma of
+    1, 1/2, ... whose free coordinates lie inside the draws' hull, else gbar."""
+    gbar = sample.mean(axis=0)
+    for halving in range(_HALVINGS):
+        gamma = 0.5 ** halving
+        xi = gamma * g_obs + (1.0 - gamma) * gbar
+        if _inside_hull(sample[:, free], xi[free]):
+            return xi, gamma
+    return gbar, 0.0
+
+
+def _ratio_loglik(sample: np.ndarray, xi: np.ndarray,
+                  delta: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """(ll, gradient, Fisher information) at delta of the importance-sampled
+    log-likelihood ratio toward xi, -log mean_s exp<delta, g_s - xi>."""
+    lw = (sample - xi) @ delta
+    w = softmax(lw)
+    mean = w @ sample
+    centered = sample - mean
+    return (float(np.log(len(lw)) - logsumexp(lw)), xi - mean,
+            centered.T @ (w[:, None] * centered))
 
 
 def fit_mcmle(graph: Graph, spec: ErgmSpec,
@@ -102,6 +117,7 @@ def fit_mcmle(graph: Graph, spec: ErgmSpec,
                               "nothing to estimate")
 
     ee_history: list[float] = []
+    gamma_history: list[float] = []
     sample = None
     phases = 0
     for phase in range(_MAX_PHASES):
@@ -123,7 +139,18 @@ def fit_mcmle(graph: Graph, spec: ErgmSpec,
         ee_history.append(ee)
         if ee < _EE_TOL:
             break
-        theta = _weighted_update(g_obs, sample, theta, free)
+        xi, gamma = _hull_target(g_obs, sample, free)
+        gamma_history.append(gamma)
+        try:
+            delta, pinned, *_ = _newton(lambda d: _ratio_loglik(sample, xi, d),
+                                        spec.k, frozen, np.zeros(spec.k))
+        except EstimationError as exc:
+            raise EstimationError(f"update of phase {phases}: {exc}") from None
+        if (pinned & free).any():
+            far = [spec.labels[k] for k in np.flatnonzero(pinned & free)]
+            raise EstimationError(f"update of phase {phases}: {far} reached the "
+                                  f"separation bound")
+        theta += delta
     else:
         raise EstimationError(
             f"estimating equations not met after {_MAX_PHASES} phases "
@@ -145,6 +172,7 @@ def fit_mcmle(graph: Graph, spec: ErgmSpec,
         "trace": sample,
         "phases": phases,
         "ee_history": ee_history,
+        "gamma_history": gamma_history,
         "mc_std_err": mc_se,
     }
     return _finalize(theta, frozen, fisher, ll, design.n_ordered_pairs,

@@ -14,7 +14,7 @@ from legnet import __version__
 from legnet.cli import main
 from legnet.config import STAGES
 
-from conftest import graph_with_a_sink, random_digraph, write_toy
+from conftest import gen, graph_with_a_sink, random_digraph, write_toy
 
 
 @pytest.fixture()
@@ -349,14 +349,15 @@ _ON_FIRST_USE = ("scipy.sparse.csgraph", "scipy.sparse.linalg", "scipy.linalg",
 
 def test_import_and_ergm_never_load_the_graph_and_linear_algebra_modules(toy):
     # A fresh process, because the test session itself imports them. Only
-    # the component census and the SBM spectral start need them.
+    # the component census and the SBM spectral start need them, and only
+    # a Monte-Carlo MLE update needs scipy.optimize.
     epath, apath, out = toy
     ergm = ["ergm", "--edges", str(epath), "--attrs", str(apath),
             "--out", str(out / "ergm"), "--models", "model1,model2"]
     report = ["report", "--edges", str(epath), "--attrs", str(apath),
               "--out", str(out / "report"), "--q-range", "1:3", "--restarts", "2"]
     script = ("import json, sys\n"
-              f"names = {_ON_FIRST_USE!r}\n"
+              f"names = {(*_ON_FIRST_USE, 'scipy.optimize')!r}\n"
               "def loaded():\n"
               "    return [name for name in names if name in sys.modules]\n"
               "import legnet.cli\n"
@@ -376,6 +377,35 @@ def test_import_and_ergm_never_load_the_graph_and_linear_algebra_modules(toy):
     assert sorted(p.name for p in (out / "report").iterdir()) == sorted(
         [*manifest["outputs"], "manifest.json"])
     assert {"graph_summary.json", "communities.csv", "summary.md"} <= set(manifest["outputs"])
+
+
+def test_first_phase_mcmle_fit_never_loads_scipy_optimize(tmp_path):
+    # A fresh process, because the test session itself imports it. The
+    # chamber graph's model2 fit, at the default control, converges in its
+    # first phase, with no update; the multi-phase fit after it makes one
+    # and loads the module.
+    gen.generate(1, tmp_path, shapes=("chamber",))
+    legnet.save_edge_list(random_digraph(20, p=0.1, seed=1, mutual_boost=0.95),
+                          tmp_path / "multi.csv")
+    script = ("import json, sys, legnet\n"
+              "def fit(path, sample_size, seed):\n"
+              "    g = legnet.load_edge_list(path)\n"
+              "    spec = legnet.build_model('model2', g, None, None)\n"
+              "    control = legnet.ergm.McmleControl(sample_size, seed)\n"
+              "    phases = legnet.fit_mcmle(g, spec, control).diagnostics['phases']\n"
+              "    return [phases, 'scipy.optimize' in sys.modules]\n"
+              f"chamber = {str(tmp_path / 'chamber_edges.csv')!r}\n"
+              f"multi = {str(tmp_path / 'multi.csv')!r}\n"
+              "print(json.dumps([fit(chamber, 512, 0), fit(multi, 200, 1)]))\n")
+    src = str(Path(legnet.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path},
+                          timeout=300)
+    assert done.returncode == 0, done.stderr
+    (first, first_loaded), (later, later_loaded) = json.loads(done.stdout.splitlines()[-1])
+    assert first == 1 and not first_loaded
+    assert later > 1 and later_loaded
 
 
 def test_main_freezes_the_collector_once_per_process(toy):
@@ -502,6 +532,22 @@ def test_unsafe_or_repeated_model_name_writes_nothing(tmp_path, capsys, models, 
     assert err.startswith("config error: ") and len(err.splitlines()) == 1
     assert message in err
     assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_small_sample_mcmle_fails_on_one_line_without_output(toy, capsys):
+    # ten draws per phase: once an update overshot and the fit died with
+    # "degenerate simulation"; now the phases stay near the MLE and run out
+    epath, _, out = toy
+    cfg = epath.parent / "run.json"
+    cfg.write_text(json.dumps({"mcmc": {"sample_size": 10}}))
+    code = main(["ergm", "--config", str(cfg), "--edges", str(epath), "--out", str(out),
+                 "--models", "model2", "--estimator", "mcmle"])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("estimation error: ")
+    assert not err.startswith("estimation error: degenerate simulation")
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
 
 
 def test_phase_budget_out_exits_4(tmp_path, capsys, monkeypatch):

@@ -16,7 +16,7 @@ from legnet.ergm import (DyadDesign, Edges, ErgmSpec, McmleControl, Mutual,
                          fit_mple, mcmc_diagnostics, sample_states, simulate)
 
 from conftest import (enumerate_graphs, graph_from_matrix, matrix_of,
-                      oracle_statistics, random_digraph)
+                      oracle_statistics, random_digraph, write_toy)
 
 
 def exact_moments(n, oracle_terms, theta):
@@ -284,3 +284,93 @@ def test_fixed_rules_are_not_control_fields(field):
     assert [f.name for f in dataclasses.fields(McmleControl)] == ["sample_size", "seed"]
     with pytest.raises(TypeError):
         McmleControl(**{field: 1})
+
+
+# -- the update: partial stepping toward a target inside the hull of the draws --
+
+@pytest.mark.parametrize("points, xi, inside", [
+    ([[0, 0], [1, 0], [0, 1], [1, 1]], [0.5, 0.5], True),
+    ([[0, 0], [1, 0], [0, 1], [1, 1]], [1.0, 1.0], False),   # a vertex
+    ([[0, 0], [1, 0], [0, 1], [1, 1]], [0.5, 1.0], False),   # on an edge
+    ([[0, 0], [1, 0], [0, 1], [1, 1]], [1.5, 0.5], False),
+    # draws on a line: inside is the open segment of that line
+    ([[0, 0], [1, 1], [2, 2]], [0.5, 0.5], True),
+    ([[0, 0], [1, 1], [2, 2]], [0.5, 0.6], False),
+])
+def test_inside_hull_is_the_relative_interior(points, xi, inside):
+    assert mcmle_module._inside_hull(np.array(points, float), np.array(xi)) is inside
+
+
+def _update(g_obs, sample):
+    """The MCMLE update of one phase with every coefficient free:
+    (target, gamma, delta, ratio gradient at delta, pinned)."""
+    from legnet.ergm.fit import _newton
+
+    free = np.ones(sample.shape[1], bool)
+    xi, gamma = mcmle_module._hull_target(g_obs, sample, free)
+    delta, pinned, *_ = _newton(lambda d: mcmle_module._ratio_loglik(sample, xi, d),
+                                sample.shape[1])
+    return xi, gamma, delta, mcmle_module._ratio_loglik(sample, xi, delta)[1], pinned
+
+
+def test_update_aims_at_the_observed_statistics_inside_the_hull():
+    from legnet.ergm.fit import _NEWTON_TOL
+
+    rng = np.random.default_rng(3)
+    sample = rng.poisson((400.0, 60.0, 90.0), size=(200, 3)).astype(float)
+    g_obs = sample.mean(axis=0) + (4.0, -2.0, 3.0)
+    xi, gamma, delta, grad, pinned = _update(g_obs, sample)
+    assert gamma == 1.0 and np.array_equal(xi, g_obs)
+    assert not pinned.any() and np.all(np.isfinite(delta)) and np.any(delta != 0)
+    # the weighted draws match g_obs at delta
+    assert np.abs(grad).max() < _NEWTON_TOL * np.abs(sample).max()
+
+
+def test_update_aims_short_of_observed_statistics_outside_the_hull():
+    from scipy.spatial import Delaunay
+
+    rng = np.random.default_rng(5)
+    draws = rng.normal(size=(10, 2)) * (3.0, 1.0) + (20.0, 4.0)
+    g_obs = draws.max(axis=0) + (1.0, 0.5)
+    xi, gamma, delta, _, pinned = _update(g_obs, draws)
+    assert 0.0 < gamma < 1.0
+    assert not pinned.any() and np.all(np.isfinite(delta))
+    # an oracle independent of the LP: the target is in a Delaunay simplex
+    assert Delaunay(draws).find_simplex(xi) >= 0
+    # the unhalved step would have aimed outside
+    assert Delaunay(draws).find_simplex(g_obs) < 0
+
+
+def test_small_sample_update_does_not_overshoot(tmp_path, monkeypatch):
+    # ten draws per phase on the toy graph once sent one update from
+    # (-2.08, 3.35) to (27.6, -43.9), after which every draw was [435, 0]
+    edges, _ = write_toy(tmp_path)
+    g = legnet.load_edge_list(edges)
+    spec = legnet.build_model("model2", g, None, None)
+    exact = fit_exact_dyad(g, spec)
+    visited = []
+    sample_states = mcmle_module.sample_states
+
+    def recording(design, theta, control):
+        visited.append(np.array(theta))
+        return sample_states(design, theta, control)
+
+    monkeypatch.setattr(mcmle_module, "sample_states", recording)
+    try:
+        fit = fit_mcmle(g, spec, McmleControl(sample_size=10, seed=0))
+    except EstimationError as exc:
+        assert not str(exc).startswith("degenerate simulation")
+    else:
+        mc_se = fit.diagnostics["mc_std_err"]
+        assert np.all(np.abs(fit.theta - exact.theta) < 3 * mc_se)
+    assert len(visited) > 1
+    assert max(np.abs(theta).max() for theta in visited) < 25.0
+
+
+def test_gamma_history_has_one_entry_per_update():
+    g, spec, control = _multi_phase_fit()
+    fit = fit_mcmle(g, spec, control)
+    gammas = fit.diagnostics["gamma_history"]
+    assert len(gammas) == fit.diagnostics["phases"] - 1
+    assert all(gamma in {0.0, *(0.5 ** j for j in range(mcmle_module._HALVINGS))}
+               for gamma in gammas)
