@@ -202,10 +202,10 @@ def _check_term(term: Any) -> None:
 def read_config(path: str | Path) -> dict[str, Any]:
     """The JSON object in a run configuration file, not yet validated."""
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        raw = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None

@@ -14,7 +14,7 @@ import json
 import os
 import warnings
 from pathlib import Path
-from typing import Any, IO, Mapping
+from typing import Any, IO, Iterator, Mapping
 
 from .attributes import AttributeTable, CATEGORICAL_COLUMNS, NUMERIC_COLUMNS
 from .errors import ConfigError, DataError
@@ -37,14 +37,23 @@ def _as_text(source: str | Path | bytes | IO) -> str:
         source = Path(source)
     try:
         if isinstance(source, Path):
-            return source.read_text(encoding="utf-8")
+            return source.read_text(encoding="utf-8-sig")
         data = source if isinstance(source, bytes) else source.read()
-        return data.decode("utf-8") if isinstance(data, bytes) else data
+        return data.decode("utf-8-sig") if isinstance(data, bytes) else data
     except OSError as exc:
         raise DataError(f"cannot read {source}: {exc}") from None
     except UnicodeDecodeError as exc:
         name = source if isinstance(source, Path) else "input"
         raise DataError(f"{name} is not UTF-8 text ({exc})") from None
+
+
+def _csv_rows(text: str) -> Iterator[list[str]]:
+    """The rows of the CSV `text`; a line it cannot parse is a DataError naming it."""
+    reader = csv.reader(_io.StringIO(text))
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise DataError(f"line {reader.line_num}: cannot parse CSV ({exc})") from None
 
 
 def load_edge_list(source: str | Path | bytes | IO,
@@ -67,7 +76,7 @@ def load_edge_list(source: str | Path | bytes | IO,
 def _edges_from_csv(text: str) -> Graph:
     if not text.strip():
         raise DataError("no nodes: empty edge stream")
-    reader = csv.reader(_io.StringIO(text))
+    reader = _csv_rows(text)
     try:
         header = next(reader)
     except StopIteration:
@@ -103,7 +112,7 @@ def _edges_from_upstream_json(text: str,
     fields.update(json_fields or {})
     try:
         doc: Any = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise DataError(f"upstream JSON parse failure: {exc}") from None
     if isinstance(doc, list):
         if not doc:
@@ -167,11 +176,11 @@ def load_attributes(source: str | Path | bytes | IO, graph: Graph) -> AttributeT
     (numeric). Unknown columns are ignored with a warning; absent
     optional columns simply stay unloaded.
     """
-    text = _as_text(source)
-    reader = csv.DictReader(_io.StringIO(text))
-    if reader.fieldnames is None:
+    reader = _csv_rows(_as_text(source))
+    header = next(reader, None)
+    if header is None:
         raise DataError("attribute stream is empty")
-    names = [h.strip() for h in reader.fieldnames]
+    names = [h.strip() for h in header]
     if "node_id" not in names:
         raise DataError("attribute CSV header missing column 'node_id'")
     known = set(CATEGORICAL_COLUMNS) | set(NUMERIC_COLUMNS) | {"node_id"}
@@ -186,8 +195,10 @@ def load_attributes(source: str | Path | bytes | IO, graph: Graph) -> AttributeT
     num_data: dict[str, list[float]] = {c: [0.0] * n for c in num_cols}
     seen = [False] * n
     rows = 0
-    for line_no, row in enumerate(reader, start=2):
+    # blank lines are skipped, and a row's missing trailing fields read as empty
+    for line_no, values in enumerate(filter(None, reader), start=2):
         rows += 1
+        row = dict(zip(names, values))
         node = (row.get("node_id") or "").strip()
         if node not in graph:
             raise DataError(f"line {line_no}: node_id {node!r} absent from graph")

@@ -13,14 +13,14 @@ bound, the field and the M-step read (`_Moments`): one sparse product
 with the stacked CSR [y; yT] for all restarts, the class sizes, the
 block counts and the entropy. An EM iteration therefore makes one
 sparse product per stack. The entropy of a softmax update comes from
-its normalizers; only a starting, pruned or sequentially updated tau
-pays for -sum tau log tau. A restart leaves the stack when it converges
-or prunes a class, and the monotone guard and its sequential fallback
-act on each restart alone. The spectral initializer embeds the top-Q
-eigenpairs of the centred Gram matrix, which are the part of the SVD it
-needs; a scan solves for the top-Q_max pairs once and slices them for
-each Q. `scipy.linalg` and `scipy.cluster` are imported there, on first
-use, so that commands without an SBM stage never load them.
+its normalizers; only a starting, pruned or damped tau pays for
+-sum tau log tau. A restart leaves the stack when it converges or prunes
+a class. The monotone guard damps every restart's update that would
+lower its bound, all in one stack. The spectral initializer embeds the
+top-Q eigenpairs of the centred Gram matrix, which are the part of the
+SVD it needs; a scan solves for the top-Q_max pairs once and slices
+them for each Q. `scipy.linalg` and `scipy.cluster` are imported there,
+on first use, so that commands without an SBM stage never load them.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ _LOG_CLIP = 1e-12
 _COLLAPSE_TOL = 1e-8
 _EM_TOL = 1e-6       # converged: the bound rose by less (and fell by at most 1e-7)
 _EM_MAX_ITER = 500   # E-steps, after which a run stops unconverged
+_DAMP_HALVINGS = 10  # step halvings of a damped E-step, after which the run keeps tau
 
 
 @dataclass(frozen=True)
@@ -169,48 +170,38 @@ def _softmax(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return tau, np.log(norm).sum(axis=(1, 2)) - _dot(tau, z)
 
 
-def _sequential_pass(b: _Binary, tau: np.ndarray, p: _Params) -> np.ndarray:
-    """One run's responsibilities (Q, n) updated node by node: true
-    coordinate ascent, so the bound cannot decrease."""
-    tau = tau.T.copy()
-    l0, d = p.log_1m_pi, p.log_odds
-    y, yt = b.y, b.yt
-    # cached per-node projections, refreshed row-by-row as tau changes
-    out_t, in_t, none_t = tau @ d.T, tau @ d, tau @ (l0.T + l0)
-    none_sum = none_t.sum(axis=0)
-    for i in range(b.n):
-        out = y.indices[y.indptr[i]:y.indptr[i + 1]]
-        inn = yt.indices[yt.indptr[i]:yt.indptr[i + 1]]
-        f = (out_t[out].sum(axis=0) + in_t[inn].sum(axis=0)
-             + (none_sum - none_t[i]) + p.log_alpha)
-        t = np.exp(f - f.max())
-        tau[i] = t / t.sum()
-        out_t[i], in_t[i] = tau[i] @ d.T, tau[i] @ d
-        none_sum -= none_t[i]
-        none_t[i] = tau[i] @ (l0.T + l0)
-        none_sum += none_t[i]
-    return tau.T
-
-
 def _estep(b: _Binary, m: _Moments, p: _Params,
            before: np.ndarray) -> tuple[_Moments, list[int]]:
     """One responsibility pass that never lowers any run's bound `before`.
 
-    The vectorized simultaneous update is attempted for the whole stack.
-    A run whose ELBO it would decrease is redone by the sequential pass,
-    and the other runs keep their update. Returns the moments of the new
-    responsibilities and the runs that ran the sequential pass.
+    The simultaneous update tau* = softmax(field) is made for the whole
+    stack. A run whose bound it would lower moves instead to
+    tau + lam (tau* - tau), with lam the first of 1/2, 1/4, ... that does
+    not lower it; a run that no lam of _DAMP_HALVINGS halvings passes
+    keeps tau. The failing runs are tried together, with one product per
+    halving. A short step ascends: with the other nodes held, node i's
+    bound is linear in its own row plus that row's entropy (the field
+    leaves out the self-pair), a concave function that tau*_i maximizes,
+    so <grad_i L, tau*_i - tau_i> >= 0 for every node. Returns the
+    moments of the new responsibilities and the runs that were damped.
     """
     tau, entropy = _softmax(_field(m, p))
     candidate = _moments(b, tau, entropy)
-    kept = _elbo(candidate, p) >= before - 1e-10
-    if kept.all():
+    below = np.flatnonzero(_elbo(candidate, p) < before - 1e-10)
+    if not below.size:
         return candidate, []
-    sequential = np.flatnonzero(~kept).tolist()
-    for r in sequential:
-        tau[r] = _sequential_pass(b, m.tau[r], _take(p, r))
-        entropy[r] = -xlogy(tau[r], tau[r]).sum()
-    return _moments(b, tau, entropy), sequential
+    damped = below.tolist()
+    step = tau[below] - m.tau[below]
+    # a run that no step passes keeps tau, and with it its bound
+    tau[below], entropy[below] = m.tau[below], m.entropy[below]
+    for halving in range(1, _DAMP_HALVINGS + 1):
+        trial = _moments(b, tau[below] + 2.0 ** -halving * step)
+        ok = _elbo(trial, _take(p, below)) >= before[below] - 1e-10
+        tau[below[ok]], entropy[below[ok]] = trial.tau[ok], trial.entropy[ok]
+        below, step = below[~ok], step[~ok]
+        if not below.size:
+            break
+    return _moments(b, tau, entropy), damped
 
 
 def _mstep(m: _Moments) -> _Params:
@@ -321,7 +312,7 @@ class _Run:
 
     trace: list[float] = field(default_factory=list)
     facts: dict = field(default_factory=lambda: {
-        "iterations": 0, "converged": False, "collapsed": False, "sequential_esteps": 0})
+        "iterations": 0, "converged": False, "collapsed": False, "damped_esteps": 0})
     tau: np.ndarray | None = None
     params: _Params | None = None
 
@@ -332,7 +323,9 @@ def _em(b: _Binary, m: _Moments, runs: list[_Run], it: int) -> None:
 
     A run leaves the stack when it converges or reaches _EM_MAX_ITER. A run
     that prunes an empty class leaves it too, and goes on as a stack of one
-    with its smaller Q.
+    with its smaller Q. No E-step lowers a run's bound (`_estep`); a run
+    that the guard damps but no step passes keeps its responsibilities,
+    so its next bound equals this one and it stops as converged.
     """
     # the starting bound has no predecessor; -inf never counts as converged
     bound = np.array([run.trace[-1] if it else -np.inf for run in runs])
@@ -353,9 +346,9 @@ def _em(b: _Binary, m: _Moments, runs: list[_Run], it: int) -> None:
             runs = [run for run, k in zip(runs, keep) if k]
             m, p, bound = _take(m, keep), _take(p, keep), bound[keep]
         it += 1
-        m, sequential = _estep(b, m, p, bound)
-        for r in sequential:
-            runs[r].facts["sequential_esteps"] += 1
+        m, damped = _estep(b, m, p, bound)
+        for r in damped:
+            runs[r].facts["damped_esteps"] += 1
         dead = m.sizes < _COLLAPSE_TOL
         if dead.any():
             pruned = dead.any(axis=1)
@@ -381,7 +374,7 @@ def fit_q(adjacency, q: int, restarts: int = 1, seed: int = 0, *,
     collapses are pruned with a warning, so the returned fit can have
     fewer classes than requested. Deterministic for a fixed seed.
     `meta["runs"]` lists each restart's iterations, convergence,
-    collapse and count of sequential-fallback E-steps.
+    collapse and count of damped E-steps.
     """
     b = _as_binary(adjacency)
     if not (1 <= q <= b.n):

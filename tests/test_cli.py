@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -463,19 +464,41 @@ def test_bad_json_fields_flag(tmp_path, capsys):
     ("out-file", 2, "config error: cannot create output directory {src}/edges.csv"),
     # an output file's path is taken by a directory
     ("out-entry", 2, "config error: cannot write output file {out}/edges.csv: "),
+    # a field beyond the csv module's limit, and JSON nested beyond the parser's
+    ("edges-long-field", 3, "data error: line 3: cannot parse CSV (field larger than"),
+    ("attrs-long-field", 3, "data error: line 2: cannot parse CSV (field larger than"),
+    ("edges-deep-json", 3, "data error: upstream JSON parse failure: maximum recursion depth"),
+    ("config-deep-json", 2, "config error: config is not valid JSON: maximum recursion depth"),
 ])
 def test_unreadable_input_or_output_exits_with_one_line(toy, capsys, case, code, message):
     epath, apath, out = toy
     src = epath.parent
     argv = ["ingest", "--edges", str(epath), "--out", str(out)]
+    made = []
     if case == "edges":
         epath.write_bytes(epath.read_bytes() + b"a\xff,b,0.5\n")
+    elif case == "edges-long-field":
+        epath.write_text("source,target,weight\na,b,0.5\na," + "b" * 200_000 + ",0.5\n")
+    elif case == "attrs-long-field":
+        apath.write_text("node_id,party\nmember00," + "D" * 200_000 + "\n")
+        argv[0] = "topology"
+        argv += ["--attrs", str(apath)]
+    elif case == "edges-deep-json":
+        made = ["net.json"]
+        (src / "net.json").write_text("[" * 100_000 + "]" * 100_000)
+        argv[2] = str(src / "net.json")
+        argv += ["--format", "upstream-json"]
+    elif case == "config-deep-json":
+        made = ["run.json"]
+        (src / "run.json").write_text('{"seed": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        argv += ["--config", str(src / "run.json")]
     elif case in ("attrs", "topology-attrs"):
         apath.write_bytes(apath.read_bytes() + b"\xfe\n")
         argv += ["--attrs", str(apath)]
         if case == "topology-attrs":
             argv[0] = "topology"
     elif case == "config":
+        made = ["run.json"]
         (src / "run.json").write_bytes(b'{"seed": "\xff"}')
         argv += ["--config", str(src / "run.json")]
     elif case == "config-dir":
@@ -497,7 +520,43 @@ def test_unreadable_input_or_output_exits_with_one_line(toy, capsys, case, code,
         # nothing is made in place of, or beside, the output path
         assert not out.exists()
     assert epath.is_file() and sorted(p.name for p in src.iterdir()) == sorted(
-        ["edges.csv", "attrs.csv"] + ["run.json"] * (case == "config"))
+        ["edges.csv", "attrs.csv"] + made)
+
+
+@pytest.mark.parametrize("name, error", [
+    ("edges.csv", "data error: edge CSV header missing column 'source'"),
+    ("attrs.csv", "data error: attribute CSV header missing column 'node_id'"),
+    ("net.json", "data error: upstream JSON parse failure: Unexpected UTF-8 BOM"),
+    ("run.json", "config error: config is not valid JSON: Unexpected UTF-8 BOM"),
+])
+def test_a_leading_byte_order_mark_is_skipped(toy, tmp_path, capsys, name, error):
+    # A spreadsheet's "CSV UTF-8" export starts the file with one. A second
+    # one is text, and no header or JSON document may start with it.
+    epath, _, _ = toy
+    src = epath.parent
+    (src / "net.json").write_text(json.dumps({"usernameList": ["a", "b", "c"],
+                                              "outList": [[1, 2], [2], []],
+                                              "outWeight": [[0.5, 0.25], [1.0], []]}))
+    (src / "run.json").write_text(json.dumps({"seed": 3, "min_clique_size": 3}))
+    argv = (["ingest", "--edges", "net.json", "--format", "upstream-json"]
+            if name == "net.json" else
+            ["topology", "--edges", "edges.csv", "--attrs", "attrs.csv", "--config", "run.json"])
+    outputs = []
+    for marks in (0, 1, 2):
+        folder, out = tmp_path / f"in{marks}", tmp_path / f"out{marks}"
+        shutil.copytree(src, folder)
+        (folder / name).write_bytes(b"\xef\xbb\xbf" * marks + (src / name).read_bytes())
+        code = main([str(folder / a) if a.endswith((".csv", ".json")) else a for a in argv]
+                    + ["--out", str(out)])
+        err = capsys.readouterr().err
+        if marks < 2:
+            assert code == 0, err
+            outputs.append(json.loads((out / "manifest.json").read_text())["outputs"])
+        else:
+            assert code == (2 if name == "run.json" else 3)
+            assert err.startswith(error) and len(err.splitlines()) == 1
+            assert not out.exists()
+    assert outputs[0] == outputs[1]
 
 
 def test_malformed_upstream_json_exits_3(tmp_path, capsys):

@@ -27,7 +27,10 @@ def test_csv_happy_path():
 def test_csv_reads_path_bytes_and_filelike(tmp_path):
     p = tmp_path / "edges.csv"
     p.write_text(CSV_DOC)
-    for source in (p, str(p), CSV_DOC.encode(), io.StringIO(CSV_DOC)):
+    # and past a leading byte-order mark in bytes
+    marked = b"\xef\xbb\xbf" + CSV_DOC.encode()
+    for source in (p, str(p), CSV_DOC.encode(), io.StringIO(CSV_DOC), marked,
+                   io.BytesIO(marked)):
         assert legnet.load_edge_list(source).edge_count == 3
 
 
@@ -201,6 +204,13 @@ def test_attribute_loading():
     assert attrs.categorical("party") == ("Blue", "Gold", "Blue")
     assert attrs.numeric("age").tolist() == [55.0, 47.0, 61.0]
     assert attrs.has("chamber") and not attrs.has("religion")
+
+
+def test_attribute_columns_are_read_by_their_stripped_names():
+    doc = "node_id , party,age \na,Blue,55\nb,Gold,47\nc,Blue,61\n"
+    attrs = legnet.load_attributes(doc, graph_abc())
+    assert attrs.categorical("party") == ("Blue", "Gold", "Blue")
+    assert attrs.numeric("age").tolist() == [55.0, 47.0, 61.0]
 
 
 def test_attributes_from_bracketed_file_name(tmp_path, monkeypatch):

@@ -340,7 +340,7 @@ def test_sbm_prune_warnings_become_counted_notices(tmp_path, monkeypatch):
     assert "sbm: pruned 2 empty class(es) at Q=4 (1x)" in manifest["notices"]
     fit = json.loads((tmp_path / "out" / "sbm_fit.json").read_text())
     assert [sorted(run) for run in fit["runs"]] == [
-        ["collapsed", "converged", "iterations", "sequential_esteps"]]
+        ["collapsed", "converged", "damped_esteps", "iterations"]]
 
 
 def test_each_report_computes_triad_closure_once(tmp_path, monkeypatch):

@@ -241,15 +241,13 @@ def _dense_field(y, tau, alpha, pi):
     return f + log_alpha[None, :]
 
 
-def _dense_sequential(y, tau, alpha, pi):
-    yc = _complement(y)
-    tau = tau.copy()
-    l1, l0, log_alpha = _dense_logs(pi, alpha)
-    for i in range(y.shape[0]):
-        f = (y[i] @ (tau @ l1.T) + yc[i] @ (tau @ l0.T) + y[:, i] @ (tau @ l1)
-             + yc[:, i] @ (tau @ l0) + log_alpha)
-        t = np.exp(f - f.max())
-        tau[i] = t / t.sum()
+def _dense_damped(y, tau, target, alpha, pi, before):
+    """The first of tau + (target - tau) / 2**k, k = 1, 2, ..., whose bound
+    is not below `before`; tau itself when none of the halvings is."""
+    for k in range(1, legnet.sbm._DAMP_HALVINGS + 1):
+        trial = tau + 2.0 ** -k * (target - tau)
+        if _dense_elbo(y, trial, alpha, pi) >= before - 1e-10:
+            return trial
     return tau
 
 
@@ -277,16 +275,15 @@ def _dense_fit_q(y, q, restarts, seed, max_iter=500, tol=1e-6):
         alpha, pi = _dense_mstep(y, tau)
         trace = [_dense_elbo(y, tau, alpha, pi)]
         facts = {"iterations": 0, "converged": False, "collapsed": False,
-                 "sequential_esteps": 0}
+                 "damped_esteps": 0}
         for it in range(1, max_iter + 1):
             facts["iterations"] = it
             before = _dense_elbo(y, tau, alpha, pi)
             candidate = _dense_softmax(_dense_field(y, tau, alpha, pi))
-            if _dense_elbo(y, candidate, alpha, pi) >= before - 1e-10:
-                tau = candidate
-            else:
-                tau = _dense_sequential(y, tau, alpha, pi)
-                facts["sequential_esteps"] += 1
+            if _dense_elbo(y, candidate, alpha, pi) < before - 1e-10:
+                candidate = _dense_damped(y, tau, candidate, alpha, pi, before)
+                facts["damped_esteps"] += 1
+            tau = candidate
             dead = tau.sum(axis=0) < 1e-8
             if dead.any():
                 tau = tau[:, ~dead]
@@ -305,10 +302,10 @@ def _dense_fit_q(y, q, restarts, seed, max_iter=500, tol=1e-6):
     return tau.shape[1], labels, classification_icl(y, labels), runs
 
 
-def _random_state(n=60, q=4, seed=21, runs=1):
+def _random_state(n=60, q=4, seed=21, runs=1, density=0.12):
     """A graph and `runs` random states of one Q on it."""
     rng = np.random.default_rng(seed)
-    y = (rng.random((n, n)) < 0.12).astype(np.float64)
+    y = (rng.random((n, n)) < density).astype(np.float64)
     np.fill_diagonal(y, 0.0)
     tau = rng.dirichlet(np.full(q, 0.7), size=(runs, n))
     alpha = rng.dirichlet(np.ones(q), size=runs)
@@ -347,19 +344,27 @@ def test_entropy_from_the_normalizers_matches_xlogy():
                                    rtol=1e-12, atol=0.0)
 
 
-def test_sequential_fallback_is_monotone_and_matches_dense_pass():
+# Random (alpha, pi), not those of an M-step, on which the simultaneous
+# update lowers the bound (n=40, density 0.15, one run per state).
+_LOWERING_SEEDS = (17, 21, 60, 75, 138, 152)
+
+
+def test_damped_step_matches_the_dense_step_and_spares_the_other_run():
     from legnet.sbm import _as_binary, _elbo, _estep, _field, _softmax
-    y, tau, alpha, pi = _random_state(seed=44, runs=2)
+    # the simultaneous update lowers the bound of run 1 and raises that of run 0
+    y, tau, alpha, pi = _random_state(n=40, seed=56, runs=2, density=0.15)
     m, p = _stack(y, tau, alpha, pi)
     before = _elbo(m, p)
     simultaneous, _ = _softmax(_field(m, p))
-    # an unreachable bound rejects the simultaneous update of run 1 alone
-    new, sequential = _estep(_as_binary(y), m, p, np.array([-math.inf, math.inf]))
-    assert sequential == [1]
-    assert _elbo(new, p)[1] >= before[1]
-    assert np.allclose(new.tau[1].T, _dense_sequential(y, tau[1], alpha[1], pi[1]),
-                       rtol=1e-12, atol=1e-14)
+    new, damped = _estep(_as_binary(y), m, p, before)
+    assert damped == [1]
     assert np.array_equal(new.tau[0], simultaneous[0])
+    target = _dense_softmax(_dense_field(y, tau[1], alpha[1], pi[1]))
+    want = _dense_damped(y, tau[1], target, alpha[1], pi[1],
+                         _dense_elbo(y, tau[1], alpha[1], pi[1]))
+    assert not np.array_equal(want, tau[1])
+    np.testing.assert_allclose(new.tau[1].T, want, rtol=0.0, atol=1e-12)
+    assert _elbo(new, p)[1] >= before[1]
 
 
 def _assert_moments_are_fresh(y, m):
@@ -379,8 +384,8 @@ def test_cached_moments_match_a_fresh_recomputation(monkeypatch):
     from legnet.sbm import _as_binary, _estep
     y, tau, alpha, pi = _random_state(seed=44, runs=2)
     m, p = _stack(y, tau, alpha, pi)
-    new, sequential = _estep(_as_binary(y), m, p, np.array([-math.inf, math.inf]))
-    assert sequential == [1]
+    new, damped = _estep(_as_binary(y), m, p, np.array([-math.inf, math.inf]))
+    assert damped == [1]
     _assert_moments_are_fresh(y, new)
 
     # after pruning: record every state the M-step reads during a collapsing fit
@@ -484,7 +489,7 @@ def test_restart_facts_are_recorded():
         fit = fit_q(y, 5, seed=0, restarts=3)
     runs = fit.meta["runs"]
     assert len(runs) == 3
-    assert set(runs[0]) == {"iterations", "converged", "collapsed", "sequential_esteps"}
+    assert set(runs[0]) == {"iterations", "converged", "collapsed", "damped_esteps"}
     assert {"iterations": fit.iterations, "converged": fit.converged,
             "collapsed": fit.collapsed} in [
         {k: r[k] for k in ("iterations", "converged", "collapsed")} for r in runs]
@@ -552,7 +557,7 @@ def test_other_spectral_start_errors_propagate(monkeypatch):
 
 
 def test_monotone_guard_never_lowers_the_bound():
-    from legnet.sbm import _as_binary, _elbo, _estep, _moments, _mstep, _sequential_pass, _take
+    from legnet.sbm import _as_binary, _elbo, _estep, _moments, _mstep
     y, _ = planted(10, 3, 0.3, 0.06, seed=12)
     b = _as_binary(y.astype(np.float64))
     rng = np.random.default_rng(12)
@@ -560,8 +565,17 @@ def test_monotone_guard_never_lowers_the_bound():
     m = _moments(b, np.ascontiguousarray(tau))
     p = _mstep(m)
     before = _elbo(m, p)
-    for r in range(20):
-        after = _sequential_pass(b, m.tau[r], _take(p, r))
-        assert _elbo(_moments(b, after[None]), _take(p, [r]))[0] >= before[r] - 1e-10
-    new, sequential = _estep(b, m, p, before)
+    new, _ = _estep(b, m, p, before)
     assert np.all(_elbo(new, p) >= before - 1e-10)
+    for seed in _LOWERING_SEEDS:
+        y, tau, alpha, pi = _random_state(n=40, seed=seed, density=0.15)
+        m, p = _stack(y, tau, alpha, pi)
+        before = _elbo(m, p)
+        new, damped = _estep(_as_binary(y), m, p, before)
+        assert damped == [0], seed
+        assert _elbo(new, p)[0] >= before[0], seed
+        # an unreachable bound: no step passes, and the run keeps tau and its moments
+        new, damped = _estep(_as_binary(y), m, p, np.array([math.inf]))
+        assert damped == [0]
+        for name, kept, old in zip(m._fields, new, m):
+            assert np.array_equal(kept, old), (seed, name)
