@@ -17,11 +17,12 @@ rounding of the log-likelihood, 16 eps |ll|: such a step is evaluated
 once, and any change of ll within that rounding accepts it.
 A step above the rounding is halved until ll does not fall.
 
-Separation: a coefficient driven past |25| is pinned there so the rest
-of the model stays estimable, and is reported as signed infinity with
-zero standard error. A term that is 0 in every state of every dyad
-(DyadDesign.inestimable) is held at 0 outside the Newton system and
-reported with NaN estimate, standard error and p-value.
+Held terms (_held_terms): a term that is 0 in every state of every dyad
+is held at 0 outside the Newton system and reported with NaN estimate,
+standard error and p-value. A term whose observed statistic is at an end
+of its range, or whose coefficient is driven past its bound of |25|, is
+pinned at the bound so the rest of the model stays estimable, and is
+reported as signed infinity with zero standard error.
 """
 
 from __future__ import annotations
@@ -159,19 +160,27 @@ def _pseudo_loglik(design: DyadDesign,
     return ll, grad, fisher
 
 
-def _boundary_freeze(g_obs: np.ndarray, gmin: np.ndarray,
-                     gmax: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinates whose observed statistic is at an achievable extreme.
+def _held_terms(design: DyadDesign, g_obs: np.ndarray,
+                mutual_count: float) -> tuple[np.ndarray, np.ndarray]:
+    """(held, bound), each (K,): the value a held term is fixed at, NaN for a
+    free one, and each term's pin bound.
 
-    Such a coordinate has no finite maximizer (the likelihood keeps
-    rising along that axis), and the gradient decays exponentially, so
-    iteration alone can stall short of the pin bound. Detecting the
-    extreme up front pins it with the correct sign.
+    The range is DyadDesign.statistic_range with the mutual term counted
+    in `mutual_count` places. A term with the range [0, 0] leaves the
+    objective flat along its axis, so it is held at 0. A term whose
+    observed statistic is at an end of its range has no finite maximizer,
+    and its gradient decays exponentially, so iteration alone can stall
+    short of the bound: it is pinned at the bound with that end's sign.
     """
-    span = gmax - gmin
-    hi = (g_obs >= gmax - _BOUNDARY_TOL) & (span > _BOUNDARY_TOL)
-    lo = (g_obs <= gmin + _BOUNDARY_TOL) & (span > _BOUNDARY_TOL)
-    return hi | lo, np.where(hi, 1.0, -1.0)
+    low, high = design.statistic_range(mutual_count)
+    bound = np.full(design.k, SEPARATION_BOUND)
+    span = high - low
+    live = span > _BOUNDARY_TOL
+    top = live & (g_obs >= high - _BOUNDARY_TOL)
+    bottom = live & (g_obs <= low + _BOUNDARY_TOL)
+    held = np.where(top, bound, np.where(bottom, -bound, np.nan))
+    held[span == 0.0] = 0.0
+    return held, bound
 
 
 def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -190,25 +199,25 @@ def _inverse(a: np.ndarray) -> np.ndarray:
         return np.linalg.pinv(a)
 
 
-def _newton(objective, k: int, pre_frozen: np.ndarray | None = None,
-            pre_sign: np.ndarray | None = None,
+def _newton(objective, k: int, held: np.ndarray | None = None,
+            bound: np.ndarray | float = SEPARATION_BOUND,
             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, int]:
     """Maximize a concave objective with separation pinning.
 
     objective(theta) -> (ll, grad, fisher). Returns (theta, frozen,
     fisher, ll, iterations); a run that does not converge raises
-    EstimationError. pre_frozen coordinates stay at
-    pre_sign * SEPARATION_BOUND; a sign of 0 holds one at 0. Also
+    EstimationError. A coordinate whose `held` entry is not NaN stays
+    at it; a free one driven past its `bound` (per coordinate, or one
+    for all) is pinned there and joins `frozen`. Also
     converged once a step is applied whose Newton decrement is within
     rounding of ll, since on large dyad sums the gradient's rounding
     floor can sit above _NEWTON_TOL; ll cannot rank such a step, so it is
     evaluated once.
     """
-    theta = np.zeros(k)
-    frozen = np.zeros(k, dtype=bool)
-    if pre_frozen is not None and pre_frozen.any():
-        frozen |= pre_frozen
-        theta[pre_frozen] = pre_sign[pre_frozen] * SEPARATION_BOUND
+    if held is None:
+        held = np.full(k, np.nan)
+    frozen = ~np.isnan(held)
+    theta = np.where(frozen, held, 0.0)
     ll, grad, fisher = objective(theta)
     for it in range(1, _NEWTON_MAX_ITER + 1):
         free = ~frozen
@@ -224,8 +233,8 @@ def _newton(objective, k: int, pre_frozen: np.ndarray | None = None,
         for _ in range(40):
             trial = theta.copy()
             trial[free] += step
-            over = (np.abs(trial) > SEPARATION_BOUND) & free
-            trial[over] = np.sign(trial[over]) * SEPARATION_BOUND
+            over = (np.abs(trial) > bound) & free
+            trial[over] = np.copysign(bound, trial)[over]
             new_ll, new_grad, new_fisher = objective(trial)
             ascended = new_ll >= ll - slack
             if ascended or np.abs(step).max() < 1e-12:
@@ -246,8 +255,9 @@ def _newton(objective, k: int, pre_frozen: np.ndarray | None = None,
 def _finalize(theta: np.ndarray, frozen: np.ndarray, fisher: np.ndarray,
               ll: float, n_obs: int, method: str, spec: ErgmSpec,
               digest: str, iterations: int,
-              diagnostics: dict[str, Any], inestimable: np.ndarray) -> ErgmFit:
-    """Wald inference at theta; `frozen` includes the inestimable terms."""
+              diagnostics: dict[str, Any]) -> ErgmFit:
+    """Wald inference at theta. A frozen term sits at 0 when it is
+    inestimable (NaN) and at its bound when it is separated (infinite)."""
     k = theta.shape[0]
     std_err = np.zeros(k)
     free = ~frozen
@@ -258,6 +268,7 @@ def _finalize(theta: np.ndarray, frozen: np.ndarray, fisher: np.ndarray,
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(std_err > 0, theta / std_err, np.inf)
     p_values[free] = 2.0 * ndtr(-np.abs(z[free]))
+    inestimable = frozen & (theta == 0.0)
     separated = frozen & ~inestimable
     reported = theta.copy()
     reported[separated] = np.sign(theta[separated]) * np.inf
@@ -286,15 +297,12 @@ def _finalize(theta: np.ndarray, frozen: np.ndarray, fisher: np.ndarray,
 
 
 def _newton_fit(graph: Graph, design: DyadDesign, objective, method: str,
-               g_obs: np.ndarray, low: np.ndarray, high: np.ndarray) -> ErgmFit:
-    """Newton fit of `objective`, with inestimable terms held at 0 and a term
-    pinned whose statistic g_obs is at an end of its range [low, high]."""
-    dead = design.inestimable
-    pre, sign = _boundary_freeze(g_obs, low, high)
-    theta, frozen, fisher, ll, it = _newton(objective, design.k, pre | dead,
-                                            np.where(dead, 0.0, sign))
+                g_obs: np.ndarray, mutual_count: float) -> ErgmFit:
+    """Newton fit of `objective`, with the terms `_held_terms` names held."""
+    theta, frozen, fisher, ll, it = _newton(
+        objective, design.k, *_held_terms(design, g_obs, mutual_count))
     return _finalize(theta, frozen, fisher, ll, design.n_ordered_pairs, method,
-                     design.spec, graph_digest(graph), it, {}, dead)
+                     design.spec, graph_digest(graph), it, {})
 
 
 def fit_exact_dyad(graph: Graph, spec: ErgmSpec) -> ErgmFit:
@@ -306,9 +314,8 @@ def fit_exact_dyad(graph: Graph, spec: ErgmSpec) -> ErgmFit:
     design = DyadDesign.from_graph(graph, spec)
     g_obs = design.statistics()
     # the mutual count ranges over all D dyads
-    low, high = design.statistic_range(design.n_dyads)
     return _newton_fit(graph, design, lambda theta: _dyad_loglik(design, theta, g_obs),
-                       "exact-dyad", g_obs, low, high)
+                       "exact-dyad", g_obs, design.n_dyads)
 
 
 def fit_mple(graph: Graph, spec: ErgmSpec, *,
@@ -328,9 +335,8 @@ def fit_mple(graph: Graph, spec: ErgmSpec, *,
                                 2.0 * (y1 & y2))
     # an ordered pair's change statistic carries m when its reverse is a
     # tie, so on as many pairs as there are ties
-    low, high = design.statistic_range(float(y1.sum() + y2.sum()))
     return _newton_fit(graph, design, lambda theta: _pseudo_loglik(design, theta),
-                       "mple", g_obs, low, high)
+                       "mple", g_obs, float(y1.sum() + y2.sum()))
 
 
 def expected_statistics(graph: Graph, spec: ErgmSpec, theta: np.ndarray) -> np.ndarray:

@@ -100,18 +100,16 @@ def fit_mcmle(graph: Graph, spec: ErgmSpec,
               control: McmleControl | None = None) -> ErgmFit:
     """Monte-Carlo MLE; deterministic given the control seed.
 
-    Coefficients separated at the pseudolikelihood stage stay pinned
-    and are reported as signed infinity, and inestimable terms are held
-    at 0 and reported as NaN, exactly as in the exact-dyad path.
+    The terms the pseudolikelihood fit holds stay held: separated ones
+    pinned and reported as signed infinity, inestimable ones at 0 and
+    reported as NaN, exactly as in the exact-dyad path.
     """
     control = control or McmleControl()
     design = DyadDesign.from_graph(graph, spec)
     g_obs = design.statistics()
     start = fit_mple(graph, spec, design=design)
     theta = start.theta_pinned.copy()
-    dead = design.inestimable
-    frozen = start.separation | dead
-    free = ~frozen
+    free = np.isfinite(start.theta)
     if not free.any():
         raise EstimationError("every coefficient is separated or inestimable; "
                               "nothing to estimate")
@@ -143,7 +141,7 @@ def fit_mcmle(graph: Graph, spec: ErgmSpec,
         gamma_history.append(gamma)
         try:
             delta, pinned, *_ = _newton(lambda d: _ratio_loglik(sample, xi, d),
-                                        spec.k, frozen, np.zeros(spec.k))
+                                        spec.k, np.where(free, np.nan, 0.0))
         except EstimationError as exc:
             raise EstimationError(f"update of phase {phases}: {exc}") from None
         if (pinned & free).any():
@@ -166,7 +164,7 @@ def fit_mcmle(graph: Graph, spec: ErgmSpec,
     mc_cov = finv @ np.diag(np.diag(fisher_free) / sample.shape[0]) @ finv
     mc_se = np.zeros(spec.k)
     mc_se[free] = np.sqrt(np.clip(np.diag(mc_cov), 0.0, None))
-    mc_se[dead] = np.nan
+    mc_se[np.isnan(start.theta)] = np.nan
 
     diagnostics = {
         "trace": sample,
@@ -175,5 +173,5 @@ def fit_mcmle(graph: Graph, spec: ErgmSpec,
         "gamma_history": gamma_history,
         "mc_std_err": mc_se,
     }
-    return _finalize(theta, frozen, fisher, ll, design.n_ordered_pairs,
-                     "mcmle", spec, graph_digest(graph), phases, diagnostics, dead)
+    return _finalize(theta, ~free, fisher, ll, design.n_ordered_pairs,
+                     "mcmle", spec, graph_digest(graph), phases, diagnostics)

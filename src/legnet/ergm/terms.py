@@ -338,33 +338,19 @@ class DyadDesign:
         return total, full
 
     def statistic_range(self, mutual_count: float) -> tuple[np.ndarray, np.ndarray]:
-        """(K,) lowest and highest achievable statistic, one term row at a time.
+        """(K,) lowest and highest achievable statistic, in one pass over the rows.
 
         Each tie adds its row's value or 0, whatever the other tie of its
         dyad does, so the extremes sum each row's negative and positive
-        parts; the mutual term adds m in `mutual_count` of the places.
+        parts; the mutual term adds m in `mutual_count` of the places. A
+        term 0 on every dyad has the range [0, 0].
         """
         low = mutual_count * np.minimum(self.mvec, 0.0)
         high = mutual_count * np.maximum(self.mvec, 0.0)
-        rows = zip(np.concatenate([self.sym, self.asym]), [*self.s, *self.a1],
-                   [*self.s, *self.a2])
-        for k, t1, t2 in rows:
-            low[k] += np.minimum(t1, 0.0).sum() + np.minimum(t2, 0.0).sum()
-            high[k] += np.maximum(t1, 0.0).sum() + np.maximum(t2, 0.0).sum()
+        for ends, part in ((low, np.minimum), (high, np.maximum)):
+            ends[self.sym] += 2.0 * part(self.s, 0.0).sum(axis=1)
+            ends[self.asym] += part(self.a1, 0.0).sum(axis=1) + part(self.a2, 0.0).sum(axis=1)
         return low, high
-
-    @property
-    def inestimable(self) -> np.ndarray:
-        """(K,) mask of terms that are 0 in every state of every dyad.
-
-        Such a term (say, a differential match on a level with one
-        member) leaves the likelihood flat along its axis: no data can
-        estimate it.
-        """
-        live = self.mvec != 0.0
-        live[self.sym] |= self.s.any(axis=1)
-        live[self.asym] |= self.a1.any(axis=1) | self.a2.any(axis=1)
-        return ~live
 
     def statistics(self, y1: np.ndarray | None = None,
                    y2: np.ndarray | None = None) -> np.ndarray:
