@@ -20,9 +20,12 @@ A step above the rounding is halved until ll does not fall.
 Held terms (_held_terms): a term that is 0 in every state of every dyad
 is held at 0 outside the Newton system and reported with NaN estimate,
 standard error and p-value. A term whose observed statistic is at an end
-of its range, or whose coefficient is driven past its bound of |25|, is
-pinned at the bound so the rest of the model stays estimable, and is
-reported as signed infinity with zero standard error.
+of its range, or whose coefficient is driven past its bound, is pinned
+at the bound so the rest of the model stays estimable, and is reported
+as signed infinity with zero standard error. The bound is in the units
+of the term's own rows (_pin_bound): a term is pinned once it alone
+moves some dyad's log-odds by more than SEPARATION_BOUND, so rescaling a
+covariate rescales its coefficient and leaves the fit unchanged.
 """
 
 from __future__ import annotations
@@ -160,6 +163,14 @@ def _pseudo_loglik(design: DyadDesign,
     return ll, grad, fisher
 
 
+def _pin_bound(design: DyadDesign) -> np.ndarray:
+    """(K,) each term's pin bound, SEPARATION_BOUND over its row scale; a
+    term 0 on every dyad has none (inf)."""
+    scale = design.row_scale
+    return np.divide(SEPARATION_BOUND, scale, out=np.full(design.k, np.inf),
+                     where=scale > 0.0)
+
+
 def _held_terms(design: DyadDesign, g_obs: np.ndarray,
                 mutual_count: float) -> tuple[np.ndarray, np.ndarray]:
     """(held, bound), each (K,): the value a held term is fixed at, NaN for a
@@ -173,7 +184,7 @@ def _held_terms(design: DyadDesign, g_obs: np.ndarray,
     short of the bound: it is pinned at the bound with that end's sign.
     """
     low, high = design.statistic_range(mutual_count)
-    bound = np.full(design.k, SEPARATION_BOUND)
+    bound = _pin_bound(design)
     span = high - low
     live = span > _BOUNDARY_TOL
     top = live & (g_obs >= high - _BOUNDARY_TOL)

@@ -22,8 +22,8 @@ from scipy.special import logsumexp, softmax
 
 from ..errors import ConfigError, EstimationError
 from ..graph import Graph
-from .fit import (ErgmFit, _dyad_loglik, _finalize, _inverse, _newton, fit_mple,
-                  graph_digest)
+from .fit import (ErgmFit, _dyad_loglik, _finalize, _inverse, _newton, _pin_bound,
+                  fit_mple, graph_digest)
 from .sampler import SimControl, sample_states
 from .terms import DyadDesign, ErgmSpec
 
@@ -110,6 +110,7 @@ def fit_mcmle(graph: Graph, spec: ErgmSpec,
     start = fit_mple(graph, spec, design=design)
     theta = start.theta_pinned.copy()
     free = np.isfinite(start.theta)
+    bound = _pin_bound(design)
     if not free.any():
         raise EstimationError("every coefficient is separated or inestimable; "
                               "nothing to estimate")
@@ -141,7 +142,7 @@ def fit_mcmle(graph: Graph, spec: ErgmSpec,
         gamma_history.append(gamma)
         try:
             delta, pinned, *_ = _newton(lambda d: _ratio_loglik(sample, xi, d),
-                                        spec.k, np.where(free, np.nan, 0.0))
+                                        spec.k, np.where(free, np.nan, 0.0), bound)
         except EstimationError as exc:
             raise EstimationError(f"update of phase {phases}: {exc}") from None
         if (pinned & free).any():

@@ -352,6 +352,16 @@ class DyadDesign:
             ends[self.asym] += part(self.a1, 0.0).sum(axis=1) + part(self.a2, 0.0).sum(axis=1)
         return low, high
 
+    @property
+    def row_scale(self) -> np.ndarray:
+        """(K,) each term's largest |t1|, |t2| over the dyads, or |m| for the
+        mutual term: the most a unit of its coefficient moves one dyad's
+        log-weights. A term 0 on every dyad has the scale 0."""
+        scale = np.abs(self.mvec)
+        scale[self.sym] = np.abs(self.s).max(axis=1)
+        scale[self.asym] = np.maximum(np.abs(self.a1).max(axis=1), np.abs(self.a2).max(axis=1))
+        return scale
+
     def statistics(self, y1: np.ndarray | None = None,
                    y2: np.ndarray | None = None) -> np.ndarray:
         """g(y) for the given tie state (defaults to the observed one)."""

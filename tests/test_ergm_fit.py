@@ -15,8 +15,9 @@ from legnet.ergm import (AbsDiff, Edges, ErgmSpec, Mutual, NodeCovariate,
                          NodeMatch, SimControl, expected_statistics, fit_exact_dyad,
                          fit_mple, likelihood_ratio_test, report_effects, simulate)
 
-from conftest import (enumerate_graphs, graph_from_matrix, graph_with_a_sink, matrix_of,
-                      oracle_mle, oracle_statistics, ordered_design_matrix, random_digraph)
+from conftest import (enumerate_graphs, gen, graph_from_matrix, graph_with_a_sink,
+                      matrix_of, oracle_mle, oracle_statistics, ordered_design_matrix,
+                      random_digraph)
 
 
 def logit(p):
@@ -349,6 +350,49 @@ def test_negative_separation_reports_minus_infinity():
     assert fit.theta[1] == -math.inf
     rows = report_effects(fit)
     assert rows[1]["exp"] == 0.0 and rows[1]["expit"] == 0.0
+
+
+@pytest.fixture(scope="module")
+def generated_congress(tmp_path_factory):
+    """The benchmark generator's seed-1 congress graph (n=300), with its
+    attributes and centralities."""
+    out = tmp_path_factory.mktemp("generated")
+    gen.generate(1, out, shapes=("congress",))
+    graph = legnet.load_edge_list(out / "congress_edges.csv")
+    attrs = legnet.load_attributes(out / "congress_attrs.csv", graph)
+    return graph, attrs, legnet.centrality_report(graph)
+
+
+@pytest.mark.parametrize("fit", [fit_exact_dyad, fit_mple])
+def test_rescaling_a_covariate_rescales_its_coefficient(generated_congress, fit):
+    # betweenness lies in [0, 0.17] and its coefficient near -30: a pin
+    # bound in coefficient units would cut it off, one in the units of
+    # its rows does not, so the fit is the same model at every scale
+    graph, attrs, cent = generated_congress
+    spec = legnet.build_model("model3", graph, attrs, cent)
+    k = spec.labels.index("sum(betweenness)")
+    base = fit(graph, spec)
+    assert np.isfinite(base.theta).all() and not base.separation.any()
+    for scale in (1e3, 1e-3):
+        term = spec.terms[k]
+        scaled = dataclasses.replace(term, values=tuple(np.multiply(term.values, scale)))
+        got = fit(graph, ErgmSpec(spec.terms[:k] + (scaled,) + spec.terms[k + 1:]))
+        assert got.log_likelihood == pytest.approx(base.log_likelihood, rel=1e-9)
+        assert got.theta[k] == pytest.approx(base.theta[k] / scale, rel=1e-6)
+        assert not got.separation.any()
+
+
+@pytest.mark.parametrize("fit", [fit_exact_dyad, fit_mple])
+@pytest.mark.parametrize("model", ["model3", "model5", "model6"])
+def test_centrality_models_reach_the_standardized_fit(generated_congress, model, fit):
+    # every model has edges, so standardizing the covariates only
+    # reparametrizes it: the maximum is the same
+    graph, attrs, cent = generated_congress
+    raw = fit(graph, legnet.build_model(model, graph, attrs, cent))
+    std = fit(graph, legnet.build_model(model, graph, attrs, cent, standardize=True))
+    assert np.isfinite(raw.theta[raw.labels.index("sum(betweenness)")])
+    assert raw.log_likelihood == pytest.approx(std.log_likelihood, rel=1e-9)
+    assert np.array_equal(raw.separation, std.separation)
 
 
 def test_report_effects_values():
