@@ -28,23 +28,28 @@ UPSTREAM_FIELD_DEFAULTS = {
 
 
 def _as_text(source: str | Path | bytes | IO) -> str:
+    """The text of a path, literal content, bytes or a file handle, less one
+    leading byte-order mark."""
     if isinstance(source, str):
         # Literal document content, not a path: blank, multi-line, or a
         # one-line JSON value that names no file ("[2024] edges.csv" may).
-        if not source.strip() or "\n" in source or (
-                source.lstrip()[0] in "{[" and not os.path.isfile(source)):
-            return source
+        text = source.removeprefix("\ufeff")
+        if not text.strip() or "\n" in text or (
+                text.lstrip()[0] in "{[" and not os.path.isfile(source)):
+            return text
         source = Path(source)
     try:
         if isinstance(source, Path):
-            return source.read_text(encoding="utf-8-sig")
-        data = source if isinstance(source, bytes) else source.read()
-        return data.decode("utf-8-sig") if isinstance(data, bytes) else data
+            text = source.read_text(encoding="utf-8")
+        else:
+            data = source if isinstance(source, bytes) else source.read()
+            text = data.decode("utf-8") if isinstance(data, bytes) else data
     except OSError as exc:
         raise DataError(f"cannot read {source}: {exc}") from None
     except UnicodeDecodeError as exc:
         name = source if isinstance(source, Path) else "input"
         raise DataError(f"{name} is not UTF-8 text ({exc})") from None
+    return text.removeprefix("\ufeff")
 
 
 def _csv_rows(text: str) -> Iterator[list[str]]:

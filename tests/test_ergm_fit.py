@@ -11,7 +11,7 @@ from scipy.stats import chi2, norm
 import legnet
 import legnet.ergm.fit as fit_module
 from legnet import DataError, EstimationError, Graph
-from legnet.ergm import (AbsDiff, Edges, ErgmSpec, Mutual, NodeCovariate,
+from legnet.ergm import (AbsDiff, DyadDesign, Edges, ErgmSpec, Mutual, NodeCovariate,
                          NodeMatch, SimControl, expected_statistics, fit_exact_dyad,
                          fit_mple, likelihood_ratio_test, report_effects, simulate)
 
@@ -438,6 +438,51 @@ def test_inestimable_term_is_nan_and_leaves_the_rest_alone():
         assert fit.converged and fit.iterations == ref.iterations
         rows = report_effects(fit)
         assert math.isnan(rows[2]["exp"]) and math.isnan(rows[2]["expit"])
+
+
+def test_ranges_and_held_terms_match_enumeration():
+    # n = 4 has 4^6 = 4096 joint dyad states: the range of g over them,
+    # and the held set at every one of them taken as the observed graph
+    n = 4
+    # the largest |x| and |z| are on the last node, which only the second
+    # row of the sender term and the first of the receiver term reach
+    x, z = (0.5, -1.2, 0.8, -2.5), (0.4, 0.9, -1.7, -2.2)
+    lab = ("u", "u", "v", "w")
+    spec = ErgmSpec([Edges(), Mutual(), NodeCovariate("x", x, "sender"),
+                     NodeCovariate("z", z, "receiver"), NodeMatch("g", lab, level="u"),
+                     NodeMatch("g", lab, level="w")])   # "w" has one member
+    terms = [("edges",), ("mutual",), ("cov", x, "sender"), ("cov", z, "receiver"),
+             ("match", lab, "u"), ("match", lab, "w")]
+    stats = np.array([oracle_statistics(y, terms) for y in enumerate_graphs(n)])
+    assert stats.shape == (4096, 6)
+    design = DyadDesign(n, spec)
+    low, high = design.statistic_range(design.n_dyads)
+    assert np.allclose(low, stats.min(axis=0), rtol=0, atol=1e-12)
+    assert np.allclose(high, stats.max(axis=0), rtol=0, atol=1e-12)
+    zero = (stats == 0.0).all(axis=0)
+    assert zero.tolist() == [False] * 5 + [True]
+    top = (np.abs(stats - stats.max(axis=0)) < 1e-9) & ~zero
+    bottom = (np.abs(stats - stats.min(axis=0)) < 1e-9) & ~zero
+    # every live term sits at each end somewhere, and some states at neither
+    assert top[:, ~zero].any(axis=0).all() and bottom[:, ~zero].any(axis=0).all()
+    assert (~top & ~bottom).all(axis=1).any()
+    scale = [1.0, 1.0, np.abs(x).max(), np.abs(z).max(), 1.0]
+    for g, at_top, at_bottom in zip(stats, top, bottom):
+        held, bound = fit_module._held_terms(design, g, design.n_dyads)
+        assert np.array_equal(bound, [*(fit_module.SEPARATION_BOUND / np.array(scale)),
+                                      np.inf])
+        want = np.where(at_top, bound, np.where(at_bottom, -bound, np.nan))
+        want[zero] = 0.0
+        assert np.array_equal(held, want, equal_nan=True), g
+
+
+def test_mple_mutual_without_ties_is_inestimable():
+    # no tie has a reverse tie, so the mutual change statistic is 0 on every
+    # ordered pair: the pseudolikelihood says nothing about it
+    g = Graph([], ["a", "b", "c", "d"])
+    fit = fit_mple(g, ErgmSpec([Edges(), Mutual()]))
+    assert fit.theta[0] == -math.inf and fit.separation.tolist() == [True, False]
+    assert np.isnan(fit.theta[1]) and np.isnan(fit.std_err[1]) and np.isnan(fit.p_values[1])
 
 
 def test_likelihood_ratio_test_against_chi2():

@@ -229,6 +229,29 @@ def test_attribute_rows_align_to_graph_regardless_of_order():
     assert attrs.categorical("party") == ("Blue", "Gold", "Blue")
 
 
+def test_byte_order_mark_is_skipped_through_text_handles(tmp_path):
+    # a text-mode handle or a StringIO passes the mark through undecoded
+    edges, attrs = tmp_path / "edges.csv", tmp_path / "attrs.csv"
+    edges.write_text("\ufeff" + CSV_DOC, encoding="utf-8")
+    attrs.write_text("\ufeff" + ATTR_DOC, encoding="utf-8")
+    graph = legnet.load_edge_list(edges)
+    table = legnet.load_attributes(attrs, graph)
+
+    def columns(t):
+        return ([t.categorical(c) for c in t.categorical_columns],
+                [t.numeric(c).tolist() for c in t.numeric_columns])
+
+    for reopen in (lambda p: open(p, encoding="utf-8"),
+                   lambda p: io.StringIO(p.read_text(encoding="utf-8"))):
+        with reopen(edges) as fh:
+            got = legnet.load_edge_list(fh)
+        assert got.node_ids == graph.node_ids
+        assert list(got.edge_records()) == list(graph.edge_records())
+        with reopen(attrs) as fh:
+            assert columns(legnet.load_attributes(fh, got)) == columns(table)
+    assert table.categorical("party") == ("Blue", "Gold", "Blue")
+
+
 def test_unknown_attribute_column_warns():
     doc = ("node_id,party,shoe_size\na,Blue,9\nb,Gold,11\nc,Blue,10\n")
     with pytest.warns(UserWarning, match="shoe_size"):
