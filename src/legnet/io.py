@@ -61,6 +61,15 @@ def _csv_rows(text: str) -> Iterator[list[str]]:
         raise DataError(f"line {reader.line_num}: cannot parse CSV ({exc})") from None
 
 
+def _header(row: list[str], kind: str) -> list[str]:
+    """The stripped column names of a CSV header; a repeated name is a DataError."""
+    names = [h.strip() for h in row]
+    for i, name in enumerate(names):
+        if name and name in names[:i]:
+            raise DataError(f"{kind} header repeats column {name!r}")
+    return names
+
+
 def load_edge_list(source: str | Path | bytes | IO,
                    format: str = "csv",
                    json_fields: Mapping[str, str] | None = None) -> Graph:
@@ -86,7 +95,7 @@ def _edges_from_csv(text: str) -> Graph:
         header = next(reader)
     except StopIteration:
         raise DataError("no nodes: empty edge stream") from None
-    header = [h.strip() for h in header]
+    header = _header(header, "edge CSV")
     for required in ("source", "target", "weight"):
         if required not in header:
             raise DataError(f"edge CSV header missing column {required!r}")
@@ -185,7 +194,7 @@ def load_attributes(source: str | Path | bytes | IO, graph: Graph) -> AttributeT
     header = next(reader, None)
     if header is None:
         raise DataError("attribute stream is empty")
-    names = [h.strip() for h in header]
+    names = _header(header, "attribute CSV")
     if "node_id" not in names:
         raise DataError("attribute CSV header missing column 'node_id'")
     known = set(CATEGORICAL_COLUMNS) | set(NUMERIC_COLUMNS) | {"node_id"}

@@ -61,12 +61,12 @@ class SbmFit:
 
 
 class _Binary:
-    """Validated binary adjacency in CSR form, with its transpose and
-    both stacked as [y; yT], so that one product gives y @ X and yT @ X."""
+    """Validated binary adjacency in CSR form, and it stacked on its
+    transpose as [y; yT], so that one product gives y @ X and yT @ X."""
 
     def __init__(self, y: sparse.csr_array) -> None:
-        self.y, self.yt, self.n = y, y.T.tocsr(), y.shape[0]
-        self.stacked = sparse.vstack([self.y, self.yt], format="csr")
+        self.y, self.n = y, y.shape[0]
+        self.stacked = sparse.vstack([y, y.T], format="csr")
 
 
 def _as_binary(adjacency) -> _Binary:

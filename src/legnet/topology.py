@@ -73,37 +73,54 @@ def degree_strength(graph: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 # -- geodesic centralities ----------------------------------------------------
 
-# sources per block of closeness and betweenness; bounds their
-# n x block work arrays
+# sources per block of the geodesic sweep; bounds its n x block work arrays
 _BLOCK = 64
 
 
-def _sweep(step, lo: int) -> tuple[np.ndarray, np.ndarray]:
-    """BFS from the block of sources lo, lo + 1, ... (at most _BLOCK).
+def _geodesics(graph: Graph, mode: str = "out") -> tuple[np.ndarray, np.ndarray]:
+    """(closeness, summed Brandes dependencies) from one BFS sweep.
 
-    `step` is a CSR matrix whose row j lists the nodes one step before
-    j on the walk, so one product `step @ frontier` advances every
-    source of the block by one level. Returns (dist, sigma), n x b with
-    one column per source: dist is each node's BFS level (-1 where
-    unreached) and sigma its number of shortest paths from the source.
-    Path counts are integer sums, exact in any order of summation.
+    Each block of at most _BLOCK sources advances one BFS level per
+    product with `step` (row j: the nodes one step before j on the walk),
+    recording levels (dist, -1 where unreached) and shortest-path counts
+    (sigma), one column per source. Closeness reads the levels; Brandes'
+    backward pass reads levels and counts, one level per product with
+    `back` (row j: the nodes one step after j). With D the deepest level
+    reached from a block, each pass costs O(D * n * (|E| + n)). Levels
+    and path counts are integer sums, exact in any order of summation.
     """
-    n = step.shape[0]
-    sources = np.arange(lo, min(lo + _BLOCK, n))
-    sigma = np.zeros((n, sources.shape[0]))
-    sigma[sources, sources - lo] = 1.0
-    dist = np.where(sigma > 0, 0, -1)
-    frontier, depth = sigma.copy(), 0
-    while frontier.any():
-        # shortest-path counts into each node first reached at depth + 1
-        paths = step @ frontier
-        fresh = (paths > 0) & (dist < 0)
-        depth += 1
-        np.putmask(dist, fresh, depth)
-        paths *= fresh  # the next frontier: counts on fresh nodes only
-        sigma += paths
-        frontier = paths
-    return dist, sigma
+    n = graph.n
+    a = graph.adjacency(sparse=True)
+    # walking backwards, a node's step row lists its successors: a itself
+    step, back = (a.T.tocsr(), a) if mode == "out" else (a, a.T.tocsr())
+    close, total = np.empty(n), np.zeros(n)
+    for lo in range(0, n, _BLOCK):
+        sources = np.arange(lo, min(lo + _BLOCK, n))
+        sigma = np.zeros((n, sources.shape[0]))
+        sigma[sources, sources - lo] = 1.0
+        dist = np.where(sigma > 0, 0, -1)
+        frontier, depth = sigma.copy(), 0
+        while frontier.any():
+            # shortest-path counts into each node first reached at depth + 1
+            paths = step @ frontier
+            fresh = (paths > 0) & (dist < 0)
+            depth += 1
+            np.putmask(dist, fresh, depth)
+            paths *= fresh  # the next frontier: counts on fresh nodes only
+            sigma += paths
+            frontier = paths
+        with np.errstate(invalid="ignore"):  # 0 / 0: nothing reached, NaN
+            close[lo:lo + sources.shape[0]] = ((dist > 0).sum(axis=0)
+                                               / np.maximum(dist, 0).sum(axis=0))
+        delta = np.zeros_like(sigma)
+        for d in range(dist.max(), 1, -1):
+            # each level-d node w hands (1 + delta_w) / sigma_w back to its
+            # predecessors on level d - 1, scaled there by their own sigma
+            share = np.where(dist == d, (1.0 + delta) / np.maximum(sigma, 1.0), 0.0)
+            on_level = dist == d - 1
+            delta[on_level] += sigma[on_level] * (back @ share)[on_level]
+        total += delta.sum(axis=1)
+    return close, total
 
 
 def closeness(graph: Graph, mode: str = "out") -> np.ndarray:
@@ -112,52 +129,27 @@ def closeness(graph: Graph, mode: str = "out") -> np.ndarray:
     For node i with nonempty reachable set R_i (i excluded),
     closeness(i) = |R_i| / sum of distances to R_i; NaN when R_i is
     empty. mode "out" follows edge direction, "in" walks edges
-    backwards. Reads the levels of `_sweep`: O(D * n * (|E| + n)) in
-    total, with D the deepest level reached from a block.
+    backwards. Reads the levels of `_geodesics`, which also pays
+    Brandes' backward pass.
     """
     if graph.n < 2:
         raise DataError("closeness needs at least 2 nodes")
     if mode not in ("out", "in"):
         raise DataError(f"unknown closeness mode {mode!r}")
-    n = graph.n
-    a = graph.adjacency(sparse=True)
-    # walking backwards, a node's step row lists its successors: a itself
-    step = a.T.tocsr() if mode == "out" else a
-    scores = np.empty(n)
-    for lo in range(0, n, _BLOCK):
-        dist, _ = _sweep(step, lo)
-        with np.errstate(invalid="ignore"):  # 0 / 0: nothing reached, NaN
-            scores[lo:lo + dist.shape[1]] = ((dist > 0).sum(axis=0)
-                                             / np.maximum(dist, 0).sum(axis=0))
-    return scores
+    return _geodesics(graph, mode)[0]
+
+
+def _pair_count(graph: Graph) -> int:
+    """(n-1)(n-2), the ordered pairs of other nodes a node can lie between."""
+    if graph.n < 3:
+        raise DataError("betweenness needs at least 3 nodes")
+    return (graph.n - 1) * (graph.n - 2)
 
 
 def betweenness(graph: Graph) -> np.ndarray:
-    """Brandes betweenness over directed geodesics, divided by (n-1)(n-2).
-
-    Level-synchronous: `_sweep` advances a block of b sources one BFS
-    level per sparse product, counting shortest paths, and the backward
-    pass sums dependencies one level per product, each level at
-    O(b * (|E| + n)). With D the deepest level reached from a block,
-    the total is O(D * n * (|E| + n)).
-    """
-    n = graph.n
-    if n < 3:
-        raise DataError("betweenness needs at least 3 nodes")
-    a = graph.adjacency(sparse=True)
-    step = a.T.tocsr()
-    total = np.zeros(n)
-    for lo in range(0, n, _BLOCK):
-        dist, sigma = _sweep(step, lo)
-        delta = np.zeros_like(sigma)
-        for d in range(dist.max(), 1, -1):
-            # each level-d node w hands (1 + delta_w) / sigma_w back to its
-            # predecessors on level d - 1, scaled there by their own sigma
-            share = np.where(dist == d, (1.0 + delta) / np.maximum(sigma, 1.0), 0.0)
-            on_level = dist == d - 1
-            delta[on_level] += sigma[on_level] * (a @ share)[on_level]
-        total += delta.sum(axis=1)
-    return total / ((n - 1) * (n - 2))
+    """Brandes betweenness over directed geodesics, divided by (n-1)(n-2)."""
+    pairs = _pair_count(graph)
+    return _geodesics(graph)[1] / pairs
 
 
 # -- spectral centralities ----------------------------------------------------
@@ -367,12 +359,14 @@ def centrality_report(graph: Graph, weighted: bool = False) -> CentralityReport:
     """Every per-node score; `weighted` applies to eigenvector and HITS."""
     in_deg, out_deg, out_str = degree_strength(graph)
     hub, auth = hits(graph, weighted=weighted)
+    pairs = _pair_count(graph)
+    close, dependencies = _geodesics(graph)
     return CentralityReport(
         in_degree=in_deg,
         out_degree=out_deg,
         out_strength=out_str,
-        closeness=closeness(graph, "out"),
-        betweenness=betweenness(graph),
+        closeness=close,
+        betweenness=dependencies / pairs,
         eigen=eigen_centrality(graph, weighted=weighted),
         hub=hub,
         authority=auth,

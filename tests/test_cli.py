@@ -467,6 +467,7 @@ def test_bad_json_fields_flag(tmp_path, capsys):
     # a field beyond the csv module's limit, and JSON nested beyond the parser's
     ("edges-long-field", 3, "data error: line 3: cannot parse CSV (field larger than"),
     ("attrs-long-field", 3, "data error: line 2: cannot parse CSV (field larger than"),
+    ("edges-repeated-column", 3, "data error: edge CSV header repeats column 'weight'"),
     ("edges-deep-json", 3, "data error: upstream JSON parse failure: maximum recursion depth"),
     ("config-deep-json", 2, "config error: config is not valid JSON: maximum recursion depth"),
 ])
@@ -479,6 +480,8 @@ def test_unreadable_input_or_output_exits_with_one_line(toy, capsys, case, code,
         epath.write_bytes(epath.read_bytes() + b"a\xff,b,0.5\n")
     elif case == "edges-long-field":
         epath.write_text("source,target,weight\na,b,0.5\na," + "b" * 200_000 + ",0.5\n")
+    elif case == "edges-repeated-column":
+        epath.write_text(epath.read_text().replace("weight", "weight,weight", 1))
     elif case == "attrs-long-field":
         apath.write_text("node_id,party\nmember00," + "D" * 200_000 + "\n")
         argv[0] = "topology"

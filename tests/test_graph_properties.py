@@ -1,4 +1,5 @@
-"""Property suite: the CSR-derived views of a Graph agree with its edge records."""
+"""Property suite: the CSR-derived views of a Graph agree with its edge records,
+and its GraphML export reads back whole."""
 
 import tempfile
 from pathlib import Path
@@ -9,7 +10,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import legnet  # noqa: E402
-from legnet import Graph  # noqa: E402
+from legnet import AttributeTable, Graph  # noqa: E402
 
 
 @st.composite
@@ -61,3 +62,39 @@ def test_csr_views_match_edge_records(g, data):
     sub = g.induced_subgraph(keep)
     assert sub.node_ids == tuple(g.id_of(v) for v in sorted(keep))
     assert_views_match_records(sub)
+
+
+# XML's reserved characters, backslashes and non-ASCII text, with no
+# control characters (XML 1.0 cannot carry most of them)
+_XML_TEXT = st.text(st.one_of(st.sampled_from("&<>\"'\\é中—"),
+                              st.characters(min_codepoint=0x20, max_codepoint=0x2FFF,
+                                            exclude_categories=("Cc",))),
+                    min_size=1, max_size=8)
+
+
+@st.composite
+def attributed_graphs(draw):
+    ids = draw(st.lists(_XML_TEXT, min_size=2, max_size=8, unique=True))
+    n = len(ids)
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    pairs = draw(st.lists(pair.filter(lambda p: p[0] != p[1]), unique=True,
+                          min_size=1, max_size=20))
+    weights = draw(st.lists(st.floats(min_value=1e-6, max_value=1.0),
+                            min_size=len(pairs), max_size=len(pairs)))
+    g = Graph([(ids[i], ids[j], w) for (i, j), w in zip(pairs, weights)], nodes=ids)
+    party = draw(st.lists(_XML_TEXT, min_size=n, max_size=n))
+    age = draw(st.lists(st.floats(min_value=0.0, max_value=120.0), min_size=n, max_size=n))
+    return g, AttributeTable(g.node_ids, {"party": party}, {"age": age})
+
+
+@settings(max_examples=60, deadline=None)
+@given(attributed_graphs())
+def test_graphml_reads_back_through_networkx(case):
+    nx = pytest.importorskip("networkx")
+    g, attrs = case
+    read = nx.parse_graphml(legnet.io.graphml_dump(g, attrs))
+    assert list(read.nodes) == list(g.node_ids)
+    assert sorted(read.edges(data="weight")) == sorted(g.edge_records())
+    for i, node in enumerate(g.node_ids):
+        assert read.nodes[node] == {"party": attrs.categorical("party")[i],
+                                    "age": float(attrs.numeric("age")[i])}

@@ -252,6 +252,19 @@ def test_byte_order_mark_is_skipped_through_text_handles(tmp_path):
     assert table.categorical("party") == ("Blue", "Gold", "Blue")
 
 
+@pytest.mark.parametrize("load, doc, column", [
+    # each reader kept a different copy: the attributes the last, the edges the first
+    (lambda doc: legnet.load_attributes(doc, graph_abc()),
+     "node_id,party,party\na,D,R\nb,D,R\nc,D,R\n", "party"),
+    (legnet.load_edge_list, "source,target,weight,weight\na,b,0.5,0.9\n", "weight"),
+    # names are compared stripped
+    (legnet.load_edge_list, "source,target ,weight, target\na,b,0.5,c\n", "target"),
+])
+def test_repeated_header_column_is_a_data_error(load, doc, column):
+    with pytest.raises(DataError, match=f"header repeats column '{column}'$"):
+        load(doc)
+
+
 def test_unknown_attribute_column_warns():
     doc = ("node_id,party,shoe_size\na,Blue,9\nb,Gold,11\nc,Blue,10\n")
     with pytest.warns(UserWarning, match="shoe_size"):

@@ -72,9 +72,29 @@ def test_path_scores_block_size_invariant(monkeypatch):
     whole = legnet.betweenness(g), legnet.closeness(g, "out"), legnet.closeness(g, "in")
     for block in (1, 7, 39, 40):
         monkeypatch.setattr(topology, "_BLOCK", block)
-        assert np.allclose(legnet.betweenness(g), whole[0], rtol=1e-12, atol=0.0)
+        between = legnet.betweenness(g)
+        assert np.allclose(between, whole[0], rtol=1e-12, atol=0.0)
         assert np.array_equal(legnet.closeness(g, "out"), whole[1], equal_nan=True)
         assert np.array_equal(legnet.closeness(g, "in"), whole[2], equal_nan=True)
+        # the report reads the same sweep as the standalone scores
+        rep = legnet.centrality_report(g)
+        assert np.array_equal(rep.betweenness, between)
+        assert np.array_equal(rep.closeness, whole[1], equal_nan=True)
+
+
+def test_centrality_report_sweeps_the_sources_once(monkeypatch):
+    from legnet import topology
+    real_geodesics = topology._geodesics
+    calls = []
+
+    def counted(graph, mode="out"):
+        calls.append(mode)
+        return real_geodesics(graph, mode)
+
+    monkeypatch.setattr(topology, "_geodesics", counted)
+    # 150 sources make three blocks of the one sweep
+    legnet.centrality_report(random_digraph(150, p=0.05, seed=9))
+    assert calls == ["out"]
 
 
 def test_path_scores_match_networkx():
