@@ -21,8 +21,7 @@ from .ergm import (AbsDiff, DyadDesign, Edges, ErgmFit, ErgmSpec, McmleControl,
                    change_statistics, expected_statistics, fit_exact_dyad,
                    fit_mcmle, fit_mple, global_statistics, likelihood_ratio_test,
                    mcmc_diagnostics, report_effects, simulate)
-from .sbm import (SbmFit, classification_icl, community_summary, fit_q,
-                  interaction_matrix, select_q)
+from .sbm import SbmFit, classification_icl, community_summary, fit_q, select_q
 from .topology import (assortativity_categorical, assortativity_report,
                        assortativity_scalar, betweenness, centrality_report,
                        closeness, connectivity_report, degree_strength,
@@ -44,7 +43,7 @@ __all__ = [
     "connectivity_report", "contingency", "degree_strength", "density",
     "eigen_centrality", "expected_statistics", "fit_exact_dyad",
     "fit_mcmle", "fit_mple", "fit_q", "global_statistics", "hits",
-    "interaction_matrix", "likelihood_ratio_test",
+    "likelihood_ratio_test",
     "load_attributes", "load_config", "load_edge_list", "maximal_cliques",
     "mcmc_diagnostics", "nmi", "parse_q_range", "rand_index",
     "reciprocity", "report_effects", "run", "save_dot", "save_edge_list",

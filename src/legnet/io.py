@@ -247,27 +247,24 @@ def graphml_dump(graph: Graph, attrs: AttributeTable | None = None) -> str:
     lines = ['<?xml version="1.0" encoding="UTF-8"?>',
              '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">',
              '  <key id="weight" for="edge" attr.name="weight" attr.type="double"/>']
-    columns: list[tuple[str, str]] = []
+    # each column read once, as its per-node text
+    columns: list[tuple[str, str, list[str]]] = []
     if attrs is not None:
         for c in attrs.categorical_columns:
-            columns.append((c, "string"))
+            columns.append((c, "string", [_xml_escape(v) for v in attrs.categorical(c)]))
         for c in attrs.numeric_columns:
-            columns.append((c, "double"))
-        for c, kind in columns:
+            columns.append((c, "double", [repr(v) for v in attrs.numeric(c).tolist()]))
+        for c, kind, _ in columns:
             lines.append(f'  <key id="{c}" for="node" attr.name="{c}" attr.type="{kind}"/>')
     lines.append('  <graph id="G" edgedefault="directed">')
     for i, node in enumerate(graph.node_ids):
         nid = _xml_escape(str(node))
-        if attrs is None or not columns:
+        if not columns:
             lines.append(f'    <node id="{nid}"/>')
             continue
         lines.append(f'    <node id="{nid}">')
-        for c, kind in columns:
-            if kind == "string":
-                val = _xml_escape(attrs.categorical(c)[i])
-            else:
-                val = repr(float(attrs.numeric(c)[i]))
-            lines.append(f'      <data key="{c}">{val}</data>')
+        for c, _, values in columns:
+            lines.append(f'      <data key="{c}">{values[i]}</data>')
         lines.append('    </node>')
     for s, t, w in graph.edge_records():
         lines.append(f'    <edge source="{_xml_escape(str(s))}" '
@@ -283,15 +280,16 @@ def dot_dump(graph: Graph, attrs: AttributeTable | None = None) -> str:
     def q(value: Any) -> str:
         return '"' + str(value).replace("\\", r"\\").replace('"', r'\"') + '"'
 
+    # each column read once, as its per-node "name=value" text
+    columns: list[list[str]] = []
+    if attrs is not None:
+        columns += [[f"{c}={q(v)}" for v in attrs.categorical(c)]
+                    for c in attrs.categorical_columns]
+        columns += [[f"{c}={v!r}" for v in attrs.numeric(c).tolist()]
+                    for c in attrs.numeric_columns]
     lines = ["digraph G {"]
     for i, node in enumerate(graph.node_ids):
-        parts = []
-        if attrs is not None:
-            for c in attrs.categorical_columns:
-                parts.append(f"{c}={q(attrs.categorical(c)[i])}")
-            for c in attrs.numeric_columns:
-                parts.append(f"{c}={repr(float(attrs.numeric(c)[i]))}")
-        suffix = f" [{', '.join(parts)}]" if parts else ""
+        suffix = f" [{', '.join(col[i] for col in columns)}]" if columns else ""
         lines.append(f"  {q(node)}{suffix};")
     for s, t, w in graph.edge_records():
         lines.append(f"  {q(s)} -> {q(t)} [weight={w!r}];")

@@ -33,16 +33,21 @@ def _comb2(x: np.ndarray) -> np.ndarray:
     return x * (x - 1.0) / 2.0
 
 
+def _pair_counts(a: Sequence[Hashable],
+                 b: Sequence[Hashable]) -> tuple[int, float, float, float]:
+    """n, and the node pairs that share a cell, a row and a column of the
+    cross-table: the sums of C(n_ij, 2), C(n_i., 2) and C(n_.j, 2)."""
+    table = contingency(a, b)
+    return (int(table.sum()), _comb2(table).sum(),
+            _comb2(table.sum(axis=1)).sum(), _comb2(table.sum(axis=0)).sum())
+
+
 def rand_index(a: Sequence[Hashable], b: Sequence[Hashable]) -> float:
     """Fraction of node pairs on which the partitions agree."""
-    table = contingency(a, b)
-    n = int(table.sum())
+    n, s11, sa, sb = _pair_counts(a, b)
     if n < 2:
         raise DataError("rand index needs at least 2 nodes")
     total = _comb2(np.asarray(n))
-    s11 = _comb2(table).sum()
-    sa = _comb2(table.sum(axis=1)).sum()
-    sb = _comb2(table.sum(axis=0)).sum()
     return float((total + 2.0 * s11 - sa - sb) / total)
 
 
@@ -52,15 +57,10 @@ def adjusted_rand(a: Sequence[Hashable], b: Sequence[Hashable]) -> float:
     When both partitions are single-class (or otherwise leave no room
     for chance), the score is 1 by convention.
     """
-    table = contingency(a, b)
-    n = int(table.sum())
+    n, s11, sa, sb = _pair_counts(a, b)
     if n < 2:
         raise DataError("adjusted Rand needs at least 2 nodes")
-    total = _comb2(np.asarray(n))
-    s11 = _comb2(table).sum()
-    sa = _comb2(table.sum(axis=1)).sum()
-    sb = _comb2(table.sum(axis=0)).sum()
-    expected = sa * sb / total
+    expected = sa * sb / _comb2(np.asarray(n))
     denom = 0.5 * (sa + sb) - expected
     if denom == 0.0:
         return 1.0

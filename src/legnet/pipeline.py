@@ -32,7 +32,7 @@ from .ergm import (ErgmFit, McmleControl, fit_exact_dyad, fit_mcmle, fit_mple,
 from .graph import ComponentReport, Graph, components
 from .io import dot_dump, edge_csv_dump, graphml_dump, load_attributes, load_edge_list
 from .partition import adjusted_rand, nmi, rand_index
-from .sbm import SbmFit, community_summary, interaction_matrix, select_q
+from .sbm import SbmFit, community_summary, select_q
 from .topology import (CentralityReport, ConnectivityReport, assortativity_report,
                        centrality_report, connectivity_report, density)
 
@@ -403,17 +403,18 @@ class Pipeline:
         self._write_csv("communities.csv", ["node_id", "community"],
                         [[str(graph.id_of(i)), int(best.labels[i]) + 1]
                          for i in range(graph.n)])
-        pi, notes = interaction_matrix(best, self.attrs)
+        summary = community_summary(best, self.attrs, self._computed("centrality"))
         self._write_csv("interaction_matrix.csv",
                         ["community"] + [str(c + 1) for c in range(best.q)],
-                        [[str(r + 1)] + [pi[r, c] for c in range(best.q)]
-                         for r in range(best.q)])
-        self._write_json("community_annotations.json", notes)
-        summary = community_summary(best, self.attrs, self._computed("centrality"))
-        if summary:
-            header = list(summary[0].keys())
-            self._write_csv("community_summary.csv", header,
-                            [[row.get(column) for column in header] for row in summary])
+                        [[str(r + 1)] + list(best.pi[r]) for r in range(best.q)])
+        self._write_json("community_annotations.json", [
+            {"community": row["community"], "size": row["size"],
+             **{f"dominant_{column}": row[f"{column}_dominant"]
+                for column in ("party", "chamber") if f"{column}_dominant" in row}}
+            for row in summary])
+        header = list(summary[0].keys())
+        self._write_csv("community_summary.csv", header,
+                        [[row.get(column) for column in header] for row in summary])
 
     def _stage_score(self) -> None:
         if self.attrs is None:

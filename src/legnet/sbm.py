@@ -35,6 +35,7 @@ from scipy.special import xlogy
 
 from .errors import DataError
 from .graph import Graph
+from .partition import contingency
 
 _LOG_CLIP = 1e-12
 _COLLAPSE_TOL = 1e-8
@@ -417,36 +418,13 @@ def select_q(adjacency, q_range, restarts: int = 1,
     return max(fits, key=lambda fit: fit.icl), [(fit.requested_q, fit.icl) for fit in fits]
 
 
-def _dominant_level(attrs, column: str, members: np.ndarray) -> tuple[str, float] | None:
-    """The most common level of `column` among `members` (ties: first in
-    sorted order) and its share of them; None when there are no members."""
-    col = attrs.categorical(column)
-    values = [col[i] for i in members]
-    if not values:
-        return None
-    top = max(sorted(set(values)), key=values.count)
-    return top, values.count(top) / len(values)
-
-
-def interaction_matrix(fit: SbmFit, attrs=None) -> tuple[np.ndarray, list[dict]]:
-    """Block probability matrix plus per-community annotations."""
-    notes = []
-    for c in range(fit.q):
-        members = np.flatnonzero(fit.labels == c)
-        row = {"community": c + 1, "size": int(members.size)}
-        if attrs is not None:
-            for column in ("party", "chamber"):
-                dominant = attrs.has(column) and _dominant_level(attrs, column, members)
-                if dominant:
-                    row[f"dominant_{column}"] = dominant[0]
-        notes.append(row)
-    return fit.pi.copy(), notes
-
-
 def community_summary(fit: SbmFit, attrs=None, centrality=None) -> list[dict]:
     """Size, dominant categorical levels, and normalized-score profile
     per community.
 
+    A dominant level is the most common one among the members (ties: the
+    first in sorted order), with its share of them; a community without
+    members has none.
     Structural metrics are min-max normalized over all nodes before the
     per-community mean and coefficient of variation are taken; NaN
     scores are ignored.
@@ -459,15 +437,23 @@ def community_summary(fit: SbmFit, attrs=None, centrality=None) -> list[dict]:
             vec = np.asarray(getattr(centrality, name), dtype=np.float64)
             lo, hi = np.nanmin(vec), np.nanmax(vec)
             norm_metrics[name] = (vec - lo) / (hi - lo) if hi > lo else np.zeros_like(vec)
+    # (sorted levels, community x level counts) per categorical column;
+    # a class that labels no node keeps an all-zero row
+    tables = {}
+    for column in attrs.categorical_columns if attrs is not None else ():
+        levels = attrs.levels(column)
+        counts = np.zeros((fit.q, len(levels)), dtype=np.int64)
+        counts[np.unique(fit.labels)] = contingency(fit.labels, attrs.categorical(column))
+        tables[column] = levels, counts
     for c in range(fit.q):
         members = np.flatnonzero(fit.labels == c)
         row: dict = {"community": c + 1, "size": int(members.size),
                      "share": members.size / n}
-        if attrs is not None:
-            for column in attrs.categorical_columns:
-                dominant = _dominant_level(attrs, column, members)
-                if dominant:
-                    row[f"{column}_dominant"], row[f"{column}_share"] = dominant
+        if members.size:
+            for column, (levels, counts) in tables.items():
+                top = int(np.argmax(counts[c]))
+                row[f"{column}_dominant"] = levels[top]
+                row[f"{column}_share"] = int(counts[c, top]) / members.size
         for name, vec in norm_metrics.items():
             sub = vec[members]
             with warnings.catch_warnings():

@@ -1,12 +1,15 @@
 """Partition agreement scores, checked exhaustively at small sizes."""
 
+import csv
+
 import numpy as np
 import pytest
 
 import legnet
 from legnet import DataError, adjusted_rand, nmi, rand_index
+from legnet.cli import main
 
-from conftest import oracle_ari, oracle_nmi, oracle_rand, set_partitions
+from conftest import gen, oracle_ari, oracle_nmi, oracle_rand, set_partitions
 
 
 def test_every_partition_pair_of_five_items():
@@ -78,3 +81,30 @@ def test_contingency_counts():
     assert table[0, 0] == 1 and table[0, 1] == 1 and table[1, 1] == 2
     with pytest.raises(DataError):
         legnet.contingency([], [])
+
+
+def test_scores_at_congress_scale_match_the_pair_counting_oracle(tmp_path, capsys):
+    # the CLI's scores of the scanned partition of the generator's seed-1
+    # congress graph (n=300), against party and chamber as the attribute
+    # file gives them
+    gen.generate(1, tmp_path, shapes=("congress",))
+    out = tmp_path / "out"
+    assert main(["score", "--edges", str(tmp_path / "congress_edges.csv"),
+                 "--attrs", str(tmp_path / "congress_attrs.csv"), "--q-range", "1:6",
+                 "--restarts", "2", "--seed", "1", "--out", str(out)]) == 0, \
+        capsys.readouterr().err
+    with open(out / "communities.csv", newline="") as fh:
+        community = {row["node_id"]: row["community"] for row in csv.DictReader(fh)}
+    with open(tmp_path / "congress_attrs.csv", newline="") as fh:
+        attrs = list(csv.DictReader(fh))
+    with open(out / "partition_scores.csv", newline="") as fh:
+        scores = list(csv.DictReader(fh))
+    labels = [community[row["node_id"]] for row in attrs]
+    assert len(labels) == len(community) == 300 and len(set(labels)) > 1
+    assert [row["partition"] for row in scores] == ["party", "chamber"]
+    for row in scores:
+        other = [member[row["partition"]] for member in attrs]
+        assert float(row["rand"]) == pytest.approx(oracle_rand(labels, other), abs=1e-12)
+        assert float(row["adjusted_rand"]) == pytest.approx(oracle_ari(labels, other),
+                                                            abs=1e-12)
+        assert float(row["nmi"]) == pytest.approx(oracle_nmi(labels, other), abs=1e-12)

@@ -313,6 +313,20 @@ def test_sbm_artifact_coherence(toy_run):
     assert min(labels) == 1
 
 
+def test_community_annotations_project_the_community_summary(toy_run):
+    _, _, out, _ = toy_run
+    with open(out / "community_summary.csv", newline="") as fh:
+        summary = list(csv.DictReader(fh))
+    projected = [{"community": int(row["community"]), "size": int(row["size"]),
+                  **{f"dominant_{column}": row[f"{column}_dominant"]
+                     for column in ("party", "chamber") if row[f"{column}_dominant"]}}
+                 for row in summary]
+    annotations = json.loads((out / "community_annotations.json").read_text())
+    assert annotations == projected
+    assert sum(note["size"] for note in annotations) == 30
+    assert all("dominant_party" in note for note in annotations if note["size"])
+
+
 def test_sbm_prune_warnings_become_counted_notices(tmp_path, monkeypatch):
     import warnings
 

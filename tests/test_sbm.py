@@ -11,7 +11,7 @@ from scipy.special import xlogy
 
 import legnet
 from legnet import DataError, adjusted_rand, classification_icl, fit_q, select_q
-from legnet.sbm import community_summary, interaction_matrix
+from legnet.sbm import SbmFit, community_summary
 
 
 def planted(n_per_block, q, p_in, p_out, seed):
@@ -180,7 +180,7 @@ def test_input_validation():
         select_q(y, [], seed=0)
 
 
-def test_interaction_matrix_and_annotations():
+def test_block_rates_and_dominant_levels():
     y, truth = planted(10, 2, 0.45, 0.05, seed=14)
     fit = fit_q(y, 2, seed=1, restarts=2)
     attrs = legnet.AttributeTable(
@@ -188,13 +188,48 @@ def test_interaction_matrix_and_annotations():
         {"party": ["Blue" if t == 0 else "Gold" for t in truth],
          "chamber": ["Upper" if i % 4 == 0 else "Lower" for i in range(20)]},
         {})
-    pi, notes = interaction_matrix(fit, attrs)
-    assert pi.shape == (2, 2)
-    assert pi[0, 0] > pi[0, 1] and pi[1, 1] > pi[1, 0]
-    assert len(notes) == 2
-    parties = {note["dominant_party"] for note in notes}
+    rows = community_summary(fit, attrs, None)
+    assert fit.pi.shape == (2, 2)
+    assert fit.pi[0, 0] > fit.pi[0, 1] and fit.pi[1, 1] > fit.pi[1, 0]
+    assert len(rows) == 2
+    parties = {row["party_dominant"] for row in rows}
     assert parties == {"Blue", "Gold"}
-    assert all(note["size"] == 10 for note in notes)
+    assert all(row["size"] == 10 for row in rows)
+
+
+def hand_fit(labels, q):
+    """An SbmFit with the given hard labels; only `q` and `labels` are read."""
+    labels = np.asarray(labels)
+    tau = np.eye(q)[labels]
+    return SbmFit(q=q, tau=tau, alpha=tau.mean(axis=0), pi=np.full((q, q), 0.5),
+                  labels=labels, icl=0.0, elbo=0.0, elbo_trace=(0.0,), converged=True,
+                  iterations=1, requested_q=q)
+
+
+def test_dominant_level_tie_goes_to_the_first_level_in_sorted_order():
+    # community 1 meets Gold first and holds two of each; community 2 is 3:1 Red
+    fit = hand_fit([0, 0, 0, 0, 1, 1, 1, 1], 2)
+    attrs = legnet.AttributeTable(
+        tuple(f"v{i}" for i in range(8)),
+        {"party": ["Gold", "Blue", "Gold", "Blue", "Red", "Gold", "Red", "Red"],
+         "chamber": ["Upper"] * 8}, {})
+    rows = community_summary(fit, attrs, None)
+    assert [(row["party_dominant"], row["party_share"]) for row in rows] == [
+        ("Blue", 0.5), ("Red", 0.75)]
+    assert [(row["chamber_dominant"], row["chamber_share"]) for row in rows] == [
+        ("Upper", 1.0), ("Upper", 1.0)]
+
+
+def test_a_community_without_members_gets_no_dominant_level():
+    fit = hand_fit([0, 0, 2, 2, 2], 3)
+    attrs = legnet.AttributeTable(
+        tuple(f"v{i}" for i in range(5)),
+        {"party": ["Blue", "Blue", "Gold", "Blue", "Gold"]}, {})
+    rows = community_summary(fit, attrs, None)
+    assert [row["size"] for row in rows] == [2, 0, 3]
+    assert rows[1] == {"community": 2, "size": 0, "share": 0.0}
+    assert (rows[0]["party_dominant"], rows[0]["party_share"]) == ("Blue", 1.0)
+    assert (rows[2]["party_dominant"], rows[2]["party_share"]) == ("Gold", 2 / 3)
 
 
 def test_community_summary_rows():
