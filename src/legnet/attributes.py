@@ -18,7 +18,7 @@ class AttributeTable:
     """Per-node attributes, row i describing node index i of the graph.
 
     Columns are optional; operations that need an absent column raise
-    DataError. Tables are immutable: `reassign` returns a new table.
+    DataError. Tables are immutable: `reassign_party` returns a new table.
     """
 
     __slots__ = ("_ids", "_cat", "_num")
@@ -66,10 +66,6 @@ class AttributeTable:
     def has(self, column: str) -> bool:
         return column in self._cat or column in self._num
 
-    def require(self, column: str) -> None:
-        if not self.has(column):
-            raise DataError(f"attribute column {column!r} not loaded")
-
     def categorical(self, column: str) -> tuple[str, ...]:
         try:
             return self._cat[column]
@@ -86,34 +82,21 @@ class AttributeTable:
         """Distinct levels of a categorical column, sorted."""
         return tuple(sorted(set(self.categorical(column))))
 
-    def proportions(self, column: str) -> dict[str, float]:
-        col = self.categorical(column)
-        counts: dict[str, int] = {}
-        for v in col:
-            counts[v] = counts.get(v, 0) + 1
-        return {lvl: counts[lvl] / self.n for lvl in sorted(counts)}
+    def reassign_party(self, mapping: Mapping[NodeId, str]) -> "AttributeTable":
+        """New table with the party of the mapped node ids overridden.
 
-    def reassign(self, column: str, mapping: Mapping[NodeId, str]) -> "AttributeTable":
-        """New table with `column` overridden for the mapped node ids.
-
-        Target levels must already exist in the column's vocabulary.
+        Target levels must already exist in the party vocabulary.
         """
-        current = list(self.categorical(column))
+        current = list(self.categorical("party"))
         vocab = set(current)
         index = {node: i for i, node in enumerate(self._ids)}
         for node, level in mapping.items():
             if node not in index:
                 raise DataError(f"unknown node id {node!r} in reassignment")
             if level not in vocab:
-                raise DataError(
-                    f"level {level!r} not in {column!r} vocabulary {sorted(vocab)}")
+                raise DataError(f"level {level!r} not in 'party' vocabulary {sorted(vocab)}")
             current[index[node]] = level
-        cat = dict(self._cat)
-        cat[column] = tuple(current)
-        return AttributeTable(self._ids, cat, self._num)
-
-    def reassign_party(self, mapping: Mapping[NodeId, str]) -> "AttributeTable":
-        return self.reassign("party", mapping)
+        return AttributeTable(self._ids, {**self._cat, "party": tuple(current)}, self._num)
 
     def indices_with(self, column: str, level: str) -> list[int]:
         col = self.categorical(column)

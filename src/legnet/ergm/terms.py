@@ -362,25 +362,19 @@ class DyadDesign:
         scale[self.asym] = np.maximum(np.abs(self.a1).max(axis=1), np.abs(self.a2).max(axis=1))
         return scale
 
-    def statistics(self, y1: np.ndarray | None = None,
-                   y2: np.ndarray | None = None) -> np.ndarray:
-        """g(y) for the given tie state (defaults to the observed one)."""
-        y1 = self.y1 if y1 is None else y1
-        y2 = self.y2 if y2 is None else y2
-        return self.weighted_sum(y1.astype(np.float64), y2.astype(np.float64), y1 & y2)
+    def statistics(self) -> np.ndarray:
+        """g(y) of the observed tie state."""
+        return self.weighted_sum(self.y1.astype(np.float64), self.y2.astype(np.float64),
+                                 self.y1 & self.y2)
 
-    def change_statistic(self, i: int, j: int,
-                         y1: np.ndarray | None = None,
-                         y2: np.ndarray | None = None) -> np.ndarray:
-        """delta_ij(y): change in g from setting tie i->j to 1."""
+    def change_statistic(self, i: int, j: int) -> np.ndarray:
+        """delta_ij(y): change in g from setting tie i->j to 1, on the observed state."""
         if i == j:
             raise DataError("change statistic undefined on the diagonal")
-        y1 = self.y1 if y1 is None else y1
-        y2 = self.y2 if y2 is None else y2
         if i < j:
-            d, rows, reverse = int(self.pair_index(i, j)), self.a1, y2
+            d, rows, reverse = int(self.pair_index(i, j)), self.a1, self.y2
         else:
-            d, rows, reverse = int(self.pair_index(j, i)), self.a2, y1
+            d, rows, reverse = int(self.pair_index(j, i)), self.a2, self.y1
         delta = (1.0 if reverse[d] else 0.0) * self.mvec
         delta[self.sym] = self.s[:, d]
         delta[self.asym] = rows[:, d]

@@ -145,11 +145,6 @@ class Graph:
             raise DataError(f"no edge {self._ids[i]!r}->{self._ids[j]!r}")
         return float(self._out.data[k])
 
-    def edges(self) -> Iterator[tuple[int, int, float]]:
-        """Yield (source_index, target_index, weight) in storage order."""
-        for i, j, w in zip(self._src, self._dst, self._w):
-            yield int(i), int(j), float(w)
-
     def edge_records(self) -> Iterator[tuple[NodeId, NodeId, float]]:
         """Yield (source_id, target_id, weight) in storage order."""
         for i, j, w in zip(self._src, self._dst, self._w):

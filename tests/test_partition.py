@@ -56,17 +56,6 @@ def test_degenerate_partitions():
     assert rand_index(ones, singles) == pytest.approx(oracle_rand(ones, singles))
 
 
-def test_nmi_normalizer_ordering():
-    a = [0, 0, 1, 1, 2, 2, 0, 1]
-    b = [0, 1, 1, 1, 2, 0, 0, 2]
-    lo = nmi(a, b, normalization="max")
-    mid = nmi(a, b)
-    hi = nmi(a, b, normalization="min")
-    assert lo <= mid <= hi
-    with pytest.raises(DataError):
-        nmi(a, b, normalization="geometric")
-
-
 def test_input_validation():
     with pytest.raises(DataError):
         rand_index([0, 1], [0, 1, 2])
