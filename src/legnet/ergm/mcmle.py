@@ -2,8 +2,10 @@
 
 Starting from the pseudolikelihood estimate, each phase draws networks
 at the current theta. Convergence is declared when every simulated
-mean statistic sits within _EE_TOL simulated standard deviations of
-its observed value. Otherwise theta moves by partial stepping (Hummel,
+mean statistic sits within max(_EE_TOL, 1/sqrt(sample_size)) simulated
+standard deviations of its observed value: the second bound is a phase
+mean's own Monte-Carlo error, which exceeds _EE_TOL below 100 draws.
+Otherwise theta moves by partial stepping (Hummel,
 Hunter & Handcock 2012): toward gamma g_obs + (1 - gamma) gbar, with
 gamma as large as keeps that target inside the hull of the draws, the
 shared Newton fit maximizes the importance-sampled log-likelihood
@@ -28,7 +30,8 @@ from .sampler import SimControl, sample_states
 from .terms import DyadDesign, ErgmSpec
 
 _MAX_PHASES = 20      # phases before the fit fails
-_EE_TOL = 0.1         # converged: each mean statistic within this many sd of g_obs
+_EE_TOL = 0.1         # converged: each mean statistic within this many sd of g_obs,
+                      # or within 1/sqrt(sample_size) sd when that is larger
 _HALVINGS = 10        # gamma tries 1, 1/2, ..., 2**-9, then takes 0
 
 
@@ -115,6 +118,7 @@ def fit_mcmle(graph: Graph, spec: ErgmSpec,
         raise EstimationError("every coefficient is separated or inestimable; "
                               "nothing to estimate")
 
+    tol = max(_EE_TOL, 1.0 / np.sqrt(control.sample_size))
     ee_history: list[float] = []
     gamma_history: list[float] = []
     sample = None
@@ -136,7 +140,7 @@ def fit_mcmle(graph: Graph, spec: ErgmSpec,
                 f"last draws: {tail}")
         ee = float(np.abs((gbar - g_obs)[free] / gsd[free]).max())
         ee_history.append(ee)
-        if ee < _EE_TOL:
+        if ee < tol:
             break
         xi, gamma = _hull_target(g_obs, sample, free)
         gamma_history.append(gamma)

@@ -20,7 +20,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from ..errors import DataError
-from ..graph import Graph
+from ..graph import Graph, _check_index
 
 
 @dataclass(frozen=True)
@@ -369,6 +369,8 @@ class DyadDesign:
 
     def change_statistic(self, i: int, j: int) -> np.ndarray:
         """delta_ij(y): change in g from setting tie i->j to 1, on the observed state."""
+        _check_index(i, self.n)
+        _check_index(j, self.n)
         if i == j:
             raise DataError("change statistic undefined on the diagonal")
         if i < j:

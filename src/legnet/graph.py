@@ -30,6 +30,13 @@ def _rows(a: csr_array, i: int) -> np.ndarray:
     return a.indices[a.indptr[i]:a.indptr[i + 1]]
 
 
+def _check_index(i: int, n: int) -> int:
+    """i, if it is a node index of an n-node graph; otherwise a DataError."""
+    if not 0 <= i < n:
+        raise DataError(f"node index {i} out of range for {n} nodes")
+    return i
+
+
 def _grouped(labels: np.ndarray) -> list[list[int]]:
     """Node sets per component label, ordered by their smallest member."""
     comps: dict[int, list[int]] = {}
@@ -121,7 +128,7 @@ class Graph:
             raise DataError(f"unknown node id {node!r}") from None
 
     def id_of(self, index: int) -> NodeId:
-        return self._ids[index]
+        return self._ids[_check_index(index, self.n)]
 
     def __contains__(self, node: NodeId) -> bool:
         return node in self._index
@@ -140,7 +147,7 @@ class Graph:
         return self._slot(i, j) >= 0
 
     def weight(self, i: int, j: int) -> float:
-        k = self._slot(i, j)
+        k = self._slot(_check_index(i, self.n), _check_index(j, self.n))
         if k < 0:
             raise DataError(f"no edge {self._ids[i]!r}->{self._ids[j]!r}")
         return float(self._out.data[k])
@@ -158,15 +165,15 @@ class Graph:
 
     def out_neighbors(self, i: int) -> np.ndarray:
         """Targets of i's out-edges, ascending (a read-only view)."""
-        return _rows(self._out, i)
+        return _rows(self._out, _check_index(i, self.n))
 
     def in_neighbors(self, i: int) -> np.ndarray:
         """Sources of i's in-edges, ascending (a read-only view)."""
-        return _rows(self._in, i)
+        return _rows(self._in, _check_index(i, self.n))
 
     def undirected_neighbors(self, i: int) -> np.ndarray:
         """Neighbors of i ignoring direction, each listed once, ascending."""
-        return _rows(self._und, i)
+        return _rows(self._und, _check_index(i, self.n))
 
     def out_degrees(self) -> np.ndarray:
         return np.diff(self._out.indptr)
@@ -263,10 +270,7 @@ class Graph:
         keep their original storage order. Ids carry over, so isolated
         members stay addressable.
         """
-        keep = sorted(set(int(v) for v in nodes))
-        for v in keep:
-            if not (0 <= v < self.n):
-                raise DataError(f"node index {v} out of range")
+        keep = sorted(set(_check_index(int(v), self.n) for v in nodes))
         keep_set = set(keep)
         ids = [self._ids[v] for v in keep]
         recs = [(self._ids[i], self._ids[j], float(w))

@@ -102,6 +102,19 @@ def published_graph(tmp_path_factory):
 # -- synthetic graphs -----------------------------------------------------------
 
 
+@pytest.fixture(scope="session")
+def pure_sbm_graph():
+    """A pure directed SBM with a known answer: n=150 in 3 equal blocks,
+    every member equally active, ties drawn independently with probability
+    0.25 within a block and 0.03 between blocks. Returns the graph and the
+    planted block of each node index."""
+    rng = np.random.default_rng(1)
+    blocks = np.repeat(np.arange(3), 50)
+    prob = np.where(blocks[:, None] == blocks[None, :], 0.25, 0.03)
+    y = (rng.random(prob.shape) < prob) & ~np.eye(blocks.size, dtype=bool)
+    return graph_from_matrix(y), blocks
+
+
 def graph_from_matrix(y, ids=None, rng=None) -> legnet.Graph:
     """Binary adjacency to a Graph; weights drawn in (0,1] when rng given."""
     y = np.asarray(y, dtype=bool)

@@ -1,5 +1,6 @@
-"""Property suite: broken edge input through the CLI either reads or fails
-with exit code 2, 3 or 4, one stderr line and no output directory."""
+"""Property suite: broken edge input, attribute CSVs and config documents
+through the CLI either read or fail with exit code 2, 3 or 4, one stderr
+line and no output directory."""
 
 import contextlib
 import csv
@@ -59,23 +60,106 @@ def document(fmt, defect, field):
     return json.dumps(doc, ensure_ascii=False).encode()
 
 
+def run_cli(argv, out):
+    """Run the CLI and check the outcome: a manifest, or an exit code of 2, 3
+    or 4 with one stderr line and no output directory."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main([*argv, "--out", str(out)])
+    if code == 0:
+        assert (out / "manifest.json").is_file()
+    else:
+        assert code in (2, 3, 4)
+        assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+        assert not out.exists()
+
+
+def cut_at(data, cut):
+    return data if cut is None else data[:cut % (len(data) + 1)]
+
+
 @settings(max_examples=50, deadline=None)
 @given(case=cases, field=st.integers(0, 2), cut=st.none() | st.integers(0, 400),
        command=st.sampled_from(["ingest", "topology"]))
 def test_broken_edge_input_exits_cleanly(case, field, cut, command):
     fmt, defect = case
-    data = document(fmt, defect, field)
-    if cut is not None:
-        data = data[:cut % (len(data) + 1)]
+    data = cut_at(document(fmt, defect, field), cut)
     with tempfile.TemporaryDirectory() as tmp:
-        src, out = Path(tmp) / "edges", Path(tmp) / "out"
+        src = Path(tmp) / "edges"
         src.write_bytes(data)
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            code = main([command, "--edges", str(src), "--format", fmt, "--out", str(out)])
-        if code == 0:
-            assert (out / "manifest.json").is_file()
-        else:
-            assert code in (2, 3, 4)
-            assert len(err.getvalue().splitlines()) == 1, err.getvalue()
-            assert not out.exists()
+        run_cli([command, "--edges", str(src), "--format", fmt], Path(tmp) / "out")
+
+
+ATTR_DEFECTS = ["none", "repeated-id", "unknown-id", "missing-row", "age-text",
+                "age-negative", "repeated-header", "bom"]
+
+
+def attribute_document(defect):
+    """An attribute CSV for NODES, with `defect`."""
+    header = ["node_id", "party", "age"]
+    rows = [[node, ("Blue", "Gold")[k % 2], 40 + k] for k, node in enumerate(NODES)]
+    if defect == "repeated-id":
+        rows.append(list(rows[0]))
+    elif defect == "unknown-id":
+        rows.append(["zz", "Blue", 50])
+    elif defect == "missing-row":
+        rows.pop()
+    elif defect == "age-text":
+        rows[1][2] = "old"
+    elif defect == "age-negative":
+        rows[1][2] = -3
+    elif defect == "repeated-header":
+        header.append("party")
+        rows = [[*row, "Blue"] for row in rows]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return (("\ufeff" if defect == "bom" else "") + buf.getvalue()).encode()
+
+
+@settings(max_examples=50, deadline=None)
+@given(defect=st.sampled_from(ATTR_DEFECTS), cut=st.none() | st.integers(0, 200))
+def test_broken_attribute_csv_exits_cleanly(defect, cut):
+    with tempfile.TemporaryDirectory() as tmp:
+        edges, attrs = Path(tmp) / "edges.csv", Path(tmp) / "attrs.csv"
+        edges.write_bytes(document("csv", "none", 0))
+        attrs.write_bytes(cut_at(attribute_document(defect), cut))
+        run_cli(["topology", "--edges", str(edges), "--attrs", str(attrs)],
+                Path(tmp) / "out")
+
+
+# keys a mutation may set or drop: the config's own, removed ones and unknown ones
+CONFIG_KEYS = ["edges", "attrs", "format", "stages", "seed", "models", "ergm_estimator",
+               "mcmc", "sbm", "score_against", "party_reassignment", "json_fields",
+               "min_clique_size", "threads", "bogus"]
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 30) | st.floats(allow_nan=True)
+    | st.sampled_from(["csv", "ingest", "sbm", "model1", "1:3", "edges.csv", ""]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["q_range", "restarts", "sample_size", "seed", "a"]),
+        inner, max_size=3),
+    max_leaves=8)
+
+
+@settings(max_examples=50, deadline=None)
+@given(drop=st.sets(st.sampled_from(CONFIG_KEYS), max_size=2),
+       changes=st.dictionaries(st.sampled_from(CONFIG_KEYS), json_values, max_size=2),
+       root=st.sampled_from(["object", "list"]), cut=st.none() | st.integers(0, 400))
+def test_mutated_config_document_exits_cleanly(drop, changes, root, cut):
+    with tempfile.TemporaryDirectory() as tmp:
+        edges, attrs = Path(tmp) / "edges.csv", Path(tmp) / "attrs.csv"
+        edges.write_bytes(document("csv", "none", 0))
+        attrs.write_bytes(attribute_document("none"))
+        doc = {"edges": str(edges), "attrs": str(attrs), "format": "csv",
+               "stages": ["ingest"], "seed": 3, "models": ["model1"],
+               "ergm_estimator": "exact-dyad", "mcmc": {"sample_size": 64},
+               "sbm": {"q_range": [1, 3], "restarts": 1}, "score_against": ["party"],
+               "party_reassignment": {"a": "Gold"}}
+        for key in drop:
+            doc.pop(key, None)
+        doc.update(changes)
+        text = json.dumps(doc if root == "object" else list(doc.items()))
+        config = Path(tmp) / "run.json"
+        config.write_bytes(cut_at(text.encode(), cut))
+        run_cli(["run", "--config", str(config)], Path(tmp) / "out")

@@ -78,6 +78,15 @@ def test_change_statistic_rejects_diagonal():
         change_statistics(g, spec, 2, 2)
 
 
+@pytest.mark.parametrize("i, j", [(0, 12), (0, 40), (12, 0), (-1, 3), (3, -1)])
+def test_change_statistic_rejects_indices_outside_the_graph(i, j):
+    # 12 and 40 would otherwise land on another dyad's column
+    g = random_digraph(12, p=0.3, seed=2)
+    spec, _ = full_spec(12)
+    with pytest.raises(DataError, match="out of range for 12 nodes"):
+        change_statistics(g, spec, i, j)
+
+
 def test_design_round_trip_and_pair_index():
     g = random_digraph(8, p=0.35, seed=5, mutual_boost=0.4)
     spec, _ = full_spec(8)

@@ -35,6 +35,17 @@ def test_counts_and_lookup():
         g.index_of("missing")
 
 
+@pytest.mark.parametrize("method, args", [
+    ("id_of", (5,)), ("id_of", (-1,)), ("weight", (0, 99)), ("weight", (-1, 0)),
+    ("out_neighbors", (-1,)), ("in_neighbors", (3,)), ("undirected_neighbors", (-4,)),
+])
+def test_node_indices_outside_the_graph_are_data_errors(method, args):
+    # one rule for every index-taking method: the error names the index,
+    # never a wrapped-around node
+    with pytest.raises(DataError, match=r"node index -?\d+ out of range for 3 nodes"):
+        getattr(small(), method)(*args)
+
+
 def test_edge_records_keep_input_order():
     records = [("n2", "n1", 0.9), ("n1", "n2", 0.3), ("n1", "n3", 0.7)]
     g = Graph(records)

@@ -39,6 +39,16 @@ def test_icl_selects_the_planted_block_count():
     assert max(curve, key=lambda t: t[1])[0] == 3
 
 
+def test_scan_recovers_a_pure_sbm(pure_sbm_graph):
+    # bound stated before the first run: with 12.25 expected within-block
+    # ties per member against 3 across, the scan should find Q = 3 and
+    # misplace at most a few members, so ARI >= 0.9
+    graph, blocks = pure_sbm_graph
+    best, curve = select_q(graph, range(1, 6), restarts=3)
+    assert best.q == 3 and max(curve, key=lambda t: t[1])[0] == 3
+    assert adjusted_rand(best.labels.tolist(), blocks.tolist()) >= 0.9
+
+
 def test_elbo_trace_never_decreases():
     rng = np.random.default_rng(8)
     y = (rng.random((40, 40)) < 0.15).astype(np.int8)
