@@ -5,14 +5,14 @@ at the current theta. Convergence is declared when every simulated
 mean statistic sits within max(_EE_TOL, 1/sqrt(sample_size)) simulated
 standard deviations of its observed value: the second bound is a phase
 mean's own Monte-Carlo error, which exceeds _EE_TOL below 100 draws.
-Otherwise theta moves by partial stepping (Hummel,
-Hunter & Handcock 2012): toward gamma g_obs + (1 - gamma) gbar, with
-gamma as large as keeps that target inside the hull of the draws, the
-shared Newton fit maximizes the importance-sampled log-likelihood
-ratio. The draws are exact and independent, so a phase's sample size
-is its effective sample size. The log-likelihood for AIC/BIC and the
-Fisher information behind the standard errors are exact: every term is
-dyad-local, so at theta-hat both are closed-form sums over dyads.
+Otherwise theta moves by partial stepping (Hummel, Hunter & Handcock
+2012): toward gamma g_obs + (1 - gamma) gbar, with gamma as large as
+keeps that target inside the hull of the draws, the shared Newton fit
+maximizes the importance-sampled log-likelihood ratio. The draws are
+exact and independent, so a phase's sample size is its effective sample
+size. The log-likelihood for AIC/BIC and the Fisher information behind
+the standard errors are exact: every term is dyad-local, so at theta-hat
+both are closed-form sums over dyads.
 """
 
 from __future__ import annotations
