@@ -23,9 +23,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--attrs", help="node attribute CSV")
     p.add_argument("--format", dest="edge_format", choices=EDGE_FORMATS,
                    help="edge list format (default csv)")
-    p.add_argument("--json-fields",
-                   help="field remapping for the JSON format, e.g. "
-                        "nodes=usernameList,targets=outList,weights=outWeight")
     p.add_argument("--config", help="JSON run config; flags override it")
     p.add_argument("--out", help="output directory (default out)")
     p.add_argument("--seed", type=int, help="master RNG seed (default 0)")
@@ -68,16 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_json_fields(text: str) -> dict:
-    fields = {}
-    for part in text.split(","):
-        key, sep, value = part.partition("=")
-        if not sep or not key.strip() or not value.strip():
-            raise ConfigError(f"bad --json-fields entry {part!r}; use key=value")
-        fields[key.strip()] = value.strip()
-    return fields
-
-
 # (config key, argparse destination) of the flags that set a key as given.
 _FLAG_KEYS = (("edges", "edges"), ("attrs", "attrs"), ("format", "edge_format"),
               ("out", "out"), ("seed", "seed"), ("ergm_estimator", "estimator"),
@@ -89,8 +76,6 @@ def _build_config(args: argparse.Namespace):
     for key, dest in _FLAG_KEYS:
         if getattr(args, dest, None) is not None:
             raw[key] = getattr(args, dest)
-    if args.json_fields:
-        raw["json_fields"] = _parse_json_fields(args.json_fields)
     if getattr(args, "models", None):
         raw["models"] = [m.strip() for m in args.models.split(",") if m.strip()]
     sbm_flags = {key: getattr(args, key) for key in ("q_range", "restarts")

@@ -16,7 +16,6 @@ from .errors import ConfigError, DataError
 from .ergm import AbsDiff, Edges, ErgmSpec, ErgmTerm, Mutual, NodeCovariate, NodeMatch
 from .ergm.terms import COVARIATE_ROLES
 from .graph import Graph
-from .io import UPSTREAM_FIELD_DEFAULTS
 from .topology import STRUCTURAL_METRICS, CentralityReport
 
 STAGES = ("ingest", "topology", "assort", "ergm", "sbm", "score", "report")
@@ -62,7 +61,6 @@ class RunConfig:
     out_dir: str = "out"
     attrs: str | None = None
     edge_format: str = "csv"
-    json_fields: dict[str, str] = field(default_factory=dict)
     party_reassignment: dict[str, str] = field(default_factory=dict)
     models: list[Any] = field(default_factory=lambda: list(BUILTIN_MODELS))
     ergm_estimator: str = "exact-dyad"
@@ -82,9 +80,6 @@ class RunConfig:
             value = getattr(self, name)
             if not ok(value):
                 raise ConfigError(f"{key} must be {requirement}, got {value!r}")
-        if self.json_fields and self.edge_format != "upstream-json":
-            raise ConfigError("json_fields applies only to format 'upstream-json', "
-                              f"got format {self.edge_format!r}")
         names = Counter(_validate_model(model, index)
                         for index, model in enumerate(self.models, start=1))
         repeated = sorted(name for name, count in names.items() if count > 1)
@@ -113,9 +108,6 @@ _SCHEMA: dict[str, tuple[str, str, Callable[[Any], bool]]] = {
     "out": ("out_dir", "a non-empty string", lambda v: isinstance(v, str) and v != ""),
     "attrs": ("attrs", "a string or null", lambda v: v is None or isinstance(v, str)),
     "format": ("edge_format", f"one of {EDGE_FORMATS}", lambda v: v in EDGE_FORMATS),
-    "json_fields": ("json_fields", "an object of string keys and string values, with "
-                    f"keys from {tuple(UPSTREAM_FIELD_DEFAULTS)}",
-                    lambda v: _string_map(v) and set(v) <= set(UPSTREAM_FIELD_DEFAULTS)),
     "party_reassignment": ("party_reassignment",
                            "an object of string keys and string values", _string_map),
     "models": ("models", "a list", _list_of(lambda model: True)),
@@ -137,6 +129,7 @@ _SCHEMA: dict[str, tuple[str, str, Callable[[Any], bool]]] = {
 # Settings that no longer exist, and why; a config that sets one is refused.
 _REMOVED = {
     "threads": "every kernel is single-threaded",
+    "json_fields": "the upstream export is read by its own field names",
     "sbm.init": "restart 0 starts from the spectral labels and the others at random",
     "mcmc.seed": "the Monte-Carlo MLE is seeded with the run's seed",
     "mcmc.burnin": "the sampler draws each state exactly, with no burn-in",

@@ -1,9 +1,9 @@
 """Readers and writers: edge lists, attribute CSVs, GraphML and DOT export.
 
 Canonical edge CSV: header ``source,target,weight``, UTF-8, one directed
-edge per row. The upstream JSON adapter consumes per-node out-neighbor
-and out-weight arrays; its field names are configurable because the
-distribution schema is not fixed here.
+edge per row. The upstream JSON export holds three parallel per-node
+arrays, read by their fixed names (UPSTREAM_FIELDS): the node ids, each
+node's out-neighbors and each node's out-weights.
 """
 
 from __future__ import annotations
@@ -14,17 +14,14 @@ import json
 import os
 import warnings
 from pathlib import Path
-from typing import Any, IO, Iterator, Mapping
+from typing import Any, IO, Iterator
 
 from .attributes import AttributeTable, CATEGORICAL_COLUMNS, NUMERIC_COLUMNS
 from .errors import ConfigError, DataError
 from .graph import Graph
 
-UPSTREAM_FIELD_DEFAULTS = {
-    "nodes": "usernameList",
-    "targets": "outList",
-    "weights": "outWeight",
-}
+# The upstream export's node ids, out-neighbor lists and out-weight lists.
+UPSTREAM_FIELDS = ("usernameList", "outList", "outWeight")
 
 
 def _as_text(source: str | Path | bytes | IO) -> str:
@@ -70,20 +67,17 @@ def _header(row: list[str], kind: str) -> list[str]:
     return names
 
 
-def load_edge_list(source: str | Path | bytes | IO,
-                   format: str = "csv",
-                   json_fields: Mapping[str, str] | None = None) -> Graph:
+def load_edge_list(source: str | Path | bytes | IO, format: str = "csv") -> Graph:
     """Parse an edge list into a validated Graph.
 
-    format "csv" reads the canonical edge CSV; "upstream-json" reads a
-    per-node adjacency document (see UPSTREAM_FIELD_DEFAULTS for the
-    key names, overridable via `json_fields`).
+    format "csv" reads the canonical edge CSV; "upstream-json" reads the
+    per-node adjacency export (see UPSTREAM_FIELDS).
     """
     text = _as_text(source)
     if format == "csv":
         return _edges_from_csv(text)
     if format == "upstream-json":
-        return _edges_from_upstream_json(text, json_fields)
+        return _edges_from_upstream_json(text)
     raise ConfigError(f"unknown edge list format {format!r}")
 
 
@@ -120,10 +114,7 @@ def _edges_from_csv(text: str) -> Graph:
     return Graph(edges)
 
 
-def _edges_from_upstream_json(text: str,
-                              json_fields: Mapping[str, str] | None) -> Graph:
-    fields = dict(UPSTREAM_FIELD_DEFAULTS)
-    fields.update(json_fields or {})
+def _edges_from_upstream_json(text: str) -> Graph:
     try:
         doc: Any = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
@@ -135,13 +126,12 @@ def _edges_from_upstream_json(text: str,
     if not isinstance(doc, dict):
         raise DataError("upstream document is not an object")
 
-    names = [fields[key] for key in ("nodes", "targets", "weights")]
-    for name in names:
+    for name in UPSTREAM_FIELDS:
         if name not in doc:
             raise DataError(f"upstream document missing field {name!r}")
         if not isinstance(doc[name], list):
             raise DataError(f"upstream field {name!r} is not an array")
-    ids, targets, weights = (doc[name] for name in names)
+    ids, targets, weights = (doc[name] for name in UPSTREAM_FIELDS)
     if not ids:
         raise DataError("no nodes: empty node list")
     if not (len(ids) == len(targets) == len(weights)):

@@ -120,8 +120,7 @@ class Pipeline:
 
     @cached_property
     def graph(self) -> Graph:
-        return load_edge_list(Path(self.config.edges), format=self.config.edge_format,
-                              json_fields=self.config.json_fields)
+        return load_edge_list(Path(self.config.edges), format=self.config.edge_format)
 
     @cached_property
     def attrs(self) -> AttributeTable | None:

@@ -147,7 +147,8 @@ def test_bad_mcmc_block_is_config_error(toy, capsys, mcmc, message):
     ({"weighted_spectral": "no"}, "weighted_spectral must be true or false, got 'no'"),
     ({"threads": 2}, "config key 'threads' was removed"),
     ({"json_fields": {"nodes": "x"}},
-     "json_fields applies only to format 'upstream-json', got format 'csv'"),
+     "config key 'json_fields' was removed: the upstream export is read by its own "
+     "field names"),
     ({"sbm": {"init": "random"}}, "config key 'sbm.init' was removed: "),
     ({"mcmc": {"seed": 3}}, "config key 'mcmc.seed' was removed: "),
 ])
@@ -199,7 +200,8 @@ def test_init_flag_is_a_usage_error(toy, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("block", [{"json_fields": [1]}, {"party_reassignment": "ab"}])
+@pytest.mark.parametrize("block", [{"party_reassignment": {"a": 1}},
+                                   {"party_reassignment": "ab"}])
 def test_malformed_string_map_is_config_error(toy, capsys, block):
     epath, _, out = toy
     cfg = out.parent / "run.json"
@@ -430,28 +432,6 @@ def test_main_freezes_the_collector_once_per_process(toy):
     before, first, second = json.loads(done.stdout.splitlines()[-1])
     assert before == 0 and first > 0
     assert second == first
-
-def test_json_fields_flag_round_trip(tmp_path):
-    blob = {"usernameList": ["a", "b", "c"],
-            "outList": [[1, 2], [2], []],
-            "outWeight": [[0.5, 0.25], [1.0], []]}
-    src = tmp_path / "net.json"
-    src.write_text(json.dumps(blob))
-    out = tmp_path / "out"
-    code = main(["ingest", "--edges", str(src), "--format", "upstream-json",
-                 "--json-fields",
-                 "nodes=usernameList,targets=outList,weights=outWeight",
-                 "--out", str(out)])
-    assert code == 0
-    rows = (out / "edges.csv").read_text().splitlines()
-    assert rows[1:] == ["a,b,0.5", "a,c,0.25", "b,c,1.0"]
-
-
-def test_bad_json_fields_flag(tmp_path, capsys):
-    code = main(["ingest", "--edges", "x.json", "--format", "upstream-json",
-                 "--json-fields", "nodes", "--out", str(tmp_path / "o")])
-    assert code == 2
-    assert "key=value" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("case, code, message", [

@@ -126,7 +126,7 @@ def test_unknown_keys_rejected():
     {"edges": "e.csv", "models": [{"name": None, "terms": [{"term": "edges"}]}]},
     {"edges": "e.csv", "models": [{"name": "two words", "terms": [{"term": "edges"}]}]},
     {"edges": "e.csv", "models": ["model1", "model1"]},
-    # json_fields without the format it applies to
+    # the removed json_fields, with or without the format it applied to
     {"edges": "e.csv", "json_fields": {"nodes": "x"}},
     {"edges": "e.csv", "format": "csv", "json_fields": {"targets": "out"}},
 ])
@@ -138,15 +138,17 @@ def test_invalid_configs_raise(raw):
 @pytest.mark.parametrize("raw, message", [
     ({"edges": "e.csv", "sbm": {"restarts": "2"}}, "sbm.restarts must be an integer >= 1"),
     ({"edges": "e.csv", "out": 5}, "out must be a non-empty string, got 5"),
-    ({"edges": "e.csv", "json_fields": {"node": "users"}}, "with keys from ('nodes', "),
+    ({"edges": "e.csv", "format": "xml"},
+     "format must be one of ('csv', 'upstream-json'), got 'xml'"),
     ({"edges": "e.csv", "threads": 2}, "config key 'threads' was removed: "),
     ({"edges": "e.csv", "mcmc": {"burnin": 200}}, "config key 'mcmc.burnin' was removed: "),
     ({"edges": "e.csv", "mcmc": {"bridges": 4}}, "no bridge sampling"),
     ({"edges": "e.csv", "sbm": {"restart": 3}}, "unknown config keys: ['sbm.restart']"),
     ({"edges": "e.csv", "sbm.init": "random"}, "unknown config keys: ['sbm.init']"),
     ({"out": "o"}, "edges must be a non-empty string, got ''"),
-    ({"edges": "e.csv", "json_fields": {"nodes": "x"}},
-     "json_fields applies only to format 'upstream-json', got format 'csv'"),
+    ({"edges": "e.json", "format": "upstream-json", "json_fields": {"nodes": "users"}},
+     "config key 'json_fields' was removed: the upstream export is read by its own "
+     "field names"),
     *[({"edges": "e.csv", "mcmc": {key: value}},
        f"config key 'mcmc.{key}' was removed: the Monte-Carlo MLE's stopping and step "
        "rules are fixed")
@@ -194,7 +196,7 @@ def test_model_entry_reads_each_form():
 
 
 def test_null_means_the_default_for_every_key():
-    keys = ["attrs", "format", "json_fields", "party_reassignment", "models",
+    keys = ["attrs", "format", "party_reassignment", "models",
             "ergm_estimator", "mcmc", "sbm", "score_against", "seed", "out",
             "stages", "weighted_spectral", "standardize", "min_clique_size"]
     default = config_from_dict({"edges": "e.csv"})
@@ -218,7 +220,7 @@ def test_library_callers_get_the_same_checks():
 # Every field's default, as config_from_dict has always filled it in.
 DEFAULTS = {
     "edges": "", "out_dir": "out", "attrs": None, "edge_format": "csv",
-    "json_fields": {}, "party_reassignment": {}, "models": list(BUILTIN_MODELS),
+    "party_reassignment": {}, "models": list(BUILTIN_MODELS),
     "ergm_estimator": "exact-dyad", "mcmc_sample_size": 512, "q_range": (1, 20),
     "sbm_restarts": 10, "score_against": ["party", "chamber"],
     "seed": 0, "stages": list(STAGES), "weighted_spectral": False,
@@ -259,10 +261,10 @@ VALID_CONFIGS = [
       "q_range": (1, 3), "sbm_restarts": 2}),
     ({"edges": "e.csv", "out": "o", "stages": ["ergm"], "models": [_ODD["terms"]]},
      {"edges": "e.csv", "out_dir": "o", "stages": ["ergm"], "models": [_ODD["terms"]]}),
-    ({"edges": "e.json", "format": "upstream-json", "json_fields": {"nodes": "users"},
+    ({"edges": "e.json", "format": "upstream-json",
       "weighted_spectral": True, "standardize": True, "min_clique_size": 3,
       "score_against": ["party"], "party_reassignment": {"a": "Gold"}},
-     {"edges": "e.json", "edge_format": "upstream-json", "json_fields": {"nodes": "users"},
+     {"edges": "e.json", "edge_format": "upstream-json",
       "weighted_spectral": True, "standardize": True, "min_clique_size": 3,
       "score_against": ["party"], "party_reassignment": {"a": "Gold"}}),
     (_README_CONFIG,
@@ -274,11 +276,9 @@ VALID_CONFIGS = [
       "models": ["model1", "model3", "model6"], "sbm_restarts": 2, "seed": 81}),
     (["topology", "--edges", "in/sparse_edges.csv", "--out", "o", "--seed", "81"],
      {"edges": "in/sparse_edges.csv", "out_dir": "o", "seed": 81, "stages": ["topology"]}),
-    (["ingest", "--edges", "net.json", "--format", "upstream-json", "--json-fields",
-      "nodes=usernameList,targets=outList,weights=outWeight", "--out", "o"],
+    (["ingest", "--edges", "net.json", "--format", "upstream-json", "--out", "o"],
      {"edges": "net.json", "edge_format": "upstream-json", "out_dir": "o",
-      "json_fields": {"nodes": "usernameList", "targets": "outList",
-                      "weights": "outWeight"}, "stages": ["ingest"]}),
+      "stages": ["ingest"]}),
     (["topology", "--edges", "e.csv", "--min-clique-size", "4"],
      {"edges": "e.csv", "min_clique_size": 4, "stages": ["topology"]}),
     (["score", "--edges", "e.csv", "--q-range", "1:3", "--restarts", "2",

@@ -13,8 +13,8 @@ from legnet.config import _REMOVED, _SCHEMA, RunConfig  # noqa: E402
 # into its block.
 FLAT = sorted({*_SCHEMA, *_REMOVED}) + ["sbm", "mcmc", "qrange", "sbm.bogus",
                                         "mcmc.bogus", ""]
-# keys of term objects and of the json_fields map, so that draws reach their checks
-NESTED = ["nodes", "targets", "name", "terms", "term", "attribute", "level", "role"]
+# keys of term objects, so that draws reach their checks
+NESTED = ["name", "terms", "term", "attribute", "level", "role"]
 WORDS = ["e.csv", "csv", "upstream-json", "exact-dyad", "mcmle", "model1",
          "edges", "mutual", "covariate", "match", "absdiff", "age", "party", "sender",
          "ingest", "sbm", "1:3", "3:1", "x:y", ""]

@@ -117,14 +117,6 @@ def test_upstream_json_string_targets():
     assert list(g.edge_records()) == [("a", "b", 0.7)]
 
 
-def test_upstream_json_field_remapping():
-    doc = {"names": ["a", "b"], "adj": [[1], []], "w": [[0.9], []]}
-    g = legnet.load_edge_list(json.dumps(doc), format="upstream-json",
-                              json_fields={"nodes": "names", "targets": "adj",
-                                           "weights": "w"})
-    assert list(g.edge_records()) == [("a", "b", 0.9)]
-
-
 def test_upstream_json_bad_documents():
     with pytest.raises(DataError, match="missing field"):
         legnet.load_edge_list(json.dumps({"usernameList": ["a"]}),
