@@ -40,9 +40,9 @@ class AttributeTable:
             arr = np.asarray(col, dtype=np.float64)
             if arr.shape != (n,):
                 raise DataError(f"column {name!r} has {arr.shape[0]} rows, expected {n}")
-            if np.any(arr < 0):
-                bad = int(np.flatnonzero(arr < 0)[0])
-                raise DataError(f"negative {name} for node {self._ids[bad]!r}")
+            for bad, what in ((~np.isfinite(arr), "non-finite"), (arr < 0, "negative")):
+                if np.any(bad):
+                    raise DataError(f"{what} {name} for node {self._ids[np.argmax(bad)]!r}")
             num[name] = arr
         self._cat = cat
         self._num = num
@@ -70,12 +70,16 @@ class AttributeTable:
         try:
             return self._cat[column]
         except KeyError:
+            if column in self._num:
+                raise DataError(f"column {column!r} is numeric, not categorical") from None
             raise DataError(f"categorical column {column!r} not loaded") from None
 
     def numeric(self, column: str) -> np.ndarray:
         try:
             return self._num[column].copy()
         except KeyError:
+            if column in self._cat:
+                raise DataError(f"column {column!r} is categorical, not numeric") from None
             raise DataError(f"numeric column {column!r} not loaded") from None
 
     def levels(self, column: str) -> tuple[str, ...]:

@@ -422,8 +422,9 @@ class Pipeline:
         labels = [int(v) for v in self._sbm.labels]
         rows = []
         for column in self.config.score_against:
-            if not self.attrs.has(column):
-                self.notice(f"partition scores: column {column!r} not loaded; skipped")
+            if column not in self.attrs.categorical_columns:
+                why = "is numeric" if self.attrs.has(column) else "not loaded"
+                self.notice(f"partition scores: column {column!r} {why}; skipped")
                 continue
             other = list(self.attrs.categorical(column))
             rows.append([column,

@@ -407,11 +407,17 @@ def select_q(adjacency, q_range, restarts: int = 1,
              seed: int = 0) -> tuple[SbmFit, list[tuple[int, float]]]:
     """Fit every Q in the range; return the ICL-best fit and the curve.
 
-    The spectral starts of all Q come from one eigensolve.
+    The spectral starts of all Q come from one eigensolve. A range
+    outside [1, n] is refused before any fit.
     """
     qs = list(q_range)
     if not qs:
         raise DataError("empty Q range")
+    # a Graph knows its size; any other input is validated once, here
+    if not isinstance(adjacency, Graph):
+        adjacency = _as_binary(adjacency)
+    if min(qs) < 1 or max(qs) > adjacency.n:
+        raise DataError(f"Q range {min(qs)}:{max(qs)} outside [1, {adjacency.n}]")
     spectral = _SpectralStart(max(qs))
     fits = [fit_q(adjacency, q, restarts=restarts, seed=seed + 7919 * q, _spectral=spectral)
             for q in qs]

@@ -57,6 +57,37 @@ def test_numeric_validation():
         AttributeTable(("a", "b"), {"party": ["Blue"]}, {})
 
 
+@pytest.mark.parametrize("value, message", [
+    (float("nan"), "non-finite age for node 'b'"),
+    (float("inf"), "non-finite age for node 'b'"),
+    (-float("inf"), "non-finite age for node 'b'"),
+    (-4.0, "negative age for node 'b'"),
+])
+def test_non_finite_or_negative_numeric_values_are_refused(value, message):
+    with pytest.raises(DataError) as exc:
+        AttributeTable(("a", "b", "c"), {}, {"age": [50.0, value, 40.0]})
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("value", ["nan", "1e999", "-inf"])
+def test_non_finite_age_in_the_attribute_csv_is_a_data_error(value):
+    g = Graph([("a", "b", 1.0), ("b", "a", 1.0)])
+    with pytest.raises(DataError, match="non-finite age for node 'b'"):
+        legnet.load_attributes(f"node_id,age\na,50\nb,{value}\n".encode(), g)
+
+
+def test_a_column_asked_for_as_the_other_kind_is_named_as_such():
+    t = table()
+    with pytest.raises(DataError, match="column 'age' is numeric, not categorical"):
+        t.categorical("age")
+    with pytest.raises(DataError, match="column 'party' is categorical, not numeric"):
+        t.numeric("party")
+    with pytest.raises(DataError, match="categorical column 'religion' not loaded"):
+        t.categorical("religion")
+    with pytest.raises(DataError, match="numeric column 'tenure' not loaded"):
+        t.numeric("tenure")
+
+
 def test_subgraph_by_level():
     g = Graph([("a", "b", 0.5), ("b", "c", 0.5), ("c", "a", 0.5),
                ("a", "c", 0.5)])

@@ -1,5 +1,6 @@
 """Command-line driver: exit codes, overlays, artifact routing."""
 
+import csv
 import json
 import os
 import shutil
@@ -289,6 +290,29 @@ def test_score_without_attrs_notices_and_succeeds(toy, capsys):
     assert not (out / "partition_scores.csv").exists()
 
 
+def test_q_range_beyond_the_graph_exits_3_before_any_fit(tmp_path, capsys):
+    epath, _ = write_toy(tmp_path, n=60)
+    out = tmp_path / "out"
+    code = main(["sbm", "--edges", str(epath), "--out", str(out),
+                 "--q-range", "1:70", "--restarts", "2"])
+    assert code == 3
+    assert capsys.readouterr().err == "data error: Q range 1:70 outside [1, 60]\n"
+    assert not out.exists()
+
+
+def test_score_against_a_numeric_column_skips_it_with_a_notice(toy, capsys):
+    epath, apath, out = toy
+    code = main(["score", "--edges", str(epath), "--attrs", str(apath),
+                 "--out", str(out), "--q-range", "1:3", "--restarts", "2",
+                 "--against", "party,age"])
+    assert code == 0
+    assert "partition scores: column 'age' is numeric; skipped" in capsys.readouterr().err
+    notices = json.loads((out / "manifest.json").read_text())["notices"]
+    assert notices == ["partition scores: column 'age' is numeric; skipped"]
+    lines = (out / "partition_scores.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == ["party"]
+
+
 def test_score_against_selected_column(toy):
     epath, apath, out = toy
     code = main(["score", "--edges", str(epath), "--attrs", str(apath),
@@ -551,6 +575,39 @@ def test_malformed_upstream_json_exits_3(tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert err == "data error: node 'a': weight 'x' is not a number\n"
+
+
+def test_upstream_json_ingest_at_congress_scale_matches_the_csv_ingest(tmp_path):
+    # the generator's seed-1 congress graph, written again as an upstream
+    # export: the member ids in order of first appearance, and per member
+    # the indices and weights of its out-ties
+    gen.generate(1, tmp_path, shapes=("congress",))
+    edges = tmp_path / "congress_edges.csv"
+    rows = list(csv.reader(edges.read_text(encoding="utf-8").splitlines()))[1:]
+    ids = list(dict.fromkeys(node for s, t, _ in rows for node in (s, t)))
+    index = {node: i for i, node in enumerate(ids)}
+    targets, weights = [[] for _ in ids], [[] for _ in ids]
+    for s, t, w in rows:
+        targets[index[s]].append(index[t])
+        weights[index[s]].append(float(w))
+    export = tmp_path / "congress_network_data.json"
+    export.write_text(json.dumps({"usernameList": ids, "outList": targets,
+                                  "outWeight": weights}))
+    outs = {}
+    for fmt, src in (("csv", edges), ("upstream-json", export)):
+        outs[fmt] = tmp_path / fmt
+        assert main(["ingest", "--edges", str(src), "--format", fmt,
+                     "--out", str(outs[fmt])]) == 0
+    assert ((outs["upstream-json"] / "graph_summary.json").read_bytes()
+            == (outs["csv"] / "graph_summary.json").read_bytes())
+
+    def records(out):
+        lines = (out / "edges.csv").read_text(encoding="utf-8").splitlines()
+        return {tuple(row) for row in csv.reader(lines[1:])}
+
+    assert len(ids) == 300 and len(rows) > 5_000
+    assert records(outs["upstream-json"]) == records(outs["csv"]) == {
+        tuple(row) for row in rows}
 
 
 @pytest.mark.parametrize("models, message", [

@@ -91,7 +91,7 @@ def test_broken_edge_input_exits_cleanly(case, field, cut, command):
 
 
 ATTR_DEFECTS = ["none", "repeated-id", "unknown-id", "missing-row", "age-text",
-                "age-negative", "repeated-header", "bom"]
+                "age-negative", "age-nan", "age-inf", "repeated-header", "bom"]
 
 
 def attribute_document(defect):
@@ -108,6 +108,8 @@ def attribute_document(defect):
         rows[1][2] = "old"
     elif defect == "age-negative":
         rows[1][2] = -3
+    elif defect in ("age-nan", "age-inf"):
+        rows[1][2] = defect.removeprefix("age-")
     elif defect == "repeated-header":
         header.append("party")
         rows = [[*row, "Blue"] for row in rows]

@@ -190,6 +190,23 @@ def test_input_validation():
         select_q(y, [], seed=0)
 
 
+@pytest.mark.parametrize("qs, message", [
+    (range(1, 70), "Q range 1:69 outside [1, 60]"),
+    (range(0, 4), "Q range 0:3 outside [1, 60]"),
+    ([3, 61, 2], "Q range 2:61 outside [1, 60]"),
+])
+def test_a_q_range_outside_the_graph_is_refused_before_any_fit(monkeypatch, qs, message):
+    from conftest import graph_from_matrix
+    y, _ = planted(20, 3, 0.3, 0.05, seed=2)
+    calls = []
+    monkeypatch.setattr(legnet.sbm, "fit_q", lambda *args, **kwargs: calls.append(args))
+    for adjacency in (y, graph_from_matrix(y.astype(bool))):
+        with pytest.raises(DataError) as exc:
+            select_q(adjacency, qs, restarts=2)
+        assert str(exc.value) == message
+    assert calls == []
+
+
 def test_block_rates_and_dominant_levels():
     y, truth = planted(10, 2, 0.45, 0.05, seed=14)
     fit = fit_q(y, 2, seed=1, restarts=2)
