@@ -8,6 +8,7 @@ import numpy as np
 
 from .errors import DataError
 from .graph import Graph, NodeId
+from .partition import label_codes
 
 CATEGORICAL_COLUMNS = ("party", "chamber", "state", "race",
                        "ethnicity", "religion", "sex", "lgbtq")
@@ -84,7 +85,7 @@ class AttributeTable:
 
     def levels(self, column: str) -> tuple[str, ...]:
         """Distinct levels of a categorical column, sorted."""
-        return tuple(sorted(set(self.categorical(column))))
+        return tuple(label_codes(self.categorical(column))[0])
 
     def reassign_party(self, mapping: Mapping[NodeId, str]) -> "AttributeTable":
         """New table with the party of the mapped node ids overridden.

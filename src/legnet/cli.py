@@ -76,16 +76,16 @@ def _build_config(args: argparse.Namespace):
     for key, dest in _FLAG_KEYS:
         if getattr(args, dest, None) is not None:
             raw[key] = getattr(args, dest)
-    if getattr(args, "models", None):
-        raw["models"] = [m.strip() for m in args.models.split(",") if m.strip()]
+    for key, flag in (("models", "models"), ("score_against", "against")):
+        if (value := getattr(args, flag, None)) is not None:
+            raw[key] = [name.strip() for name in value.split(",") if name.strip()]
+            if not raw[key]:
+                raise ConfigError(f"--{flag} names nothing: give a comma list of names")
     sbm_flags = {key: getattr(args, key) for key in ("q_range", "restarts")
                  if getattr(args, key, None) is not None}
     sbm_block = {} if raw.get("sbm") is None else raw["sbm"]
     if sbm_flags and isinstance(sbm_block, dict):  # else config_from_dict refuses it
         raw["sbm"] = {**sbm_block, **sbm_flags}
-    if getattr(args, "against", None):
-        raw["score_against"] = [c.strip() for c in args.against.split(",")
-                                if c.strip()]
     if args.command == "report":
         raw["stages"] = list(STAGES)
     elif args.command != "run":

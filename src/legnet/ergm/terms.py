@@ -21,6 +21,7 @@ import numpy as np
 
 from ..errors import DataError
 from ..graph import Graph, _check_index
+from ..partition import label_codes
 
 
 @dataclass(frozen=True)
@@ -153,14 +154,11 @@ def _term_rows(term: ErgmTerm, iu: np.ndarray, ju: np.ndarray,
     if isinstance(term, NodeMatch):
         if len(term.labels) != n:
             raise DataError(f"labels {term.name!r} have {len(term.labels)} values for {n} nodes")
-        # integer level codes in order of first appearance
-        index: dict[str, int] = {}
-        codes = np.fromiter((index.setdefault(v, len(index)) for v in term.labels),
-                            dtype=np.int64, count=n)
+        levels, codes = label_codes(term.labels)
         if term.level is None:
             same = codes[iu] == codes[ju]
         else:
-            hit = codes == index[term.level]
+            hit = codes == np.searchsorted(levels, term.level)
             same = hit[iu] & hit[ju]
         return same.astype(np.float64), None, 0.0
     if isinstance(term, AbsDiff):

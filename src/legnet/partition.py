@@ -1,7 +1,8 @@
-"""Agreement scores between two node partitions.
+"""Agreement scores between two node partitions, and the label coding and
+pair count that every group count in legnet reads.
 
 Partitions are label sequences aligned by position; labels may be any
-hashable values. All scores are label-permutation invariant and
+sortable values. All scores are label-permutation invariant and
 symmetric in their arguments.
 """
 
@@ -15,17 +16,24 @@ from scipy.special import xlogy
 from .errors import DataError
 
 
-def contingency(a: Sequence[Hashable], b: Sequence[Hashable]) -> np.ndarray:
-    """Cross-tabulation of two label sequences."""
+def label_codes(labels: Sequence[Hashable]) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct labels, sorted, and each position's index among them."""
+    return np.unique(np.asarray(labels, dtype=object), return_inverse=True)
+
+
+def count_pairs(a: np.ndarray, b: np.ndarray, ka: int, kb: int) -> np.ndarray:
+    """(ka, kb) table of how often each code pair (a[i], b[i]) occurs."""
     if len(a) != len(b):
         raise DataError(f"partitions cover {len(a)} and {len(b)} nodes")
+    return np.bincount(a * kb + b, minlength=ka * kb).reshape(ka, kb)
+
+
+def contingency(a: Sequence[Hashable], b: Sequence[Hashable]) -> np.ndarray:
+    """Cross-tabulation of two label sequences."""
     if len(a) == 0:
         raise DataError("empty partitions")
-    _, ca = np.unique(np.asarray(a, dtype=object), return_inverse=True)
-    _, cb = np.unique(np.asarray(b, dtype=object), return_inverse=True)
-    table = np.zeros((ca.max() + 1, cb.max() + 1), dtype=np.int64)
-    np.add.at(table, (ca, cb), 1)
-    return table
+    (la, ca), (lb, cb) = label_codes(a), label_codes(b)
+    return count_pairs(ca, cb, len(la), len(lb))
 
 
 def _comb2(x: np.ndarray) -> np.ndarray:

@@ -31,7 +31,7 @@ from .ergm import (ErgmFit, McmleControl, fit_exact_dyad, fit_mcmle, fit_mple,
                    likelihood_ratio_test, mcmc_diagnostics, report_effects)
 from .graph import ComponentReport, Graph, components
 from .io import dot_dump, edge_csv_dump, graphml_dump, load_attributes, load_edge_list
-from .partition import adjusted_rand, nmi, rand_index
+from .partition import adjusted_rand, count_pairs, label_codes, nmi, rand_index
 from .sbm import SbmFit, community_summary, select_q
 from .topology import (CentralityReport, ConnectivityReport, assortativity_report,
                        centrality_report, connectivity_report, density)
@@ -280,18 +280,16 @@ class Pipeline:
                    "maximal_cliques": [[str(graph.id_of(v)) for v in clique]
                                        for clique in conn.maximal_cliques]}
         if self.attrs is not None:
-            # each level's density: its internal edges over its k(k - 1) ordered pairs
+            # a level's density: its diagonal entry of the level-by-level edge table over k(k - 1)
             src, dst, _ = graph.edge_arrays()
             by_level = {}
             for column in ("party", "chamber"):
                 if self.attrs.has(column):
-                    labels = np.asarray(self.attrs.categorical(column))
-                    for level in self.attrs.levels(column):
-                        member = labels == level
-                        k = int(member.sum())
+                    levels, code = label_codes(self.attrs.categorical(column))
+                    inside = np.diag(count_pairs(code[src], code[dst], len(levels), len(levels)))
+                    for level, k, m in zip(levels, np.bincount(code), inside):
                         if k >= 2:
-                            inside = int(np.count_nonzero(member[src] & member[dst]))
-                            by_level[f"{column}:{level}"] = inside / (k * (k - 1))
+                            by_level[f"{column}:{level}"] = int(m) / int(k * (k - 1))
             payload["subgraph_density"] = by_level
         self._write_json("connectivity.json", payload)
 

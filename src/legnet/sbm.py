@@ -35,7 +35,7 @@ from scipy.special import xlogy
 
 from .errors import DataError
 from .graph import Graph
-from .partition import contingency
+from .partition import count_pairs, label_codes
 
 _LOG_CLIP = 1e-12
 _COLLAPSE_TOL = 1e-8
@@ -281,15 +281,17 @@ def _init_tau(b: _Binary, q: int, spectral: _SpectralStart | None,
 
 def classification_icl(adjacency, labels) -> float:
     """ICL at a hard partition, plug-in block rates, directed Bernoulli."""
-    b = _as_binary(adjacency)
-    n = b.n
-    labels = np.asarray(labels)
-    _, code = np.unique(labels, return_inverse=True)
-    q = int(code.max()) + 1
-    z = np.zeros((n, q))
-    z[np.arange(n), code] = 1.0
-    counts = z.sum(axis=0)
-    m_qr = z.T @ (b.y @ z)
+    if isinstance(adjacency, Graph):
+        n, (src, dst, _) = adjacency.n, adjacency.edge_arrays()
+    else:
+        y = _as_binary(adjacency).y.tocoo()
+        n, src, dst = y.shape[0], y.row, y.col
+    if len(labels) != n:
+        raise DataError(f"{len(labels)} labels for {n} nodes")
+    blocks, code = label_codes(labels)
+    q = len(blocks)
+    counts = np.bincount(code).astype(np.float64)
+    m_qr = count_pairs(code[src], code[dst], q, q).astype(np.float64)
     d_qr = np.outer(counts, counts) - np.diag(counts)
     pi_hat = np.divide(m_qr, d_qr, out=np.zeros_like(m_qr), where=d_qr > 0)
     ll = xlogy(m_qr, pi_hat).sum() + xlogy(d_qr - m_qr, 1.0 - pi_hat).sum()
@@ -444,13 +446,11 @@ def community_summary(fit: SbmFit, attrs=None, centrality=None) -> list[dict]:
             lo, hi = np.nanmin(vec), np.nanmax(vec)
             norm_metrics[name] = (vec - lo) / (hi - lo) if hi > lo else np.zeros_like(vec)
     # (sorted levels, community x level counts) per categorical column;
-    # a class that labels no node keeps an all-zero row
+    # a class that labels no node has an all-zero row
     tables = {}
     for column in attrs.categorical_columns if attrs is not None else ():
-        levels = attrs.levels(column)
-        counts = np.zeros((fit.q, len(levels)), dtype=np.int64)
-        counts[np.unique(fit.labels)] = contingency(fit.labels, attrs.categorical(column))
-        tables[column] = levels, counts
+        levels, code = label_codes(attrs.categorical(column))
+        tables[column] = levels, count_pairs(fit.labels, code, fit.q, len(levels))
     for c in range(fit.q):
         members = np.flatnonzero(fit.labels == c)
         row: dict = {"community": c + 1, "size": int(members.size),

@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import DataError, EstimationError
 from .graph import Graph
+from .partition import count_pairs, label_codes
 
 
 @dataclass(frozen=True)
@@ -301,17 +302,11 @@ def assortativity_categorical(graph: Graph, labels: Sequence[str]) -> float:
         raise DataError(f"{len(labels)} labels for {graph.n} nodes")
     if graph.edge_count == 0:
         raise DataError("assortativity needs at least one edge")
-    levels = sorted(set(labels))
-    lut = {lvl: k for k, lvl in enumerate(levels)}
-    code = np.asarray([lut[v] for v in labels], dtype=np.int64)
+    levels, code = label_codes(labels)
     src, dst, _ = graph.edge_arrays()
-    e = np.zeros((len(levels), len(levels)))
-    np.add.at(e, (code[src], code[dst]), 1.0)
-    e /= graph.edge_count
-    a = e.sum(axis=1)
-    b = e.sum(axis=0)
+    e = count_pairs(code[src], code[dst], len(levels), len(levels)) / graph.edge_count
     trace = float(np.trace(e))
-    chance = float(a @ b)
+    chance = float(e.sum(axis=1) @ e.sum(axis=0))
     if abs(1.0 - chance) < 1e-12:
         if abs(trace - 1.0) < 1e-12:
             return 1.0

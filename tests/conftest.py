@@ -99,6 +99,42 @@ def published_graph(tmp_path_factory):
     return legnet.load_edge_list(out / "published_edges.csv"), census
 
 
+@pytest.fixture(scope="session")
+def estimability_case(tmp_path_factory):
+    """The estimability fixture: the generator's seed-1 congress graph
+    (n=300) and `attrs_with(e)`, its attribute table with `ethnicity`
+    rewritten. Every race-Hispanic member (32) is Hispanic, and so are
+    the first e race-White members, in attribute-file order, that have no
+    tie either way to a race-Hispanic member (24 qualify); everyone else
+    is Not Hispanic. At e = 0 model4's match(race=Hispanic) and
+    match(ethnicity=Hispanic) are the same column; at e >= 1 they
+    separate the data along their difference. Returns (graph,
+    attrs_with, hispanic ids, qualifying White ids)."""
+    out = tmp_path_factory.mktemp("estimability")
+    gen.generate(1, out, shapes=("congress",))
+    graph = legnet.load_edge_list(out / "congress_edges.csv")
+    with open(out / "congress_attrs.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    hispanic = {row["node_id"] for row in rows if row["race"] == "Hispanic"}
+    src, dst, _ = graph.edge_arrays()
+    ends = [(graph.id_of(s), graph.id_of(t)) for s, t in zip(src, dst)]
+    tied = {a for s, t in ends for a, b in ((s, t), (t, s)) if b in hispanic}
+    white = [row["node_id"] for row in rows
+             if row["race"] == "White" and row["node_id"] not in tied]
+
+    def attrs_with(e: int) -> legnet.AttributeTable:
+        marked = hispanic | set(white[:e])
+        path = out / f"attrs_{e}.csv"
+        with open(path, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows({**row, "ethnicity": "Hispanic" if row["node_id"] in marked
+                              else "Not Hispanic"} for row in rows)
+        return legnet.load_attributes(path, graph)
+
+    return graph, attrs_with, hispanic, white
+
+
 # -- synthetic graphs -----------------------------------------------------------
 
 

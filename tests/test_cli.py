@@ -323,6 +323,29 @@ def test_score_against_selected_column(toy):
     assert [line.split(",")[0] for line in lines[1:]] == ["party"]
 
 
+@pytest.mark.parametrize("command, flag", [("ergm", "--models"), ("score", "--against")])
+@pytest.mark.parametrize("value", ["", ",", " "])
+def test_a_name_list_flag_that_names_nothing_is_a_config_error(toy, capsys, command, flag,
+                                                               value):
+    # an empty list is refused: not read as an absent flag (all six
+    # built-ins; party and chamber), nor run as a list of nothing
+    epath, apath, out = toy
+    code = main([command, "--edges", str(epath), "--attrs", str(apath),
+                 "--out", str(out), flag, value])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: {flag} names nothing: give a comma list of names\n"
+    assert not out.exists()
+
+
+def test_an_empty_model_list_in_a_config_file_fits_nothing(toy):
+    epath, _, out = toy
+    cfg = out.parent / "cfg.json"
+    cfg.write_text(json.dumps({"edges": str(epath), "out": str(out), "models": []}))
+    assert main(["ergm", "--config", str(cfg)]) == 0
+    assert [p.name for p in out.iterdir()] == ["manifest.json"]
+
+
 def test_topology_subcommand_artifacts(toy):
     epath, apath, out = toy
     code = main(["topology", "--edges", str(epath), "--attrs", str(apath),

@@ -14,7 +14,7 @@ from legnet.config import config_from_dict
 from legnet.ergm import Edges, ErgmSpec, Mutual
 from legnet.pipeline import fmt
 
-from conftest import random_digraph, write_toy
+from conftest import random_digraph, toy_tables, write_toy
 
 
 def test_fmt_edge_cases():
@@ -67,6 +67,28 @@ def toy_run(tmp_path_factory):
     })
     manifest = legnet.run(config)
     return epath, apath, out, manifest
+
+
+def test_subgraph_density_is_the_density_of_each_level_subgraph(tmp_path):
+    # one member alone in its chamber: a level under 2 members has no entry
+    edges, rows = toy_tables()
+    rows[4]["chamber"] = "Joint"
+    with open(tmp_path / "edges.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows([("source", "target", "weight"), *edges])
+    with open(tmp_path / "attrs.csv", "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+    legnet.run(config_from_dict({"edges": str(tmp_path / "edges.csv"),
+                                 "attrs": str(tmp_path / "attrs.csv"),
+                                 "out": str(tmp_path / "out"), "stages": ["topology"]}))
+    got = json.loads((tmp_path / "out" / "connectivity.json").read_text())["subgraph_density"]
+    graph = legnet.load_edge_list(tmp_path / "edges.csv")
+    attrs = legnet.load_attributes(tmp_path / "attrs.csv", graph)
+    assert got == {f"{column}:{level}":
+                   legnet.density(legnet.subgraph_by_level(graph, attrs, column, level))
+                   for column, level in (("party", "Blue"), ("party", "Gold"),
+                                         ("chamber", "Lower"), ("chamber", "Upper"))}
 
 
 EXPECTED_FILES = {

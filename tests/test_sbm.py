@@ -188,6 +188,9 @@ def test_input_validation():
         fit_q(y, 0)
     with pytest.raises(DataError):
         select_q(y, [], seed=0)
+    for labels in ([0, 1, 1], [0, 1, 1, 0, 1]):  # one node short, one too many
+        with pytest.raises(DataError, match=f"{len(labels)} labels for 4 nodes"):
+            classification_icl(y, labels)
 
 
 @pytest.mark.parametrize("qs, message", [
@@ -266,6 +269,9 @@ def test_community_summary_rows():
         tuple(f"v{i}" for i in range(20)),
         {"party": ["Blue" if t == 0 else "Gold" for t in truth]}, {})
     rows = community_summary(fit, attrs, None)
+    with pytest.raises(DataError, match="cover 20 and 19 nodes"):
+        community_summary(fit, legnet.AttributeTable(attrs.node_ids[:19],
+                                                     {"party": ["Blue"] * 19}), None)
     assert len(rows) == 2
     assert rows[0]["size"] + rows[1]["size"] == 20
     assert rows[0]["community"] == 1
