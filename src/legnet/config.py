@@ -200,7 +200,7 @@ def read_config(path: str | Path) -> dict[str, Any]:
         raise ConfigError(f"config file not found: {path}") from None
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # undecodable, or a NUL byte in the name
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import io as _io
 import json
-import os
 import warnings
 from pathlib import Path
 from typing import Any, IO, Iterator
@@ -25,27 +24,20 @@ UPSTREAM_FIELDS = ("usernameList", "outList", "outWeight")
 
 
 def _as_text(source: str | Path | bytes | IO) -> str:
-    """The text of a path, literal content, bytes or a file handle, less one
-    leading byte-order mark."""
-    if isinstance(source, str):
-        # Literal document content, not a path: blank, multi-line, or a
-        # one-line JSON value that names no file ("[2024] edges.csv" may).
-        text = source.removeprefix("\ufeff")
-        if not text.strip() or "\n" in text or (
-                text.lstrip()[0] in "{[" and not os.path.isfile(source)):
-            return text
-        source = Path(source)
+    """The text of a named file (a str or Path), of bytes or of a text or
+    binary handle, less one leading byte-order mark. A file that cannot be
+    opened or decoded is a DataError."""
     try:
-        if isinstance(source, Path):
-            text = source.read_text(encoding="utf-8")
+        if isinstance(source, (str, Path)):
+            text = Path(source).read_text(encoding="utf-8")
         else:
             data = source if isinstance(source, bytes) else source.read()
             text = data.decode("utf-8") if isinstance(data, bytes) else data
-    except OSError as exc:
-        raise DataError(f"cannot read {source}: {exc}") from None
     except UnicodeDecodeError as exc:
-        name = source if isinstance(source, Path) else "input"
+        name = source if isinstance(source, (str, Path)) else "input"
         raise DataError(f"{name} is not UTF-8 text ({exc})") from None
+    except (OSError, ValueError) as exc:  # a NUL byte in a file name is a ValueError
+        raise DataError(f"cannot read {source}: {exc}") from None
     return text.removeprefix("\ufeff")
 
 

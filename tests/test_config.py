@@ -10,7 +10,7 @@ from legnet import (ConfigError, DataError, build_model, config_from_dict,
                     load_config, parse_q_range, spec_from_terms)
 from legnet.cli import _build_config, build_parser
 from legnet.config import (BUILTIN_MODELS, STAGES, RunConfig, model_entry,
-                           model_needs_attrs, model_needs_centrality)
+                           model_needs_attrs, model_needs_centrality, read_config)
 
 from conftest import toy_tables
 
@@ -27,7 +27,7 @@ def toy():
     writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
     writer.writeheader()
     writer.writerows(rows)
-    attrs = legnet.load_attributes(buf.getvalue(), graph)
+    attrs = legnet.load_attributes(io.StringIO(buf.getvalue()), graph)
     return graph, attrs, legnet.centrality_report(graph)
 
 
@@ -322,6 +322,11 @@ def test_load_config_file(tmp_path):
     bad.write_text("{nope")
     with pytest.raises(ConfigError, match="valid JSON"):
         load_config(bad)
+
+
+def test_a_config_name_with_a_nul_byte_is_a_config_error():
+    with pytest.raises(ConfigError, match="cannot read config"):
+        read_config("run\x00.json")
 
 
 def test_validate_catches_non_mapping_root():

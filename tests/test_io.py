@@ -18,7 +18,7 @@ CSV_DOC = "source,target,weight\na,b,0.5\nb,a,1.0\nb,c,0.25\n"
 
 
 def test_csv_happy_path():
-    g = legnet.load_edge_list(CSV_DOC)
+    g = legnet.load_edge_list(io.StringIO(CSV_DOC))
     assert g.node_ids == ("a", "b", "c")
     assert list(g.edge_records()) == [("a", "b", 0.5), ("b", "a", 1.0),
                                       ("b", "c", 0.25)]
@@ -39,45 +39,54 @@ def test_missing_file_is_a_data_error(tmp_path):
         legnet.load_edge_list(str(tmp_path / "nope.csv"))
 
 
+def test_every_string_names_a_file():
+    # document text passed as a str is a file name that names no file
+    for text in (CSV_DOC, json.dumps(UPSTREAM)):
+        with pytest.raises(DataError, match="cannot read"):
+            legnet.load_edge_list(text)
+    # a NUL byte cannot be in a file name
+    with pytest.raises(DataError, match="cannot read"):
+        legnet.load_edge_list("a\x00b.csv")
+    with pytest.raises(DataError, match="cannot read"):
+        legnet.load_attributes("a\x00b.csv", graph_abc())
+
+
 def test_bracketed_file_name_is_read_as_a_path(tmp_path, monkeypatch):
     (tmp_path / "[2024] edges.csv").write_text(CSV_DOC)
     (tmp_path / "{house} edges.csv").write_text(CSV_DOC)
     monkeypatch.chdir(tmp_path)
     for name in ("[2024] edges.csv", "{house} edges.csv"):
         assert legnet.load_edge_list(name).edge_count == 3
-    # a one-line JSON document that names no file is still document text
-    doc = json.dumps(UPSTREAM)
-    assert legnet.load_edge_list(doc, format="upstream-json").edge_count == 3
 
 
 def test_csv_header_must_name_columns():
     with pytest.raises(DataError, match="source"):
-        legnet.load_edge_list("from,to,weight\na,b,0.5\n")
+        legnet.load_edge_list(io.StringIO("from,to,weight\na,b,0.5\n"))
 
 
 def test_csv_column_order_is_free():
-    g = legnet.load_edge_list("weight,target,source\n0.5,b,a\n")
+    g = legnet.load_edge_list(io.StringIO("weight,target,source\n0.5,b,a\n"))
     assert list(g.edge_records()) == [("a", "b", 0.5)]
 
 
 def test_csv_errors_carry_line_numbers():
     with pytest.raises(DataError, match="line 3"):
-        legnet.load_edge_list("source,target,weight\na,b,0.5\na,c,heavy\n")
+        legnet.load_edge_list(io.StringIO("source,target,weight\na,b,0.5\na,c,heavy\n"))
     with pytest.raises(DataError, match="line 2"):
-        legnet.load_edge_list("source,target,weight\n,b,0.5\n")
+        legnet.load_edge_list(io.StringIO("source,target,weight\n,b,0.5\n"))
     with pytest.raises(DataError, match="line 4"):
-        legnet.load_edge_list("source,target,weight\na,b,0.5\nb,c,0.5\na,b\n")
+        legnet.load_edge_list(io.StringIO("source,target,weight\na,b,0.5\nb,c,0.5\na,b\n"))
 
 
 def test_empty_stream_reports_no_nodes():
     for doc in ("", "   \n", "source,target,weight\n"):
         with pytest.raises(DataError, match="no nodes"):
-            legnet.load_edge_list(doc)
+            legnet.load_edge_list(io.StringIO(doc))
 
 
 def test_unknown_format_rejected():
     with pytest.raises(legnet.ConfigError):
-        legnet.load_edge_list(CSV_DOC, format="tsv")
+        legnet.load_edge_list(io.StringIO(CSV_DOC), format="tsv")
 
 
 def test_save_load_round_trip(tmp_path):
@@ -98,7 +107,7 @@ UPSTREAM = {
 
 
 def test_upstream_json_with_index_targets():
-    g = legnet.load_edge_list(json.dumps(UPSTREAM), format="upstream-json")
+    g = legnet.load_edge_list(io.StringIO(json.dumps(UPSTREAM)), format="upstream-json")
     assert g.node_ids == ("alpha", "beta", "gamma")
     assert list(g.edge_records()) == [("alpha", "beta", 0.5),
                                       ("alpha", "gamma", 0.25),
@@ -106,31 +115,31 @@ def test_upstream_json_with_index_targets():
 
 
 def test_upstream_json_singleton_wrapper_unwrapped():
-    g = legnet.load_edge_list(json.dumps([UPSTREAM]), format="upstream-json")
+    g = legnet.load_edge_list(io.StringIO(json.dumps([UPSTREAM])), format="upstream-json")
     assert g.edge_count == 3
 
 
 def test_upstream_json_string_targets():
     doc = {"usernameList": ["a", "b"], "outList": [["b"], []],
            "outWeight": [[0.7], []]}
-    g = legnet.load_edge_list(json.dumps(doc), format="upstream-json")
+    g = legnet.load_edge_list(io.StringIO(json.dumps(doc)), format="upstream-json")
     assert list(g.edge_records()) == [("a", "b", 0.7)]
 
 
 def test_upstream_json_bad_documents():
     with pytest.raises(DataError, match="missing field"):
-        legnet.load_edge_list(json.dumps({"usernameList": ["a"]}),
+        legnet.load_edge_list(io.StringIO(json.dumps({"usernameList": ["a"]})),
                               format="upstream-json")
     bad_index = dict(UPSTREAM, outList=[[7, 2], [0], []])
     with pytest.raises(DataError, match="out of range"):
-        legnet.load_edge_list(json.dumps(bad_index), format="upstream-json")
+        legnet.load_edge_list(io.StringIO(json.dumps(bad_index)), format="upstream-json")
     ragged = dict(UPSTREAM, outWeight=[[0.5], [1.0], []])
     with pytest.raises(DataError, match="targets but"):
-        legnet.load_edge_list(json.dumps(ragged), format="upstream-json")
+        legnet.load_edge_list(io.StringIO(json.dumps(ragged)), format="upstream-json")
     with pytest.raises(DataError, match="no nodes"):
-        legnet.load_edge_list("[]", format="upstream-json")
+        legnet.load_edge_list(io.StringIO("[]"), format="upstream-json")
     with pytest.raises(DataError, match="parse failure"):
-        legnet.load_edge_list("{not json\n", format="upstream-json")
+        legnet.load_edge_list(io.StringIO("{not json\n"), format="upstream-json")
 
 
 @pytest.mark.parametrize("change, message", [
@@ -150,12 +159,13 @@ def test_upstream_json_bad_documents():
 ])
 def test_upstream_json_malformed_values_name_the_node(change, message):
     with pytest.raises(DataError, match=message):
-        legnet.load_edge_list(json.dumps(dict(UPSTREAM, **change)), format="upstream-json")
+        legnet.load_edge_list(io.StringIO(json.dumps(dict(UPSTREAM, **change))),
+                              format="upstream-json")
 
 
 def test_upstream_json_numeric_node_ids_still_load():
     doc = {"usernameList": [10, 2.5], "outList": [[1], [0]], "outWeight": [[0.5], [1]]}
-    g = legnet.load_edge_list(json.dumps(doc), format="upstream-json")
+    g = legnet.load_edge_list(io.StringIO(json.dumps(doc)), format="upstream-json")
     assert list(g.edge_records()) == [(10, 2.5, 0.5), (2.5, 10, 1.0)]
 
 
@@ -171,13 +181,13 @@ def test_non_utf8_input_is_a_data_error_naming_the_file(tmp_path):
     attrs = tmp_path / "attrs.csv"
     attrs.write_bytes(b"node_id,party\n\xfea,Blue\n")
     with pytest.raises(DataError, match="attrs.csv is not UTF-8 text"):
-        legnet.load_attributes(attrs, legnet.load_edge_list(CSV_DOC))
+        legnet.load_attributes(attrs, legnet.load_edge_list(io.StringIO(CSV_DOC)))
 
 
 def test_upstream_json_keeps_isolated_nodes():
     doc = {"usernameList": ["a", "b", "loner"], "outList": [[1], [0], []],
            "outWeight": [[0.5], [0.5], []]}
-    g = legnet.load_edge_list(json.dumps(doc), format="upstream-json")
+    g = legnet.load_edge_list(io.StringIO(json.dumps(doc)), format="upstream-json")
     assert g.n == 3 and g.edge_count == 2
 
 
@@ -188,11 +198,11 @@ ATTR_DOC = ("node_id,party,chamber,age,tenure\n"
 
 
 def graph_abc():
-    return legnet.load_edge_list(CSV_DOC)
+    return legnet.load_edge_list(io.StringIO(CSV_DOC))
 
 
 def test_attribute_loading():
-    attrs = legnet.load_attributes(ATTR_DOC, graph_abc())
+    attrs = legnet.load_attributes(io.StringIO(ATTR_DOC), graph_abc())
     assert attrs.categorical("party") == ("Blue", "Gold", "Blue")
     assert attrs.numeric("age").tolist() == [55.0, 47.0, 61.0]
     assert attrs.has("chamber") and not attrs.has("religion")
@@ -200,7 +210,7 @@ def test_attribute_loading():
 
 def test_attribute_columns_are_read_by_their_stripped_names():
     doc = "node_id , party,age \na,Blue,55\nb,Gold,47\nc,Blue,61\n"
-    attrs = legnet.load_attributes(doc, graph_abc())
+    attrs = legnet.load_attributes(io.StringIO(doc), graph_abc())
     assert attrs.categorical("party") == ("Blue", "Gold", "Blue")
     assert attrs.numeric("age").tolist() == [55.0, 47.0, 61.0]
 
@@ -217,7 +227,7 @@ def test_attribute_rows_align_to_graph_regardless_of_order():
                 "c,Blue,Lower,61,22\n"
                 "a,Blue,Upper,55,10\n"
                 "b,Gold,Lower,47,3\n")
-    attrs = legnet.load_attributes(shuffled, graph_abc())
+    attrs = legnet.load_attributes(io.StringIO(shuffled), graph_abc())
     assert attrs.categorical("party") == ("Blue", "Gold", "Blue")
 
 
@@ -254,13 +264,13 @@ def test_byte_order_mark_is_skipped_through_text_handles(tmp_path):
 ])
 def test_repeated_header_column_is_a_data_error(load, doc, column):
     with pytest.raises(DataError, match=f"header repeats column '{column}'$"):
-        load(doc)
+        load(io.StringIO(doc))
 
 
 def test_unknown_attribute_column_warns():
     doc = ("node_id,party,shoe_size\na,Blue,9\nb,Gold,11\nc,Blue,10\n")
     with pytest.warns(UserWarning, match="shoe_size"):
-        attrs = legnet.load_attributes(doc, graph_abc())
+        attrs = legnet.load_attributes(io.StringIO(doc), graph_abc())
     assert attrs.categorical("party") == ("Blue", "Gold", "Blue")
     assert not attrs.has("shoe_size")
 
@@ -268,21 +278,21 @@ def test_unknown_attribute_column_warns():
 def test_attribute_mismatches():
     missing_row = "node_id,party\na,Blue\nb,Gold\n"
     with pytest.raises(DataError, match="attribute/graph mismatch"):
-        legnet.load_attributes(missing_row, graph_abc())
+        legnet.load_attributes(io.StringIO(missing_row), graph_abc())
     stranger = "node_id,party\na,Blue\nb,Gold\nc,Blue\nzz,Gold\n"
     with pytest.raises(DataError, match="line 5"):
-        legnet.load_attributes(stranger, graph_abc())
+        legnet.load_attributes(io.StringIO(stranger), graph_abc())
     doubled = "node_id,party\na,Blue\nb,Gold\nb,Gold\n"
     with pytest.raises(DataError, match="line 4"):
-        legnet.load_attributes(doubled, graph_abc())
+        legnet.load_attributes(io.StringIO(doubled), graph_abc())
     bad_age = "node_id,age\na,55\nb,young\nc,61\n"
     with pytest.raises(DataError, match="line 3"):
-        legnet.load_attributes(bad_age, graph_abc())
+        legnet.load_attributes(io.StringIO(bad_age), graph_abc())
 
 
 def test_graphml_is_wellformed_and_complete():
     g = graph_abc()
-    attrs = legnet.load_attributes(ATTR_DOC, g)
+    attrs = legnet.load_attributes(io.StringIO(ATTR_DOC), g)
     doc = legnet.io.graphml_dump(g, attrs)
     root = ET.fromstring(doc)
     ns = {"g": "http://graphml.graphdrawing.org/xmlns"}
@@ -315,7 +325,7 @@ def test_dot_strings_unescape_to_the_original(text):
     g = Graph([(text, "x", 0.5)])
     doc = io.StringIO()
     csv.writer(doc).writerows([["node_id", "party"], [text, text + "p"], ["x", "Gold"]])
-    attrs = legnet.load_attributes(doc.getvalue(), g)
+    attrs = legnet.load_attributes(io.StringIO(doc.getvalue()), g)
     lines = legnet.io.dot_dump(g, attrs).splitlines()
     assert [_dot_strings(line) for line in lines] == [
         [], [text, text + "p"], ["x", "Gold"], [text, "x"], []]
