@@ -12,7 +12,7 @@ from typing import Any, Callable, Mapping, Sequence
 import numpy as np
 
 from .attributes import AttributeTable
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, is_int_at_least
 from .ergm import AbsDiff, Edges, ErgmSpec, ErgmTerm, Mutual, NodeCovariate, NodeMatch
 from .ergm.terms import COVARIATE_ROLES
 from .graph import Graph
@@ -88,7 +88,7 @@ class RunConfig:
 
 
 def _int_at_least(low: int) -> Callable[[Any], bool]:
-    return lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= low
+    return lambda v: is_int_at_least(v, low)
 
 
 def _list_of(ok: Callable[[Any], bool]) -> Callable[[Any], bool]:

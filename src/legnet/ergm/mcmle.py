@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp, softmax
 
-from ..errors import ConfigError, EstimationError
+from ..errors import EstimationError, require_ints
 from ..graph import Graph
 from .fit import (ErgmFit, _dyad_loglik, _finalize, _inverse, _newton, _pin_bound,
                   fit_mple, graph_digest)
@@ -43,10 +43,7 @@ class McmleControl:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name, least in (("sample_size", 2), ("seed", 0)):
-            value = getattr(self, name)
-            if not value >= least:
-                raise ConfigError(f"McmleControl.{name} must be >= {least}, got {value!r}")
+        require_ints(self, sample_size=2, seed=0)
 
 
 def _one_line(values: np.ndarray) -> str:

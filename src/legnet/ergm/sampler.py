@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import ConfigError
+from ..errors import ConfigError, require_ints
 from ..graph import Graph
 from .terms import DyadDesign, ErgmSpec
 
@@ -29,8 +29,7 @@ class SimControl:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.burnin < 0 or self.interval < 1 or self.sample_size < 1:
-            raise ConfigError("simulation control values must be positive")
+        require_ints(self, burnin=0, interval=1, sample_size=1, seed=0)
 
 
 @dataclass

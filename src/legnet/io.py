@@ -11,9 +11,10 @@ from __future__ import annotations
 import csv
 import io as _io
 import json
+import re
 import warnings
 from pathlib import Path
-from typing import Any, IO, Iterator
+from typing import Any, IO, Iterable, Iterator
 
 from .attributes import AttributeTable, CATEGORICAL_COLUMNS, NUMERIC_COLUMNS
 from .errors import ConfigError, DataError
@@ -62,8 +63,10 @@ def _header(row: list[str], kind: str) -> list[str]:
 def load_edge_list(source: str | Path | bytes | IO, format: str = "csv") -> Graph:
     """Parse an edge list into a validated Graph.
 
-    format "csv" reads the canonical edge CSV; "upstream-json" reads the
-    per-node adjacency export (see UPSTREAM_FIELDS).
+    A str or Path names the file; content is passed as bytes or a text or
+    binary handle. format "csv" reads the canonical edge CSV;
+    "upstream-json" reads the per-node adjacency export (see
+    UPSTREAM_FIELDS), whose string targets must be ids it lists.
     """
     text = _as_text(source)
     if format == "csv":
@@ -129,6 +132,7 @@ def _edges_from_upstream_json(text: str) -> Graph:
     if not (len(ids) == len(targets) == len(weights)):
         raise DataError("upstream node/target/weight arrays differ in length")
 
+    names = {x for x in ids if isinstance(x, str)}  # what a string target may name
     edges = []
     for i, (node, outs, wts) in enumerate(zip(ids, targets, weights)):
         # a bool is an int to Python, but JSON true and false are not numbers
@@ -143,6 +147,8 @@ def _edges_from_upstream_json(text: str) -> Graph:
                 raise DataError(f"node {node!r}: target {j!r} is not an index or a node id")
             if isinstance(j, int) and not (0 <= j < len(ids)):
                 raise DataError(f"node {node!r}: target index {j} out of range")
+            if isinstance(j, str) and j not in names:
+                raise DataError(f"node {node!r}: target id {j!r} not in usernameList")
             if isinstance(w, bool) or not isinstance(w, (int, float)):
                 raise DataError(f"node {node!r}: weight {w!r} is not a number")
             edges.append((node, ids[j] if isinstance(j, int) else j, float(w)))
@@ -167,8 +173,9 @@ def save_edge_list(graph: Graph, path: str | Path) -> None:
 def load_attributes(source: str | Path | bytes | IO, graph: Graph) -> AttributeTable:
     """Read the attribute CSV and align its rows to graph indices.
 
-    Known columns beyond node_id: party, chamber, state, race,
-    ethnicity, religion, sex, lgbtq (categorical) and age, tenure
+    A str or Path names the file; content is passed as bytes or a text or
+    binary handle. Known columns beyond node_id: party, chamber, state,
+    race, ethnicity, religion, sex, lgbtq (categorical) and age, tenure
     (numeric). Unknown columns are ignored with a warning; absent
     optional columns simply stay unloaded.
     """
@@ -219,13 +226,29 @@ def load_attributes(source: str | Path | bytes | IO, graph: Graph) -> AttributeT
 # -- exports ------------------------------------------------------------------
 
 
-def _xml_escape(value: str) -> str:
-    return (value.replace("&", "&amp;").replace("<", "&lt;")
-            .replace(">", "&gt;").replace('"', "&quot;"))
+_XML_REFS = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;",
+                           "\t": "&#9;", "\n": "&#10;", "\r": "&#13;"})
+# XML 1.0 cannot carry these C0 controls at all, even as character references.
+_XML_FORBIDDEN = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f]")
+
+
+def _xml_escape(values: Iterable[Any], what: str) -> list[str]:
+    """Each value's text, escaped for an XML attribute or element. Tabs and
+    line breaks become character references, which survive the parser's
+    normalization of attribute values; any other C0 control character is a
+    DataError naming `what` and the value."""
+    out = []
+    for value in map(str, values):
+        if _XML_FORBIDDEN.search(value):
+            raise DataError(f"{what} {value!r} holds a control character "
+                            f"that GraphML cannot carry")
+        out.append(value.translate(_XML_REFS))
+    return out
 
 
 def graphml_dump(graph: Graph, attrs: AttributeTable | None = None) -> str:
-    """Serialize the graph (and any attributes) as GraphML."""
+    """Serialize the graph (and any attributes) as GraphML; an id or
+    categorical value that XML cannot carry is a DataError (_xml_escape)."""
     lines = ['<?xml version="1.0" encoding="UTF-8"?>',
              '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">',
              '  <key id="weight" for="edge" attr.name="weight" attr.type="double"/>']
@@ -233,14 +256,14 @@ def graphml_dump(graph: Graph, attrs: AttributeTable | None = None) -> str:
     columns: list[tuple[str, str, list[str]]] = []
     if attrs is not None:
         for c in attrs.categorical_columns:
-            columns.append((c, "string", [_xml_escape(v) for v in attrs.categorical(c)]))
+            columns.append((c, "string", _xml_escape(attrs.categorical(c), f"{c} value")))
         for c in attrs.numeric_columns:
             columns.append((c, "double", [repr(v) for v in attrs.numeric(c).tolist()]))
         for c, kind, _ in columns:
             lines.append(f'  <key id="{c}" for="node" attr.name="{c}" attr.type="{kind}"/>')
     lines.append('  <graph id="G" edgedefault="directed">')
-    for i, node in enumerate(graph.node_ids):
-        nid = _xml_escape(str(node))
+    ids = _xml_escape(graph.node_ids, "node id")
+    for i, nid in enumerate(ids):
         if not columns:
             lines.append(f'    <node id="{nid}"/>')
             continue
@@ -248,9 +271,8 @@ def graphml_dump(graph: Graph, attrs: AttributeTable | None = None) -> str:
         for c, _, values in columns:
             lines.append(f'      <data key="{c}">{values[i]}</data>')
         lines.append('    </node>')
-    for s, t, w in graph.edge_records():
-        lines.append(f'    <edge source="{_xml_escape(str(s))}" '
-                     f'target="{_xml_escape(str(t))}">'
+    for s, t, w in zip(*(a.tolist() for a in graph.edge_arrays())):
+        lines.append(f'    <edge source="{ids[s]}" target="{ids[t]}">'
                      f'<data key="weight">{w!r}</data></edge>')
     lines.append('  </graph>')
     lines.append('</graphml>')

@@ -495,6 +495,9 @@ def test_main_freezes_the_collector_once_per_process(toy):
     ("edges-long-field", 3, "data error: line 3: cannot parse CSV (field larger than"),
     ("attrs-long-field", 3, "data error: line 2: cannot parse CSV (field larger than"),
     ("edges-repeated-column", 3, "data error: edge CSV header repeats column 'weight'"),
+    # a control character that XML 1.0 cannot carry, refused before any file is written
+    ("edges-control-character", 3,
+     "data error: node id 'a\\x01b' holds a control character that GraphML cannot carry"),
     ("edges-deep-json", 3, "data error: upstream JSON parse failure: maximum recursion depth"),
     ("config-deep-json", 2, "config error: config is not valid JSON: maximum recursion depth"),
 ])
@@ -507,6 +510,8 @@ def test_unreadable_input_or_output_exits_with_one_line(toy, capsys, case, code,
         epath.write_bytes(epath.read_bytes() + b"a\xff,b,0.5\n")
     elif case == "edges-long-field":
         epath.write_text("source,target,weight\na,b,0.5\na," + "b" * 200_000 + ",0.5\n")
+    elif case == "edges-control-character":
+        epath.write_bytes(epath.read_bytes() + b"a\x01b,c,0.5\n")
     elif case == "edges-repeated-column":
         epath.write_text(epath.read_text().replace("weight", "weight,weight", 1))
     elif case == "attrs-long-field":

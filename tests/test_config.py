@@ -215,6 +215,10 @@ def test_library_callers_get_the_same_checks():
         RunConfig(edges="e.csv", weighted_spectral="no").validate()
     with pytest.raises(ConfigError, match="mcmc.sample_size must be an integer >= 2, got 1"):
         RunConfig(edges="e.csv", mcmc_sample_size=1).validate()
+    with pytest.raises(ConfigError, match="seed must be an integer >= 0, got 1.0"):
+        RunConfig(edges="e.csv", seed=1.0).validate()
+    # the rule of SimControl and McmleControl: a numpy integer counts
+    RunConfig(edges="e.csv", seed=np.int64(7), mcmc_sample_size=np.int32(4)).validate()
 
 
 # Every field's default, as config_from_dict has always filled it in.

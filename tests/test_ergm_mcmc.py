@@ -80,12 +80,26 @@ def test_sim_control_validation():
         SimControl(burnin=-1)
     with pytest.raises(ConfigError):
         SimControl(interval=0)
+    # every field is an integer in its range; a numpy integer counts
+    for field, value in (("seed", -1), ("seed", 1.0), ("seed", True),
+                         ("sample_size", 2.5), ("sample_size", 0), ("interval", np.float64(5))):
+        with pytest.raises(ConfigError, match=f"^SimControl.{field} must be an integer"):
+            SimControl(**{field: value})
+    assert SimControl(seed=np.int64(3), sample_size=np.int32(4)).seed == 3
     with pytest.raises(ConfigError):
         simulate(ErgmSpec([Edges()]), np.array([0.0]))
     with pytest.raises(ConfigError):
         simulate(ErgmSpec([Edges()]), np.array([np.nan]), graph_size=4)
     with pytest.raises(ConfigError):
         simulate(ErgmSpec([Edges(), Mutual()]), np.array([0.0]), graph_size=4)
+
+
+def test_mcmle_control_validation():
+    for field, value in (("seed", -1), ("seed", 0.0), ("sample_size", 2.5),
+                         ("sample_size", 1), ("sample_size", True), ("sample_size", None)):
+        with pytest.raises(ConfigError, match=f"^McmleControl.{field} must be an integer"):
+            McmleControl(**{field: value})
+    assert McmleControl(sample_size=np.int64(2), seed=np.uint8(0)).sample_size == 2
 
 
 def p1_loglik(y, theta):

@@ -64,9 +64,9 @@ def test_csr_views_match_edge_records(g, data):
     assert_views_match_records(sub)
 
 
-# XML's reserved characters, backslashes and non-ASCII text, with no
-# control characters (XML 1.0 cannot carry most of them)
-_XML_TEXT = st.text(st.one_of(st.sampled_from("&<>\"'\\é中—"),
+# XML's reserved characters, backslashes, non-ASCII text, tabs and line
+# breaks, with no other control characters (XML 1.0 cannot carry them)
+_XML_TEXT = st.text(st.one_of(st.sampled_from("&<>\"'\\é中—\t\n\r"),
                               st.characters(min_codepoint=0x20, max_codepoint=0x2FFF,
                                             exclude_categories=("Cc",))),
                     min_size=1, max_size=8)

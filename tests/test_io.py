@@ -153,6 +153,7 @@ def test_upstream_json_bad_documents():
     ({"outList": [[True, 2], [0], []]}, "node 'alpha': target True is not an index"),
     ({"outList": [[1.0, 2], [0], []]}, "node 'alpha': target 1.0 is not an index"),
     ({"outList": [[[1], 2], [0], []]}, r"node 'alpha': target \[1\]"),
+    ({"outList": [[1, "zz"], [0], []]}, "node 'alpha': target id 'zz' not in usernameList"),
     ({"outWeight": [["x", 0.25], [1.0], []]}, "node 'alpha': weight 'x' is not a number"),
     ({"outWeight": [[None, 0.25], [1.0], []]}, "node 'alpha': weight None"),
     ({"outWeight": [[0.5, 0.25], [True], []]}, "node 'beta': weight True"),
@@ -329,6 +330,17 @@ def test_dot_strings_unescape_to_the_original(text):
     lines = legnet.io.dot_dump(g, attrs).splitlines()
     assert [_dot_strings(line) for line in lines] == [
         [], [text, text + "p"], ["x", "Gold"], [text, "x"], []]
+
+
+@pytest.mark.parametrize("node, party, message", [
+    ("a\x01b", "Blue", r"^node id 'a\\x01b' holds a control character"),
+    ("a", "Bl\x1fue", r"^party value 'Bl\\x1fue' holds a control character"),
+])
+def test_graphml_refuses_control_characters_that_xml_cannot_carry(node, party, message):
+    g = Graph([(node, "x", 0.5)])
+    attrs = legnet.AttributeTable(g.node_ids, {"party": [party, "Gold"]}, {})
+    with pytest.raises(DataError, match=message):
+        legnet.io.graphml_dump(g, attrs)
 
 
 def test_graphml_escapes_reserved_characters(tmp_path):
