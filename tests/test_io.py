@@ -153,10 +153,10 @@ def test_upstream_json_bad_documents():
     ({"outList": [[True, 2], [0], []]}, "node 'alpha': target True is not an index"),
     ({"outList": [[1.0, 2], [0], []]}, "node 'alpha': target 1.0 is not an index"),
     ({"outList": [[[1], 2], [0], []]}, r"node 'alpha': target \[1\]"),
-    ({"outList": [[1, "zz"], [0], []]}, "node 'alpha': target id 'zz' not in usernameList"),
     ({"outWeight": [["x", 0.25], [1.0], []]}, "node 'alpha': weight 'x' is not a number"),
     ({"outWeight": [[None, 0.25], [1.0], []]}, "node 'alpha': weight None"),
     ({"outWeight": [[0.5, 0.25], [True], []]}, "node 'beta': weight True"),
+    ({"outList": [[1, "zz"], [0], []]}, "node 'alpha': target id 'zz' not in usernameList"),
 ])
 def test_upstream_json_malformed_values_name_the_node(change, message):
     with pytest.raises(DataError, match=message):
