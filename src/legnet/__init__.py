@@ -18,15 +18,15 @@ from .io import (load_attributes, load_edge_list, save_dot, save_edge_list,
 from .partition import adjusted_rand, contingency, nmi, rand_index
 from .ergm import (AbsDiff, DyadDesign, Edges, ErgmFit, ErgmSpec, McmleControl,
                    Mutual, NodeCovariate, NodeMatch, SimControl, SimResult,
-                   change_statistics, expected_statistics, fit_exact_dyad,
-                   fit_mcmle, fit_mple, global_statistics, likelihood_ratio_test,
-                   mcmc_diagnostics, report_effects, simulate)
+                   expected_statistics, fit_exact_dyad, fit_mcmle, fit_mple,
+                   likelihood_ratio_test, mcmc_diagnostics, report_effects,
+                   simulate)
 from .sbm import SbmFit, classification_icl, community_summary, fit_q, select_q
 from .topology import (assortativity_categorical, assortativity_report,
                        assortativity_scalar, betweenness, centrality_report,
-                       closeness, connectivity_report, degree_strength,
-                       density, eigen_centrality, hits, maximal_cliques,
-                       reciprocity, triad_closure)
+                       closeness, connectivity_report, density,
+                       eigen_centrality, hits, maximal_cliques, reciprocity,
+                       triad_closure)
 from .pipeline import Pipeline, compare_models, run
 
 __all__ = [
@@ -38,12 +38,10 @@ __all__ = [
     "SimControl", "SimResult",
     "adjusted_rand", "assortativity_categorical", "assortativity_report",
     "assortativity_scalar", "betweenness", "build_model", "centrality_report",
-    "change_statistics", "classification_icl", "closeness",
-    "community_summary", "compare_models", "components", "config_from_dict",
-    "connectivity_report", "contingency", "degree_strength", "density",
-    "eigen_centrality", "expected_statistics", "fit_exact_dyad",
-    "fit_mcmle", "fit_mple", "fit_q", "global_statistics", "hits",
-    "likelihood_ratio_test",
+    "classification_icl", "closeness", "community_summary", "compare_models",
+    "components", "config_from_dict", "connectivity_report", "contingency",
+    "density", "eigen_centrality", "expected_statistics", "fit_exact_dyad",
+    "fit_mcmle", "fit_mple", "fit_q", "hits", "likelihood_ratio_test",
     "load_attributes", "load_config", "load_edge_list", "maximal_cliques",
     "mcmc_diagnostics", "nmi", "parse_q_range", "rand_index",
     "reciprocity", "report_effects", "run", "save_dot", "save_edge_list",

@@ -93,6 +93,16 @@ def _build_config(args: argparse.Namespace):
     return config_from_dict(raw)
 
 
+# NUL, the other C0 controls and every line break that str.splitlines
+# knows, written as backslash escapes: each stderr message is one line.
+_ESCAPES = {c: chr(c).encode("unicode_escape").decode()
+            for c in (*range(0x20), 0x85, 0x2028, 0x2029)}
+
+
+def _say(line: str) -> None:
+    print(line.translate(_ESCAPES), file=sys.stderr)
+
+
 def main(argv=None) -> int:
     # What is alive now is mostly the imported modules, which live as long
     # as the process: keep them out of the collector's full passes. Once
@@ -105,16 +115,16 @@ def main(argv=None) -> int:
         config = _build_config(args)
         manifest = Pipeline(config).run()
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        _say(f"config error: {exc}")
         return 2
     except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
+        _say(f"data error: {exc}")
         return 3
     except EstimationError as exc:
-        print(f"estimation error: {exc}", file=sys.stderr)
+        _say(f"estimation error: {exc}")
         return 4
     for notice in manifest["notices"]:
-        print(f"notice: {notice}", file=sys.stderr)
+        _say(f"notice: {notice}")
     print(f"wrote {len(manifest['outputs'])} files to {config.out_dir}")
     return 0
 

@@ -80,6 +80,8 @@ class RunConfig:
             value = getattr(self, name)
             if not ok(value):
                 raise ConfigError(f"{key} must be {requirement}, got {value!r}")
+        if "\0" in self.out_dir:  # no directory can be named by it
+            raise ConfigError(f"out must not hold a NUL byte, got {self.out_dir!r}")
         names = Counter(_validate_model(model, index)
                         for index, model in enumerate(self.models, start=1))
         repeated = sorted(name for name, count in names.items() if count > 1)

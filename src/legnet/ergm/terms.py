@@ -114,10 +114,6 @@ class ErgmSpec:
         return len(self.terms)
 
     @property
-    def dyad_independent(self) -> bool:
-        return not any(isinstance(t, Mutual) for t in self.terms)
-
-    @property
     def labels(self) -> tuple[str, ...]:
         return tuple(t.label for t in self.terms)
 
@@ -361,12 +357,18 @@ class DyadDesign:
         return scale
 
     def statistics(self) -> np.ndarray:
-        """g(y) of the observed tie state."""
+        """g(y) of the observed tie state; a graph's g(y) is
+        DyadDesign.from_graph(graph, spec).statistics()."""
         return self.weighted_sum(self.y1.astype(np.float64), self.y2.astype(np.float64),
                                  self.y1 & self.y2)
 
     def change_statistic(self, i: int, j: int) -> np.ndarray:
-        """delta_ij(y): change in g from setting tie i->j to 1, on the observed state."""
+        """delta_ij(y): change in g from setting tie i->j to 1, on the observed state.
+
+        The route to a graph's change statistics: build the design once
+        with DyadDesign.from_graph(graph, spec), then query many pairs, O(K)
+        each.
+        """
         _check_index(i, self.n)
         _check_index(j, self.n)
         if i == j:
@@ -379,13 +381,3 @@ class DyadDesign:
         delta[self.sym] = self.s[:, d]
         delta[self.asym] = rows[:, d]
         return delta
-
-
-def global_statistics(graph: Graph, spec: ErgmSpec) -> np.ndarray:
-    """Observed statistic vector g(y) for the graph."""
-    return DyadDesign.from_graph(graph, spec).statistics()
-
-
-def change_statistics(graph: Graph, spec: ErgmSpec, i: int, j: int) -> np.ndarray:
-    """delta_ij(y) on the observed graph."""
-    return DyadDesign.from_graph(graph, spec).change_statistic(i, j)

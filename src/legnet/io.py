@@ -291,12 +291,13 @@ def dot_dump(graph: Graph, attrs: AttributeTable | None = None) -> str:
                     for c in attrs.categorical_columns]
         columns += [[f"{c}={v!r}" for v in attrs.numeric(c).tolist()]
                     for c in attrs.numeric_columns]
+    ids = [q(node) for node in graph.node_ids]
     lines = ["digraph G {"]
-    for i, node in enumerate(graph.node_ids):
+    for i, nid in enumerate(ids):
         suffix = f" [{', '.join(col[i] for col in columns)}]" if columns else ""
-        lines.append(f"  {q(node)}{suffix};")
-    for s, t, w in graph.edge_records():
-        lines.append(f"  {q(s)} -> {q(t)} [weight={w!r}];")
+        lines.append(f"  {nid}{suffix};")
+    for s, t, w in zip(*(a.tolist() for a in graph.edge_arrays())):
+        lines.append(f"  {ids[s]} -> {ids[t]} [weight={w!r}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -64,14 +64,6 @@ class ConnectivityReport:
     max_clique_size: int
 
 
-# -- degrees and strength -----------------------------------------------------
-
-
-def degree_strength(graph: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(in_degree, out_degree, out_strength) vectors."""
-    return graph.in_degrees(), graph.out_degrees(), graph.out_strengths()
-
-
 # -- geodesic centralities ----------------------------------------------------
 
 # sources per block of the geodesic sweep; bounds its n x block work arrays
@@ -352,14 +344,13 @@ def assortativity_scalar(graph: Graph,
 
 def centrality_report(graph: Graph, weighted: bool = False) -> CentralityReport:
     """Every per-node score; `weighted` applies to eigenvector and HITS."""
-    in_deg, out_deg, out_str = degree_strength(graph)
     hub, auth = hits(graph, weighted=weighted)
     pairs = _pair_count(graph)
     close, dependencies = _geodesics(graph)
     return CentralityReport(
-        in_degree=in_deg,
-        out_degree=out_deg,
-        out_strength=out_str,
+        in_degree=graph.in_degrees(),
+        out_degree=graph.out_degrees(),
+        out_strength=graph.out_strengths(),
         closeness=close,
         betweenness=dependencies / pairs,
         eigen=eigen_centrality(graph, weighted=weighted),

@@ -500,6 +500,13 @@ def test_main_freezes_the_collector_once_per_process(toy):
      "data error: node id 'a\\x01b' holds a control character that GraphML cannot carry"),
     ("edges-deep-json", 3, "data error: upstream JSON parse failure: maximum recursion depth"),
     ("config-deep-json", 2, "config error: config is not valid JSON: maximum recursion depth"),
+    # a name holding a line break or another control character is escaped
+    ("edges-line-break", 3, "data error: cannot read {src}/e\\nx.csv: [Errno 2]"),
+    ("edges-nul", 3, "data error: cannot read {src}/e\\x00x.csv: embedded null byte"),
+    ("edges-line-separator", 3, "data error: cannot read {src}/e\\u2028x.csv: [Errno 2]"),
+    ("config-line-break", 2, "config error: config file not found: {src}/r\\r\\x85n.json"),
+    ("out-control-character", 2,
+     "config error: cannot create output directory {src}/edges.csv/o\\x1c\\tut: "),
 ])
 def test_unreadable_input_or_output_exits_with_one_line(toy, capsys, case, code, message):
     epath, apath, out = toy
@@ -538,6 +545,18 @@ def test_unreadable_input_or_output_exits_with_one_line(toy, capsys, case, code,
         argv += ["--config", str(src / "run.json")]
     elif case == "config-dir":
         argv += ["--config", str(src)]
+    elif case == "edges-line-break":
+        made = ["run.json"]
+        (src / "run.json").write_text(json.dumps({"edges": str(src / "e\nx.csv")}))
+        argv = ["ingest", "--config", str(src / "run.json"), "--out", str(out)]
+    elif case == "edges-nul":
+        argv[2] = str(src / "e\x00x.csv")
+    elif case == "edges-line-separator":
+        argv[2] = str(src / "e\u2028x.csv")
+    elif case == "config-line-break":
+        argv += ["--config", str(src / "r\r\x85n.json")]
+    elif case == "out-control-character":
+        argv += ["--out", str(epath / "o\x1c\tut")]
     elif case == "out-entry":
         (out / "edges.csv").mkdir(parents=True)
     else:
@@ -546,6 +565,7 @@ def test_unreadable_input_or_output_exits_with_one_line(toy, capsys, case, code,
     err = capsys.readouterr().err
     assert err.startswith(message.format(src=src, out=out))
     assert len(err.splitlines()) == 1
+    assert not any(c in err[:-1] for c in map(chr, range(0x20)))
     if case == "out-entry":
         # the directory in the file's place is left as it was, and the
         # graph summary written before it is removed again
@@ -556,6 +576,25 @@ def test_unreadable_input_or_output_exits_with_one_line(toy, capsys, case, code,
         assert not out.exists()
     assert epath.is_file() and sorted(p.name for p in src.iterdir()) == sorted(
         ["edges.csv", "attrs.csv"] + made)
+
+
+@pytest.mark.parametrize("how", ["config", "flag"])
+def test_nul_byte_in_out_is_a_config_error_before_any_stage(toy, capsys, monkeypatch, how):
+    epath, _, _ = toy
+    monkeypatch.chdir(epath.parent)
+    doc = {"edges": epath.name, "stages": ["ingest"]}
+    argv = ["run", "--config", "run.json"]
+    if how == "config":
+        doc["out"] = "o\u0000ut"
+    else:
+        # a missing edge file would be a data error (exit 3) had ingest run
+        doc["edges"] = "missing.csv"
+        argv += ["--out", "o\x00ut"]
+    Path("run.json").write_text(json.dumps(doc))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: out must not hold a NUL byte, got 'o\\x00ut'\n"
+    assert sorted(p.name for p in Path().iterdir()) == ["attrs.csv", "edges.csv", "run.json"]
 
 
 @pytest.mark.parametrize("name, error", [

@@ -1,6 +1,7 @@
-"""Property suite: broken edge input, attribute CSVs and config documents
-through the CLI either read or fail with exit code 2, 3 or 4, one stderr
-line and no output directory."""
+"""Property suite: broken edge input, attribute CSVs, config documents and
+file names holding line breaks or NUL bytes through the CLI either read or
+fail with exit code 2, 3 or 4, one stderr line without a NUL byte and no
+output directory."""
 
 import contextlib
 import csv
@@ -62,10 +63,12 @@ def document(fmt, defect, field):
 
 def run_cli(argv, out):
     """Run the CLI and check the outcome: a manifest, or an exit code of 2, 3
-    or 4 with one stderr line and no output directory."""
+    or 4 with one stderr line and no output directory; stderr never holds a
+    NUL byte."""
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         code = main([*argv, "--out", str(out)])
+    assert "\0" not in err.getvalue()
     if code == 0:
         assert (out / "manifest.json").is_file()
     else:
@@ -142,13 +145,18 @@ json_values = st.recursive(
         st.sampled_from(["q_range", "restarts", "sample_size", "seed", "a"]),
         inner, max_size=3),
     max_leaves=8)
+# file names holding line breaks, a NUL byte or a line separator
+ODD = ["\n", "\r", "\x00", "\u2028"]
+odd_names = st.lists(st.sampled_from(ODD + ["e", ".csv"]), min_size=1, max_size=5).filter(
+    lambda parts: any(c in ODD for c in parts)).map("".join)
 
 
 @settings(max_examples=50, deadline=None)
 @given(drop=st.sets(st.sampled_from(CONFIG_KEYS), max_size=2),
        changes=st.dictionaries(st.sampled_from(CONFIG_KEYS), json_values, max_size=2),
+       names=st.dictionaries(st.sampled_from(["edges", "attrs"]), odd_names, max_size=2),
        root=st.sampled_from(["object", "list"]), cut=st.none() | st.integers(0, 400))
-def test_mutated_config_document_exits_cleanly(drop, changes, root, cut):
+def test_mutated_config_document_exits_cleanly(drop, changes, names, root, cut):
     with tempfile.TemporaryDirectory() as tmp:
         edges, attrs = Path(tmp) / "edges.csv", Path(tmp) / "attrs.csv"
         edges.write_bytes(document("csv", "none", 0))
@@ -161,7 +169,21 @@ def test_mutated_config_document_exits_cleanly(drop, changes, root, cut):
         for key in drop:
             doc.pop(key, None)
         doc.update(changes)
+        doc.update(names)
         text = json.dumps(doc if root == "object" else list(doc.items()))
         config = Path(tmp) / "run.json"
         config.write_bytes(cut_at(text.encode(), cut))
         run_cli(["run", "--config", str(config)], Path(tmp) / "out")
+
+
+@pytest.mark.parametrize("odd", ODD, ids=["newline", "return", "nul", "line-separator"])
+@pytest.mark.parametrize("parent", ["directory", "file"])
+def test_out_name_with_a_line_break_or_nul_exits_cleanly(odd, parent):
+    with tempfile.TemporaryDirectory() as tmp:
+        edges = Path(tmp) / "edges.csv"
+        edges.write_bytes(document("csv", "none", 0))
+        out = Path(tmp) / ("edges.csv" if parent == "file" else "") / f"o{odd}ut"
+        run_cli(["ingest", "--edges", str(edges)], out)
+        # nothing but the output directory, and only on success
+        made = sorted(p.name for p in Path(tmp).iterdir())
+        assert made == sorted(["edges.csv"] + ([out.name] if out.is_dir() else []))

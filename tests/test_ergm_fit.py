@@ -90,7 +90,7 @@ def test_mle_moment_condition():
                          NodeMatch("g", lab)])
         fit = fit_exact_dyad(g, spec)
         mean = expected_statistics(g, spec, np.asarray(fit.theta))
-        obs = legnet.global_statistics(g, spec)
+        obs = DyadDesign.from_graph(g, spec).statistics()
         assert np.allclose(mean, obs, atol=1e-6)
 
 

@@ -71,7 +71,7 @@ def test_sampled_states_reproduce_their_statistics():
                                                  sample_size=12, seed=5))
     for index in range(12):
         rebuilt = result.graph(design, index)
-        assert np.allclose(legnet.global_statistics(rebuilt, spec),
+        assert np.allclose(DyadDesign.from_graph(rebuilt, spec).statistics(),
                            result.stats[index])
 
 

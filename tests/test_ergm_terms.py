@@ -8,8 +8,7 @@ import pytest
 import legnet
 from legnet import DataError
 from legnet.ergm import (AbsDiff, DyadDesign, Edges, ErgmSpec, Mutual,
-                         NodeCovariate, NodeMatch, change_statistics,
-                         global_statistics)
+                         NodeCovariate, NodeMatch)
 
 from conftest import matrix_of, oracle_statistics, ordered_design_matrix, random_digraph
 
@@ -39,7 +38,7 @@ def test_global_statistics_match_direct_counting():
     for seed in range(6):
         g = random_digraph(7, p=0.4, seed=seed, mutual_boost=0.3)
         spec, terms = full_spec(7, seed=seed)
-        got = global_statistics(g, spec)
+        got = DyadDesign.from_graph(g, spec).statistics()
         want = oracle_statistics(matrix_of(g), terms)
         assert np.allclose(got, want)
     # match labels whose sorted order is not their first-seen order, and
@@ -51,7 +50,7 @@ def test_global_statistics_match_direct_counting():
     want = oracle_statistics(matrix_of(g), [("match", lab, None),
                                             ("match", lab, "010"),
                                             ("match", lab, "9")])
-    assert global_statistics(g, spec).tolist() == want.tolist()
+    assert DyadDesign.from_graph(g, spec).statistics().tolist() == want.tolist()
     assert want.min() > 0
 
 
@@ -59,6 +58,7 @@ def test_change_statistic_is_a_toggle_difference():
     for seed in range(4):
         g = random_digraph(6, p=0.4, seed=seed + 9)
         spec, terms = full_spec(6, seed=seed)
+        design = DyadDesign.from_graph(g, spec)
         y = matrix_of(g)
         for i, j in itertools.permutations(range(6), 2):
             with_edge = y.copy()
@@ -67,15 +67,16 @@ def test_change_statistic_is_a_toggle_difference():
             without[i, j] = False
             want = (oracle_statistics(with_edge, terms)
                     - oracle_statistics(without, terms))
-            got = change_statistics(g, spec, i, j)
+            got = design.change_statistic(i, j)
             assert np.allclose(got, want), (i, j)
 
 
 def test_change_statistic_rejects_diagonal():
     g = random_digraph(5, p=0.4, seed=1)
     spec, _ = full_spec(5)
+    design = DyadDesign.from_graph(g, spec)
     with pytest.raises(DataError):
-        change_statistics(g, spec, 2, 2)
+        design.change_statistic(2, 2)
 
 
 @pytest.mark.parametrize("i, j", [(0, 12), (0, 40), (12, 0), (-1, 3), (3, -1)])
@@ -83,15 +84,16 @@ def test_change_statistic_rejects_indices_outside_the_graph(i, j):
     # 12 and 40 would otherwise land on another dyad's column
     g = random_digraph(12, p=0.3, seed=2)
     spec, _ = full_spec(12)
+    design = DyadDesign.from_graph(g, spec)
     with pytest.raises(DataError, match="out of range for 12 nodes"):
-        change_statistics(g, spec, i, j)
+        design.change_statistic(i, j)
 
 
 def test_design_round_trip_and_pair_index():
     g = random_digraph(8, p=0.35, seed=5, mutual_boost=0.4)
-    spec, _ = full_spec(8)
+    spec, terms = full_spec(8)
     design = DyadDesign.from_graph(g, spec)
-    assert np.allclose(design.statistics(), global_statistics(g, spec))
+    assert np.allclose(design.statistics(), oracle_statistics(matrix_of(g), terms))
     # pair_index enumerates the upper triangle row-major
     seen = [int(design.pair_index(i, j))
             for i in range(8) for j in range(i + 1, 8)]
@@ -127,8 +129,9 @@ def test_mutual_change_depends_on_reverse_tie():
     spec = ErgmSpec([Edges(), Mutual()])
     # b->a closes the dyad; a->c does not
     g3 = legnet.Graph([("a", "b", 0.5), ("c", "a", 0.5)])
-    d_close = change_statistics(g3, spec, 1, 0)
-    d_open = change_statistics(g3, spec, 1, 2)
+    design = DyadDesign.from_graph(g3, spec)
+    d_close = design.change_statistic(1, 0)
+    d_open = design.change_statistic(1, 2)
     assert d_close.tolist() == [1.0, 1.0]
     assert d_open.tolist() == [1.0, 0.0]
 
@@ -150,5 +153,3 @@ def test_labels_and_dyad_independence():
                      NodeMatch("p", ("u", "u", "v"), level="u"),
                      AbsDiff("age", x)])
     assert spec.labels == ("edges", "sender(deg)", "match(p=u)", "absdiff(age)")
-    assert spec.dyad_independent
-    assert not ErgmSpec([Edges(), Mutual()]).dyad_independent

@@ -16,7 +16,7 @@ from conftest import (graph_from_matrix, matrix_of, oracle_closeness,
 
 def test_degree_strength_matches_manual_sums():
     g = random_digraph(10, p=0.3, seed=1)
-    indeg, outdeg, strength = legnet.degree_strength(g)
+    indeg, outdeg, strength = g.in_degrees(), g.out_degrees(), g.out_strengths()
     a = g.adjacency(weighted=True)
     assert np.array_equal(indeg, (a > 0).sum(axis=0))
     assert np.array_equal(outdeg, (a > 0).sum(axis=1))
