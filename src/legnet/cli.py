@@ -94,13 +94,14 @@ def _build_config(args: argparse.Namespace):
 
 
 # NUL, the other C0 controls and every line break that str.splitlines
-# knows, written as backslash escapes: each stderr message is one line.
+# knows, written as backslash escapes: each message is one line.
 _ESCAPES = {c: chr(c).encode("unicode_escape").decode()
             for c in (*range(0x20), 0x85, 0x2028, 0x2029)}
 
 
-def _say(line: str) -> None:
-    print(line.translate(_ESCAPES), file=sys.stderr)
+def _say(line: str, file=None) -> None:
+    """Print `line` escaped (_ESCAPES) to `file`, by default stderr."""
+    print(line.translate(_ESCAPES), file=file or sys.stderr)
 
 
 def main(argv=None) -> int:
@@ -125,7 +126,7 @@ def main(argv=None) -> int:
         return 4
     for notice in manifest["notices"]:
         _say(f"notice: {notice}")
-    print(f"wrote {len(manifest['outputs'])} files to {config.out_dir}")
+    _say(f"wrote {len(manifest['outputs'])} files to {config.out_dir}", sys.stdout)
     return 0
 
 

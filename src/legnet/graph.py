@@ -79,7 +79,11 @@ class Graph:
             j = index.setdefault(t, len(index))
             if i == j:
                 raise DataError(f"self-loop on node {s!r} (edge record {rec_no})")
-            w = float(w)
+            try:
+                w = float(w)
+            except (TypeError, ValueError, OverflowError):
+                raise DataError(f"edge weight {w!r} is not a number on {s!r}->{t!r} "
+                                f"(edge record {rec_no})") from None
             if not (0.0 < w <= 1.0):
                 raise DataError(
                     f"edge weight {w!r} outside (0, 1] on {s!r}->{t!r} (edge record {rec_no})")

@@ -4,6 +4,10 @@ Canonical edge CSV: header ``source,target,weight``, UTF-8, one directed
 edge per row. The upstream JSON export holds three parallel per-node
 arrays, read by their fixed names (UPSTREAM_FIELDS): the node ids, each
 node's out-neighbors and each node's out-weights.
+
+Both CSVs, the edge list and the attribute table, skip empty and
+whitespace-only lines, also before the header; "line N" in an error is
+the physical line the row ends on.
 """
 
 from __future__ import annotations
@@ -42,22 +46,35 @@ def _as_text(source: str | Path | bytes | IO) -> str:
     return text.removeprefix("\ufeff")
 
 
-def _csv_rows(text: str) -> Iterator[list[str]]:
-    """The rows of the CSV `text`; a line it cannot parse is a DataError naming it."""
+def _csv_table(text: str, kind: str, required: tuple[str, ...],
+               empty: str) -> tuple[list[str], Iterator[tuple[int, list[str]]]]:
+    """The stripped header of the CSV `text` and its data rows as (line, row)
+    pairs, line being the physical line the row ends on; empty and
+    whitespace-only lines are skipped. No header is the DataError `empty`; a
+    header that repeats a name or lacks a `required` column is a DataError
+    naming the `kind` of file, and so is a line the csv module cannot parse."""
     reader = csv.reader(_io.StringIO(text))
-    try:
-        yield from reader
-    except csv.Error as exc:
-        raise DataError(f"line {reader.line_num}: cannot parse CSV ({exc})") from None
 
+    def rows() -> Iterator[tuple[int, list[str]]]:
+        try:
+            for row in reader:
+                if len(row) > 1 or (row and row[0].strip()):
+                    yield reader.line_num, row
+        except csv.Error as exc:
+            raise DataError(f"line {reader.line_num}: cannot parse CSV ({exc})") from None
 
-def _header(row: list[str], kind: str) -> list[str]:
-    """The stripped column names of a CSV header; a repeated name is a DataError."""
-    names = [h.strip() for h in row]
-    for i, name in enumerate(names):
-        if name and name in names[:i]:
+    records = rows()
+    first = next(records, None)
+    if first is None:
+        raise DataError(empty)
+    header = [h.strip() for h in first[1]]
+    for i, name in enumerate(header):
+        if name and name in header[:i]:
             raise DataError(f"{kind} header repeats column {name!r}")
-    return names
+    for name in required:
+        if name not in header:
+            raise DataError(f"{kind} header missing column {name!r}")
+    return header, records
 
 
 def load_edge_list(source: str | Path | bytes | IO, format: str = "csv") -> Graph:
@@ -77,32 +94,20 @@ def load_edge_list(source: str | Path | bytes | IO, format: str = "csv") -> Grap
 
 
 def _edges_from_csv(text: str) -> Graph:
-    if not text.strip():
-        raise DataError("no nodes: empty edge stream")
-    reader = _csv_rows(text)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DataError("no nodes: empty edge stream") from None
-    header = _header(header, "edge CSV")
-    for required in ("source", "target", "weight"):
-        if required not in header:
-            raise DataError(f"edge CSV header missing column {required!r}")
+    header, rows = _csv_table(text, "edge CSV", ("source", "target", "weight"),
+                              "no nodes: empty edge stream")
     si, ti, wi = header.index("source"), header.index("target"), header.index("weight")
-
     edges = []
-    for line_no, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
+    for line, row in rows:
         if len(row) <= max(si, ti, wi):
-            raise DataError(f"line {line_no}: expected {len(header)} fields, got {len(row)}")
+            raise DataError(f"line {line}: expected {len(header)} fields, got {len(row)}")
         s, t, w = row[si].strip(), row[ti].strip(), row[wi].strip()
         if not s or not t:
-            raise DataError(f"line {line_no}: empty node identifier")
+            raise DataError(f"line {line}: empty node identifier")
         try:
             weight = float(w)
         except ValueError:
-            raise DataError(f"line {line_no}: weight {w!r} is not a number") from None
+            raise DataError(f"line {line}: weight {w!r} is not a number") from None
         edges.append((s, t, weight))
     if not edges:
         raise DataError("no nodes: edge stream has a header but no rows")
@@ -112,7 +117,7 @@ def _edges_from_csv(text: str) -> Graph:
 def _edges_from_upstream_json(text: str) -> Graph:
     try:
         doc: Any = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # a JSONDecodeError, or too many digits
         raise DataError(f"upstream JSON parse failure: {exc}") from None
     if isinstance(doc, list):
         if not doc:
@@ -151,7 +156,7 @@ def _edges_from_upstream_json(text: str) -> Graph:
                 raise DataError(f"node {node!r}: target id {j!r} not in usernameList")
             if isinstance(w, bool) or not isinstance(w, (int, float)):
                 raise DataError(f"node {node!r}: weight {w!r} is not a number")
-            edges.append((node, ids[j] if isinstance(j, int) else j, float(w)))
+            edges.append((node, ids[j] if isinstance(j, int) else j, w))
     return Graph(edges, nodes=ids)
 
 
@@ -179,13 +184,8 @@ def load_attributes(source: str | Path | bytes | IO, graph: Graph) -> AttributeT
     (numeric). Unknown columns are ignored with a warning; absent
     optional columns simply stay unloaded.
     """
-    reader = _csv_rows(_as_text(source))
-    header = next(reader, None)
-    if header is None:
-        raise DataError("attribute stream is empty")
-    names = _header(header, "attribute CSV")
-    if "node_id" not in names:
-        raise DataError("attribute CSV header missing column 'node_id'")
+    names, rows = _csv_table(_as_text(source), "attribute CSV", ("node_id",),
+                             "attribute stream is empty")
     known = set(CATEGORICAL_COLUMNS) | set(NUMERIC_COLUMNS) | {"node_id"}
     unknown = [h for h in names if h not in known]
     if unknown:
@@ -197,17 +197,15 @@ def load_attributes(source: str | Path | bytes | IO, graph: Graph) -> AttributeT
     cat_data: dict[str, list[str | None]] = {c: [None] * n for c in cat_cols}
     num_data: dict[str, list[float]] = {c: [0.0] * n for c in num_cols}
     seen = [False] * n
-    rows = 0
-    # blank lines are skipped, and a row's missing trailing fields read as empty
-    for line_no, values in enumerate(filter(None, reader), start=2):
-        rows += 1
+    # a row's missing trailing fields read as empty
+    for line, values in rows:
         row = dict(zip(names, values))
         node = (row.get("node_id") or "").strip()
         if node not in graph:
-            raise DataError(f"line {line_no}: node_id {node!r} absent from graph")
+            raise DataError(f"line {line}: node_id {node!r} absent from graph")
         i = graph.index_of(node)
         if seen[i]:
-            raise DataError(f"line {line_no}: duplicated node_id {node!r}")
+            raise DataError(f"line {line}: duplicated node_id {node!r}")
         seen[i] = True
         for c in cat_cols:
             cat_data[c][i] = (row.get(c) or "").strip()
@@ -216,10 +214,10 @@ def load_attributes(source: str | Path | bytes | IO, graph: Graph) -> AttributeT
             try:
                 num_data[c][i] = float(raw)
             except ValueError:
-                raise DataError(
-                    f"line {line_no}: {c} value {raw!r} is not numeric") from None
-    if rows != n or not all(seen):
-        raise DataError(f"attribute/graph mismatch: {rows} rows for {n} nodes")
+                raise DataError(f"line {line}: {c} value {raw!r} is not numeric") from None
+    # every row names a distinct node of the graph, so one per node is all
+    if not all(seen):
+        raise DataError(f"attribute/graph mismatch: {sum(seen)} rows for {n} nodes")
     return AttributeTable(graph.node_ids, cat_data, num_data)
 
 

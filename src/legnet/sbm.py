@@ -412,15 +412,17 @@ def select_q(adjacency, q_range, restarts: int = 1,
     The spectral starts of all Q come from one eigensolve. A range
     outside [1, n] is refused before any fit.
     """
-    qs = list(q_range)
+    # a range is read from its two ends, so no list of a huge one is built
+    qs = q_range if isinstance(q_range, range) else list(q_range)
     if not qs:
         raise DataError("empty Q range")
+    lo, hi = sorted((qs[0], qs[-1])) if isinstance(qs, range) else (min(qs), max(qs))
     # a Graph knows its size; any other input is validated once, here
     if not isinstance(adjacency, Graph):
         adjacency = _as_binary(adjacency)
-    if min(qs) < 1 or max(qs) > adjacency.n:
-        raise DataError(f"Q range {min(qs)}:{max(qs)} outside [1, {adjacency.n}]")
-    spectral = _SpectralStart(max(qs))
+    if lo < 1 or hi > adjacency.n:
+        raise DataError(f"Q range {lo}:{hi} outside [1, {adjacency.n}]")
+    spectral = _SpectralStart(hi)
     fits = [fit_q(adjacency, q, restarts=restarts, seed=seed + 7919 * q, _spectral=spectral)
             for q in qs]
     return max(fits, key=lambda fit: fit.icl), [(fit.requested_q, fit.icl) for fit in fits]

@@ -50,6 +50,14 @@ def test_ingest_writes_graph_artifacts(toy, capsys):
     assert "wrote 4 files to" in capsys.readouterr().out
 
 
+def test_the_stdout_line_escapes_a_line_break_in_the_output_name(toy, capsys):
+    epath, _, out = toy
+    out = out.with_name("o\nut")
+    assert main(["ingest", "--edges", str(epath), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote 4 files to {out.parent}/o\\nut\n"
+    assert (out / "manifest.json").exists()
+
+
 def test_no_edges_is_config_error(tmp_path, capsys):
     code = main(["ingest", "--out", str(tmp_path / "o")])
     assert code == 2
@@ -297,6 +305,28 @@ def test_q_range_beyond_the_graph_exits_3_before_any_fit(tmp_path, capsys):
                  "--q-range", "1:70", "--restarts", "2"])
     assert code == 3
     assert capsys.readouterr().err == "data error: Q range 1:70 outside [1, 60]\n"
+    assert not out.exists()
+
+
+def test_a_huge_q_range_is_refused_from_its_ends(tmp_path):
+    # A child process with a capped address space, so that building the
+    # list of Q values fails fast instead of exhausting the machine.
+    resource = pytest.importorskip("resource")
+    epath, out = tmp_path / "tiny.csv", tmp_path / "out"
+    epath.write_text("source,target,weight\na,b,0.5\nb,c,0.5\n")
+    argv = ["sbm", "--edges", str(epath), "--out", str(out),
+            "--q-range", "1:100000000000", "--restarts", "1"]
+    script = f"import sys, legnet.cli\nsys.exit(legnet.cli.main({argv!r}))\n"
+    src = str(Path(legnet.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    limit = 1536 * 2**20
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        timeout=300)
+    assert (done.returncode, done.stdout) == (3, "")
+    assert done.stderr == "data error: Q range 1:100000000000 outside [1, 3]\n"
     assert not out.exists()
 
 

@@ -56,6 +56,10 @@ def test_rejects_bad_weights():
     for w in (0.0, -0.2, 1.5, float("nan")):
         with pytest.raises(DataError):
             Graph([("a", "b", w)])
+    # an integer too large for a float, text and None are not numbers
+    for w in (10**400, "heavy", None):
+        with pytest.raises(DataError, match=r"is not a number on 'a'->'b' \(edge record 1\)"):
+            Graph([("a", "b", w)])
 
 
 def test_rejects_self_loops_and_duplicates():

@@ -157,11 +157,19 @@ def test_upstream_json_bad_documents():
     ({"outWeight": [[None, 0.25], [1.0], []]}, "node 'alpha': weight None"),
     ({"outWeight": [[0.5, 0.25], [True], []]}, "node 'beta': weight True"),
     ({"outList": [[1, "zz"], [0], []]}, "node 'alpha': target id 'zz' not in usernameList"),
+    # an integer too large for a float
+    ({"outWeight": [[10**400, 0.25], [1.0], []]}, "0 is not a number on 'alpha'->'beta'"),
 ])
 def test_upstream_json_malformed_values_name_the_node(change, message):
     with pytest.raises(DataError, match=message):
         legnet.load_edge_list(io.StringIO(json.dumps(dict(UPSTREAM, **change))),
                               format="upstream-json")
+
+
+def test_upstream_json_integer_past_the_digit_limit_is_a_data_error():
+    doc = json.dumps(UPSTREAM).replace("0.25", "1" * 5000)
+    with pytest.raises(DataError, match="upstream JSON parse failure: Exceeds the limit"):
+        legnet.load_edge_list(io.StringIO(doc), format="upstream-json")
 
 
 def test_upstream_json_numeric_node_ids_still_load():
@@ -289,6 +297,88 @@ def test_attribute_mismatches():
     bad_age = "node_id,age\na,55\nb,young\nc,61\n"
     with pytest.raises(DataError, match="line 3"):
         legnet.load_attributes(io.StringIO(bad_age), graph_abc())
+
+
+@pytest.mark.parametrize("load, doc, message", [
+    # the attribute loader counted only the rows that were not blank
+    (lambda doc: legnet.load_attributes(doc, graph_abc()),
+     "node_id,party\na,Blue\nb,Gold\n\nzz,Gold\n", "^line 5: node_id 'zz' absent"),
+    # the edge loader counted records, and a quoted field spans two lines
+    (legnet.load_edge_list, 'source,target,weight\n"a\nx",b,0.5\nb,c,heavy\n',
+     "^line 4: weight 'heavy' is not a number"),
+], ids=["attributes-after-a-blank-line", "edges-after-a-two-line-field"])
+def test_csv_errors_name_the_physical_line(load, doc, message):
+    with pytest.raises(DataError, match=message):
+        load(io.StringIO(doc))
+
+
+def test_blank_lines_are_skipped_in_both_csvs_also_before_the_header():
+    edges = legnet.load_edge_list(io.StringIO("\n \t\n" + CSV_DOC.replace("\n", "\n  \n", 1)))
+    assert list(edges.edge_records()) == list(graph_abc().edge_records())
+    # the attribute loader refused a whitespace-only line, and a blank first line
+    for doc in (ATTR_DOC.replace("b,", " \nb,"), "\n" + ATTR_DOC):
+        attrs = legnet.load_attributes(io.StringIO(doc), graph_abc())
+        assert attrs.categorical("party") == ("Blue", "Gold", "Blue")
+        assert attrs.numeric("tenure").tolist() == [10.0, 3.0, 22.0]
+
+
+def test_blank_lines_never_change_what_a_csv_loads():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    ids = ["a", "b c", "d\ne", "f,g", 'h"i', "ç"]
+    pairs = [(i, j) for i in range(len(ids)) for j in range(len(ids)) if i != j]
+
+    def records(rows):
+        """Each row as its CSV text, which may span lines."""
+        out = []
+        for row in rows:
+            buf = io.StringIO()
+            csv.writer(buf, lineterminator="\n").writerow(row)
+            out.append(buf.getvalue())
+        return out
+
+    def graph_key(g):
+        return g.node_ids, list(g.edge_records())
+
+    def table_key(t):
+        return ([(c, t.categorical(c)) for c in t.categorical_columns],
+                [(c, t.numeric(c).tolist()) for c in t.numeric_columns])
+
+    @settings(max_examples=60, deadline=None)
+    @given(edges=st.lists(st.sampled_from(pairs), min_size=1, max_size=12, unique=True),
+           weights=st.lists(st.sampled_from([0.125, 0.5, 1.0, 0.3]), min_size=12,
+                            max_size=12),
+           parties=st.lists(st.sampled_from(["Blue", "Gold", "Bl\nue", " "]),
+                            min_size=len(ids), max_size=len(ids)),
+           blanks=st.lists(st.tuples(st.integers(0, 64), st.sampled_from(["", " ", "\t", " \t "])),
+                           max_size=6),
+           corrupt=st.integers(0, 64), order=st.randoms(use_true_random=False))
+    def check(edges, weights, parties, blanks, corrupt, order):
+        edge_rows = [[ids[i], ids[j], repr(w)] for (i, j), w in zip(edges, weights)]
+        graph = legnet.load_edge_list(io.StringIO("".join(records(
+            [["source", "target", "weight"], *edge_rows]))))
+        attr_rows = [[node, party, str(k)] for k, (node, party) in
+                     enumerate(zip(graph.node_ids, parties))]
+        order.shuffle(attr_rows)
+        for load, header, rows, key, bad in (
+                (legnet.load_edge_list, ["source", "target", "weight"], edge_rows,
+                 graph_key, lambda row: [*row[:2], "heavy"]),
+                (lambda doc: legnet.load_attributes(doc, graph), ["node_id", "party", "age"],
+                 attr_rows, table_key, lambda row: ["zz", *row[1:]])):
+            clean = records([header, *rows])
+            texts = list(clean)
+            for at, blank in sorted(blanks, reverse=True):
+                texts.insert(at % (len(texts) + 1), blank + "\n")
+            assert key(load(io.StringIO("".join(texts)))) == key(load(io.StringIO("".join(clean))))
+            # one corrupted data row is named by the physical line it ends on
+            k = texts.index(clean[1 + corrupt % len(rows)])
+            texts[k] = records([bad(rows[corrupt % len(rows)])])[0]
+            line = "".join(texts[:k + 1]).count("\n")
+            with pytest.raises(DataError, match=f"^line {line}: "):
+                load(io.StringIO("".join(texts)))
+
+    check()
 
 
 def test_graphml_is_wellformed_and_complete():
