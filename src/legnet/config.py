@@ -12,7 +12,7 @@ from typing import Any, Callable, Mapping, Sequence
 import numpy as np
 
 from .attributes import AttributeTable
-from .errors import ConfigError, DataError, is_int_at_least
+from .errors import ConfigError, DataError, _shown, is_int_at_least
 from .ergm import AbsDiff, Edges, ErgmSpec, ErgmTerm, Mutual, NodeCovariate, NodeMatch
 from .ergm.terms import COVARIATE_ROLES
 from .graph import Graph
@@ -79,7 +79,7 @@ class RunConfig:
         for key, (name, requirement, ok) in _SCHEMA.items():
             value = getattr(self, name)
             if not ok(value):
-                raise ConfigError(f"{key} must be {requirement}, got {value!r}")
+                raise ConfigError(f"{key} must be {requirement}, got {_shown(value)}")
         if "\0" in self.out_dir:  # no directory can be named by it
             raise ConfigError(f"out must not hold a NUL byte, got {self.out_dir!r}")
         names = Counter(_validate_model(model, index)

@@ -11,6 +11,7 @@ there is no burn-in, thinning or start state, and nothing is rejected.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -21,39 +22,33 @@ from .terms import DyadDesign, ErgmSpec
 
 @dataclass(frozen=True)
 class SimControl:
-    """Draw count and seed; burnin and interval are validated but ignored."""
+    """Draw count and seed. The draws are exact: no burn-in, no thinning."""
 
-    burnin: int = 100
-    interval: int = 5
+    burnin: ClassVar[int] = 0    # both read by bench/tracing.py's sweep count
+    interval: ClassVar[int] = 1
     sample_size: int = 256
     seed: int = 0
 
     def __post_init__(self) -> None:
-        require_ints(self, burnin=0, interval=1, sample_size=1, seed=0)
+        require_ints(self, sample_size=1, seed=0)
 
 
 @dataclass
 class SimResult:
-    """Independent draws: statistic vectors plus the tie states behind them.
+    """Independent draws: their statistics and, if kept, their tie states."""
 
-    acceptance_rate is always 1.0: an exact draw is never rejected.
-    """
-
+    acceptance_rate: ClassVar[float] = 1.0  # never rejected; read by bench/tracing.py
     labels: tuple[str, ...]
-    stats: np.ndarray            # (samples, K)
-    states: list[tuple[np.ndarray, np.ndarray]] = field(repr=False, default_factory=list)
-    acceptance_rate: float = 1.0
+    stats: np.ndarray  # (draws, K)
+    states: np.ndarray | None = field(repr=False, default=None)  # (draws, D) int8 y1 + 2*y2
 
-    def graph(self, design: DyadDesign, index: int,
-              node_ids=None) -> Graph:
-        """Materialize one sampled state as a Graph (unit weights)."""
-        y1, y2 = self.states[index]
-        ids = list(node_ids) if node_ids is not None else list(range(design.n))
-        edges = [(ids[int(i)], ids[int(j)], 1.0)
-                 for i, j in zip(design.iu[y1], design.ju[y1])]
-        edges += [(ids[int(j)], ids[int(i)], 1.0)
-                  for i, j in zip(design.iu[y2], design.ju[y2])]
-        return Graph(edges, nodes=ids)
+    def graph(self, design: DyadDesign, index: int) -> Graph:
+        """Materialize one sampled state as a Graph on nodes 0..n-1 (unit weights)."""
+        code = self.states[index]
+        y1, y2 = (code & 1).astype(bool), (code >> 1).astype(bool)
+        edges = [(int(i), int(j), 1.0) for i, j in zip(design.iu[y1], design.ju[y1])]
+        edges += [(int(j), int(i), 1.0) for i, j in zip(design.iu[y2], design.ju[y2])]
+        return Graph(edges, nodes=range(design.n))
 
 
 def sample_states(design: DyadDesign, theta: np.ndarray, control: SimControl,
@@ -76,14 +71,12 @@ def sample_states(design: DyadDesign, theta: np.ndarray, control: SimControl,
         stats[i] = design.weighted_sum(state & 1, state >> 1, state == 3)
         if keep_states:
             codes[i] = state
-    states = [((c & 1).astype(bool), (c >> 1).astype(bool))
-              for c in codes] if keep_states else []
-    return SimResult(labels=design.spec.labels, stats=stats, states=states)
+    return SimResult(labels=design.spec.labels, stats=stats, states=codes)
 
 
 def simulate(spec: ErgmSpec, theta: np.ndarray, graph_size: int | None = None,
-             control: SimControl | None = None, graph: Graph | None = None,
-             keep_states: bool = True) -> tuple[SimResult, DyadDesign]:
+             control: SimControl | None = None,
+             graph: Graph | None = None) -> tuple[SimResult, DyadDesign]:
     """Draw networks from the model at fixed theta.
 
     Provide either `graph` (its nodes and covariates define the design)
@@ -97,4 +90,4 @@ def simulate(spec: ErgmSpec, theta: np.ndarray, graph_size: int | None = None,
         design = DyadDesign(graph_size, spec)
     else:
         raise ConfigError("simulate needs a graph or a graph_size")
-    return sample_states(design, theta, control, keep_states=keep_states), design
+    return sample_states(design, theta, control, keep_states=True), design

@@ -14,8 +14,8 @@ the mutual term has none (it is carried by m).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence, Union
+from dataclasses import dataclass
+from typing import ClassVar, Sequence, Union
 
 import numpy as np
 
@@ -26,12 +26,12 @@ from ..partition import label_codes
 
 @dataclass(frozen=True)
 class Edges:
-    label: str = "edges"
+    label: ClassVar[str] = "edges"
 
 
 @dataclass(frozen=True)
 class Mutual:
-    label: str = "mutual"
+    label: ClassVar[str] = "mutual"
 
 
 COVARIATE_ROLES = ("sender", "receiver", "sum")
@@ -48,14 +48,12 @@ class NodeCovariate:
     name: str
     values: tuple[float, ...]
     role: str = "sum"
-    label: str = field(default="", compare=False)
+    label = property(lambda self: f"{self.role}({self.name})")
 
     def __post_init__(self) -> None:
         if self.role not in COVARIATE_ROLES:
             raise DataError(f"unknown covariate role {self.role!r}")
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        if not self.label:
-            object.__setattr__(self, "label", f"{self.role}({self.name})")
 
 
 @dataclass(frozen=True)
@@ -70,15 +68,13 @@ class NodeMatch:
     name: str
     labels: tuple[str, ...]
     level: str | None = None
-    label: str = field(default="", compare=False)
+    label = property(lambda self: f"match({self.name}"
+                     + ("" if self.level is None else f"={self.level}") + ")")
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "labels", tuple(str(v) for v in self.labels))
         if self.level is not None and self.level not in set(self.labels):
             raise DataError(f"NodeMatch level {self.level!r} not present in {self.name!r}")
-        if not self.label:
-            suffix = f"={self.level}" if self.level is not None else ""
-            object.__setattr__(self, "label", f"match({self.name}{suffix})")
 
 
 @dataclass(frozen=True)
@@ -87,12 +83,10 @@ class AbsDiff:
 
     name: str
     values: tuple[float, ...]
-    label: str = field(default="", compare=False)
+    label = property(lambda self: f"absdiff({self.name})")
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        if not self.label:
-            object.__setattr__(self, "label", f"absdiff({self.name})")
 
 
 ErgmTerm = Union[Edges, Mutual, NodeCovariate, NodeMatch, AbsDiff]

@@ -1,6 +1,7 @@
-"""Exception types shared across the toolkit, and the integer check behind
-every integer setting."""
+"""Exception types shared across the toolkit, the integer check behind
+every integer setting, and the repr that their messages show."""
 
+from decimal import Decimal
 from numbers import Integral
 from typing import Any
 
@@ -21,6 +22,14 @@ class EstimationError(LegnetError):
     """Model fitting failed to converge or produced an unusable fit (CLI exit code 4)."""
 
 
+def _shown(value: Any) -> str:
+    """repr(value), or the digit count of an integer too long for repr."""
+    try:
+        return repr(value)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        return f"<integer of {Decimal(abs(value)).adjusted() + 1} digits>"
+
+
 def is_int_at_least(value: Any, least: int) -> bool:
     """Whether `value` is an integer >= least; a numpy integer counts, a bool
     or a float does not."""
@@ -34,4 +43,4 @@ def require_ints(control: Any, **least: int) -> None:
         value = getattr(control, name)
         if not is_int_at_least(value, low):
             raise ConfigError(f"{type(control).__name__}.{name} must be an integer "
-                              f">= {low}, got {value!r}")
+                              f">= {low}, got {_shown(value)}")

@@ -21,7 +21,7 @@ from typing import Hashable, Iterable, Iterator, Sequence
 import numpy as np
 from scipy.sparse import csr_array
 
-from .errors import DataError
+from .errors import DataError, _shown
 
 NodeId = Hashable
 
@@ -82,8 +82,8 @@ class Graph:
             try:
                 w = float(w)
             except (TypeError, ValueError, OverflowError):
-                raise DataError(f"edge weight {w!r} is not a number on {s!r}->{t!r} "
-                                f"(edge record {rec_no})") from None
+                raise DataError(f"edge weight {_shown(w)} is not a number on "
+                                f"{s!r}->{t!r} (edge record {rec_no})") from None
             if not (0.0 < w <= 1.0):
                 raise DataError(
                     f"edge weight {w!r} outside (0, 1] on {s!r}->{t!r} (edge record {rec_no})")

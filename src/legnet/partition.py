@@ -41,22 +41,47 @@ def _comb2(x: np.ndarray) -> np.ndarray:
     return x * (x - 1.0) / 2.0
 
 
-def _pair_counts(a: Sequence[Hashable],
-                 b: Sequence[Hashable]) -> tuple[int, float, float, float]:
+def _pair_counts(table: np.ndarray, score: str) -> tuple[int, float, float, float]:
     """n, and the node pairs that share a cell, a row and a column of the
     cross-table: the sums of C(n_ij, 2), C(n_i., 2) and C(n_.j, 2)."""
-    table = contingency(a, b)
-    return (int(table.sum()), _comb2(table).sum(),
+    n = int(table.sum())
+    if n < 2:
+        raise DataError(f"{score} needs at least 2 nodes")
+    return (n, _comb2(table).sum(),
             _comb2(table.sum(axis=1)).sum(), _comb2(table.sum(axis=0)).sum())
+
+
+def _rand(table: np.ndarray) -> float:
+    n, s11, sa, sb = _pair_counts(table, "rand index")
+    total = _comb2(np.asarray(n))
+    return float((total + 2.0 * s11 - sa - sb) / total)
+
+
+def _adjusted_rand(table: np.ndarray) -> float:
+    n, s11, sa, sb = _pair_counts(table, "adjusted Rand")
+    expected = sa * sb / _comb2(np.asarray(n))
+    denom = 0.5 * (sa + sb) - expected
+    if denom == 0.0:
+        return 1.0
+    return float((s11 - expected) / denom)
+
+
+def _nmi(table: np.ndarray) -> float:
+    p = table / table.sum()
+    pa, pb = p.sum(axis=1), p.sum(axis=0)
+    ha = float(-xlogy(pa, pa).sum())
+    hb = float(-xlogy(pb, pb).sum())
+    if ha == 0.0 and hb == 0.0:
+        return 1.0
+    if ha == 0.0 or hb == 0.0:
+        return 0.0
+    mi = float((xlogy(p, p) - xlogy(p, np.outer(pa, pb))).sum())
+    return float(min(max(mi / (0.5 * (ha + hb)), 0.0), 1.0))
 
 
 def rand_index(a: Sequence[Hashable], b: Sequence[Hashable]) -> float:
     """Fraction of node pairs on which the partitions agree."""
-    n, s11, sa, sb = _pair_counts(a, b)
-    if n < 2:
-        raise DataError("rand index needs at least 2 nodes")
-    total = _comb2(np.asarray(n))
-    return float((total + 2.0 * s11 - sa - sb) / total)
+    return _rand(contingency(a, b))
 
 
 def adjusted_rand(a: Sequence[Hashable], b: Sequence[Hashable]) -> float:
@@ -65,14 +90,7 @@ def adjusted_rand(a: Sequence[Hashable], b: Sequence[Hashable]) -> float:
     When both partitions are single-class (or otherwise leave no room
     for chance), the score is 1 by convention.
     """
-    n, s11, sa, sb = _pair_counts(a, b)
-    if n < 2:
-        raise DataError("adjusted Rand needs at least 2 nodes")
-    expected = sa * sb / _comb2(np.asarray(n))
-    denom = 0.5 * (sa + sb) - expected
-    if denom == 0.0:
-        return 1.0
-    return float((s11 - expected) / denom)
+    return _adjusted_rand(contingency(a, b))
 
 
 def nmi(a: Sequence[Hashable], b: Sequence[Hashable]) -> float:
@@ -80,17 +98,4 @@ def nmi(a: Sequence[Hashable], b: Sequence[Hashable]) -> float:
     of the two entropies. Conventions: 1.0 when both partitions are
     single-class, 0.0 when exactly one is.
     """
-    table = contingency(a, b).astype(np.float64)
-    n = table.sum()
-    p = table / n
-    pa = p.sum(axis=1)
-    pb = p.sum(axis=0)
-    ha = float(-xlogy(pa, pa).sum())
-    hb = float(-xlogy(pb, pb).sum())
-    if ha == 0.0 and hb == 0.0:
-        return 1.0
-    if ha == 0.0 or hb == 0.0:
-        return 0.0
-    outer = pa[:, None] * pb[None, :]
-    mi = float((xlogy(p, p) - xlogy(p, outer)).sum())
-    return float(min(max(mi / (0.5 * (ha + hb)), 0.0), 1.0))
+    return _nmi(contingency(a, b))

@@ -31,7 +31,7 @@ from .ergm import (ErgmFit, McmleControl, fit_exact_dyad, fit_mcmle, fit_mple,
                    likelihood_ratio_test, mcmc_diagnostics, report_effects)
 from .graph import ComponentReport, Graph, components
 from .io import dot_dump, edge_csv_dump, graphml_dump, load_attributes, load_edge_list
-from .partition import adjusted_rand, count_pairs, label_codes, nmi, rand_index
+from .partition import _adjusted_rand, _nmi, _rand, contingency, count_pairs, label_codes
 from .sbm import SbmFit, community_summary, select_q
 from .topology import (CentralityReport, ConnectivityReport, assortativity_report,
                        centrality_report, connectivity_report, density)
@@ -424,11 +424,8 @@ class Pipeline:
                 why = "is numeric" if self.attrs.has(column) else "not loaded"
                 self.notice(f"partition scores: column {column!r} {why}; skipped")
                 continue
-            other = list(self.attrs.categorical(column))
-            rows.append([column,
-                         rand_index(labels, other),
-                         adjusted_rand(labels, other),
-                         nmi(labels, other)])
+            table = contingency(labels, list(self.attrs.categorical(column)))
+            rows.append([column, _rand(table), _adjusted_rand(table), _nmi(table)])
         if rows:
             self._write_csv("partition_scores.csv",
                             ["partition", "rand", "adjusted_rand", "nmi"], rows)

@@ -237,6 +237,8 @@ class _SpectralStart:
         u = u[:, ::-1]
         # rounding can leave an eigenvalue of the PSD Gram matrix just below zero
         s = np.sqrt(np.clip(w[::-1], 0.0, None))
+        if not s.any():  # a constant adjacency, such as no ties at all
+            raise np.linalg.LinAlgError("the centred adjacency is zero")
         return u * s, a.T @ u
 
     def embedding(self, b: _Binary, q: int) -> np.ndarray:

@@ -34,10 +34,9 @@ def test_sampler_matches_enumerated_distribution():
     spec = ErgmSpec([Edges(), Mutual()])
     mean, sd = exact_moments(3, [("edges",), ("mutual",)], theta)
     result, _ = simulate(spec, theta, graph_size=3,
-                         control=SimControl(burnin=300, interval=6,
-                                            sample_size=4000, seed=2))
+                         control=SimControl(sample_size=4000, seed=2))
     sim_mean = result.stats.mean(axis=0)
-    # 4000 thinned draws: allow five standard errors
+    # 4000 independent draws: allow five standard errors
     bound = 5 * sd / math.sqrt(4000)
     assert np.all(np.abs(sim_mean - mean) < bound)
 
@@ -46,8 +45,7 @@ def test_sampler_edges_only_is_independent_bernoulli():
     p = 0.3
     theta = np.array([math.log(p / (1 - p))])
     result, _ = simulate(ErgmSpec([Edges()]), theta, graph_size=8,
-                         control=SimControl(burnin=200, interval=4,
-                                            sample_size=3000, seed=7))
+                         control=SimControl(sample_size=3000, seed=7))
     counts = result.stats[:, 0]
     d = 8 * 7
     assert counts.mean() == pytest.approx(d * p, abs=5 * math.sqrt(d * p * (1 - p) / 3000))
@@ -57,7 +55,7 @@ def test_sampler_edges_only_is_independent_bernoulli():
 def test_sampler_is_seed_deterministic():
     spec = ErgmSpec([Edges(), Mutual()])
     theta = np.array([-0.5, 0.8])
-    control = SimControl(burnin=50, interval=2, sample_size=40, seed=11)
+    control = SimControl(sample_size=40, seed=11)
     a, _ = simulate(spec, theta, graph_size=6, control=control)
     b, _ = simulate(spec, theta, graph_size=6, control=control)
     assert np.array_equal(a.stats, b.stats)
@@ -67,8 +65,7 @@ def test_sampled_states_reproduce_their_statistics():
     g = random_digraph(7, p=0.3, seed=3, mutual_boost=0.4)
     spec = ErgmSpec([Edges(), Mutual()])
     result, design = simulate(spec, np.array([-0.8, 1.0]), graph=g,
-                              control=SimControl(burnin=40, interval=3,
-                                                 sample_size=12, seed=5))
+                              control=SimControl(sample_size=12, seed=5))
     for index in range(12):
         rebuilt = result.graph(design, index)
         assert np.allclose(DyadDesign.from_graph(rebuilt, spec).statistics(),
@@ -76,22 +73,48 @@ def test_sampled_states_reproduce_their_statistics():
 
 
 def test_sim_control_validation():
-    with pytest.raises(ConfigError):
-        SimControl(burnin=-1)
-    with pytest.raises(ConfigError):
-        SimControl(interval=0)
     # every field is an integer in its range; a numpy integer counts
     for field, value in (("seed", -1), ("seed", 1.0), ("seed", True),
-                         ("sample_size", 2.5), ("sample_size", 0), ("interval", np.float64(5))):
+                         ("sample_size", 2.5), ("sample_size", 0),
+                         ("sample_size", np.float64(5))):
         with pytest.raises(ConfigError, match=f"^SimControl.{field} must be an integer"):
             SimControl(**{field: value})
     assert SimControl(seed=np.int64(3), sample_size=np.int32(4)).seed == 3
+    # an integer too long for repr is named by its digit count
+    with pytest.raises(ConfigError, match="got <integer of 5001 digits>$"):
+        SimControl(seed=-10**5000)
     with pytest.raises(ConfigError):
         simulate(ErgmSpec([Edges()]), np.array([0.0]))
     with pytest.raises(ConfigError):
         simulate(ErgmSpec([Edges()]), np.array([np.nan]), graph_size=4)
     with pytest.raises(ConfigError):
         simulate(ErgmSpec([Edges(), Mutual()]), np.array([0.0]), graph_size=4)
+
+
+def test_removed_sampler_and_term_settings_are_refused():
+    # the draws are exact, so there is no burn-in or thinning to set, and
+    # a term's label is derived from the term
+    for field in ("burnin", "interval"):
+        with pytest.raises(TypeError):
+            SimControl(**{field: 1})
+    with pytest.raises(TypeError):
+        NodeCovariate("x", (1.0,), label="y")
+
+
+def test_kept_states_are_one_byte_per_pair_per_draw():
+    spec = ErgmSpec([Edges(), Mutual()])
+    theta = np.array([-0.5, 0.8])
+    result, design = simulate(spec, theta, graph_size=9,
+                              control=SimControl(sample_size=30, seed=4))
+    assert result.states.dtype == np.int8
+    assert result.states.shape == (30, design.n_dyads)
+    assert result.states.nbytes == 30 * design.n_dyads
+    assert set(np.unique(result.states)) <= {0, 1, 2, 3}
+    # a draw made without keeping states keeps none, and has the same statistics
+    design = DyadDesign(9, spec)
+    bare = sample_states(design, theta, SimControl(sample_size=30, seed=4))
+    assert bare.states is None
+    assert np.array_equal(bare.stats, result.stats)
 
 
 def test_mcmle_control_validation():
@@ -163,8 +186,7 @@ def test_simulated_means_match_expected_statistics():
                      NodeCovariate("x", x, "receiver")])
     theta = np.array([-1.2, 1.4, 0.6, -0.8])
     result, _ = simulate(spec, theta, graph=g,
-                         control=SimControl(burnin=100, interval=3,
-                                            sample_size=3000, seed=13))
+                         control=SimControl(sample_size=3000, seed=13))
     want = expected_statistics(g, spec, theta)
     for k in range(spec.k):
         col = result.stats[:, k]
@@ -192,7 +214,7 @@ def test_exact_draws_have_the_per_dyad_law():
 
     drawn = sample_states(design, theta, SimControl(sample_size=size, seed=5),
                           keep_states=True)
-    states = np.array([y1 + 2 * y2 for y1, y2 in drawn.states], dtype=np.int64)
+    states = drawn.states.astype(np.int64)
     for d in range(design.n_dyads):
         marginal = np.bincount(states[:, d], minlength=4) / size
         se = np.sqrt(pi[d] * (1 - pi[d]) / size)

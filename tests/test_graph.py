@@ -60,6 +60,9 @@ def test_rejects_bad_weights():
     for w in (10**400, "heavy", None):
         with pytest.raises(DataError, match=r"is not a number on 'a'->'b' \(edge record 1\)"):
             Graph([("a", "b", w)])
+    # one too long for repr is named by its digit count
+    with pytest.raises(DataError, match=r"^edge weight <integer of 5001 digits> is not a number on 'a'->'b'"):
+        Graph([("a", "b", 10**5000)])
 
 
 def test_rejects_self_loops_and_duplicates():

@@ -243,6 +243,32 @@ def test_score_stage_pulls_in_communities(tmp_path):
     assert manifest["stages"] == ["sbm", "score"]
 
 
+def test_score_stage_builds_one_cross_table_per_column(tmp_path, monkeypatch):
+    # every cross-table is one count_pairs call inside legnet.partition;
+    # the SBM reads count_pairs through its own import, so it is not counted
+    import legnet.partition as partition_module
+    real_count_pairs = partition_module.count_pairs
+    tables = []
+
+    def counted(*args):
+        tables.append(args)
+        return real_count_pairs(*args)
+
+    monkeypatch.setattr(partition_module, "count_pairs", counted)
+    src = tmp_path / "src"
+    src.mkdir()
+    epath, apath = write_toy(src)
+    config = config_from_dict({
+        "edges": str(epath), "attrs": str(apath), "out": str(tmp_path / "out"),
+        "stages": ["score"], "seed": 3,
+        "sbm": {"q_range": [1, 3], "restarts": 2},
+    })
+    legnet.run(config)
+    rows = (tmp_path / "out" / "partition_scores.csv").read_text().splitlines()[1:]
+    assert len(rows) == len(config.score_against) == 2
+    assert len(tables) == 2
+
+
 def test_score_stage_without_attributes_still_runs_the_scan(tmp_path):
     src = tmp_path / "src"
     src.mkdir()

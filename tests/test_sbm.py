@@ -613,6 +613,21 @@ def test_scan_solves_once_and_a_failed_start_warns_at_every_q(monkeypatch):
         for q in range(2, 6)]
 
 
+def test_a_graph_without_ties_starts_at_random():
+    # the centred adjacency is zero, so the embedding carries no signal:
+    # the spectral start fails, and k-means never sees the zero embedding
+    g = legnet.Graph([], nodes=["a", "b", "c", "d"])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        warnings.simplefilter("error", RuntimeWarning)
+        best, curve = select_q(g, range(1, 4), restarts=2, seed=0)
+    assert [str(w.message) for w in caught] == [
+        f"spectral start failed at Q={q} (the centred adjacency is zero); random start used"
+        for q in (2, 3)]
+    assert [q for q, _ in curve] == [1, 2, 3]
+    assert best.q == 1
+
+
 def test_other_spectral_start_errors_propagate(monkeypatch):
     y, _ = planted(10, 3, 0.4, 0.04, seed=3)
 
