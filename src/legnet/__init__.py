@@ -10,11 +10,10 @@ __version__ = "0.1.0"
 
 from .attributes import AttributeTable, subgraph_by_level
 from .config import (BUILTIN_MODELS, RunConfig, build_model, config_from_dict,
-                     load_config, parse_q_range, spec_from_terms)
+                     parse_q_range, spec_from_terms)
 from .errors import ConfigError, DataError, EstimationError, LegnetError
 from .graph import ComponentReport, Graph, components
-from .io import (load_attributes, load_edge_list, save_dot, save_edge_list,
-                 save_graphml)
+from .io import load_attributes, load_edge_list, save_edge_list
 from .partition import adjusted_rand, contingency, nmi, rand_index
 from .ergm import (AbsDiff, DyadDesign, Edges, ErgmFit, ErgmSpec, McmleControl,
                    Mutual, NodeCovariate, NodeMatch, SimControl, SimResult,
@@ -27,7 +26,7 @@ from .topology import (assortativity_categorical, assortativity_report,
                        closeness, connectivity_report, density,
                        eigen_centrality, hits, maximal_cliques, reciprocity,
                        triad_closure)
-from .pipeline import Pipeline, compare_models, run
+from .pipeline import Pipeline, compare_models
 
 __all__ = [
     "__version__",
@@ -42,9 +41,9 @@ __all__ = [
     "components", "config_from_dict", "connectivity_report", "contingency",
     "density", "eigen_centrality", "expected_statistics", "fit_exact_dyad",
     "fit_mcmle", "fit_mple", "fit_q", "hits", "likelihood_ratio_test",
-    "load_attributes", "load_config", "load_edge_list", "maximal_cliques",
+    "load_attributes", "load_edge_list", "maximal_cliques",
     "mcmc_diagnostics", "nmi", "parse_q_range", "rand_index",
-    "reciprocity", "report_effects", "run", "save_dot", "save_edge_list",
-    "save_graphml", "select_q", "simulate", "spec_from_terms",
+    "reciprocity", "report_effects", "save_edge_list", "select_q",
+    "simulate", "spec_from_terms",
     "subgraph_by_level", "triad_closure",
 ]

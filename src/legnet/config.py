@@ -209,11 +209,6 @@ def read_config(path: str | Path) -> dict[str, Any]:
     return raw
 
 
-def load_config(path: str | Path) -> RunConfig:
-    """Parse and validate a JSON run configuration."""
-    return config_from_dict(read_config(path))
-
-
 def config_from_dict(raw: Mapping[str, Any]) -> RunConfig:
     """Build and validate the RunConfig a JSON config object describes.
 

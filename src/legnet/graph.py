@@ -67,7 +67,7 @@ class Graph:
         if nodes is not None:
             for node in nodes:
                 if node in index:
-                    raise DataError(f"duplicate node id {node!r} in node list")
+                    raise DataError(f"duplicate node id {_shown(node)} in node list")
                 index[node] = len(index)
 
         src: list[int] = []
@@ -78,17 +78,17 @@ class Graph:
             i = index.setdefault(s, len(index))
             j = index.setdefault(t, len(index))
             if i == j:
-                raise DataError(f"self-loop on node {s!r} (edge record {rec_no})")
+                raise DataError(f"self-loop on node {_shown(s)} (edge record {rec_no})")
             try:
                 w = float(w)
             except (TypeError, ValueError, OverflowError):
-                raise DataError(f"edge weight {_shown(w)} is not a number on "
-                                f"{s!r}->{t!r} (edge record {rec_no})") from None
+                raise DataError(f"edge weight {_shown(w)} is not a number on {_shown(s)}->"
+                                f"{_shown(t)} (edge record {rec_no})") from None
             if not (0.0 < w <= 1.0):
-                raise DataError(
-                    f"edge weight {w!r} outside (0, 1] on {s!r}->{t!r} (edge record {rec_no})")
+                raise DataError(f"edge weight {w!r} outside (0, 1] on {_shown(s)}->"
+                                f"{_shown(t)} (edge record {rec_no})")
             if (i, j) in seen:
-                raise DataError(f"duplicate edge {s!r}->{t!r} (edge record {rec_no})")
+                raise DataError(f"duplicate edge {_shown(s)}->{_shown(t)} (edge record {rec_no})")
             seen.add((i, j))
             src.append(i)
             dst.append(j)
@@ -129,7 +129,7 @@ class Graph:
         try:
             return self._index[node]
         except KeyError:
-            raise DataError(f"unknown node id {node!r}") from None
+            raise DataError(f"unknown node id {_shown(node)}") from None
 
     def id_of(self, index: int) -> NodeId:
         return self._ids[_check_index(index, self.n)]
@@ -153,7 +153,7 @@ class Graph:
     def weight(self, i: int, j: int) -> float:
         k = self._slot(_check_index(i, self.n), _check_index(j, self.n))
         if k < 0:
-            raise DataError(f"no edge {self._ids[i]!r}->{self._ids[j]!r}")
+            raise DataError(f"no edge {_shown(self._ids[i])}->{_shown(self._ids[j])}")
         return float(self._out.data[k])
 
     def edge_records(self) -> Iterator[tuple[NodeId, NodeId, float]]:
@@ -193,14 +193,10 @@ class Graph:
     def adjacency(self, weighted: bool = False,
                   sparse: bool = False) -> np.ndarray | csr_array:
         """Adjacency matrix, CSR if `sparse`; entry [i, j] covers the edge i->j."""
-        if sparse:
-            a = self._out.copy()
-            if not weighted:
-                a.data[:] = 1.0
-            return a
-        a = np.zeros((self.n, self.n))
-        a[self._src, self._dst] = self._w if weighted else 1.0
-        return a
+        a = self._out.copy()
+        if not weighted:
+            a.data[:] = 1.0
+        return a if sparse else a.toarray()
 
     # -- components ----------------------------------------------------------
 

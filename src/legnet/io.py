@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Any, IO, Iterable, Iterator
 
 from .attributes import AttributeTable, CATEGORICAL_COLUMNS, NUMERIC_COLUMNS
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, _shown
 from .graph import Graph
 
 # The upstream export's node ids, out-neighbor lists and out-weight lists.
@@ -160,13 +160,23 @@ def _edges_from_upstream_json(text: str) -> Graph:
     return Graph(edges, nodes=ids)
 
 
+def _text(value: Any, what: str) -> str:
+    """str(value); an integer too long to write is a DataError naming `what`
+    and the value by its digit count."""
+    try:
+        return str(value)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        raise DataError(f"{what} {_shown(value)} is too long to write") from None
+
+
 def edge_csv_dump(graph: Graph) -> str:
     """The canonical edge CSV, with ``\\n`` line ends; weights round-trip exactly."""
     buf = _io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["source", "target", "weight"])
-    for s, t, w in graph.edge_records():
-        writer.writerow([s, t, repr(w)])
+    ids = [_text(node, "node id") for node in graph.node_ids]
+    for s, t, w in zip(*(a.tolist() for a in graph.edge_arrays())):
+        writer.writerow([ids[s], ids[t], repr(w)])
     return buf.getvalue()
 
 
@@ -236,7 +246,7 @@ def _xml_escape(values: Iterable[Any], what: str) -> list[str]:
     normalization of attribute values; any other C0 control character is a
     DataError naming `what` and the value."""
     out = []
-    for value in map(str, values):
+    for value in (_text(v, what) for v in values):
         if _XML_FORBIDDEN.search(value):
             raise DataError(f"{what} {value!r} holds a control character "
                             f"that GraphML cannot carry")
@@ -280,7 +290,7 @@ def graphml_dump(graph: Graph, attrs: AttributeTable | None = None) -> str:
 def dot_dump(graph: Graph, attrs: AttributeTable | None = None) -> str:
     """Serialize the graph (and any attributes) in DOT syntax."""
     def q(value: Any) -> str:
-        return '"' + str(value).replace("\\", r"\\").replace('"', r'\"') + '"'
+        return '"' + _text(value, "node id").replace("\\", r"\\").replace('"', r'\"') + '"'
 
     # each column read once, as its per-node "name=value" text
     columns: list[list[str]] = []
@@ -298,13 +308,3 @@ def dot_dump(graph: Graph, attrs: AttributeTable | None = None) -> str:
         lines.append(f"  {ids[s]} -> {ids[t]} [weight={w!r}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def save_graphml(graph: Graph, path: str | Path,
-                 attrs: AttributeTable | None = None) -> None:
-    Path(path).write_text(graphml_dump(graph, attrs), encoding="utf-8")
-
-
-def save_dot(graph: Graph, path: str | Path,
-             attrs: AttributeTable | None = None) -> None:
-    Path(path).write_text(dot_dump(graph, attrs), encoding="utf-8")

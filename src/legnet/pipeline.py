@@ -22,7 +22,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from . import __version__
+from . import __version__, topology
 from .attributes import AttributeTable
 from .config import (RunConfig, STAGES, build_model, model_entry, model_needs_attrs,
                      model_needs_centrality, spec_from_terms)
@@ -33,8 +33,9 @@ from .graph import ComponentReport, Graph, components
 from .io import dot_dump, edge_csv_dump, graphml_dump, load_attributes, load_edge_list
 from .partition import _adjusted_rand, _nmi, _rand, contingency, count_pairs, label_codes
 from .sbm import SbmFit, community_summary, select_q
-from .topology import (CentralityReport, ConnectivityReport, assortativity_report,
-                       centrality_report, connectivity_report, density)
+from .topology import (CentralityReport, ConnectivityReport, TriadReport,
+                       assortativity_report, centrality_report, connectivity_report,
+                       density)
 
 
 def fmt(x: Any) -> str:
@@ -129,12 +130,19 @@ class Pipeline:
         return load_attributes(Path(self.config.attrs), self.graph)
 
     @cached_property
+    def triads(self) -> TriadReport:
+        # read as a module attribute, where a wrapper of it sees this call
+        return topology.triad_closure(self.graph)
+
+    @cached_property
     def centrality(self) -> CentralityReport:
-        return centrality_report(self.graph, self.config.weighted_spectral)
+        return centrality_report(self.graph, self.config.weighted_spectral,
+                                 triads=self.triads)
 
     @cached_property
     def connectivity(self) -> ConnectivityReport:
-        return connectivity_report(self.graph, self.config.min_clique_size)
+        return connectivity_report(self.graph, self.config.min_clique_size,
+                                   triads=self.triads)
 
     @cached_property
     def census(self) -> ComponentReport:
@@ -516,8 +524,3 @@ class Pipeline:
             lines += [f"- {n}" for n in self.notices]
             lines.append("")
         return "\n".join(lines) + "\n"
-
-
-def run(config: RunConfig) -> dict:
-    """Execute the configured pipeline; returns the manifest."""
-    return Pipeline(config).run()

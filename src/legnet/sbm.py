@@ -75,14 +75,18 @@ def _as_binary(adjacency) -> _Binary:
         return adjacency
     if isinstance(adjacency, Graph):
         return _Binary(adjacency.adjacency(sparse=True))
-    y = np.asarray(adjacency, dtype=np.float64)
+    # a sparse input is checked as stored, with no dense copy
+    y = adjacency if sparse.issparse(adjacency) else np.asarray(adjacency, dtype=np.float64)
     if y.ndim != 2 or y.shape[0] != y.shape[1]:
         raise DataError("adjacency must be square")
-    if np.any((y != 0.0) & (y != 1.0)):
+    y = sparse.csr_array(y, dtype=np.float64, copy=True)
+    y.sum_duplicates()
+    y.eliminate_zeros()
+    if np.any(y.data != 1.0):
         raise DataError("adjacency must be binary")
-    if np.any(np.diag(y) != 0.0):
+    if np.any(y.diagonal() != 0.0):
         raise DataError("adjacency diagonal must be zero")
-    return _Binary(sparse.csr_array(y))
+    return _Binary(y)
 
 
 class _Moments(NamedTuple):
@@ -283,11 +287,8 @@ def _init_tau(b: _Binary, q: int, spectral: _SpectralStart | None,
 
 def classification_icl(adjacency, labels) -> float:
     """ICL at a hard partition, plug-in block rates, directed Bernoulli."""
-    if isinstance(adjacency, Graph):
-        n, (src, dst, _) = adjacency.n, adjacency.edge_arrays()
-    else:
-        y = _as_binary(adjacency).y.tocoo()
-        n, src, dst = y.shape[0], y.row, y.col
+    y = _as_binary(adjacency).y.tocoo()
+    n, src, dst = y.shape[0], y.row, y.col
     if len(labels) != n:
         raise DataError(f"{len(labels)} labels for {n} nodes")
     blocks, code = label_codes(labels)

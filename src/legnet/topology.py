@@ -47,7 +47,6 @@ class CentralityReport:
 
 @dataclass(frozen=True)
 class TriadReport:
-    triad_closed_fraction: float
     transitivity: float
     mean_local_clustering: float
     local_clustering: np.ndarray
@@ -235,8 +234,9 @@ def triad_closure(graph: Graph) -> TriadReport:
     """Closure statistics on the undirected projection.
 
     transitivity is the triple ratio 3*(triangles)/(connected triples);
-    triad_closed_fraction is the neighborhood-average form, the mean of
-    the per-node local coefficients over nodes of degree >= 2. Both are
+    mean_local_clustering is the neighborhood-average form, the mean of
+    the per-node local coefficients over nodes of degree >= 2, which the
+    connectivity report also gives as the triad closed fraction. Both are
     reported because the two definitions disagree on most graphs.
     """
     if graph.n < 3:
@@ -252,7 +252,6 @@ def triad_closure(graph: Graph) -> TriadReport:
     transitivity = float(b3_diag.sum() / triples) if triples > 0 else 0.0
     mean_local = float(np.nanmean(local)) if ok.any() else 0.0
     return TriadReport(
-        triad_closed_fraction=mean_local,
         transitivity=transitivity,
         mean_local_clustering=mean_local,
         local_clustering=local,
@@ -342,8 +341,10 @@ def assortativity_scalar(graph: Graph,
 # -- report builders ----------------------------------------------------------
 
 
-def centrality_report(graph: Graph, weighted: bool = False) -> CentralityReport:
-    """Every per-node score; `weighted` applies to eigenvector and HITS."""
+def centrality_report(graph: Graph, weighted: bool = False, *,
+                      triads: TriadReport | None = None) -> CentralityReport:
+    """Every per-node score; `weighted` applies to eigenvector and HITS.
+    `triads`, the graph's `triad_closure`, is computed when not given."""
     hub, auth = hits(graph, weighted=weighted)
     pairs = _pair_count(graph)
     close, dependencies = _geodesics(graph)
@@ -356,18 +357,19 @@ def centrality_report(graph: Graph, weighted: bool = False) -> CentralityReport:
         eigen=eigen_centrality(graph, weighted=weighted),
         hub=hub,
         authority=auth,
-        local_clustering=triad_closure(graph).local_clustering,
+        local_clustering=(triads or triad_closure(graph)).local_clustering,
     )
 
 
-def connectivity_report(graph: Graph,
-                        min_clique_size: int | None = None) -> ConnectivityReport:
+def connectivity_report(graph: Graph, min_clique_size: int | None = None, *,
+                        triads: TriadReport | None = None) -> ConnectivityReport:
     """Graph-level cohesion summary.
 
     With min_clique_size=None only the maximum-size cliques are listed;
     otherwise every maximal clique at or above the threshold is kept.
+    `triads`, the graph's `triad_closure`, is computed when not given.
     """
-    triads = triad_closure(graph)
+    triads = triads or triad_closure(graph)
     cliques = maximal_cliques(graph, min_size=min_clique_size or 1)
     max_size = max((len(c) for c in cliques), default=0)
     if min_clique_size is None:
@@ -377,7 +379,7 @@ def connectivity_report(graph: Graph,
         reciprocity=reciprocity(graph),
         transitivity=triads.transitivity,
         mean_local_clustering=triads.mean_local_clustering,
-        triad_closed_fraction=triads.triad_closed_fraction,
+        triad_closed_fraction=triads.mean_local_clustering,
         maximal_cliques=tuple(cliques),
         max_clique_size=max_size,
     )

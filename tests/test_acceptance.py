@@ -132,7 +132,7 @@ def test_criterion_03_subgroup_densities(congress_graph, congress_attrs):
 
 def test_criterion_04_triad_closure(congress_graph):
     report = triad_closure(congress_graph)
-    both = sorted([report.transitivity, report.triad_closed_fraction])
+    both = sorted([report.transitivity, report.mean_local_clustering])
     assert both[0] == pytest.approx(0.2695, abs=3e-3)
     assert both[1] == pytest.approx(0.2797, abs=3e-3)
     local = report.local_clustering
@@ -437,7 +437,7 @@ def test_criterion_12_property_suite(tmp_path):
             "seed": 13, "models": ["model1", "model2"],
             "sbm": {"q_range": [1, 3], "restarts": 2},
         })
-        manifest = legnet.run(config)
+        manifest = legnet.Pipeline(config).run()
         outs.append((out, manifest))
     (out_a, man_a), (out_b, man_b) = outs
     assert man_a["outputs"] == man_b["outputs"]

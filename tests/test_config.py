@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from legnet import (ConfigError, DataError, build_model, config_from_dict,
-                    load_config, parse_q_range, spec_from_terms)
+                    parse_q_range, spec_from_terms)
 from legnet.cli import _build_config, build_parser
 from legnet.config import (BUILTIN_MODELS, STAGES, RunConfig, model_entry,
                            model_needs_attrs, model_needs_centrality, read_config)
@@ -318,14 +318,14 @@ def test_well_formed_custom_models_validate():
 def test_load_config_file(tmp_path):
     path = tmp_path / "run.json"
     path.write_text(json.dumps({"edges": "e.csv", "seed": 9}))
-    cfg = load_config(path)
+    cfg = config_from_dict(read_config(path))
     assert cfg.seed == 9
     with pytest.raises(ConfigError, match="not found"):
-        load_config(tmp_path / "absent.json")
+        read_config(tmp_path / "absent.json")
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")
     with pytest.raises(ConfigError, match="valid JSON"):
-        load_config(bad)
+        read_config(bad)
 
 
 def test_a_config_name_with_a_nul_byte_is_a_config_error():

@@ -77,6 +77,31 @@ def test_rejects_duplicate_node_ids():
         Graph([("a", "b", 0.5)], nodes=["a", "b", "a"])
 
 
+BIG = 10**5000  # past the interpreter's 4,300-digit limit for int -> str
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Graph([(BIG, "b", 0.5), (BIG, "b", 0.5)]),
+     r"^duplicate edge <integer of 5001 digits>->'b' \(edge record 2\)$"),
+    (lambda: Graph([(BIG, BIG, 0.5)]),
+     r"^self-loop on node <integer of 5001 digits> \(edge record 1\)$"),
+    (lambda: Graph([], nodes=[BIG, BIG]),
+     r"^duplicate node id <integer of 5001 digits> in node list$"),
+    (lambda: Graph([(BIG, "b", 2.0)]),
+     r"^edge weight 2.0 outside \(0, 1\] on <integer of 5001 digits>->'b'"),
+    (lambda: Graph([(BIG, "b", "x")]),
+     r"^edge weight 'x' is not a number on <integer of 5001 digits>->'b'"),
+    (lambda: Graph([("a", "b", 0.5)]).index_of(BIG),
+     r"^unknown node id <integer of 5001 digits>$"),
+    (lambda: Graph([(BIG, "b", 0.5)]).weight(1, 0),
+     r"^no edge 'b'-><integer of 5001 digits>$"),
+], ids=["duplicate-edge", "self-loop", "duplicate-node", "weight-range", "weight-text",
+        "unknown-id", "no-edge"])
+def test_a_node_id_too_long_for_repr_is_named_by_its_digit_count(build, message):
+    with pytest.raises(DataError, match=message):
+        build()
+
+
 def test_degrees_and_strengths():
     g = small()
     assert list(g.out_degrees()) == [1, 2, 1]

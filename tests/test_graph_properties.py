@@ -4,6 +4,7 @@ and its GraphML export reads back whole."""
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -62,6 +63,18 @@ def test_csr_views_match_edge_records(g, data):
     sub = g.induced_subgraph(keep)
     assert sub.node_ids == tuple(g.id_of(v) for v in sorted(keep))
     assert_views_match_records(sub)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs())
+def test_dense_adjacency_is_the_csr_made_dense(g):
+    for weighted in (False, True):
+        dense = g.adjacency(weighted=weighted)
+        assert np.array_equal(dense, g.adjacency(weighted=weighted, sparse=True).toarray())
+        want = np.zeros((g.n, g.n))
+        for s, t, w in g.edge_records():
+            want[g.index_of(s), g.index_of(t)] = w if weighted else 1.0
+        assert np.array_equal(dense, want)
 
 
 # XML's reserved characters, backslashes, non-ASCII text, tabs and line

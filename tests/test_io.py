@@ -396,7 +396,7 @@ def test_graphml_is_wellformed_and_complete():
 def test_dot_output_quotes_identifiers(tmp_path):
     g = Graph([("mr smith", "ms jones", 0.5)])
     path = tmp_path / "g.dot"
-    legnet.save_dot(g, path)
+    path.write_text(legnet.io.dot_dump(g), encoding="utf-8")
     text = path.read_text()
     assert text.startswith("digraph")
     assert '"mr smith" -> "ms jones"' in text
@@ -433,8 +433,16 @@ def test_graphml_refuses_control_characters_that_xml_cannot_carry(node, party, m
         legnet.io.graphml_dump(g, attrs)
 
 
+@pytest.mark.parametrize("dump", [legnet.io.edge_csv_dump, legnet.io.graphml_dump,
+                                  legnet.io.dot_dump])
+def test_an_export_refuses_a_node_id_too_long_to_write(dump):
+    g = Graph([(10**5000, "b", 0.5)])
+    with pytest.raises(DataError, match=r"^node id <integer of 5001 digits> is too long to write$"):
+        dump(g)
+
+
 def test_graphml_escapes_reserved_characters(tmp_path):
     g = Graph([("a<b", 'c"d', 0.5)])
     path = tmp_path / "g.graphml"
-    legnet.save_graphml(g, path)
+    path.write_text(legnet.io.graphml_dump(g), encoding="utf-8")
     ET.parse(path)

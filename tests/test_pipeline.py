@@ -65,7 +65,7 @@ def toy_run(tmp_path_factory):
         "models": ["model1", "model2", "model6"],
         "sbm": {"q_range": [1, 4], "restarts": 4},
     })
-    manifest = legnet.run(config)
+    manifest = Pipeline(config).run()
     return epath, apath, out, manifest
 
 
@@ -79,9 +79,9 @@ def test_subgraph_density_is_the_density_of_each_level_subgraph(tmp_path):
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
-    legnet.run(config_from_dict({"edges": str(tmp_path / "edges.csv"),
-                                 "attrs": str(tmp_path / "attrs.csv"),
-                                 "out": str(tmp_path / "out"), "stages": ["topology"]}))
+    Pipeline(config_from_dict({"edges": str(tmp_path / "edges.csv"),
+                               "attrs": str(tmp_path / "attrs.csv"),
+                               "out": str(tmp_path / "out"), "stages": ["topology"]})).run()
     got = json.loads((tmp_path / "out" / "connectivity.json").read_text())["subgraph_density"]
     graph = legnet.load_edge_list(tmp_path / "edges.csv")
     attrs = legnet.load_attributes(tmp_path / "attrs.csv", graph)
@@ -139,7 +139,7 @@ def test_rerun_is_byte_identical(toy_run, tmp_path):
         "models": ["model1", "model2", "model6"],
         "sbm": {"q_range": [1, 4], "restarts": 4},
     })
-    second = legnet.run(config)
+    second = Pipeline(config).run()
     assert second["outputs"] == manifest["outputs"]
     for name in manifest["outputs"]:
         assert (out2 / name).read_bytes() == (out / name).read_bytes(), name
@@ -175,7 +175,7 @@ def test_attrless_run_skips_and_notices(tmp_path):
         "models": ["model1", "model2", "model4"],
         "sbm": {"q_range": [1, 3], "restarts": 2},
     })
-    manifest = legnet.run(config)
+    manifest = Pipeline(config).run()
     written = set(manifest["outputs"])
     assert "partition_scores.csv" not in written
     assert "ergm_model4.json" not in written
@@ -197,7 +197,7 @@ def test_single_stage_selection(tmp_path):
         "edges": str(epath), "attrs": str(apath), "out": str(out),
         "stages": ["ingest"],
     })
-    manifest = legnet.run(config)
+    manifest = Pipeline(config).run()
     assert set(manifest["outputs"]) == {"graph_summary.json", "edges.csv",
                                         "graph.graphml", "graph.dot"}
     assert manifest["stages"] == ["ingest"]
@@ -212,7 +212,7 @@ def test_centrality_models_force_topology_stage(tmp_path):
         "edges": str(epath), "out": str(out), "seed": 2,
         "stages": ["ergm"], "models": ["model3"],
     })
-    manifest = legnet.run(config)
+    manifest = Pipeline(config).run()
     assert "centrality.csv" in manifest["outputs"]
     assert manifest["stages"] == ["topology", "ergm"]
     assert any("forced" in n for n in manifest["notices"])
@@ -222,7 +222,7 @@ def test_centrality_models_force_topology_stage(tmp_path):
         "edges": str(epath), "out": str(out2), "seed": 2,
         "stages": ["ergm"], "models": ["model1", "model2"],
     })
-    manifest2 = legnet.run(config2)
+    manifest2 = Pipeline(config2).run()
     assert "centrality.csv" not in manifest2["outputs"]
     assert manifest2["stages"] == ["ergm"]
 
@@ -237,7 +237,7 @@ def test_score_stage_pulls_in_communities(tmp_path):
         "stages": ["score"], "seed": 3,
         "sbm": {"q_range": [1, 3], "restarts": 2},
     })
-    manifest = legnet.run(config)
+    manifest = Pipeline(config).run()
     assert "partition_scores.csv" in manifest["outputs"]
     assert "sbm_fit.json" in manifest["outputs"]
     assert manifest["stages"] == ["sbm", "score"]
@@ -263,7 +263,7 @@ def test_score_stage_builds_one_cross_table_per_column(tmp_path, monkeypatch):
         "stages": ["score"], "seed": 3,
         "sbm": {"q_range": [1, 3], "restarts": 2},
     })
-    legnet.run(config)
+    Pipeline(config).run()
     rows = (tmp_path / "out" / "partition_scores.csv").read_text().splitlines()[1:]
     assert len(rows) == len(config.score_against) == 2
     assert len(tables) == 2
@@ -278,7 +278,7 @@ def test_score_stage_without_attributes_still_runs_the_scan(tmp_path):
         "stages": ["score"], "seed": 3,
         "sbm": {"q_range": [1, 3], "restarts": 2},
     })
-    manifest = legnet.run(config)
+    manifest = Pipeline(config).run()
     assert manifest["stages"] == ["sbm", "score"]
     assert {"sbm_icl_curve.csv", "sbm_fit.json", "communities.csv"} <= set(manifest["outputs"])
     assert "partition_scores.csv" not in manifest["outputs"]
@@ -296,7 +296,7 @@ def test_unknown_attribute_columns_become_a_notice(tmp_path):
         "edges": str(epath), "attrs": str(apath), "out": str(tmp_path / "out"),
         "stages": ["ingest", "assort"],
     })
-    manifest = legnet.run(config)
+    manifest = Pipeline(config).run()
     assert manifest["notices"] == ["ingest: ignoring unknown attribute columns: hobby (1x)"]
 
 
@@ -322,7 +322,7 @@ def test_warnings_of_any_stage_become_notices(tmp_path, monkeypatch):
     })
     # a RuntimeWarning is no notice: it passes on to the caller
     with pytest.warns(RuntimeWarning, match="log of zero"):
-        manifest = legnet.run(config)
+        manifest = Pipeline(config).run()
     assert manifest["notices"] == ["assort: coefficient undefined for x (2x)"]
 
 
@@ -397,7 +397,7 @@ def test_sbm_prune_warnings_become_counted_notices(tmp_path, monkeypatch):
     })
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        manifest = legnet.run(config)
+        manifest = Pipeline(config).run()
     assert "sbm: pruned 1 empty class(es) at Q=3 (2x)" in manifest["notices"]
     assert "sbm: pruned 2 empty class(es) at Q=4 (1x)" in manifest["notices"]
     fit = json.loads((tmp_path / "out" / "sbm_fit.json").read_text())
@@ -406,8 +406,8 @@ def test_sbm_prune_warnings_become_counted_notices(tmp_path, monkeypatch):
 
 
 def test_each_report_computes_triad_closure_once(tmp_path, monkeypatch):
-    # the centrality and connectivity reports each make one call, and the
-    # pipeline builds each report once however many stages read it
+    # the pipeline computes it once and hands it to the centrality and
+    # connectivity reports, each built once however many stages read it
     import legnet.topology as topology_module
     real_triad_closure = topology_module.triad_closure
     calls = []
@@ -424,9 +424,9 @@ def test_each_report_computes_triad_closure_once(tmp_path, monkeypatch):
         "edges": str(epath), "attrs": str(apath), "out": str(tmp_path / "out"),
         "stages": ["topology", "assort", "report"],
     })
-    manifest = legnet.run(config)
+    manifest = Pipeline(config).run()
     assert {"centrality.csv", "connectivity.json", "summary.md"} <= set(manifest["outputs"])
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_inestimable_term_is_blank_and_noticed(tmp_path):
@@ -448,7 +448,7 @@ def test_inestimable_term_is_blank_and_noticed(tmp_path):
         "edges": str(epath), "attrs": str(apath), "out": str(out), "seed": 1,
         "stages": ["ergm"], "models": [{"name": "solo", "terms": terms}],
     })
-    manifest = legnet.run(config)
+    manifest = Pipeline(config).run()
     rows = (out / "ergm_coefficients.csv").read_text().splitlines()
     assert rows[2] == "solo,match(state=S9),,,"
     assert all(cell for row in (rows[1], rows[3]) for cell in row.split(","))
@@ -490,7 +490,7 @@ def test_report_json_is_strict_rfc8259(tmp_path):
         "ergm_estimator": "mcmle", "mcmc": {"sample_size": 200},
         "sbm": {"q_range": [1, 3], "restarts": 2},
     })
-    legnet.run(config)
+    Pipeline(config).run()
 
     def reject(token):
         raise ValueError(f"non-standard JSON token {token}")

@@ -172,6 +172,33 @@ def test_graph_input_equals_matrix_input():
     assert a.elbo == pytest.approx(b.elbo)
 
 
+def test_icl_is_the_same_for_a_graph_its_dense_adjacency_and_its_csr():
+    from conftest import random_digraph
+    g = random_digraph(20, 0.25, seed=3)  # weighted: the ICL reads only the ties
+    rng = np.random.default_rng(3)
+    for q in (1, 2, 4):
+        labels = rng.integers(q, size=g.n)
+        values = [classification_icl(y, labels)
+                  for y in (g, g.adjacency(), g.adjacency(sparse=True))]
+        assert values[0] == values[1] == values[2]
+
+
+def test_a_sparse_adjacency_is_checked_as_stored_like_a_dense_one():
+    from scipy import sparse
+    y, _ = planted(5, 2, 0.5, 0.1, seed=2)
+    assert np.array_equal(fit_q(sparse.csr_array(y), 2, seed=1).labels,
+                          fit_q(y, 2, seed=1).labels)
+    for bad, message in ((np.ones((3, 4)), "square"), (np.full((3, 3), 0.5), "binary"),
+                         (np.eye(3), "diagonal")):
+        with pytest.raises(DataError, match=message):
+            fit_q(sparse.csr_array(bad), 1)
+    # a stored zero is no tie, and the caller's matrix keeps it
+    z = sparse.csr_array((np.array([1.0, 0.0]), np.array([1, 2]), np.array([0, 2, 2, 2])),
+                         shape=(3, 3))
+    assert classification_icl(z, [0, 1, 1]) == classification_icl(z.toarray(), [0, 1, 1])
+    assert z.nnz == 2
+
+
 def test_input_validation():
     with pytest.raises(DataError):
         fit_q(np.ones((3, 4)), 2)

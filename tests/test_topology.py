@@ -223,7 +223,7 @@ def test_triad_closure_matches_enumeration():
         assert np.allclose(report.local_clustering, oracle_local_clustering(y),
                            equal_nan=True)
         assert report.transitivity == pytest.approx(oracle_triangle_ratio(y))
-        assert report.triad_closed_fraction == pytest.approx(
+        assert report.mean_local_clustering == pytest.approx(
             np.nanmean(oracle_local_clustering(y)))
 
 
@@ -232,7 +232,7 @@ def test_triad_two_formulas_disagree_on_a_kite():
     g = Graph([("a", "b", 0.5), ("b", "c", 0.5), ("c", "a", 0.5),
                ("c", "d", 0.5)])
     report = legnet.triad_closure(g)
-    assert report.transitivity != pytest.approx(report.triad_closed_fraction)
+    assert report.transitivity != pytest.approx(report.mean_local_clustering)
 
 
 def test_maximal_cliques_match_enumeration():
