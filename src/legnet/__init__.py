@@ -19,7 +19,7 @@ from .ergm import (AbsDiff, DyadDesign, Edges, ErgmFit, ErgmSpec, McmleControl,
                    Mutual, NodeCovariate, NodeMatch, SimControl, SimResult,
                    expected_statistics, fit_exact_dyad, fit_mcmle, fit_mple,
                    likelihood_ratio_test, mcmc_diagnostics, report_effects,
-                   simulate)
+                   sample_states)
 from .sbm import SbmFit, classification_icl, community_summary, fit_q, select_q
 from .topology import (assortativity_categorical, assortativity_report,
                        assortativity_scalar, betweenness, centrality_report,
@@ -43,7 +43,7 @@ __all__ = [
     "fit_mcmle", "fit_mple", "fit_q", "hits", "likelihood_ratio_test",
     "load_attributes", "load_edge_list", "maximal_cliques",
     "mcmc_diagnostics", "nmi", "parse_q_range", "rand_index",
-    "reciprocity", "report_effects", "save_edge_list", "select_q",
-    "simulate", "spec_from_terms",
+    "reciprocity", "report_effects", "sample_states", "save_edge_list",
+    "select_q", "spec_from_terms",
     "subgraph_by_level", "triad_closure",
 ]

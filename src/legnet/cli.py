@@ -28,8 +28,17 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, help="master RNG seed (default 0)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser, inherited by its subparsers, whose usage error
+    is one stderr line."""
+
+    def error(self, message: str):
+        _say(f"usage error: {self.prog}: {message} (see {self.prog} --help)")
+        self.exit(2)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="legnet",
         description="Directed weighted interaction-network analysis toolkit")
     parser.add_argument("--version", action="version",

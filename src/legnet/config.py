@@ -121,7 +121,8 @@ _SCHEMA: dict[str, tuple[str, str, Callable[[Any], bool]]] = {
     "score_against": ("score_against", "a list of strings",
                       _list_of(lambda column: isinstance(column, str))),
     "seed": ("seed", "an integer >= 0", _int_at_least(0)),
-    "stages": ("stages", f"a list of stages from {STAGES}", _list_of(lambda s: s in STAGES)),
+    "stages": ("stages", f"a non-empty list of stages from {STAGES}",
+               lambda v: _list_of(lambda s: s in STAGES)(v) and len(v) > 0),
     "weighted_spectral": ("weighted_spectral", "true or false", lambda v: isinstance(v, bool)),
     "standardize": ("standardize", "true or false", lambda v: isinstance(v, bool)),
     "min_clique_size": ("min_clique_size", "an integer >= 1 or null",

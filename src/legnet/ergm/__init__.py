@@ -1,10 +1,9 @@
 """Exponential random graph modeling: terms, estimators, simulation."""
 
-from .diagnostics import mcmc_diagnostics
 from .fit import (ErgmFit, expected_statistics, fit_exact_dyad, fit_mple,
                   graph_digest, likelihood_ratio_test, report_effects)
-from .mcmle import McmleControl, fit_mcmle
-from .sampler import SimControl, SimResult, sample_states, simulate
+from .mcmle import McmleControl, fit_mcmle, mcmc_diagnostics
+from .sampler import SimControl, SimResult, sample_states
 from .terms import (AbsDiff, DyadDesign, Edges, ErgmSpec, ErgmTerm, Mutual,
                     NodeCovariate, NodeMatch)
 
@@ -13,5 +12,5 @@ __all__ = [
     "McmleControl", "Mutual", "NodeCovariate", "NodeMatch", "SimControl",
     "SimResult", "expected_statistics", "fit_exact_dyad", "fit_mcmle",
     "fit_mple", "graph_digest", "likelihood_ratio_test", "mcmc_diagnostics",
-    "report_effects", "sample_states", "simulate",
+    "report_effects", "sample_states",
 ]

@@ -263,12 +263,12 @@ def _newton(objective, k: int, held: np.ndarray | None = None,
     return theta, frozen, fisher, ll, it
 
 
-def _finalize(theta: np.ndarray, frozen: np.ndarray, fisher: np.ndarray,
-              ll: float, n_obs: int, method: str, spec: ErgmSpec,
-              digest: str, iterations: int,
-              diagnostics: dict[str, Any]) -> ErgmFit:
+def _finalize(graph: Graph, design: DyadDesign, method: str, theta: np.ndarray,
+              frozen: np.ndarray, fisher: np.ndarray, ll: float, iterations: int,
+              diagnostics: dict[str, Any] | None = None) -> ErgmFit:
     """Wald inference at theta. A frozen term sits at 0 when it is
     inestimable (NaN) and at its bound when it is separated (infinite)."""
+    n_obs = design.n_ordered_pairs
     k = theta.shape[0]
     std_err = np.zeros(k)
     free = ~frozen
@@ -288,7 +288,7 @@ def _finalize(theta: np.ndarray, frozen: np.ndarray, fisher: np.ndarray,
     aic = -2.0 * ll + 2.0 * k
     bic = -2.0 * ll + k * np.log(n_obs)
     return ErgmFit(
-        labels=spec.labels,
+        labels=design.spec.labels,
         theta=reported,
         std_err=std_err,
         p_values=p_values,
@@ -301,9 +301,9 @@ def _finalize(theta: np.ndarray, frozen: np.ndarray, fisher: np.ndarray,
         n_obs=n_obs,
         converged=True,
         iterations=iterations,
-        graph_digest=digest,
-        spec=spec,
-        diagnostics=dict(diagnostics),
+        graph_digest=graph_digest(graph),
+        spec=design.spec,
+        diagnostics=dict(diagnostics or {}),
     )
 
 
@@ -312,8 +312,7 @@ def _newton_fit(graph: Graph, design: DyadDesign, objective, method: str,
     """Newton fit of `objective`, with the terms `_held_terms` names held."""
     theta, frozen, fisher, ll, it = _newton(
         objective, design.k, *_held_terms(design, g_obs, mutual_count))
-    return _finalize(theta, frozen, fisher, ll, design.n_ordered_pairs, method,
-                     design.spec, graph_digest(graph), it, {})
+    return _finalize(graph, design, method, theta, frozen, fisher, ll, it)
 
 
 def fit_exact_dyad(graph: Graph, spec: ErgmSpec) -> ErgmFit:

@@ -22,10 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp, softmax
 
-from ..errors import EstimationError, require_ints
+from ..errors import DataError, EstimationError, require_ints
 from ..graph import Graph
 from .fit import (ErgmFit, _dyad_loglik, _finalize, _inverse, _newton, _pin_bound,
-                  fit_mple, graph_digest)
+                  fit_mple)
 from .sampler import SimControl, sample_states
 from .terms import DyadDesign, ErgmSpec
 
@@ -175,5 +175,33 @@ def fit_mcmle(graph: Graph, spec: ErgmSpec,
         "gamma_history": gamma_history,
         "mc_std_err": mc_se,
     }
-    return _finalize(theta, ~free, fisher, ll, design.n_ordered_pairs,
-                     "mcmle", spec, graph_digest(graph), phases, diagnostics)
+    return _finalize(graph, design, "mcmle", theta, ~free, fisher, ll, phases,
+                     diagnostics)
+
+
+def mcmc_diagnostics(fit: ErgmFit) -> list[dict]:
+    """Per-term distribution of the last phase's simulated statistics.
+
+    A term whose simulated statistic never varies (sd 0) is flagged
+    `degenerate`: the draws carry no information about it.
+    """
+    if fit.method != "mcmle" or "trace" not in fit.diagnostics:
+        raise DataError("diagnostics need a fit produced by fit_mcmle")
+    trace = np.asarray(fit.diagnostics["trace"])
+    rows = []
+    for k, label in enumerate(fit.labels):
+        col = trace[:, k]
+        sd = float(col.std(ddof=1))
+        q = np.quantile(col, [0.0, 0.25, 0.5, 0.75, 1.0])
+        rows.append({
+            "term": label,
+            "mean": float(col.mean()),
+            "sd": sd,
+            "min": float(q[0]),
+            "q25": float(q[1]),
+            "median": float(q[2]),
+            "q75": float(q[3]),
+            "max": float(q[4]),
+            "degenerate": sd == 0.0,
+        })
+    return rows

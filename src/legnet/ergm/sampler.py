@@ -17,7 +17,7 @@ import numpy as np
 
 from ..errors import ConfigError, require_ints
 from ..graph import Graph
-from .terms import DyadDesign, ErgmSpec
+from .terms import DyadDesign
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,6 @@ class SimResult:
     """Independent draws: their statistics and, if kept, their tie states."""
 
     acceptance_rate: ClassVar[float] = 1.0  # never rejected; read by bench/tracing.py
-    labels: tuple[str, ...]
     stats: np.ndarray  # (draws, K)
     states: np.ndarray | None = field(repr=False, default=None)  # (draws, D) int8 y1 + 2*y2
 
@@ -71,23 +70,4 @@ def sample_states(design: DyadDesign, theta: np.ndarray, control: SimControl,
         stats[i] = design.weighted_sum(state & 1, state >> 1, state == 3)
         if keep_states:
             codes[i] = state
-    return SimResult(labels=design.spec.labels, stats=stats, states=codes)
-
-
-def simulate(spec: ErgmSpec, theta: np.ndarray, graph_size: int | None = None,
-             control: SimControl | None = None,
-             graph: Graph | None = None) -> tuple[SimResult, DyadDesign]:
-    """Draw networks from the model at fixed theta.
-
-    Provide either `graph` (its nodes and covariates define the design)
-    or `graph_size`. Returns the draws and the dyad design used, so
-    sampled states can be materialized.
-    """
-    control = control or SimControl()
-    if graph is not None:
-        design = DyadDesign.from_graph(graph, spec)
-    elif graph_size is not None:
-        design = DyadDesign(graph_size, spec)
-    else:
-        raise ConfigError("simulate needs a graph or a graph_size")
-    return sample_states(design, theta, control, keep_states=True), design
+    return SimResult(stats=stats, states=codes)

@@ -83,7 +83,8 @@ def load_edge_list(source: str | Path | bytes | IO, format: str = "csv") -> Grap
     A str or Path names the file; content is passed as bytes or a text or
     binary handle. format "csv" reads the canonical edge CSV;
     "upstream-json" reads the per-node adjacency export (see
-    UPSTREAM_FIELDS), whose string targets must be ids it lists.
+    UPSTREAM_FIELDS), whose ids are read as their text and whose string
+    targets must be ids it lists.
     """
     text = _as_text(source)
     if format == "csv":
@@ -137,12 +138,15 @@ def _edges_from_upstream_json(text: str) -> Graph:
     if not (len(ids) == len(targets) == len(weights)):
         raise DataError("upstream node/target/weight arrays differ in length")
 
-    names = {x for x in ids if isinstance(x, str)}  # what a string target may name
-    edges = []
-    for i, (node, outs, wts) in enumerate(zip(ids, targets, weights)):
+    nodes = []
+    for i, node in enumerate(ids):
         # a bool is an int to Python, but JSON true and false are not numbers
         if isinstance(node, bool) or not isinstance(node, (str, int, float)):
             raise DataError(f"node {i}: id {node!r} is not a string or a number")
+        nodes.append(str(node))  # every output names a node by its text
+    names = set(nodes)  # what a string target may name
+    edges = []
+    for node, outs, wts in zip(nodes, targets, weights):
         if not (isinstance(outs, list) and isinstance(wts, list)):
             raise DataError(f"node {node!r}: targets and weights must be arrays")
         if len(outs) != len(wts):
@@ -156,8 +160,8 @@ def _edges_from_upstream_json(text: str) -> Graph:
                 raise DataError(f"node {node!r}: target id {j!r} not in usernameList")
             if isinstance(w, bool) or not isinstance(w, (int, float)):
                 raise DataError(f"node {node!r}: weight {w!r} is not a number")
-            edges.append((node, ids[j] if isinstance(j, int) else j, w))
-    return Graph(edges, nodes=ids)
+            edges.append((node, nodes[j] if isinstance(j, int) else j, w))
+    return Graph(edges, nodes=nodes)
 
 
 def _text(value: Any, what: str) -> str:

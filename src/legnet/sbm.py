@@ -66,6 +66,8 @@ class _Binary:
     transpose as [y; yT], so that one product gives y @ X and yT @ X."""
 
     def __init__(self, y: sparse.csr_array) -> None:
+        if y.shape[0] < 2:
+            raise DataError("the blockmodel needs at least 2 nodes")
         self.y, self.n = y, y.shape[0]
         self.stacked = sparse.vstack([y, y.T], format="csr")
 
@@ -404,7 +406,7 @@ def fit_q(adjacency, q: int, restarts: int = 1, seed: int = 0, *,
         elbo_trace=tuple(best.trace), converged=best.facts["converged"],
         iterations=best.facts["iterations"], requested_q=q,
         collapsed=best.facts["collapsed"],
-        meta={"restarts": restarts, "seed": seed, "runs": [run.facts for run in runs]},
+        meta={"runs": [run.facts for run in runs]},
     )
 
 

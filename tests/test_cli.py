@@ -34,10 +34,13 @@ def test_version_flag(capsys):
     assert __version__ in capsys.readouterr().out
 
 
-def test_missing_subcommand_is_usage_error():
+def test_missing_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        "usage error: legnet: the following arguments are required: command "
+        "(see legnet --help)\n")
 
 
 def test_ingest_writes_graph_artifacts(toy, capsys):
@@ -197,7 +200,9 @@ def test_threads_flag_is_a_usage_error(toy, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["topology", "--edges", str(epath), "--out", str(out), "--threads", "2"])
     assert exc.value.code == 2
-    assert "--threads" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: legnet: unrecognized arguments: --threads")
+    assert len(err.splitlines()) == 1
 
 
 def test_init_flag_is_a_usage_error(toy, capsys):
@@ -205,7 +210,9 @@ def test_init_flag_is_a_usage_error(toy, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sbm", "--edges", str(epath), "--out", str(out), "--init", "random"])
     assert exc.value.code == 2
-    assert "--init" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: legnet: unrecognized arguments: --init")
+    assert len(err.splitlines()) == 1
     assert not out.exists()
 
 
@@ -672,6 +679,17 @@ def test_malformed_upstream_json_exits_3(tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert err == "data error: node 'a': weight 'x' is not a number\n"
+
+
+def test_a_one_node_blockmodel_exits_3_and_writes_nothing(tmp_path, capsys):
+    src = tmp_path / "one.json"
+    src.write_text(json.dumps({"usernameList": ["a"], "outList": [[]], "outWeight": [[]]}))
+    out = tmp_path / "out"
+    code = main(["sbm", "--edges", str(src), "--format", "upstream-json",
+                 "--q-range", "1:1", "--out", str(out)])
+    assert code == 3
+    assert capsys.readouterr().err == "data error: the blockmodel needs at least 2 nodes\n"
+    assert not out.exists()
 
 
 def test_upstream_json_ingest_at_congress_scale_matches_the_csv_ingest(tmp_path):

@@ -176,6 +176,7 @@ def test_invalid_configs_raise(raw):
     ({"edges": "e.csv", "mcmc": {"sample_size": True}},
      "mcmc.sample_size must be an integer >= 2, got True"),
     ({"edges": "e.csv", "mcmc": 5}, "mcmc must be an object, got 5"),
+    ({"edges": "e.csv", "stages": []}, "stages must be a non-empty list of stages from ("),
 ])
 def test_config_errors_name_the_key(raw, message):
     with pytest.raises(ConfigError) as exc:

@@ -13,7 +13,8 @@ import legnet.ergm.fit as fit_module
 from legnet import DataError, EstimationError, Graph
 from legnet.ergm import (AbsDiff, DyadDesign, Edges, ErgmSpec, Mutual, NodeCovariate,
                          NodeMatch, SimControl, expected_statistics, fit_exact_dyad,
-                         fit_mple, likelihood_ratio_test, report_effects, simulate)
+                         fit_mple, likelihood_ratio_test, report_effects,
+                         sample_states)
 
 from conftest import (enumerate_graphs, gen, graph_from_matrix, graph_with_a_sink,
                       matrix_of, oracle_mle, oracle_statistics, ordered_design_matrix,
@@ -270,8 +271,9 @@ def test_planted_theta_is_recovered():
     # the same spec without mutual is dyad-independent: MPLE is the exact MLE
     independent = ErgmSpec([t for t in terms if not isinstance(t, Mutual)])
     truth = np.array([-2.5, 1.5, 0.6, 0.8])
-    draws, design = simulate(spec, truth, graph_size=n,
-                             control=SimControl(sample_size=4, seed=21))
+    design = DyadDesign(n, spec)
+    draws = sample_states(design, truth, SimControl(sample_size=4, seed=21),
+                          keep_states=True)
     for index in range(4):
         g = draws.graph(design, index)
         fit = fit_exact_dyad(g, spec)

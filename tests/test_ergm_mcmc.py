@@ -13,7 +13,7 @@ from legnet import ConfigError, DataError, EstimationError
 from legnet.ergm import (DyadDesign, Edges, ErgmSpec, McmleControl, Mutual,
                          NodeCovariate, NodeMatch, SimControl,
                          expected_statistics, fit_exact_dyad, fit_mcmle,
-                         fit_mple, mcmc_diagnostics, sample_states, simulate)
+                         fit_mple, mcmc_diagnostics, sample_states)
 
 from conftest import (enumerate_graphs, graph_from_matrix, matrix_of,
                       oracle_statistics, random_digraph, write_toy)
@@ -33,8 +33,8 @@ def test_sampler_matches_enumerated_distribution():
     theta = np.array([-1.0, 1.5])
     spec = ErgmSpec([Edges(), Mutual()])
     mean, sd = exact_moments(3, [("edges",), ("mutual",)], theta)
-    result, _ = simulate(spec, theta, graph_size=3,
-                         control=SimControl(sample_size=4000, seed=2))
+    result = sample_states(DyadDesign(3, spec), theta,
+                           SimControl(sample_size=4000, seed=2))
     sim_mean = result.stats.mean(axis=0)
     # 4000 independent draws: allow five standard errors
     bound = 5 * sd / math.sqrt(4000)
@@ -44,8 +44,8 @@ def test_sampler_matches_enumerated_distribution():
 def test_sampler_edges_only_is_independent_bernoulli():
     p = 0.3
     theta = np.array([math.log(p / (1 - p))])
-    result, _ = simulate(ErgmSpec([Edges()]), theta, graph_size=8,
-                         control=SimControl(sample_size=3000, seed=7))
+    result = sample_states(DyadDesign(8, ErgmSpec([Edges()])), theta,
+                           SimControl(sample_size=3000, seed=7))
     counts = result.stats[:, 0]
     d = 8 * 7
     assert counts.mean() == pytest.approx(d * p, abs=5 * math.sqrt(d * p * (1 - p) / 3000))
@@ -56,16 +56,17 @@ def test_sampler_is_seed_deterministic():
     spec = ErgmSpec([Edges(), Mutual()])
     theta = np.array([-0.5, 0.8])
     control = SimControl(sample_size=40, seed=11)
-    a, _ = simulate(spec, theta, graph_size=6, control=control)
-    b, _ = simulate(spec, theta, graph_size=6, control=control)
+    a = sample_states(DyadDesign(6, spec), theta, control)
+    b = sample_states(DyadDesign(6, spec), theta, control)
     assert np.array_equal(a.stats, b.stats)
 
 
 def test_sampled_states_reproduce_their_statistics():
     g = random_digraph(7, p=0.3, seed=3, mutual_boost=0.4)
     spec = ErgmSpec([Edges(), Mutual()])
-    result, design = simulate(spec, np.array([-0.8, 1.0]), graph=g,
-                              control=SimControl(sample_size=12, seed=5))
+    design = DyadDesign.from_graph(g, spec)
+    result = sample_states(design, np.array([-0.8, 1.0]),
+                           SimControl(sample_size=12, seed=5), keep_states=True)
     for index in range(12):
         rebuilt = result.graph(design, index)
         assert np.allclose(DyadDesign.from_graph(rebuilt, spec).statistics(),
@@ -84,11 +85,11 @@ def test_sim_control_validation():
     with pytest.raises(ConfigError, match="got <integer of 5001 digits>$"):
         SimControl(seed=-10**5000)
     with pytest.raises(ConfigError):
-        simulate(ErgmSpec([Edges()]), np.array([0.0]))
+        sample_states(DyadDesign(4, ErgmSpec([Edges()])), np.array([np.nan]),
+                      SimControl())
     with pytest.raises(ConfigError):
-        simulate(ErgmSpec([Edges()]), np.array([np.nan]), graph_size=4)
-    with pytest.raises(ConfigError):
-        simulate(ErgmSpec([Edges(), Mutual()]), np.array([0.0]), graph_size=4)
+        sample_states(DyadDesign(4, ErgmSpec([Edges(), Mutual()])), np.array([0.0]),
+                      SimControl())
 
 
 def test_removed_sampler_and_term_settings_are_refused():
@@ -104,14 +105,14 @@ def test_removed_sampler_and_term_settings_are_refused():
 def test_kept_states_are_one_byte_per_pair_per_draw():
     spec = ErgmSpec([Edges(), Mutual()])
     theta = np.array([-0.5, 0.8])
-    result, design = simulate(spec, theta, graph_size=9,
-                              control=SimControl(sample_size=30, seed=4))
+    design = DyadDesign(9, spec)
+    result = sample_states(design, theta, SimControl(sample_size=30, seed=4),
+                           keep_states=True)
     assert result.states.dtype == np.int8
     assert result.states.shape == (30, design.n_dyads)
     assert result.states.nbytes == 30 * design.n_dyads
     assert set(np.unique(result.states)) <= {0, 1, 2, 3}
     # a draw made without keeping states keeps none, and has the same statistics
-    design = DyadDesign(9, spec)
     bare = sample_states(design, theta, SimControl(sample_size=30, seed=4))
     assert bare.states is None
     assert np.array_equal(bare.stats, result.stats)
@@ -185,8 +186,8 @@ def test_simulated_means_match_expected_statistics():
     spec = ErgmSpec([Edges(), Mutual(), NodeMatch("party", party),
                      NodeCovariate("x", x, "receiver")])
     theta = np.array([-1.2, 1.4, 0.6, -0.8])
-    result, _ = simulate(spec, theta, graph=g,
-                         control=SimControl(sample_size=3000, seed=13))
+    result = sample_states(DyadDesign.from_graph(g, spec), theta,
+                           SimControl(sample_size=3000, seed=13))
     want = expected_statistics(g, spec, theta)
     for k in range(spec.k):
         col = result.stats[:, k]

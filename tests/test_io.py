@@ -173,9 +173,28 @@ def test_upstream_json_integer_past_the_digit_limit_is_a_data_error():
 
 
 def test_upstream_json_numeric_node_ids_still_load():
+    # every output names a node by its text, so the ids are read as text
     doc = {"usernameList": [10, 2.5], "outList": [[1], [0]], "outWeight": [[0.5], [1]]}
     g = legnet.load_edge_list(io.StringIO(json.dumps(doc)), format="upstream-json")
-    assert list(g.edge_records()) == [(10, 2.5, 0.5), (2.5, 10, 1.0)]
+    assert list(g.edge_records()) == [("10", "2.5", 0.5), ("2.5", "10", 1.0)]
+
+
+def test_upstream_json_ids_with_the_same_text_are_one_id_twice():
+    doc = {"usernameList": [1, "1", "b"], "outList": [[1, 2], ["b"], [0, 1]],
+           "outWeight": [[0.5, 0.5], [1.0], [0.2, 0.3]]}
+    with pytest.raises(DataError, match="^duplicate node id '1' in node list$"):
+        legnet.load_edge_list(io.StringIO(json.dumps(doc)), format="upstream-json")
+
+
+def test_upstream_json_numeric_ids_match_attribute_rows_and_string_targets():
+    doc = {"usernameList": [10, 20, 30], "outList": [[1, "30"], [0], []],
+           "outWeight": [[0.5, 0.25], [1.0], []]}
+    g = legnet.load_edge_list(io.StringIO(json.dumps(doc)), format="upstream-json")
+    assert list(g.edge_records()) == [("10", "20", 0.5), ("10", "30", 0.25),
+                                      ("20", "10", 1.0)]
+    attrs = legnet.load_attributes(io.StringIO("node_id,party\n10,D\n20,R\n30,D\n"), g)
+    assert attrs.categorical("party") == ("D", "R", "D")
+    assert attrs.reassign_party({"20": "D"}).categorical("party") == ("D", "D", "D")
 
 
 def test_non_utf8_input_is_a_data_error_naming_the_file(tmp_path):

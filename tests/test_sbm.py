@@ -220,6 +220,16 @@ def test_input_validation():
             classification_icl(y, labels)
 
 
+@pytest.mark.parametrize("adjacency", [legnet.Graph([], nodes=["a"]), np.zeros((1, 1))],
+                         ids=["graph", "matrix"])
+def test_a_graph_of_one_node_is_refused(adjacency):
+    # the ICL penalty's log n(n-1) is -inf at n = 1
+    for call in (lambda: fit_q(adjacency, 1), lambda: select_q(adjacency, [1]),
+                 lambda: classification_icl(adjacency, [0])):
+        with pytest.raises(DataError, match="^the blockmodel needs at least 2 nodes$"):
+            call()
+
+
 @pytest.mark.parametrize("qs, message", [
     (range(1, 70), "Q range 1:69 outside [1, 60]"),
     (range(0, 4), "Q range 0:3 outside [1, 60]"),
