@@ -17,8 +17,9 @@ rounding of the log-likelihood, 16 eps |ll|: such a step is evaluated
 once, and any change of ll within that rounding accepts it.
 A step above the rounding is halved until ll does not fall.
 
-Held terms (_held_terms): a term that is 0 in every state of every dyad
-is held at 0 outside the Newton system and reported with NaN estimate,
+Held terms: a term whose Fisher column at the start is spanned by the
+earlier free terms (_aliases; a 0 column when it is 0 on every dyad) is
+held at 0 outside the Newton system and reported with NaN estimate,
 standard error and p-value. A term whose observed statistic is at an end
 of its range, or whose coefficient is driven past its bound, is pinned
 at the bound so the rest of the model stays estimable, and is reported
@@ -45,6 +46,7 @@ SEPARATION_BOUND = 25.0
 _NEWTON_TOL = 1e-8
 _NEWTON_MAX_ITER = 100
 _BOUNDARY_TOL = 1e-8  # an observed statistic this close to an end of its range is at it
+_ALIAS_TOL = 1e-10    # a Schur complement this small, relative to its diagonal, is 0
 # Dyads per block of a Newton objective's pass. Of 2048-8192, 4096 to 8192
 # ran the ergm-fits sequence equally fast on a core with 2 MiB of L2, and
 # 8192 slowed the 29-row model4; fewer dyads pay more per-block overhead.
@@ -75,6 +77,8 @@ class ErgmFit:
     iterations: int
     graph_digest: str
     spec: ErgmSpec
+    # a NaN term's index -> "0 on every dyad" or "aliased with <the terms that span it>"
+    inestimable: dict[int, str] = field(default_factory=dict)
     diagnostics: dict[str, Any] = field(default_factory=dict)
 
     @property
@@ -177,21 +181,18 @@ def _held_terms(design: DyadDesign, g_obs: np.ndarray,
     free one, and each term's pin bound.
 
     The range is DyadDesign.statistic_range with the mutual term counted
-    in `mutual_count` places. A term with the range [0, 0] leaves the
-    objective flat along its axis, so it is held at 0. A term whose
+    in `mutual_count` places. A term with the range [0, 0] stays free:
+    its Fisher column is 0, so _newton's screen holds it. A term whose
     observed statistic is at an end of its range has no finite maximizer,
     and its gradient decays exponentially, so iteration alone can stall
     short of the bound: it is pinned at the bound with that end's sign.
     """
     low, high = design.statistic_range(mutual_count)
     bound = _pin_bound(design)
-    span = high - low
-    live = span > _BOUNDARY_TOL
+    live = high - low > _BOUNDARY_TOL
     top = live & (g_obs >= high - _BOUNDARY_TOL)
     bottom = live & (g_obs <= low + _BOUNDARY_TOL)
-    held = np.where(top, bound, np.where(bottom, -bound, np.nan))
-    held[span == 0.0] = 0.0
-    return held, bound
+    return np.where(top, bound, np.where(bottom, -bound, np.nan)), bound
 
 
 def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -210,26 +211,46 @@ def _inverse(a: np.ndarray) -> np.ndarray:
         return np.linalg.pinv(a)
 
 
+def _aliases(fisher: np.ndarray, free: np.ndarray) -> dict[int, tuple[int, ...]]:
+    """{k: the kept terms that span it} for each free term k, in order, whose
+    Schur complement against the earlier kept ones is at most _ALIAS_TOL of its
+    diagonal; named are those whose part of k's sd exceeds the residual allowed."""
+    kept, inv, found = [], np.zeros((0, 0)), {}   # inv: the kept block's inverse
+    for k in np.flatnonzero(free).tolist():
+        beta = inv @ fisher[kept, k]
+        schur = fisher[k, k] - fisher[kept, k] @ beta
+        if schur <= _ALIAS_TOL * fisher[k, k]:
+            share = beta * beta * np.diag(fisher)[kept]   # each one's squared sd in k
+            found[k] = tuple(j for j, c in zip(kept, share) if c > _ALIAS_TOL * fisher[k, k])
+            continue
+        u = beta / schur
+        inv = np.block([[inv + np.outer(u, beta), -u[:, None]], [-u, 1.0 / schur]])
+        kept.append(k)
+    return found
+
+
 def _newton(objective, k: int, held: np.ndarray | None = None,
             bound: np.ndarray | float = SEPARATION_BOUND,
-            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, int]:
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, int, dict]:
     """Maximize a concave objective with separation pinning.
 
     objective(theta) -> (ll, grad, fisher). Returns (theta, frozen,
-    fisher, ll, iterations); a run that does not converge raises
-    EstimationError. A coordinate whose `held` entry is not NaN stays
-    at it; a free one driven past its `bound` (per coordinate, or one
-    for all) is pinned there and joins `frozen`. Also
-    converged once a step is applied whose Newton decrement is within
-    rounding of ll, since on large dyad sums the gradient's rounding
-    floor can sit above _NEWTON_TOL; ll cannot rank such a step, so it is
-    evaluated once.
+    fisher, ll, iterations, aliases); a run that does not converge raises
+    EstimationError. A coordinate whose `held` entry is not NaN stays at
+    it, and one in `aliases` (of the first evaluation) at 0; a free one
+    driven past its `bound` (per coordinate, or one for all) is pinned
+    there and joins `frozen`. Also converged once a step is applied whose
+    Newton decrement is within rounding of ll, since on large dyad sums
+    the gradient's rounding floor can sit above _NEWTON_TOL; ll cannot
+    rank such a step, so it is evaluated once.
     """
     if held is None:
         held = np.full(k, np.nan)
     frozen = ~np.isnan(held)
     theta = np.where(frozen, held, 0.0)
     ll, grad, fisher = objective(theta)
+    aliases = _aliases(fisher, ~frozen)
+    frozen[list(aliases)] = True
     for it in range(1, _NEWTON_MAX_ITER + 1):
         free = ~frozen
         if not free.any() or np.abs(grad[free]).max() < _NEWTON_TOL:
@@ -260,11 +281,12 @@ def _newton(objective, k: int, held: np.ndarray | None = None,
     else:
         raise EstimationError(f"no convergence after {_NEWTON_MAX_ITER} iterations "
                               f"(gradient norm {np.abs(grad[~frozen]).max():.3g})")
-    return theta, frozen, fisher, ll, it
+    return theta, frozen, fisher, ll, it, aliases
 
 
 def _finalize(graph: Graph, design: DyadDesign, method: str, theta: np.ndarray,
               frozen: np.ndarray, fisher: np.ndarray, ll: float, iterations: int,
+              inestimable: dict[int, str],
               diagnostics: dict[str, Any] | None = None) -> ErgmFit:
     """Wald inference at theta. A frozen term sits at 0 when it is
     inestimable (NaN) and at its bound when it is separated (infinite)."""
@@ -279,12 +301,12 @@ def _finalize(graph: Graph, design: DyadDesign, method: str, theta: np.ndarray,
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(std_err > 0, theta / std_err, np.inf)
     p_values[free] = 2.0 * ndtr(-np.abs(z[free]))
-    inestimable = frozen & (theta == 0.0)
-    separated = frozen & ~inestimable
+    held_at_zero = frozen & (theta == 0.0)
+    separated = frozen & ~held_at_zero
     reported = theta.copy()
     reported[separated] = np.sign(theta[separated]) * np.inf
     for values in (reported, std_err, p_values):
-        values[inestimable] = np.nan
+        values[held_at_zero] = np.nan
     aic = -2.0 * ll + 2.0 * k
     bic = -2.0 * ll + k * np.log(n_obs)
     return ErgmFit(
@@ -303,6 +325,7 @@ def _finalize(graph: Graph, design: DyadDesign, method: str, theta: np.ndarray,
         iterations=iterations,
         graph_digest=graph_digest(graph),
         spec=design.spec,
+        inestimable=inestimable,
         diagnostics=dict(diagnostics or {}),
     )
 
@@ -310,9 +333,12 @@ def _finalize(graph: Graph, design: DyadDesign, method: str, theta: np.ndarray,
 def _newton_fit(graph: Graph, design: DyadDesign, objective, method: str,
                 g_obs: np.ndarray, mutual_count: float) -> ErgmFit:
     """Newton fit of `objective`, with the terms `_held_terms` names held."""
-    theta, frozen, fisher, ll, it = _newton(
+    theta, frozen, fisher, ll, it, aliases = _newton(
         objective, design.k, *_held_terms(design, g_obs, mutual_count))
-    return _finalize(graph, design, method, theta, frozen, fisher, ll, it)
+    labels = design.spec.labels
+    inestimable = {k: "aliased with " + ", ".join(labels[j] for j in span) if span
+                   else "0 on every dyad" for k, span in aliases.items()}
+    return _finalize(graph, design, method, theta, frozen, fisher, ll, it, inestimable)
 
 
 def fit_exact_dyad(graph: Graph, spec: ErgmSpec) -> ErgmFit:

@@ -101,8 +101,8 @@ def fit_mcmle(graph: Graph, spec: ErgmSpec,
     """Monte-Carlo MLE; deterministic given the control seed.
 
     The terms the pseudolikelihood fit holds stay held: separated ones
-    pinned and reported as signed infinity, inestimable ones at 0 and
-    reported as NaN, exactly as in the exact-dyad path.
+    pinned and reported as signed infinity, inestimable ones (0 on every
+    dyad, or aliased) at 0 and reported as NaN with the same reasons.
     """
     control = control or McmleControl()
     design = DyadDesign.from_graph(graph, spec)
@@ -142,12 +142,13 @@ def fit_mcmle(graph: Graph, spec: ErgmSpec,
         xi, gamma = _hull_target(g_obs, sample, free)
         gamma_history.append(gamma)
         try:
-            delta, pinned, *_ = _newton(lambda d: _ratio_loglik(sample, xi, d),
-                                        spec.k, np.where(free, np.nan, 0.0), bound)
+            delta, pinned, *_, flat = _newton(lambda d: _ratio_loglik(sample, xi, d),
+                                              spec.k, np.where(free, np.nan, 0.0), bound)
         except EstimationError as exc:
             raise EstimationError(f"update of phase {phases}: {exc}") from None
-        if (pinned & free).any():
-            far = [spec.labels[k] for k in np.flatnonzero(pinned & free)]
+        # a direction that the draws do not span is held at delta 0, not pinned
+        far = [spec.labels[k] for k in np.flatnonzero(pinned & free) if k not in flat]
+        if far:
             raise EstimationError(f"update of phase {phases}: {far} reached the "
                                   f"separation bound")
         theta += delta
@@ -176,7 +177,7 @@ def fit_mcmle(graph: Graph, spec: ErgmSpec,
         "mc_std_err": mc_se,
     }
     return _finalize(graph, design, "mcmle", theta, ~free, fisher, ll, phases,
-                     diagnostics)
+                     start.inestimable, diagnostics)
 
 
 def mcmc_diagnostics(fit: ErgmFit) -> list[dict]:

@@ -15,7 +15,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from ..errors import ConfigError, require_ints
+from ..errors import ConfigError, DataError, require_ints
 from ..graph import Graph
 from .terms import DyadDesign
 
@@ -42,7 +42,11 @@ class SimResult:
     states: np.ndarray | None = field(repr=False, default=None)  # (draws, D) int8 y1 + 2*y2
 
     def graph(self, design: DyadDesign, index: int) -> Graph:
-        """Materialize one sampled state as a Graph on nodes 0..n-1 (unit weights)."""
+        """Materialize draw `index` as a Graph on nodes 0..n-1 (unit weights)."""
+        if self.states is None:
+            raise DataError("no states were kept: draw with keep_states=True")
+        if not 0 <= index < len(self.states):
+            raise DataError(f"draw index {index} out of range for {len(self.states)} draws")
         code = self.states[index]
         y1, y2 = (code & 1).astype(bool), (code >> 1).astype(bool)
         edges = [(int(i), int(j), 1.0) for i, j in zip(design.iu[y1], design.ju[y1])]

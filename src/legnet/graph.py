@@ -7,10 +7,10 @@ Edge weights must lie in (0, 1]; self-loops and duplicate directed
 edges are rejected. Instances are immutable once built.
 
 Edges are kept in storage order (the order that round-trips) and as
-three CSR adjacencies with sorted indices: out (weighted), in and
-undirected. Neighbors are row slices, degrees are row-pointer
-differences, and components come from `scipy.sparse.csgraph`, which is
-imported on first use: most commands never need it.
+two CSR adjacencies with sorted indices: out (weighted) and undirected.
+Neighbors are row slices, out-degrees are row-pointer differences, and
+components come from `scipy.sparse.csgraph`, which is imported on first
+use: most commands never need it.
 """
 
 from __future__ import annotations
@@ -24,10 +24,6 @@ from scipy.sparse import csr_array
 from .errors import DataError, _shown
 
 NodeId = Hashable
-
-
-def _rows(a: csr_array, i: int) -> np.ndarray:
-    return a.indices[a.indptr[i]:a.indptr[i + 1]]
 
 
 def _check_index(i: int, n: int) -> int:
@@ -58,7 +54,7 @@ class Graph:
         also appear in `edges` keep the index assigned here.
     """
 
-    __slots__ = ("_ids", "_index", "_src", "_dst", "_w", "_out", "_in", "_und")
+    __slots__ = ("_ids", "_index", "_src", "_dst", "_w", "_out", "_und")
 
     def __init__(self,
                  edges: Iterable[tuple[NodeId, NodeId, float]],
@@ -100,15 +96,12 @@ class Graph:
         self._src = np.asarray(src, dtype=np.int64)
         self._dst = np.asarray(dst, dtype=np.int64)
         self._w = np.asarray(wts, dtype=np.float64)
-        # scipy builds all three in canonical form: sorted, no duplicates
+        # scipy builds both in canonical form: sorted, no duplicates
         self._out = csr_array((self._w, (self._src, self._dst)), shape=(n, n))
-        self._in = self._out.T.tocsr()
         # only its pattern is read; weights are positive, so no entry cancels
         self._und = self._out + self._out.T
-        # read-only, because edge_arrays and the neighbor methods return views
-        for arr in (self._src, self._dst, self._w, *(
-                a for m in (self._out, self._in, self._und)
-                for a in (m.data, m.indices, m.indptr))):
+        # read-only, because edge_arrays and undirected_neighbors return views
+        for arr in (self._src, self._dst, self._w, self._und.indices):
             arr.flags.writeable = False
 
     # -- size and identity -------------------------------------------------
@@ -139,23 +132,6 @@ class Graph:
 
     # -- edges --------------------------------------------------------------
 
-    def _slot(self, i: int, j: int) -> int:
-        """Position of edge i->j in the out-CSR arrays, or -1."""
-        if not (0 <= i < self.n):
-            return -1
-        lo, hi = self._out.indptr[i], self._out.indptr[i + 1]
-        k = lo + int(np.searchsorted(self._out.indices[lo:hi], j))
-        return k if k < hi and self._out.indices[k] == j else -1
-
-    def has_edge(self, i: int, j: int) -> bool:
-        return self._slot(i, j) >= 0
-
-    def weight(self, i: int, j: int) -> float:
-        k = self._slot(_check_index(i, self.n), _check_index(j, self.n))
-        if k < 0:
-            raise DataError(f"no edge {_shown(self._ids[i])}->{_shown(self._ids[j])}")
-        return float(self._out.data[k])
-
     def edge_records(self) -> Iterator[tuple[NodeId, NodeId, float]]:
         """Yield (source_id, target_id, weight) in storage order."""
         for i, j, w in zip(self._src, self._dst, self._w):
@@ -167,23 +143,16 @@ class Graph:
 
     # -- neighborhoods -------------------------------------------------------
 
-    def out_neighbors(self, i: int) -> np.ndarray:
-        """Targets of i's out-edges, ascending (a read-only view)."""
-        return _rows(self._out, _check_index(i, self.n))
-
-    def in_neighbors(self, i: int) -> np.ndarray:
-        """Sources of i's in-edges, ascending (a read-only view)."""
-        return _rows(self._in, _check_index(i, self.n))
-
     def undirected_neighbors(self, i: int) -> np.ndarray:
         """Neighbors of i ignoring direction, each listed once, ascending."""
-        return _rows(self._und, _check_index(i, self.n))
+        i = _check_index(i, self.n)
+        return self._und.indices[self._und.indptr[i]:self._und.indptr[i + 1]]
 
     def out_degrees(self) -> np.ndarray:
         return np.diff(self._out.indptr)
 
     def in_degrees(self) -> np.ndarray:
-        return np.diff(self._in.indptr)
+        return np.bincount(self._dst, minlength=self.n)
 
     def out_strengths(self) -> np.ndarray:
         # summed in edge storage order: CSR row order would change the

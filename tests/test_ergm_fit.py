@@ -415,18 +415,22 @@ def test_estimability_fixture_is_as_described(estimability_case):
                 if v == "Hispanic"} == hispanic
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
 @pytest.mark.parametrize("fit", [fit_exact_dyad, fit_mple])
 def test_aliased_terms_cost_no_likelihood(estimability_case, fit):
-    # two identical columns come out as +Inf and -Inf, at -19452.14, below
-    # the -19451.43 of the model without the ethnicity terms
+    # the two Hispanic matches are one column: pinned at +Inf and -Inf they
+    # reached -19452.14, below the -19451.43 of the model without the
+    # ethnicity terms; the later one is held as aliased instead
     graph, attrs_with, *_ = estimability_case
     attrs = attrs_with(0)
     nested = fit(graph, _model4(graph, attrs, ethnicity=False)).log_likelihood
-    assert fit(graph, _model4(graph, attrs)).log_likelihood >= nested - 1e-6
+    full = fit(graph, _model4(graph, attrs))
+    assert full.log_likelihood >= nested - 1e-6
+    k = full.labels.index("match(ethnicity=Hispanic)")
+    assert np.isnan(full.theta[k])
+    assert full.inestimable[k] == "aliased with match(race=Hispanic)"
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2b")
 @pytest.mark.parametrize("e", [1, 2])
 def test_estimators_agree_along_a_combined_separation(estimability_case, e):
     # model4 has no mutual term, so the two fits maximize one likelihood;
@@ -485,6 +489,53 @@ def test_inestimable_term_is_nan_and_leaves_the_rest_alone():
         assert math.isnan(rows[2]["exp"]) and math.isnan(rows[2]["expit"])
 
 
+def _alias_case():
+    """A small digraph, the terms edges and mutual, a sender covariate x and
+    a uniform match on `party`, with `caucus` a one-to-one relabelling."""
+    n = 14
+    g = random_digraph(n, p=0.3, seed=21, mutual_boost=0.4)
+    rng = np.random.default_rng(21)
+    x = rng.uniform(0, 2, n)
+    party = [("D", "R", "I")[v] for v in rng.integers(0, 3, n)]
+    caucus = [{"D": "left", "R": "right", "I": "centre"}[v] for v in party]
+    return g, x, party, caucus
+
+
+@pytest.mark.parametrize("alias", ["twice-x", "relabelled-match"])
+def test_an_exactly_aliased_term_is_held_and_the_rest_fit_as_without_it(alias):
+    g, x, party, caucus = _alias_case()
+    first, later = {
+        "twice-x": (NodeCovariate("x", tuple(x), "sender"),
+                    NodeCovariate("x2", tuple(2.0 * x), "sender")),
+        "relabelled-match": (NodeMatch("party", party), NodeMatch("caucus", caucus)),
+    }[alias]
+    without = ErgmSpec([Edges(), Mutual(), first])
+    spec = ErgmSpec([Edges(), Mutual(), first, later])
+    reason = {3: f"aliased with {without.labels[2]}"}
+    for fit_fn in (fit_exact_dyad, fit_mple):
+        fit, ref = fit_fn(g, spec), fit_fn(g, without)
+        np.testing.assert_allclose(fit.theta[:3], ref.theta, rtol=1e-10, atol=1e-10)
+        assert fit.log_likelihood == pytest.approx(ref.log_likelihood, rel=1e-10)
+        assert np.isnan(fit.theta[3]) and fit.inestimable == reason, fit_fn
+        assert fit.iterations == ref.iterations
+    fit = legnet.fit_mcmle(g, spec, legnet.McmleControl(seed=1))
+    assert np.isnan(fit.theta[3]) and fit.inestimable == reason
+    assert np.isfinite(fit.theta[:3]).all()
+
+
+def test_a_near_alias_is_estimated():
+    # 2x with one member's value moved: the two columns differ on that
+    # member's ordered pairs only, and both coefficients are estimated
+    g, x, *_ = _alias_case()
+    near = 2.0 * x
+    near[0] += 0.5
+    spec = ErgmSpec([Edges(), Mutual(), NodeCovariate("x", tuple(x), "sender"),
+                     NodeCovariate("x2", tuple(near), "sender")])
+    for fit_fn in (fit_exact_dyad, fit_mple):
+        fit = fit_fn(g, spec)
+        assert np.isfinite(fit.theta).all() and fit.inestimable == {}, fit_fn
+
+
 def test_ranges_and_held_terms_match_enumeration():
     # n = 4 has 4^6 = 4096 joint dyad states: the range of g over them,
     # and the held set at every one of them taken as the observed graph
@@ -516,9 +567,14 @@ def test_ranges_and_held_terms_match_enumeration():
         held, bound = fit_module._held_terms(design, g, design.n_dyads)
         assert np.array_equal(bound, [*(fit_module.SEPARATION_BOUND / np.array(scale)),
                                       np.inf])
+        # the zero term stays free here: the Newton screen holds it
         want = np.where(at_top, bound, np.where(at_bottom, -bound, np.nan))
-        want[zero] = 0.0
         assert np.array_equal(held, want, equal_nan=True), g
+    interior = next(y for y, at_top, at_bottom in zip(enumerate_graphs(n), top, bottom)
+                    if not (at_top | at_bottom).any())
+    fit = fit_exact_dyad(graph_from_matrix(interior), spec)
+    assert not np.isnan(fit.theta[:5]).any() and np.isnan(fit.theta[5])
+    assert fit.inestimable == {5: "0 on every dyad"}
 
 
 def test_mple_mutual_without_ties_is_inestimable():
@@ -628,7 +684,7 @@ def test_step_within_rounding_is_taken_once(monkeypatch):
         calls.append(theta.copy())
         return -5e4 - 1e-11 * len(calls), np.array([1e-6]), np.array([[1e4]])
 
-    theta, frozen, _, _, it = _newton(objective, 1)
+    theta, frozen, _, _, it, _ = _newton(objective, 1)
     assert it == 1 and len(calls) == 2
     assert theta[0] == pytest.approx(1e-10, rel=1e-12) and not frozen.any()
 

@@ -73,6 +73,19 @@ def test_sampled_states_reproduce_their_statistics():
                            result.stats[index])
 
 
+def test_a_draw_that_was_not_kept_is_a_data_error():
+    design = DyadDesign(5, ErgmSpec([Edges()]))
+    bare = sample_states(design, np.array([-0.5]), SimControl(sample_size=2))
+    with pytest.raises(DataError, match=r"^no states were kept: draw with keep_states=True$"):
+        bare.graph(design, 0)
+    kept = sample_states(design, np.array([-0.5]), SimControl(sample_size=2),
+                         keep_states=True)
+    for index in (5, 2, -1):
+        with pytest.raises(DataError, match=rf"^draw index {index} out of range for 2 draws$"):
+            kept.graph(design, index)
+    assert kept.graph(design, 1).n == 5
+
+
 def test_sim_control_validation():
     # every field is an integer in its range; a numpy integer counts
     for field, value in (("seed", -1), ("seed", 1.0), ("seed", True),

@@ -27,17 +27,15 @@ def test_counts_and_lookup():
     assert g.n == 3
     assert g.edge_count == 4
     a, b, c = (g.index_of(v) for v in "abc")
-    assert g.has_edge(a, b) and not g.has_edge(a, c)
-    assert g.weight(b, c) == 0.25
-    with pytest.raises(DataError):
-        g.weight(a, c)
+    ties, weights = g.adjacency(sparse=True), g.adjacency(weighted=True, sparse=True)
+    assert ties[a, b] != 0 and ties[a, c] == 0
+    assert weights[b, c] == 0.25 and weights[a, c] == 0.0
     with pytest.raises(DataError):
         g.index_of("missing")
 
 
 @pytest.mark.parametrize("method, args", [
-    ("id_of", (5,)), ("id_of", (-1,)), ("weight", (0, 99)), ("weight", (-1, 0)),
-    ("out_neighbors", (-1,)), ("in_neighbors", (3,)), ("undirected_neighbors", (-4,)),
+    ("id_of", (5,)), ("id_of", (-1,)), ("undirected_neighbors", (-4,)),
 ])
 def test_node_indices_outside_the_graph_are_data_errors(method, args):
     # one rule for every index-taking method: the error names the index,
@@ -93,10 +91,8 @@ BIG = 10**5000  # past the interpreter's 4,300-digit limit for int -> str
      r"^edge weight 'x' is not a number on <integer of 5001 digits>->'b'"),
     (lambda: Graph([("a", "b", 0.5)]).index_of(BIG),
      r"^unknown node id <integer of 5001 digits>$"),
-    (lambda: Graph([(BIG, "b", 0.5)]).weight(1, 0),
-     r"^no edge 'b'-><integer of 5001 digits>$"),
 ], ids=["duplicate-edge", "self-loop", "duplicate-node", "weight-range", "weight-text",
-        "unknown-id", "no-edge"])
+        "unknown-id"])
 def test_a_node_id_too_long_for_repr_is_named_by_its_digit_count(build, message):
     with pytest.raises(DataError, match=message):
         build()
@@ -110,10 +106,10 @@ def test_degrees_and_strengths():
 
 
 def test_neighbor_arrays_sorted():
-    g = Graph([("a", "c", 0.5), ("a", "b", 0.5), ("d", "a", 0.5)])
-    assert list(g.out_neighbors(0)) == sorted(g.out_neighbors(0))
-    und = g.undirected_neighbors(0)
-    assert list(und) == sorted(set(und))
+    g = Graph([("a", "c", 0.5), ("a", "b", 0.5), ("d", "a", 0.5)], nodes=list("abcd"))
+    # a's targets are stored c (2) before b (1); its CSR row lists them ascending
+    assert g.adjacency(sparse=True).indices.tolist() == [1, 2, 0]
+    assert g.undirected_neighbors(0).tolist() == [1, 2, 3]
 
 
 def test_adjacency_matrices():
@@ -215,7 +211,7 @@ def test_graph_is_immutable():
         g.n = 10
     # neighbor rows and edge arrays are views of the graph's own storage
     with pytest.raises(ValueError):
-        g.out_neighbors(0)[0] = 2
+        g.undirected_neighbors(0)[0] = 2
     with pytest.raises(ValueError):
         g.edge_arrays()[2][0] = 1.0
 
@@ -237,13 +233,13 @@ def test_isolated_nodes():
     assert list(g.out_degrees()) == [0, 1, 0, 0]
     assert list(g.in_degrees()) == [0, 0, 1, 0]
     assert list(g.out_strengths()) == [0.0, 0.5, 0.0, 0.0]
+    ties = g.adjacency()
     for v in (z, y):
-        assert g.out_neighbors(v).size == g.in_neighbors(v).size == 0
+        assert not ties[v].any() and not ties[:, v].any()
         assert g.undirected_neighbors(v).size == 0
     assert g.weak_components() == [[0], [1, 2], [3]]
     assert g.strong_components() == [[0], [1], [2], [3]]
     assert g.articulation_points() == []
-    assert not g.has_edge(z, y) and not g.has_edge(-1, 0) and not g.has_edge(4, 0)
     assert components(g).weak_sizes == (2, 1, 1)
 
 

@@ -32,21 +32,24 @@ def assert_views_match_records(g: Graph) -> None:
     outs = [set() for _ in range(g.n)]
     ins = [set() for _ in range(g.n)]
     strength = [0.0] * g.n
+    weight = {}
     for s, t, w in g.edge_records():
         i, j = g.index_of(s), g.index_of(t)
         outs[i].add(j)
         ins[j].add(i)
         strength[i] += w
-        assert g.has_edge(i, j) and g.weight(i, j) == w
+        weight[i, j] = w
+    adj = g.adjacency(weighted=True, sparse=True)
+    assert adj.nnz == g.edge_count
     for v in range(g.n):
-        assert g.out_neighbors(v).tolist() == sorted(outs[v])
-        assert g.in_neighbors(v).tolist() == sorted(ins[v])
+        row = slice(adj.indptr[v], adj.indptr[v + 1])
+        assert adj.indices[row].tolist() == sorted(outs[v])
+        assert adj.data[row].tolist() == [weight[v, j] for j in sorted(outs[v])]
         assert g.undirected_neighbors(v).tolist() == sorted(outs[v] | ins[v])
     assert g.out_degrees().tolist() == [len(a) for a in outs]
     assert g.in_degrees().tolist() == [len(a) for a in ins]
     # both sums run in edge storage order, so they agree bit for bit
     assert g.out_strengths().tolist() == strength
-    assert sum(g.has_edge(i, j) for i in range(g.n) for j in range(g.n)) == g.edge_count
 
 
 @settings(max_examples=60, deadline=None)
